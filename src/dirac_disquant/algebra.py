@@ -294,19 +294,20 @@ def random_spinor_params(rng: np.random.Generator, z=None) -> SpinorParams:
     1e-12 relative tolerance on the rho = A^2 identity.
     """
     if z is None:
-        z = _random_unit(rng)
-    n = _random_unit(rng)
+        z = random_unit(rng)
+    n = random_unit(rng)
     return SpinorParams(
         amplitude=float(rng.uniform(0.3, 2.0)),
         kappa=float(rng.uniform(-np.pi, np.pi)),
         phi=float(rng.uniform(-np.pi, np.pi)),
-        eta=_random_unit(rng) * rng.uniform(0.0, 2.5),
+        eta=random_unit(rng) * rng.uniform(0.0, 2.5),
         n=n,
         z=np.asarray(z, dtype=float),
     )
 
 
-def _random_unit(rng):
+def random_unit(rng):
+    """A uniformly random unit 3-vector drawn from rng by normal sampling."""
     while True:
         v = rng.normal(size=3)
         norm = np.linalg.norm(v)

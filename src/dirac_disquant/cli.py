@@ -7,24 +7,50 @@ Exit codes: 0 success, 1 verification failure, 2 usage or domain error.
 """
 
 import argparse
+import json
+import math
 import sys
 
 import numpy as np
 
 from . import particle, rotator
-from .errors import DomainError, StabilityError, StepSizeError
-from .report import RunConfig, csv_table, fmt, json_table
+from .errors import (
+    DomainError,
+    NumericConsistencyError,
+    StabilityError,
+    StepSizeError,
+)
+from .report import SCHEMA_TAG, RunConfig, csv_table, fmt, json_table
 from .verification import SUITE_NAMES, run_suite
 
 
+def finite_float(text):
+    """argparse type: a float that is neither NaN nor infinite."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
+
+
+def int_at_least(low):
+    """argparse type factory: an integer no smaller than ``low``."""
+    def integer(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{text!r} is below {low}")
+        return value
+    return integer
+
+
 def _common_flags(sub):
-    sub.add_argument("--seed", type=int, default=42, help="random seed (default 42)")
+    sub.add_argument("--seed", type=int_at_least(0), default=42,
+                     help="random seed (default 42)")
     sub.add_argument("--out", default=None,
                      help="output path (default: stdout)")
     sub.add_argument("--format", choices=("csv", "json"), default=None,
                      dest="out_format",
                      help="output format (default: json for verify/identify, csv otherwise)")
-    sub.add_argument("--tol-scale", type=float, default=1.0,
+    sub.add_argument("--tol-scale", type=finite_float, default=1.0,
                      help="multiply every tolerance by this factor")
 
 
@@ -37,51 +63,51 @@ def build_parser():
 
     v = subs.add_parser("verify", help="run a verification suite")
     v.add_argument("suite", choices=SUITE_NAMES)
-    v.add_argument("--m", type=float, default=1.0)
-    v.add_argument("--m0", type=float, default=1.0)
-    v.add_argument("--hbar", type=float, default=1.0)
-    v.add_argument("--c", type=float, default=1.0)
-    v.add_argument("--e", type=float, default=1.0, dest="e_charge")
+    v.add_argument("--m", type=finite_float, default=1.0)
+    v.add_argument("--m0", type=finite_float, default=1.0)
+    v.add_argument("--hbar", type=finite_float, default=1.0)
+    v.add_argument("--c", type=finite_float, default=1.0)
     _common_flags(v)
 
     h = subs.add_parser("helix", help="sample a helix worldline")
-    h.add_argument("--b", type=float, required=True, help="y^2 integration constant")
-    h.add_argument("--m", type=float, default=1.0)
-    h.add_argument("--hbar", type=float, default=1.0)
-    h.add_argument("--phase", type=float, default=0.0)
-    h.add_argument("--tmax", type=float, default=None,
+    h.add_argument("--b", type=finite_float, required=True,
+                   help="y^2 integration constant")
+    h.add_argument("--m", type=finite_float, default=1.0)
+    h.add_argument("--hbar", type=finite_float, default=1.0)
+    h.add_argument("--phase", type=finite_float, default=0.0)
+    h.add_argument("--tmax", type=finite_float, default=None,
                    help="sampling horizon in coordinate time (default: one turn)")
-    h.add_argument("--dt", type=float, default=None,
+    h.add_argument("--dt", type=finite_float, default=None,
                    help="sampling step (default: tmax/256)")
     _common_flags(h)
 
     r = subs.add_parser("rotator", help="rotator worldlines with constraint columns")
-    r.add_argument("--m0", type=float, default=1.0)
-    r.add_argument("--a", type=float, required=True)
-    r.add_argument("--P0", type=float, required=True)
-    r.add_argument("--phase", type=float, default=0.0)
+    r.add_argument("--m0", type=finite_float, default=1.0)
+    r.add_argument("--a", type=finite_float, required=True)
+    r.add_argument("--P0", type=finite_float, required=True)
+    r.add_argument("--phase", type=finite_float, default=0.0)
     r.add_argument("--mode", choices=("closed", "integrate"), default="closed")
-    r.add_argument("--steps", type=int, default=2000)
+    r.add_argument("--steps", type=int_at_least(1), default=2000)
     _common_flags(r)
 
     g = subs.add_parser("rigidity", help="sample the rigidity curve gamma(a)")
-    g.add_argument("--m0", type=float, default=1.0)
-    g.add_argument("--hbar", type=float, default=1.0)
-    g.add_argument("--c", type=float, default=1.0)
-    g.add_argument("--a-min", type=float, default=0.0)
-    g.add_argument("--a-max", type=float, required=True)
+    g.add_argument("--m0", type=finite_float, default=1.0)
+    g.add_argument("--hbar", type=finite_float, default=1.0)
+    g.add_argument("--c", type=finite_float, default=1.0)
+    g.add_argument("--a-min", type=finite_float, default=0.0)
+    g.add_argument("--a-max", type=finite_float, required=True)
     g.add_argument("--n", type=int, default=64)
     _common_flags(g)
 
     i = subs.add_parser("identify", help="map parameters between helix and rotator")
     i.add_argument("--direction", choices=("dcr_to_rr", "rr_to_dcr"), required=True)
-    i.add_argument("--v", type=float, default=None)
-    i.add_argument("--zeta", type=float, default=None)
-    i.add_argument("--m", type=float, default=None)
-    i.add_argument("--m0", type=float, default=None)
-    i.add_argument("--hbar", type=float, default=1.0)
-    i.add_argument("--c", type=float, default=1.0)
-    i.add_argument("--e", type=float, default=1.0, dest="e_charge")
+    i.add_argument("--v", type=finite_float, default=None)
+    i.add_argument("--zeta", type=finite_float, default=None)
+    i.add_argument("--m", type=finite_float, default=None)
+    i.add_argument("--m0", type=finite_float, default=None)
+    i.add_argument("--hbar", type=finite_float, default=1.0)
+    i.add_argument("--c", type=finite_float, default=1.0)
+    i.add_argument("--e", type=finite_float, default=1.0, dest="e_charge")
     _common_flags(i)
 
     return ap
@@ -95,13 +121,17 @@ def _emit(text, out_path):
             f.write(text)
 
 
+def _emit_table(args, meta, columns, rows):
+    """Write a data table in the chosen format (default csv)."""
+    table = json_table if args.out_format == "json" else csv_table
+    _emit(table(meta, columns, rows), args.out)
+
+
 def cmd_verify(args) -> int:
     cfg = RunConfig(seed=args.seed, tol_scale=args.tol_scale,
-                    out_format=args.out_format or "json", out_path=args.out,
-                    m=args.m, m0=args.m0, hbar=args.hbar, c=args.c,
-                    e_charge=args.e_charge)
+                    m=args.m, m0=args.m0, hbar=args.hbar, c=args.c)
     report = run_suite(args.suite, cfg)
-    _emit(report.render(cfg.out_format), args.out)
+    _emit(report.render(args.out_format or "json"), args.out)
     ok, total = report.counts
     print(f"suite {args.suite}: {ok}/{total} checks passed "
           f"in {report.wall_time:.2f} s", file=sys.stderr)
@@ -142,11 +172,7 @@ def cmd_helix(args) -> int:
     for t in times:
         pos = sol.position_at_time(t)
         rows.append([t, pos[0], pos[1], pos[2], sol.xi[0], sol.xi[1], sol.xi[2]])
-
-    fmt_kind = args.out_format or "csv"
-    text = (json_table(meta, columns, rows) if fmt_kind == "json"
-            else csv_table(meta, columns, rows))
-    _emit(text, args.out)
+    _emit_table(args, meta, columns, rows)
     return 0
 
 
@@ -185,11 +211,7 @@ def cmd_rotator(args) -> int:
         meta["zeta_drift"] = traj.zeta_drift
         meta["nu_max"] = traj.nu_max
         meta["pre_projection_drift"] = traj.pre_projection_drift
-
-    fmt_kind = args.out_format or "csv"
-    text = (json_table(meta, columns, rows) if fmt_kind == "json"
-            else csv_table(meta, columns, rows))
-    _emit(text, args.out)
+    _emit_table(args, meta, columns, rows)
     return 0
 
 
@@ -206,16 +228,11 @@ def cmd_rigidity(args) -> int:
         "m0": float(args.m0), "hbar": float(args.hbar), "c": float(args.c),
         "domain_bound": curve.domain_bound,
     }
-    fmt_kind = args.out_format or "csv"
-    text = (json_table(meta, ["a", "gamma"], rows) if fmt_kind == "json"
-            else csv_table(meta, ["a", "gamma"], rows))
-    _emit(text, args.out)
+    _emit_table(args, meta, ["a", "gamma"], rows)
     return 0
 
 
 def cmd_identify(args) -> int:
-    import json as _json
-
     if args.direction == "dcr_to_rr":
         if args.m is None or args.zeta is None:
             raise DomainError("dcr_to_rr needs --m and --zeta")
@@ -234,10 +251,10 @@ def cmd_identify(args) -> int:
         residual = abs(rotator.rigidity(result["a"], args.m0, args.hbar, args.c)
                        - rotator.mass_increase(args.v, args.c))
 
-    payload = {"schema": "dirac-disquant/1", "kind": "identification",
+    payload = {"schema": SCHEMA_TAG, "kind": "identification",
                "hbar": args.hbar, "c": args.c,
                "parameters": result, "consistency_residual": residual}
-    _emit(_json.dumps(payload, indent=2) + "\n", args.out)
+    _emit(json.dumps(payload, indent=2) + "\n", args.out)
     return 0
 
 
@@ -253,7 +270,8 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (DomainError, StabilityError, StepSizeError) as exc:
+    except (DomainError, NumericConsistencyError, StabilityError,
+            StepSizeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -410,10 +410,6 @@ class EffectiveMassBranch:
     stationary: bool
 
 
-#: kappa of the stable branch (effective mass +m), mod 2 pi.
-STABLE_KAPPA = 0.0
-
-
 def effective_mass_branch(kappa) -> EffectiveMassBranch:
     """Classify kappa against the stationarity condition sin(kappa) = 0.
 

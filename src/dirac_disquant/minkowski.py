@@ -6,8 +6,6 @@ Index 0 is time.
 
 import numpy as np
 
-METRIC = np.diag([1.0, -1.0, -1.0, -1.0])
-
 #: Coordinate basis vectors e_0..e_3 as rows.
 BASIS4 = np.eye(4)
 

@@ -296,10 +296,6 @@ class HelixSolution:
             raise DomainError("static worldline (b = 0) has no period")
         return 2.0 * np.pi / abs(self.omega)
 
-    def y_of(self, tau):
-        th = self.omega * tau + self.phase
-        return np.sqrt(self.b) * np.array([np.cos(th), np.sin(th), 0.0])
-
     def state(self, tau) -> WorldlineState:
         b = self.b
         th = self.omega * tau + self.phase
@@ -316,19 +312,9 @@ class HelixSolution:
         return WorldlineState(tau0=float(tau), x=x, xdot=xdot, xddot=xddot,
                               xi=self.xi)
 
-    def jerk(self, tau) -> np.ndarray:
-        th = self.omega * tau + self.phase
-        root = np.sqrt(self.b * (self.b + 2.0))
-        return as4(0.0, -root * self.omega ** 2
-                   * np.array([np.cos(th), np.sin(th), 0.0]))
-
     def position_at_time(self, t) -> np.ndarray:
         """Spatial position as a function of coordinate time x^0 = t."""
         return spatial(self.state(t / (self.b + 1.0)).x)
-
-    def momentum_lo(self) -> np.ndarray:
-        """The conserved momentum (p0, 0, 0, 0) with p0 = m w0."""
-        return np.array([self.params.m * self.w0, 0.0, 0.0, 0.0])
 
 
 def helix_solution(b, phase=0.0, p: DcParams = None) -> HelixSolution:

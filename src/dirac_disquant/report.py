@@ -1,45 +1,35 @@
 """Check records, verification reports, and deterministic serialization."""
 
 import json
-import os
+import math
 from dataclasses import dataclass, field
+
+from .errors import DomainError
 
 SCHEMA_TAG = "dirac-disquant/1"
 
 
-def worker_count() -> int:
-    """Worker pool size, capped by DIRAC_DISQUANT_THREADS (default 1)."""
-    raw = os.environ.get("DIRAC_DISQUANT_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 @dataclass(frozen=True)
 class RunConfig:
-    """Seed, tolerances, output choices, and physical parameters."""
+    """Seed, tolerance scale, and physical parameters."""
 
     seed: int = 42
     tol_scale: float = 1.0
-    out_format: str = "json"
-    out_path: str = None
     m: float = 1.0
     m0: float = 1.0
     hbar: float = 1.0
     c: float = 1.0
-    e_charge: float = 1.0
 
     def __post_init__(self):
-        if self.out_format not in ("json", "csv"):
-            raise ValueError(f"format must be csv or json, got {self.out_format!r}")
-        if self.tol_scale <= 0:
-            raise ValueError("tol-scale must be positive")
+        if not (math.isfinite(self.tol_scale) and self.tol_scale > 0):
+            raise DomainError(
+                f"tol-scale must be finite and positive, got {self.tol_scale!r}")
 
 
 @dataclass(frozen=True)
 class CheckRecord:
-    """One verification check: pass iff residual <= tolerance."""
+    """One verification check: pass iff both values are finite and
+    residual <= tolerance."""
 
     check_id: str
     description: str
@@ -49,7 +39,8 @@ class CheckRecord:
 
     @property
     def passed(self) -> bool:
-        return self.residual <= self.tolerance
+        return (math.isfinite(self.residual) and math.isfinite(self.tolerance)
+                and self.residual <= self.tolerance)
 
     def as_dict(self) -> dict:
         return {

@@ -68,9 +68,7 @@ class RotatorState:
     x: np.ndarray
     p: np.ndarray
     P: np.ndarray
-    beta: float = 0.0
     nu: float = 0.0
-    mu_dot: float = 0.0
 
     def __post_init__(self):
         for name in ("X", "x", "p", "P"):
@@ -137,9 +135,7 @@ class RotatorClosedForm:
                          0.0])
         X = np.array([-p.P0 * tau / (4.0 * p.m0), 0.0, 0.0, 0.0])
         P = np.array([p.P0, 0.0, 0.0, 0.0])
-        mu_dot = -mdot(prel, prel) / (8.0 * p.m0 * p.a ** 2)
-        return RotatorState(tau=float(tau), X=X, x=x, p=prel, P=P,
-                            beta=0.0, nu=0.0, mu_dot=float(mu_dot))
+        return RotatorState(tau=float(tau), X=X, x=x, p=prel, P=P)
 
     def worldlines_at_time(self, t):
         """Particle positions (4-vectors) as functions of coordinate time."""
@@ -248,9 +244,7 @@ def integrate_rotator(p: RotatorParams, initial: RotatorState, steps, dt) -> Rot
         x, prel = _project(x, prel, P, p)
 
         nu = -mdot(P, x) / p.a ** 2
-        mu_dot = -mdot(prel, prel) / (8.0 * p.m0 * p.a ** 2)
-        state = RotatorState(tau=tau, X=X, x=x, p=prel, P=P,
-                             beta=0.0, nu=float(nu), mu_dot=float(mu_dot))
+        state = RotatorState(tau=tau, X=X, x=x, p=prel, P=P, nu=float(nu))
         states.append(state)
         mon = constraint_monitors(state, p)
         monitors.append(np.array([mon[k] for k in names]))

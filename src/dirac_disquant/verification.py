@@ -1,34 +1,30 @@
 """Verification suites: every closed form checked against an independent route.
 
 Each suite returns a VerificationReport whose records are deterministic
-functions of the seed.  Random-point sweeps fan out over a thread pool capped
-by DIRAC_DISQUANT_THREADS; results combine through maxima, so the worker
-count never changes a report.
+functions of the seed.
 """
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import algebra, covariant, particle, rotator
+from .algebra import random_unit
 from .minkowski import as4, mdot
-from .report import RunConfig, VerificationReport, worker_count
+from .report import RunConfig, VerificationReport
 
 SUITE_NAMES = ("all", "algebra", "appendixA", "appendixB", "appendixC",
                "particle", "rotator", "consistency")
 
 
 def _sweep_max(fn, n_items):
-    """max over fn(i) for i in range(n_items), optionally threaded."""
-    workers = worker_count()
-    if workers <= 1:
-        return max(fn(i) for i in range(n_items))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return max(pool.map(fn, range(n_items)))
+    """max over fn(i) for i in range(n_items)."""
+    return max(fn(i) for i in range(n_items))
 
 
 def run_suite(name, cfg: RunConfig) -> VerificationReport:
+    # Built per call, not at import, so the suites are looked up by name
+    # and a wrapper installed on the module attribute is the one that runs.
     fns = {
         "algebra": suite_algebra,
         "appendixA": suite_appendix_a,
@@ -38,25 +34,20 @@ def run_suite(name, cfg: RunConfig) -> VerificationReport:
         "rotator": suite_rotator,
         "consistency": suite_consistency,
     }
-    if name == "all":
-        t0 = time.perf_counter()
-        report = VerificationReport(suite="all", seed=cfg.seed, tol_scale=cfg.tol_scale)
-        for sub in ("algebra", "appendixA", "appendixB", "appendixC",
-                    "particle", "rotator", "consistency"):
-            part = fns[sub](cfg)
-            report.records.extend(part.records)
-        report.wall_time = time.perf_counter() - t0
-        return report
-    if name not in fns:
+    if name != "all" and name not in fns:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
-    return fns[name](cfg)
+    t0 = time.perf_counter()
+    report = VerificationReport(suite=name, seed=cfg.seed, tol_scale=cfg.tol_scale)
+    for sub in fns if name == "all" else (name,):
+        report.records.extend(fns[sub](cfg).records)
+    report.wall_time = time.perf_counter() - t0
+    return report
 
 
 # ---------------------------------------------------------------- algebra
 
 
 def suite_algebra(cfg: RunConfig) -> VerificationReport:
-    t0 = time.perf_counter()
     rep = VerificationReport(suite="algebra", seed=cfg.seed, tol_scale=cfg.tol_scale)
     rng = np.random.default_rng(cfg.seed)
     g = algebra.build_gamma_basis((0.0, 0.0, 1.0))
@@ -102,7 +93,7 @@ def suite_algebra(cfg: RunConfig) -> VerificationReport:
 
     r = 0.0
     for _ in range(8):
-        z = _unit3(rng)
+        z = random_unit(rng)
         gz = algebra.build_gamma_basis(z)
         pi = gz.pi_projector
         zs = gz.sigma_dot(z)
@@ -178,8 +169,8 @@ def suite_algebra(cfg: RunConfig) -> VerificationReport:
     r = 0.0
     for i in range(200):
         rng_i = np.random.default_rng(cfg.seed + 5000 + i)
-        z = _unit3(rng_i)
-        xi = _unit3(rng_i)
+        z = random_unit(rng_i)
+        xi = random_unit(rng_i)
         if 1.0 + float(np.dot(xi, z)) < 1e-6:
             continue
         n = algebra.n_from_xi(xi, z)
@@ -188,7 +179,6 @@ def suite_algebra(cfg: RunConfig) -> VerificationReport:
     rep.add("n-from-xi-inversion",
             "n = (xi+z)/sqrt(2(1+xi.z)) reproduces xi = 2n(n.z)-z", r, 1e-10)
 
-    rep.wall_time = time.perf_counter() - t0
     return rep
 
 
@@ -196,7 +186,6 @@ def suite_algebra(cfg: RunConfig) -> VerificationReport:
 
 
 def suite_appendix_a(cfg: RunConfig, n_points=100) -> VerificationReport:
-    t0 = time.perf_counter()
     rep = VerificationReport(suite="appendixA", seed=cfg.seed, tol_scale=cfg.tol_scale)
     rng = np.random.default_rng(cfg.seed)
     fields = [covariant.random_param_field(np.random.default_rng(cfg.seed + 100 + k))
@@ -239,7 +228,6 @@ def suite_appendix_a(cfg: RunConfig, n_points=100) -> VerificationReport:
             "L_cl + L_q1 + L_q2 = -m rho cos kappa + (F1+F2+F3+F4)",
             _sweep_max(decomposition, n_points), 1e-12)
 
-    rep.wall_time = time.perf_counter() - t0
     return rep
 
 
@@ -247,7 +235,6 @@ def suite_appendix_a(cfg: RunConfig, n_points=100) -> VerificationReport:
 
 
 def suite_appendix_b(cfg: RunConfig, n_points=500) -> VerificationReport:
-    t0 = time.perf_counter()
     rep = VerificationReport(suite="appendixB", seed=cfg.seed, tol_scale=cfg.tol_scale)
     rng = np.random.default_rng(cfg.seed)
     fields = [covariant.random_param_field(np.random.default_rng(cfg.seed + 200 + k))
@@ -321,7 +308,6 @@ def suite_appendix_b(cfg: RunConfig, n_points=500) -> VerificationReport:
             "parallel + transversal = gradient and j.transversal = 0",
             _sweep_max(splitting, 200), 1e-12)
 
-    rep.wall_time = time.perf_counter() - t0
     return rep
 
 
@@ -329,14 +315,13 @@ def suite_appendix_b(cfg: RunConfig, n_points=500) -> VerificationReport:
 
 
 def suite_appendix_c(cfg: RunConfig, n_z=100) -> VerificationReport:
-    t0 = time.perf_counter()
     rep = VerificationReport(suite="appendixC", seed=cfg.seed, tol_scale=cfg.tol_scale)
 
     def full_residual(i):
         rng_i = np.random.default_rng(cfg.seed + 400 + i)
         xdot, xddot, xi = _random_worldline_jet(rng_i)
         xidot = particle.xi_rate(xdot, xddot, xi)
-        z = _unit3(rng_i)
+        z = random_unit(rng_i)
         # Near xi.z = -1 the formulas are genuinely singular and the check
         # would only measure roundoff amplification; keep clear of the wall.
         if 1.0 + float(np.dot(xi, z)) < 1e-2:
@@ -351,11 +336,11 @@ def suite_appendix_c(cfg: RunConfig, n_z=100) -> VerificationReport:
 
     rng = np.random.default_rng(cfg.seed + 450)
     xdot, xddot, xi = _random_worldline_jet(rng)
-    z = _unit3(rng)
+    z = random_unit(rng)
     if 1.0 + float(np.dot(xi, z)) < 1e-3:
         z = -z
     xidot = particle.xi_rate(xdot, xddot, xi)
-    direction = np.cross(xi, _unit3(rng))
+    direction = np.cross(xi, random_unit(rng))
     direction /= np.linalg.norm(direction)
     ratios = []
     for delta in (1e-4, 1e-5):
@@ -366,7 +351,6 @@ def suite_appendix_c(cfg: RunConfig, n_z=100) -> VerificationReport:
             "residual of the full equation grows linearly in a xidot perturbation",
             abs(ratios[0] / ratios[1] - 1.0), 1e-3)
 
-    rep.wall_time = time.perf_counter() - t0
     return rep
 
 
@@ -377,7 +361,7 @@ def _random_worldline_jet(rng):
     xddot = np.concatenate(([0.0], rng.normal(size=3)))
     # Proper-time gauge is preserved to first order when xdot.xddot = 0.
     xddot[0] = float(np.dot(v, xddot[1:])) / xdot[0]
-    xi = _unit3(rng)
+    xi = random_unit(rng)
     return xdot, xddot, xi
 
 
@@ -385,7 +369,6 @@ def _random_worldline_jet(rng):
 
 
 def suite_particle(cfg: RunConfig) -> VerificationReport:
-    t0 = time.perf_counter()
     rep = VerificationReport(suite="particle", seed=cfg.seed, tol_scale=cfg.tol_scale)
     p = particle.DcParams(m=cfg.m, hbar=cfg.hbar)
 
@@ -509,7 +492,6 @@ def suite_particle(cfg: RunConfig) -> VerificationReport:
     rep.add("boosted-momentum-covariance",
             "momentum of the boosted helix is the boosted constant", r, 1e-10)
 
-    rep.wall_time = time.perf_counter() - t0
     return rep
 
 
@@ -517,7 +499,6 @@ def suite_particle(cfg: RunConfig) -> VerificationReport:
 
 
 def suite_rotator(cfg: RunConfig) -> VerificationReport:
-    t0 = time.perf_counter()
     rep = VerificationReport(suite="rotator", seed=cfg.seed, tol_scale=cfg.tol_scale)
 
     pr = rotator.RotatorParams(m0=cfg.m0, a=1.0, P0=2.0 * np.sqrt(2.0) * cfg.m0)
@@ -603,7 +584,6 @@ def suite_rotator(cfg: RunConfig) -> VerificationReport:
     rep.add("rigidity-monotone", "rigidity curve strictly increases on its domain",
             mono, 0.0)
 
-    rep.wall_time = time.perf_counter() - t0
     return rep
 
 
@@ -611,7 +591,6 @@ def suite_rotator(cfg: RunConfig) -> VerificationReport:
 
 
 def suite_consistency(cfg: RunConfig) -> VerificationReport:
-    t0 = time.perf_counter()
     rep = VerificationReport(suite="consistency", seed=cfg.seed,
                              tol_scale=cfg.tol_scale)
     p = particle.DcParams(m=cfg.m, hbar=cfg.hbar, c=cfg.c)
@@ -672,13 +651,4 @@ def suite_consistency(cfg: RunConfig) -> VerificationReport:
     rep.add("identification-spot-values",
             "rr->dcr at v = 0.5, m0 = 1 (m, m_dcr, omega_dcr, a, mu0/A)", r, 1e-12)
 
-    rep.wall_time = time.perf_counter() - t0
     return rep
-
-
-def _unit3(rng):
-    while True:
-        v = rng.normal(size=3)
-        n = np.linalg.norm(v)
-        if n > 1e-6:
-            return v / n

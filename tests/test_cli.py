@@ -4,12 +4,17 @@ import numpy as np
 import pytest
 
 from dirac_disquant.cli import main
-from dirac_disquant.report import RunConfig
+from dirac_disquant.errors import DomainError
+from dirac_disquant.report import RunConfig, VerificationReport
 from dirac_disquant.verification import run_suite
 
 
 def run_cli(args):
-    return main(args)
+    """Exit status of the CLI, including the usage exits argparse raises."""
+    try:
+        return main(args)
+    except SystemExit as exc:
+        return exc.code
 
 
 class TestVerifyCommand:
@@ -48,13 +53,30 @@ class TestVerifyCommand:
         err = capsys.readouterr().err
         assert "FAIL" in err
 
-    def test_threads_do_not_change_report(self, tmp_path, monkeypatch):
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        monkeypatch.setenv("DIRAC_DISQUANT_THREADS", "1")
-        run_cli(["verify", "appendixB", "--out", str(a)])
-        monkeypatch.setenv("DIRAC_DISQUANT_THREADS", "4")
-        run_cli(["verify", "appendixB", "--out", str(b)])
-        assert a.read_bytes() == b.read_bytes()
+    def test_numeric_consistency_error_is_exit_2(self, capsys):
+        assert run_cli(["verify", "appendixA", "--hbar", "1e12"]) == 2
+        assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["helix", "--b", "1", "--dt", "nan"],
+    ["helix", "--b", "1", "--tmax", "inf"],
+    ["helix", "--b", "inf"],
+    ["verify", "particle", "--m", "inf"],
+    ["rotator", "--a", "1", "--P0", "nan"],
+    ["rotator", "--a", "1", "--P0", "inf"],
+    ["rotator", "--a", "1", "--P0", "3", "--steps", "-5"],
+    ["rotator", "--a", "1", "--P0", "3", "--steps", "0"],
+    ["rigidity", "--m0", "nan", "--a-max", "0.1"],
+    ["identify", "--direction", "rr_to_dcr", "--m0", "nan", "--v", "0.5"],
+    ["verify", "consistency", "--tol-scale", "-1"],
+    ["verify", "consistency", "--tol-scale", "inf"],
+    ["verify", "consistency", "--tol-scale", "nan"],
+    ["verify", "consistency", "--seed", "-1"],
+])
+def test_bad_numeric_input_is_exit_2(argv, capsys):
+    assert run_cli(argv) == 2
+    assert capsys.readouterr().out == ""
 
 
 class TestHelixCommand:
@@ -179,6 +201,25 @@ class TestIdentifyCommand:
 
     def test_missing_argument_is_usage_error(self, capsys):
         assert run_cli(["identify", "--direction", "dcr_to_rr", "--m", "1"]) == 2
+
+
+class TestFailClosed:
+    @pytest.mark.parametrize("residual, tolerance", [
+        (float("nan"), 1.0),
+        (0.0, float("inf")),
+        (-float("inf"), 1.0),
+    ])
+    def test_non_finite_record_fails(self, residual, tolerance):
+        rep = VerificationReport(suite="t", seed=0, tol_scale=1.0)
+        rep.add("check", "non-finite value", residual, tolerance)
+        assert not rep.records[0].passed
+        assert not rep.passed
+        assert rep.counts == (0, 1)
+
+    @pytest.mark.parametrize("scale", [0.0, -1.0, float("nan"), float("inf")])
+    def test_run_config_rejects_bad_tol_scale(self, scale):
+        with pytest.raises(DomainError):
+            RunConfig(tol_scale=scale)
 
 
 class TestRunSuiteApi:
