@@ -215,8 +215,8 @@ def bilinears_matrix(s: Spinor, g: GammaBasis) -> Bilinears:
     j_c = np.array([bar @ (g.gamma[k] @ c) for k in range(4)])
     s_c = np.array([1j * (bar @ (g.gamma5 @ g.gamma[k] @ c)) for k in range(4)])
 
-    resid = max(abs(scalar_c.imag), np.abs(j_c.imag).max(), np.abs(s_c.imag).max())
-    if resid > IMAG_TOL:
+    resid = np.abs(np.concatenate(([scalar_c], j_c, s_c)).imag).max()
+    if not resid <= IMAG_TOL:
         raise NumericConsistencyError(
             f"bilinears acquired imaginary parts up to {resid:.3e}")
 

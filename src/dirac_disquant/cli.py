@@ -23,6 +23,14 @@ from .errors import (
 from .report import SCHEMA_TAG, RunConfig, csv_table, fmt, json_table
 from .verification import SUITE_NAMES, run_suite
 
+# Largest table a generator writes; checked before any row is built.
+MAX_ROWS = 10 ** 7
+
+
+def _check_rows(n):
+    if not n <= MAX_ROWS:
+        raise DomainError(f"{n:.6g} rows requested; at most {MAX_ROWS} are written")
+
 
 def finite_float(text):
     """argparse type: a float that is neither NaN nor infinite."""
@@ -156,7 +164,9 @@ def cmd_helix(args) -> int:
     else:
         tmax = args.tmax
     dt = args.dt if args.dt is not None else tmax / 256.0
-    n = int(np.floor(tmax / dt)) + 1
+    span = np.floor(tmax / dt)
+    _check_rows(span + 1)
+    n = int(span) + 1
     times = np.arange(n) * dt
 
     meta = {
@@ -177,6 +187,7 @@ def cmd_helix(args) -> int:
 
 
 def cmd_rotator(args) -> int:
+    _check_rows(args.steps + 1)
     pr = rotator.RotatorParams(m0=args.m0, a=args.a, P0=args.P0, phase=args.phase)
     cf = rotator.closed_form_rotator(pr)
     meta = {
@@ -216,6 +227,7 @@ def cmd_rotator(args) -> int:
 
 
 def cmd_rigidity(args) -> int:
+    _check_rows(args.n)
     try:
         curve = rotator.RigidityCurve.sample(args.m0, args.hbar, args.c,
                                              args.a_min, args.a_max, args.n)

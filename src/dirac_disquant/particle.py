@@ -18,6 +18,7 @@ with sinh(2 beta) = 4 a m c / hbar.  Trajectory machinery works in units
 with c = 1 (x^0 is time); only the observable formulas carry an explicit c.
 """
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -44,12 +45,18 @@ class DcParams:
     def __post_init__(self):
         object.__setattr__(self, "z", np.asarray(self.z, dtype=float))
         object.__setattr__(self, "f", np.asarray(self.f, dtype=float))
+        if not (all(map(math.isfinite, (self.m, self.hbar, self.c)))
+                and np.isfinite(self.z).all() and np.isfinite(self.f).all()):
+            raise DomainError(f"particle parameters must be finite: {self!r}")
         if self.m <= 0 or self.hbar <= 0 or self.c <= 0:
             raise DomainError("m, hbar and c must be positive")
         if abs(np.dot(self.z, self.z) - 1.0) > 1e-10:
             raise DomainError("z must be a unit 3-vector")
         if abs(mdot(self.f, self.f) - 1.0) > 1e-10 or self.f[0] <= 0:
             raise DomainError("f must be a future-directed unit timelike 4-vector")
+        if not 0.0 < self.lam < math.inf:
+            raise DomainError(f"length scale hbar/(m c) = {self.lam!r} is not "
+                              "a positive finite number")
 
     @property
     def lam(self) -> float:
@@ -243,16 +250,22 @@ def observables(b, p: DcParams) -> HelixObservables:
     m_dcr = m/(b+1), a = lam (b+1) sqrt(b(b+2))/2, v = c sqrt(b(b+2))/(b+1),
     omega_dcr = 2 m c^2 / (hbar (b+1)^2), zeta = 4 a m c / hbar = sinh(2 beta).
     """
-    if b < 0:
+    if not b >= 0:
         raise DomainError("b must be nonnegative")
-    root = np.sqrt(b * (b + 2.0))
-    m_dcr = p.m / (b + 1.0)
-    a_dcr = 0.5 * p.lam * (b + 1.0) * root
-    v = p.c * root / (b + 1.0)
-    omega_dcr = 2.0 * p.m * p.c ** 2 / (p.hbar * (b + 1.0) ** 2)
-    zeta = 4.0 * a_dcr * p.m * p.c / p.hbar
-    beta = np.arccosh(b + 1.0)
-    return HelixObservables(m_dcr, a_dcr, v, omega_dcr, zeta, float(beta))
+    try:
+        root = np.sqrt(b * (b + 2.0))
+        m_dcr = p.m / (b + 1.0)
+        a_dcr = 0.5 * p.lam * (b + 1.0) * root
+        v = p.c * root / (b + 1.0)
+        omega_dcr = 2.0 * p.m * p.c ** 2 / (p.hbar * (b + 1.0) ** 2)
+        zeta = 4.0 * a_dcr * p.m * p.c / p.hbar
+        beta = np.arccosh(b + 1.0)
+        obs = HelixObservables(m_dcr, a_dcr, v, omega_dcr, zeta, float(beta))
+        if all(map(math.isfinite, obs)):
+            return obs
+    except OverflowError:
+        pass
+    raise DomainError(f"helix observables overflow at b = {b!r}")
 
 
 def observables_from_zeta(zeta, p: DcParams) -> HelixObservables:
@@ -403,7 +416,10 @@ def integrate_xi_along_helix(sol: HelixSolution, steps=2000, periods=1.0):
         return 0.0
     h = periods * sol.tau_period / steps
     xi = sol.xi.copy()
-    drift = 0.0
+    # Row 0 is the initial axis; the drift is reduced once at the end, so
+    # a NaN from any step reaches it.
+    xis = np.empty((steps + 1, 3))
+    xis[0] = xi
 
     def rate(tau, xi_c):
         st = sol.state(tau)
@@ -411,15 +427,14 @@ def integrate_xi_along_helix(sol: HelixSolution, steps=2000, periods=1.0):
         return np.cross(np.cross(st.y, ydot), xi_c)
 
     tau = 0.0
-    for _ in range(steps):
+    for k in range(1, steps + 1):
         k1 = rate(tau, xi)
         k2 = rate(tau + h / 2, xi + h / 2 * k1)
         k3 = rate(tau + h / 2, xi + h / 2 * k2)
         k4 = rate(tau + h, xi + h * k3)
-        xi = xi + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        xis[k] = xi = xi + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
         tau += h
-        drift = max(drift, float(np.abs(xi - sol.xi).max()))
-    return drift
+    return float(np.abs(xis - sol.xi).max())
 
 
 def _y_rate(sol: HelixSolution, tau):

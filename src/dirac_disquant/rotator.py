@@ -17,6 +17,7 @@ form, and implements the rigidity function and the parameter identification
 with the classical Dirac particle's helix.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,11 +43,21 @@ class RotatorParams:
     hbar: float = 1.0
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.m0, self.a, self.P0, self.phase,
+                                       self.c, self.hbar))):
+            raise DomainError(f"rotator parameters must be finite: {self!r}")
         if self.m0 <= 0 or self.a <= 0:
             raise DomainError("m0 and a must be positive")
         if self.P0 < 2.0 * self.m0:
             raise SubThresholdError(
                 f"P0 = {self.P0} below the two-particle threshold 2 m0 = {2 * self.m0}")
+        try:
+            with np.errstate(over="ignore"):
+                finite = math.isfinite(self.omega) and math.isfinite(self.omega0)
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise DomainError(f"rotation frequencies overflow for {self!r}")
 
     @property
     def omega(self) -> float:
@@ -198,13 +209,21 @@ def integrate_rotator(p: RotatorParams, initial: RotatorState, steps, dt) -> Rot
     and P.  Raises StabilityError for omega dt >= 0.1 and StepSizeError if
     the pre-projection constraint drift exceeds 1e-6.
     """
-    if p.omega * dt >= 0.1:
+    if not p.omega * dt < 0.1:
         raise StabilityError(
             f"omega dt = {p.omega * dt:.3f} too large; reduce the step")
     mon0 = constraint_monitors(initial, p)
-    if max(mon0.values()) > 1e-10:
+    names = list(mon0.keys())
+    # Per-step diagnostics, row 0 the initial state; each is reduced once
+    # with numpy at the end, so a NaN anywhere reaches the summary.
+    monitors = np.empty((steps + 1, len(names)))
+    zetas = np.empty((steps + 1, 4))
+    nus = np.empty(steps + 1)
+    pre_drift = np.empty(steps)
+    monitors[0] = [mon0[k] for k in names]
+    if not monitors[0].max() <= 1e-10:
         raise DomainError(
-            f"initial state violates the constraints by {max(mon0.values()):.3e}")
+            f"initial state violates the constraints by {monitors[0].max():.3e}")
 
     X = initial.X.copy()
     x = initial.x.copy()
@@ -212,16 +231,11 @@ def integrate_rotator(p: RotatorParams, initial: RotatorState, steps, dt) -> Rot
     P = initial.P.copy()
     tau = initial.tau
 
-    names = list(mon0.keys())
     states = [initial]
-    monitors = [np.array([mon0[k] for k in names])]
-    zeta0 = zeta_vector(initial)
-    zeta_scale = max(np.abs(zeta0).max(), 1e-30)
-    zeta_drift = 0.0
-    nu_max = abs(initial.nu)
-    pre_drift = 0.0
+    zetas[0] = zeta0 = zeta_vector(initial)
+    nus[0] = initial.nu
 
-    for _ in range(steps):
+    for k in range(1, steps + 1):
         def deriv(xc, pc):
             dX, dx, dp, _ = _rhs(xc, pc, P, p)
             return dX, dx, dp
@@ -236,29 +250,27 @@ def integrate_rotator(p: RotatorParams, initial: RotatorState, steps, dt) -> Rot
         prel = prel + dt / 6.0 * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
         tau += dt
 
-        raw_drift = abs(mdot(x, x) + p.a ** 2)
-        pre_drift = max(pre_drift, raw_drift)
-        if raw_drift > 1e-6:
+        raw_drift = pre_drift[k - 1] = abs(mdot(x, x) + p.a ** 2)
+        if not raw_drift <= 1e-6:
             raise StepSizeError(
                 f"constraint drift {raw_drift:.3e} before projection; reduce dt")
         x, prel = _project(x, prel, P, p)
 
-        nu = -mdot(P, x) / p.a ** 2
+        nus[k] = nu = -mdot(P, x) / p.a ** 2
         state = RotatorState(tau=tau, X=X, x=x, p=prel, P=P, nu=float(nu))
         states.append(state)
         mon = constraint_monitors(state, p)
-        monitors.append(np.array([mon[k] for k in names]))
-        zeta_drift = max(zeta_drift,
-                         float(np.abs(zeta_vector(state) - zeta0).max()) / zeta_scale)
-        nu_max = max(nu_max, abs(nu))
+        monitors[k] = [mon[name] for name in names]
+        zetas[k] = zeta_vector(state)
 
+    zeta_scale = max(np.abs(zeta0).max(), 1e-30)
     return RotatorTrajectory(
         states=states,
-        monitors=np.array(monitors),
+        monitors=monitors,
         monitor_names=names,
-        zeta_drift=zeta_drift,
-        nu_max=nu_max,
-        pre_projection_drift=pre_drift,
+        zeta_drift=float(np.abs(zetas - zeta0).max() / zeta_scale),
+        nu_max=float(np.abs(nus).max()),
+        pre_projection_drift=float(pre_drift.max(initial=0.0)),
     )
 
 

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from dirac_disquant import cli
 from dirac_disquant.cli import main
 from dirac_disquant.errors import DomainError
 from dirac_disquant.report import RunConfig, VerificationReport
@@ -73,9 +74,33 @@ class TestVerifyCommand:
     ["verify", "consistency", "--tol-scale", "inf"],
     ["verify", "consistency", "--tol-scale", "nan"],
     ["verify", "consistency", "--seed", "-1"],
+    # finite input whose derived scales overflow
+    ["helix", "--b", "1e200"],
+    ["helix", "--b", "1", "--m", "1e-320"],
+    ["rotator", "--a", "1e300", "--P0", "3e300", "--m0", "1e300"],
+    ["rotator", "--a", "1", "--P0", "3", "--m0", "1e-320"],
+    # more rows than MAX_ROWS, refused before any is built
+    ["helix", "--b", "1", "--dt", "1e-300"],
+    ["rotator", "--a", "1", "--P0", "3", "--steps", "100000000000000000000"],
+    ["rigidity", "--a-max", "0.1", "--n", "100000000000000000000"],
 ])
 def test_bad_numeric_input_is_exit_2(argv, capsys):
     assert run_cli(argv) == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("argv, extra_rows", [
+    (["helix", "--b", "1", "--tmax", "{}", "--dt", "1"], 1),    # floor(tmax/dt) + 1
+    (["rotator", "--a", "1", "--P0", "3", "--steps", "{}"], 1),  # steps + 1
+    (["rigidity", "--a-max", "0.1", "--n", "{}"], 0),
+])
+def test_row_ceiling_boundary(argv, extra_rows, monkeypatch, capsys):
+    """MAX_ROWS rows are written; one more is refused with exit 2."""
+    monkeypatch.setattr(cli, "MAX_ROWS", 8)
+    at_ceiling = 8 - extra_rows
+    assert run_cli([a.format(at_ceiling) for a in argv]) == 0
+    capsys.readouterr()
+    assert run_cli([a.format(at_ceiling + 1) for a in argv]) == 2
     assert capsys.readouterr().out == ""
 
 

@@ -1,0 +1,93 @@
+"""A NaN or an overflow anywhere must fail a check or raise DomainError."""
+
+import json
+import math
+
+import numpy as np
+import pytest
+
+from dirac_disquant import covariant, rotator
+from dirac_disquant.cli import main
+from dirac_disquant.errors import DomainError, StepSizeError
+from dirac_disquant.particle import DcParams, helix_solution
+from dirac_disquant.report import RunConfig
+from dirac_disquant.rotator import RotatorParams
+from dirac_disquant.verification import _worst, run_suite
+
+NAN = float("nan")
+INF = float("inf")
+
+
+class TestWorst:
+    def test_nan_in_the_middle_propagates(self):
+        assert math.isnan(_worst([0.1, NAN, 0.2]))
+
+    def test_nan_inside_a_tuple_or_array_propagates(self):
+        assert math.isnan(_worst([(0.1, 0.2), (0.3, NAN)]))
+        assert math.isnan(_worst([0.1, np.array([[0.2, NAN]])]))
+
+    def test_mixed_parts(self):
+        assert _worst([(0.1, 0.3), np.array([[0.2, 0.5]]), 0.4]) == 0.5
+
+
+def test_nan_mass_increase_fails_consistency(monkeypatch, tmp_path):
+    monkeypatch.setattr(rotator, "mass_increase", lambda v, c=1.0: NAN)
+    out = tmp_path / "r.json"
+    assert main(["verify", "consistency", "--out", str(out)]) == 1
+    passed = {c["id"]: c["passed"] for c in json.loads(out.read_text())["checks"]}
+    assert not passed["helix-rotator-identification"]
+    assert not passed["rigidity-grand-consistency"]
+
+
+def test_nan_oracle_call_fails_regularization_check(monkeypatch):
+    original = covariant.f3_without_inner_factor
+    calls = []
+
+    def seventh_call_nan(*args, **kwargs):
+        calls.append(None)
+        return NAN if len(calls) == 7 else original(*args, **kwargs)
+
+    monkeypatch.setattr(covariant, "f3_without_inner_factor", seventh_call_nan)
+    report = run_suite("appendixB", RunConfig(seed=42))
+    rec = next(r for r in report.records
+               if r.check_id == "spin-term-regularization-invariance")
+    assert math.isnan(rec.residual)
+    assert not rec.passed
+
+
+def test_nan_rotator_rhs_trips_step_guard(monkeypatch):
+    nan4 = np.full(4, NAN)
+    monkeypatch.setattr(rotator, "_rhs", lambda x, prel, P, p: (nan4, nan4, nan4, NAN))
+    pr = RotatorParams(m0=1.0, a=1.0, P0=3.0)
+    cf = rotator.closed_form_rotator(pr)
+    with pytest.raises(StepSizeError):
+        rotator.integrate_rotator(pr, cf.state(0.0), 10, cf.tau_period / 100)
+
+
+NON_FINITE = [
+    (DcParams, dict(m=NAN, hbar=1.0)),
+    (DcParams, dict(m=1.0, hbar=INF)),
+    (DcParams, dict(m=1.0, hbar=1.0, c=NAN)),
+    (DcParams, dict(m=1.0, hbar=1.0, z=[0.0, 0.0, NAN])),
+    (DcParams, dict(m=1.0, hbar=1.0, f=[NAN, 0.0, 0.0, 0.0])),
+    (DcParams, dict(m=1e-320, hbar=1.0)),           # lam overflows
+    (DcParams, dict(m=1e300, hbar=1e-300)),         # lam underflows to 0
+    (helix_solution, dict(b=1e200)),                # observables overflow
+    (RotatorParams, dict(m0=1.0, a=1.0, P0=NAN)),
+    (RotatorParams, dict(m0=NAN, a=1.0, P0=3.0)),
+    (RotatorParams, dict(m0=1.0, a=INF, P0=3.0)),
+    (RotatorParams, dict(m0=1.0, a=1.0, P0=3.0, phase=NAN)),
+    (RotatorParams, dict(m0=1.0, a=1.0, P0=3.0, c=INF)),
+    (RotatorParams, dict(m0=1.0, a=1.0, P0=3.0, hbar=NAN)),
+    (RotatorParams, dict(m0=1e300, a=1e300, P0=3e300)),  # P0**2 overflows
+    (RotatorParams, dict(m0=1e-320, a=1.0, P0=3.0)),     # omega overflows
+]
+
+
+@pytest.mark.parametrize(
+    "factory, kwargs", NON_FINITE,
+    ids=["-".join([f.__name__, *(f"{k}={v}" for k, v in kw.items())])
+         for f, kw in NON_FINITE])
+def test_constructors_reject_non_finite(factory, kwargs):
+    with pytest.raises(DomainError):
+        factory(**kwargs)

@@ -98,6 +98,19 @@ class TestIntegrator:
             assert np.abs(st.x - ref.x).max() < 1e-12
             assert np.abs(st.p).max() < 1e-12
 
+    def test_rk4_convergence_order(self):
+        cf = closed_form_rotator(PR)
+
+        def position_error(steps):
+            dt = cf.tau_period / steps
+            traj = integrate_rotator(PR, cf.state(0.0), steps, dt)
+            return np.max([np.abs(st.x - cf.state(k * dt).x).max()
+                           for k, st in enumerate(traj.states)])
+
+        errors = [position_error(steps) for steps in (100, 200, 400)]
+        orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
+        assert np.all(orders >= 3.8), orders
+
     def test_too_large_step_rejected(self):
         cf = closed_form_rotator(PR)
         with pytest.raises(StabilityError):
