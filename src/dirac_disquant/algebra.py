@@ -287,14 +287,13 @@ def n_from_xi(xi, z) -> np.ndarray:
     return (xi + z) / np.sqrt(denom)
 
 
-def random_spinor_params(rng: np.random.Generator, z=None) -> SpinorParams:
+def random_spinor_params(rng: np.random.Generator) -> SpinorParams:
     """Draw a generic parameter set; amplitudes in [0.3, 2], |eta| up to 2.5.
 
     The rapidity cap keeps cosh^2(eta) roundoff amplification below the
     1e-12 relative tolerance on the rho = A^2 identity.
     """
-    if z is None:
-        z = random_unit(rng)
+    z = random_unit(rng)
     n = random_unit(rng)
     return SpinorParams(
         amplitude=float(rng.uniform(0.3, 2.0)),
@@ -302,7 +301,7 @@ def random_spinor_params(rng: np.random.Generator, z=None) -> SpinorParams:
         phi=float(rng.uniform(-np.pi, np.pi)),
         eta=random_unit(rng) * rng.uniform(0.0, 2.5),
         n=n,
-        z=np.asarray(z, dtype=float),
+        z=z,
     )
 
 

@@ -50,16 +50,14 @@ def int_at_least(low):
     return integer
 
 
-def _common_flags(sub):
-    sub.add_argument("--seed", type=int_at_least(0), default=42,
-                     help="random seed (default 42)")
+def _output_flags(sub, run, formats=("csv", "json")):
+    """Add --out and --format (default: the first of ``formats``) and bind ``run``."""
     sub.add_argument("--out", default=None,
                      help="output path (default: stdout)")
-    sub.add_argument("--format", choices=("csv", "json"), default=None,
+    sub.add_argument("--format", choices=formats, default=formats[0],
                      dest="out_format",
-                     help="output format (default: json for verify/identify, csv otherwise)")
-    sub.add_argument("--tol-scale", type=finite_float, default=1.0,
-                     help="multiply every tolerance by this factor")
+                     help=f"output format (default: {formats[0]})")
+    sub.set_defaults(run=run)
 
 
 def build_parser():
@@ -75,7 +73,11 @@ def build_parser():
     v.add_argument("--m0", type=finite_float, default=1.0)
     v.add_argument("--hbar", type=finite_float, default=1.0)
     v.add_argument("--c", type=finite_float, default=1.0)
-    _common_flags(v)
+    v.add_argument("--seed", type=int_at_least(0), default=42,
+                   help="random seed (default 42)")
+    v.add_argument("--tol-scale", type=finite_float, default=1.0,
+                   help="multiply every tolerance by this factor")
+    _output_flags(v, cmd_verify, formats=("json", "csv"))
 
     h = subs.add_parser("helix", help="sample a helix worldline")
     h.add_argument("--b", type=finite_float, required=True,
@@ -87,7 +89,7 @@ def build_parser():
                    help="sampling horizon in coordinate time (default: one turn)")
     h.add_argument("--dt", type=finite_float, default=None,
                    help="sampling step (default: tmax/256)")
-    _common_flags(h)
+    _output_flags(h, cmd_helix)
 
     r = subs.add_parser("rotator", help="rotator worldlines with constraint columns")
     r.add_argument("--m0", type=finite_float, default=1.0)
@@ -96,7 +98,7 @@ def build_parser():
     r.add_argument("--phase", type=finite_float, default=0.0)
     r.add_argument("--mode", choices=("closed", "integrate"), default="closed")
     r.add_argument("--steps", type=int_at_least(1), default=2000)
-    _common_flags(r)
+    _output_flags(r, cmd_rotator)
 
     g = subs.add_parser("rigidity", help="sample the rigidity curve gamma(a)")
     g.add_argument("--m0", type=finite_float, default=1.0)
@@ -105,7 +107,7 @@ def build_parser():
     g.add_argument("--a-min", type=finite_float, default=0.0)
     g.add_argument("--a-max", type=finite_float, required=True)
     g.add_argument("--n", type=int, default=64)
-    _common_flags(g)
+    _output_flags(g, cmd_rigidity)
 
     i = subs.add_parser("identify", help="map parameters between helix and rotator")
     i.add_argument("--direction", choices=("dcr_to_rr", "rr_to_dcr"), required=True)
@@ -116,7 +118,7 @@ def build_parser():
     i.add_argument("--hbar", type=finite_float, default=1.0)
     i.add_argument("--c", type=finite_float, default=1.0)
     i.add_argument("--e", type=finite_float, default=1.0, dest="e_charge")
-    _common_flags(i)
+    _output_flags(i, cmd_identify, formats=("json",))
 
     return ap
 
@@ -130,7 +132,7 @@ def _emit(text, out_path):
 
 
 def _emit_table(args, meta, columns, rows):
-    """Write a data table in the chosen format (default csv)."""
+    """Write a data table in the chosen format."""
     table = json_table if args.out_format == "json" else csv_table
     _emit(table(meta, columns, rows), args.out)
 
@@ -139,7 +141,7 @@ def cmd_verify(args) -> int:
     cfg = RunConfig(seed=args.seed, tol_scale=args.tol_scale,
                     m=args.m, m0=args.m0, hbar=args.hbar, c=args.c)
     report = run_suite(args.suite, cfg)
-    _emit(report.render(args.out_format or "json"), args.out)
+    _emit(report.render(args.out_format), args.out)
     ok, total = report.counts
     print(f"suite {args.suite}: {ok}/{total} checks passed "
           f"in {report.wall_time:.2f} s", file=sys.stderr)
@@ -153,8 +155,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_helix(args) -> int:
-    if args.dt is not None and args.dt <= 0:
-        raise DomainError("dt must be positive")
     p = particle.DcParams(m=args.m, hbar=args.hbar)
     sol = particle.helix_solution(args.b, phase=args.phase, p=p)
     ob = sol.obs
@@ -163,7 +163,11 @@ def cmd_helix(args) -> int:
         tmax = 2.0 * np.pi / ob.omega_dcr if args.b > 0 else 1.0
     else:
         tmax = args.tmax
+    if not tmax >= 0:
+        raise DomainError(f"tmax must be nonnegative, got {tmax!r}")
     dt = args.dt if args.dt is not None else tmax / 256.0
+    if not dt > 0:
+        raise DomainError(f"dt must be positive, got {dt!r}")
     span = np.floor(tmax / dt)
     _check_rows(span + 1)
     n = int(span) + 1
@@ -228,12 +232,8 @@ def cmd_rotator(args) -> int:
 
 def cmd_rigidity(args) -> int:
     _check_rows(args.n)
-    try:
-        curve = rotator.RigidityCurve.sample(args.m0, args.hbar, args.c,
-                                             args.a_min, args.a_max, args.n)
-    except DomainError as exc:
-        bound = rotator.rigidity_domain_bound(args.m0, args.hbar, args.c)
-        raise DomainError(f"{exc} (domain bound {fmt(bound)})") from exc
+    curve = rotator.RigidityCurve.sample(args.m0, args.hbar, args.c,
+                                         args.a_min, args.a_max, args.n)
     rows = [[a, g] for a, g in zip(curve.a, curve.gamma)]
     meta = {
         "kind": "rigidity-curve",
@@ -245,23 +245,11 @@ def cmd_rigidity(args) -> int:
 
 
 def cmd_identify(args) -> int:
-    if args.direction == "dcr_to_rr":
-        if args.m is None or args.zeta is None:
-            raise DomainError("dcr_to_rr needs --m and --zeta")
-        result = rotator.identify_dcr_rr("dcr_to_rr", m=args.m, zeta=args.zeta,
-                                         hbar=args.hbar, c=args.c,
-                                         e_charge=args.e_charge)
-        residual = abs(
-            rotator.rigidity(result["a"], result["m0"], args.hbar, args.c)
-            - rotator.mass_increase(result["v"], args.c))
-    else:
-        if args.m0 is None or args.v is None:
-            raise DomainError("rr_to_dcr needs --m0 and --v")
-        result = rotator.identify_dcr_rr("rr_to_dcr", m0=args.m0, v=args.v,
-                                         hbar=args.hbar, c=args.c,
-                                         e_charge=args.e_charge)
-        residual = abs(rotator.rigidity(result["a"], args.m0, args.hbar, args.c)
-                       - rotator.mass_increase(args.v, args.c))
+    result = rotator.identify_dcr_rr(args.direction, m=args.m, zeta=args.zeta,
+                                     m0=args.m0, v=args.v, hbar=args.hbar,
+                                     c=args.c, e_charge=args.e_charge)
+    residual = abs(rotator.rigidity(result["a"], result["m0"], args.hbar, args.c)
+                   - rotator.mass_increase(result["v"], args.c))
 
     payload = {"schema": SCHEMA_TAG, "kind": "identification",
                "hbar": args.hbar, "c": args.c,
@@ -273,15 +261,8 @@ def cmd_identify(args) -> int:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    handlers = {
-        "verify": cmd_verify,
-        "helix": cmd_helix,
-        "rotator": cmd_rotator,
-        "rigidity": cmd_rigidity,
-        "identify": cmd_identify,
-    }
     try:
-        return handlers[args.command](args)
+        return args.run(args)
     except (DomainError, NumericConsistencyError, StabilityError,
             StepSizeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -20,7 +20,7 @@ Derivative layout: ``d_l u`` arrays are indexed by the coordinate l = 0..3
 and hold plain lower-index derivatives; raising flips spatial signs.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,6 +33,7 @@ from .errors import (
 )
 from .minkowski import BASIS4, eps4, mdot
 
+# The frame vector f of the covariant shapes: the rest frame.
 F_DEFAULT = np.array([1.0, 0.0, 0.0, 0.0])
 
 
@@ -85,10 +86,8 @@ class CovariantAux:
     q: np.ndarray      # (j + f rho) / sqrt(2 rho (rho + j.f)), unit timelike
 
     @classmethod
-    def from_state(cls, j, rho, xi, z, f=F_DEFAULT):
-        f = np.asarray(f, dtype=float)
-        if abs(mdot(f, f) - 1.0) > 1e-12 or f[0] <= 0:
-            raise DomainError("f must be a future-directed unit timelike 4-vector")
+    def from_state(cls, j, rho, xi, z):
+        f = F_DEFAULT
         xi4 = np.concatenate(([0.0], xi))
         z4 = np.concatenate(([0.0], z))
         nu = xi4 - mdot(xi4, f) * f
@@ -147,7 +146,6 @@ class ParamField:
     n0: np.ndarray            # base direction of the raw n field
     n_lin: np.ndarray         # (3, 4) linear part of the raw n field
     z: np.ndarray
-    f: np.ndarray = field(default_factory=lambda: F_DEFAULT.copy())
 
     def jet(self, x) -> ParamJet:
         x = np.asarray(x, dtype=float)
@@ -169,8 +167,7 @@ class ParamField:
             n=n,
             z=self.z,
         )
-        d_eta = np.stack([np.array([c.grad(x)[l] for c in self.eta])
-                          for l in range(4)])
+        d_eta = np.stack([c.grad(x) for c in self.eta], axis=1)
         return ParamJet(
             params=params,
             d_amp=self.amp.grad(x),
@@ -184,15 +181,13 @@ class ParamField:
         return self.jet(x).params
 
 
-def random_param_field(rng: np.random.Generator, z=None) -> ParamField:
+def random_param_field(rng: np.random.Generator) -> ParamField:
     """Seeded generic field, unit scale, bounded away from the singular sets.
 
     |eta| stays in roughly [0.4, 2.2] over the box |x_l| <= 0.5 and the n
     field keeps |n.z| >= ~0.5 so 1 + xi.z stays order one.
     """
-    if z is None:
-        z = _unit(rng.normal(size=3))
-    z = np.asarray(z, dtype=float)
+    z = _unit(rng.normal(size=3))
 
     def scalar(base, lin=0.4, quad=0.15):
         return _PolyScalar(base, rng.uniform(-lin, lin, size=4),
@@ -270,9 +265,9 @@ def _derived_jet(jet: ParamJet):
     return rho, d_rho, j, d_j, eta, d_eta_norm, v, d_v, xi, d_xi, S
 
 
-def lagrangian_pieces(fld: ParamField, x, m, hbar, f=None) -> LagrangianPieces:
+def lagrangian_pieces(fld: ParamField, x, m, hbar) -> LagrangianPieces:
     """Evaluate F1..F4 (both shapes each where two exist) and the L split."""
-    f = fld.f if f is None else np.asarray(f, dtype=float)
+    f = F_DEFAULT
     jet = fld.jet(np.asarray(x, dtype=float))
     p = jet.params
     rho, d_rho, j, d_j, eta, d_eta_norm, v, d_v, xi, d_xi, S = _derived_jet(jet)
@@ -289,7 +284,7 @@ def lagrangian_pieces(fld: ParamField, x, m, hbar, f=None) -> LagrangianPieces:
     )
 
     # Covariant F3 through mu = nu / sqrt(2 (1 + xi.z)).
-    aux = CovariantAux.from_state(j, rho, xi, p.z, f)
+    aux = CovariantAux.from_state(j, rho, xi, p.z)
     d_nu = np.zeros((4, 4))
     d_nu[:, 1:] = d_xi
     d_nu -= np.outer(np.array([mdot(d_nu[l], f) for l in range(4)]), f)
@@ -339,18 +334,18 @@ def lagrangian_pieces(fld: ParamField, x, m, hbar, f=None) -> LagrangianPieces:
                             l_cl=l_cl, l_q1=l_q1, l_q2=l_q2)
 
 
-def f3_without_inner_factor(fld: ParamField, x, hbar, f=None) -> float:
+def f3_without_inner_factor(fld: ParamField, x, hbar) -> float:
     """F3 with the normalization kept outside the derivative.
 
     Moving [2(1 + xi.z)]^(-1/2) in or out of d_s mu cannot change the value
     because the leftover term contracts xi with itself inside the epsilon.
     Used as a regularization-invariance oracle.
     """
-    f = fld.f if f is None else np.asarray(f, dtype=float)
+    f = F_DEFAULT
     jet = fld.jet(np.asarray(x, dtype=float))
     p = jet.params
     rho, d_rho, j, d_j, eta, d_eta_norm, v, d_v, xi, d_xi, S = _derived_jet(jet)
-    aux = CovariantAux.from_state(j, rho, xi, p.z, f)
+    aux = CovariantAux.from_state(j, rho, xi, p.z)
     d_nu = np.zeros((4, 4))
     d_nu[:, 1:] = d_xi
     d_nu -= np.outer(np.array([mdot(d_nu[l], f) for l in range(4)]), f)

@@ -19,7 +19,7 @@ with c = 1 (x^0 is time); only the observable formulas carry an explicit c.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -31,29 +31,25 @@ from .errors import (
 )
 from .minkowski import BASIS4, as4, eps4, lower, mdot, spatial
 
+#: The constant axis z of the spin term.
+Z_AXIS = np.array([0.0, 0.0, 1.0])
+#: The frame vector f of the rest frame.
+F_REST = BASIS4[0]
+
 
 @dataclass(frozen=True)
 class DcParams:
-    """Mass, quantum constant, axis z, and the frame vector f."""
+    """Mass, quantum constant and speed of light."""
 
     m: float
     hbar: float
     c: float = 1.0
-    z: np.ndarray = field(default_factory=lambda: np.array([0.0, 0.0, 1.0]))
-    f: np.ndarray = field(default_factory=lambda: np.array([1.0, 0.0, 0.0, 0.0]))
 
     def __post_init__(self):
-        object.__setattr__(self, "z", np.asarray(self.z, dtype=float))
-        object.__setattr__(self, "f", np.asarray(self.f, dtype=float))
-        if not (all(map(math.isfinite, (self.m, self.hbar, self.c)))
-                and np.isfinite(self.z).all() and np.isfinite(self.f).all()):
+        if not all(map(math.isfinite, (self.m, self.hbar, self.c))):
             raise DomainError(f"particle parameters must be finite: {self!r}")
         if self.m <= 0 or self.hbar <= 0 or self.c <= 0:
             raise DomainError("m, hbar and c must be positive")
-        if abs(np.dot(self.z, self.z) - 1.0) > 1e-10:
-            raise DomainError("z must be a unit 3-vector")
-        if abs(mdot(self.f, self.f) - 1.0) > 1e-10 or self.f[0] <= 0:
-            raise DomainError("f must be a future-directed unit timelike 4-vector")
         if not 0.0 < self.lam < math.inf:
             raise DomainError(f"length scale hbar/(m c) = {self.lam!r} is not "
                               "a positive finite number")
@@ -68,12 +64,10 @@ class DcParams:
 class WorldlineState:
     """One point of a worldline jet: position, velocity, acceleration, spin axis."""
 
-    tau0: float
     x: np.ndarray
     xdot: np.ndarray
     xddot: np.ndarray
     xi: np.ndarray
-    y: np.ndarray = None
 
     def __post_init__(self):
         for name in ("x", "xdot", "xddot"):
@@ -81,11 +75,11 @@ class WorldlineState:
             if v is not None:
                 object.__setattr__(self, name, np.asarray(v, dtype=float))
         object.__setattr__(self, "xi", np.asarray(self.xi, dtype=float))
-        if self.y is None:
-            object.__setattr__(
-                self, "y", spatial(self.xdot) / np.sqrt(1.0 + self.xdot[0]))
-        else:
-            object.__setattr__(self, "y", np.asarray(self.y, dtype=float))
+
+    @property
+    def y(self) -> np.ndarray:
+        """Reduced velocity xdot_sp / sqrt(1 + xdot^0)."""
+        return spatial(self.xdot) / np.sqrt(1.0 + self.xdot[0])
 
 
 def q_factor(xdot, f=None):
@@ -105,7 +99,7 @@ def q_factor(xdot, f=None):
 def q_gradient(xdot, f=None):
     """Lower-index gradient dQ/dxdot^i."""
     xdot = np.asarray(xdot, dtype=float)
-    f4 = BASIS4[0] if f is None else np.asarray(f, dtype=float)
+    f4 = F_REST if f is None else np.asarray(f, dtype=float)
     s = np.sqrt(mdot(xdot, xdot))
     xf = mdot(xdot, f4)
     q = 1.0 / (s * (s + xf))
@@ -130,32 +124,31 @@ def lagrangian_dc(s: WorldlineState, p: DcParams, xidot=None) -> float:
     q = q_factor(s.xdot)
     orbit = 0.5 * q * float(np.dot(np.cross(spatial(s.xdot), spatial(s.xddot)), s.xi))
     return (-p.m * np.sqrt(ss)
-            + p.hbar * _spin_term(s.xi, xidot, p.z)
+            + p.hbar * _spin_term(s.xi, xidot, Z_AXIS)
             + p.hbar * orbit)
 
 
-def lagrangian_dc_covariant(s: WorldlineState, p: DcParams, xidot=None, f=None) -> float:
+def lagrangian_dc_covariant(s: WorldlineState, p: DcParams, xidot=None) -> float:
     """Same Lagrangian through 4-dimensional epsilon contractions.
 
     The spin and orbit terms place the frame vector in the slot that makes
-    them reduce to the three-dimensional form at f = (1,0,0,0): the spin term
+    them reduce to the three-dimensional form at f = F_REST: the spin term
     contracts (xi, xidot, f, z) and the orbit term (xdot, xddot, xi, f).
     """
     xidot = np.zeros(3) if xidot is None else np.asarray(xidot, dtype=float)
-    f4 = p.f if f is None else np.asarray(f, dtype=float)
     xi4 = as4(0.0, s.xi)
     xidot4 = as4(0.0, xidot)
-    z4 = as4(0.0, p.z)
+    z4 = as4(0.0, Z_AXIS)
     ss = mdot(s.xdot, s.xdot)
     if ss <= 0:
         raise DomainError("worldline velocity must be timelike")
     denom = 2.0 * (1.0 - mdot(xi4, z4))
     if denom < 2e-9:
         raise SingularDenominatorError("1 - xi.z (4d) below tolerance")
-    q = q_factor(s.xdot, f4)
+    q = q_factor(s.xdot, F_REST)
     return (-p.m * np.sqrt(ss)
-            - p.hbar * eps4(xi4, xidot4, f4, z4) / denom
-            - 0.5 * p.hbar * q * eps4(s.xdot, s.xddot, xi4, f4))
+            - p.hbar * eps4(xi4, xidot4, F_REST, z4) / denom
+            - 0.5 * p.hbar * q * eps4(s.xdot, s.xddot, xi4, F_REST))
 
 
 def _eps_free(slot, b, c, d):
@@ -175,7 +168,7 @@ def momentum_covariant(xdot, xddot, xi4, xidot4, p: DcParams, f=None) -> np.ndar
     the derivative of the orbit term expands through the acceleration and
     the spin rate, nothing higher.
     """
-    f = p.f if f is None else np.asarray(f, dtype=float)
+    f = F_REST if f is None else np.asarray(f, dtype=float)
     xdot = np.asarray(xdot, dtype=float)
     xddot = np.asarray(xddot, dtype=float)
     xi4 = np.asarray(xi4, dtype=float)
@@ -197,7 +190,7 @@ def momentum_covariant(xdot, xddot, xi4, xidot4, p: DcParams, f=None) -> np.ndar
 
 
 def momentum(s: WorldlineState, xidot, p: DcParams) -> np.ndarray:
-    """Conserved momentum P_i (lower components) with f = p.f.
+    """Conserved momentum P_i (lower components) with f = F_REST.
 
     The total derivative in the definition expands through the acceleration,
     so the state must carry xddot.
@@ -206,7 +199,7 @@ def momentum(s: WorldlineState, xidot, p: DcParams) -> np.ndarray:
         raise InsufficientJetError("momentum needs the acceleration xddot")
     xidot = np.asarray(xidot, dtype=float)
     return momentum_covariant(s.xdot, s.xddot, as4(0.0, s.xi),
-                              as4(0.0, xidot), p, p.f)
+                              as4(0.0, xidot), p)
 
 
 def boost_matrix(velocity) -> np.ndarray:
@@ -270,8 +263,8 @@ def observables(b, p: DcParams) -> HelixObservables:
 
 def observables_from_zeta(zeta, p: DcParams) -> HelixObservables:
     """The same observables in the zeta / rapidity parametrization."""
-    if zeta < 0:
-        raise DomainError("zeta must be nonnegative")
+    if not zeta >= 0:
+        raise DomainError(f"zeta must be nonnegative, got {zeta!r}")
     root = np.sqrt(1.0 + zeta ** 2)
     beta = 0.5 * np.arcsinh(zeta)
     m_dcr = p.m * np.sqrt(2.0) / np.sqrt(root + 1.0)
@@ -293,7 +286,6 @@ class HelixSolution:
 
     b: float
     phase: float
-    params: DcParams
     w0: float
     omega: float
     Omega: float
@@ -322,8 +314,7 @@ class HelixSolution:
             x[1:] = (root / self.omega) * np.array([sn, -cs, 0.0])
         xdot = as4(b + 1.0, root * np.array([cs, sn, 0.0]))
         xddot = as4(0.0, root * self.omega * np.array([-sn, cs, 0.0]))
-        return WorldlineState(tau0=float(tau), x=x, xdot=xdot, xddot=xddot,
-                              xi=self.xi)
+        return WorldlineState(x=x, xdot=xdot, xddot=xddot, xi=self.xi)
 
     def position_at_time(self, t) -> np.ndarray:
         """Spatial position as a function of coordinate time x^0 = t."""
@@ -340,7 +331,7 @@ def helix_solution(b, phase=0.0, p: DcParams = None) -> HelixSolution:
     lam = p.lam
     omega = (-(1.0 - w0) / (b + 2.0) + w0) / lam
     return HelixSolution(
-        b=float(b), phase=float(phase), params=p, w0=w0,
+        b=float(b), phase=float(phase), w0=w0,
         omega=float(omega), Omega=float(omega / (b + 1.0)),
         obs=observables(b, p),
     )
@@ -405,8 +396,8 @@ def xi_equation_check(xi, xidot, xdot, xddot, z, hbar=1.0):
     return res_full, res_reduced
 
 
-def integrate_xi_along_helix(sol: HelixSolution, steps=2000, periods=1.0):
-    """RK4-integrate the spin equation along the helix; returns max drift.
+def integrate_xi_along_helix(sol: HelixSolution, steps=2000):
+    """RK4-integrate the spin equation over one period; returns max drift.
 
     The closed form asserts xi = const; this integrates xidot = (y x ydot) x xi
     from xi(0) = (0,0,1) and reports the largest deviation, an independent
@@ -414,7 +405,7 @@ def integrate_xi_along_helix(sol: HelixSolution, steps=2000, periods=1.0):
     """
     if sol.b == 0.0:
         return 0.0
-    h = periods * sol.tau_period / steps
+    h = sol.tau_period / steps
     xi = sol.xi.copy()
     # Row 0 is the initial axis; the drift is reduced once at the end, so
     # a NaN from any step reaches it.

@@ -46,8 +46,8 @@ class RotatorParams:
         if not all(map(math.isfinite, (self.m0, self.a, self.P0, self.phase,
                                        self.c, self.hbar))):
             raise DomainError(f"rotator parameters must be finite: {self!r}")
-        if self.m0 <= 0 or self.a <= 0:
-            raise DomainError("m0 and a must be positive")
+        if self.m0 <= 0 or self.a <= 0 or self.c <= 0 or self.hbar <= 0:
+            raise DomainError("m0, a, c and hbar must be positive")
         if self.P0 < 2.0 * self.m0:
             raise SubThresholdError(
                 f"P0 = {self.P0} below the two-particle threshold 2 m0 = {2 * self.m0}")
@@ -176,7 +176,6 @@ class RotatorTrajectory:
 
     states: list
     monitors: np.ndarray          # (n, 5)
-    monitor_names: list
     zeta_drift: float             # max relative zeta_i drift
     nu_max: float
     pre_projection_drift: float
@@ -267,11 +266,17 @@ def integrate_rotator(p: RotatorParams, initial: RotatorState, steps, dt) -> Rot
     return RotatorTrajectory(
         states=states,
         monitors=monitors,
-        monitor_names=names,
         zeta_drift=float(np.abs(zetas - zeta0).max() / zeta_scale),
         nu_max=float(np.abs(nus).max()),
         pre_projection_drift=float(pre_drift.max(initial=0.0)),
     )
+
+
+def _require_positive(**values):
+    """DomainError unless every value is a finite positive number."""
+    for name, value in values.items():
+        if not 0.0 < value < math.inf:
+            raise DomainError(f"{name} must be finite and positive, got {value!r}")
 
 
 def mass_increase(v, c=1.0) -> float:
@@ -287,15 +292,21 @@ def rigidity(a, m0, hbar=1.0, c=1.0) -> float:
     Defined for 0 <= a < hbar / (4 m0 c); the bound is where the particle
     speed reaches c.
     """
-    bound = hbar / (4.0 * m0 * c)
-    if a < 0 or a >= bound:
+    bound = rigidity_domain_bound(m0, hbar, c)
+    if not 0.0 <= a < bound:
         raise DomainError(
             f"radius must satisfy 0 <= a < hbar/(4 m0 c) = {bound!r}, got {a!r}")
     return hbar / np.sqrt(hbar ** 2 - (4.0 * a * m0 * c) ** 2) - 1.0
 
 
 def rigidity_domain_bound(m0, hbar=1.0, c=1.0) -> float:
-    return hbar / (4.0 * m0 * c)
+    """The radius hbar / (4 m0 c) at which the particle speed reaches c."""
+    _require_positive(m0=m0, hbar=hbar, c=c)
+    scale = 4.0 * m0 * c
+    bound = hbar / scale if scale > 0.0 else math.inf
+    if not 0.0 < bound < math.inf:
+        raise DomainError(f"hbar/(4 m0 c) = {bound!r} is not a positive finite number")
+    return bound
 
 
 @dataclass(frozen=True)
@@ -336,11 +347,13 @@ def identify_dcr_rr(direction, *, m=None, zeta=None, m0=None, v=None,
     rr_to_dcr: from (m0, v) to the particle's (m, m_dcr, omega_dcr, a, zeta),
     plus the angular momentum and magnetic moment of the charged rotator.
     """
+    _require_positive(hbar=hbar, c=c)
     if direction == "dcr_to_rr":
         if m is None or zeta is None:
             raise DomainError("dcr_to_rr needs m and zeta")
-        if zeta < 0:
-            raise DomainError("zeta must be nonnegative")
+        _require_positive(m=m)
+        if not zeta >= 0:
+            raise DomainError(f"zeta must be nonnegative, got {zeta!r}")
         root = np.sqrt(1.0 + zeta ** 2)
         M = m * np.sqrt(2.0) / np.sqrt(root + 1.0)
         m0_out = m / (root + 1.0)
@@ -355,6 +368,7 @@ def identify_dcr_rr(direction, *, m=None, zeta=None, m0=None, v=None,
     if direction == "rr_to_dcr":
         if m0 is None or v is None:
             raise DomainError("rr_to_dcr needs m0 and v")
+        _require_positive(m0=m0)
         if not 0.0 <= v < c:
             raise DomainError(f"speed must satisfy 0 <= v < c, got {v!r}")
         g2 = 1.0 - (v / c) ** 2

@@ -182,7 +182,8 @@ def suite_algebra(cfg: RunConfig) -> VerificationReport:
 # ------------------------------------------------------------ appendix A
 
 
-def suite_appendix_a(cfg: RunConfig, n_points=100) -> VerificationReport:
+def suite_appendix_a(cfg: RunConfig) -> VerificationReport:
+    n_points = 100
     rep = VerificationReport(suite="appendixA", seed=cfg.seed, tol_scale=cfg.tol_scale)
     rng = np.random.default_rng(cfg.seed)
     fields = [covariant.random_param_field(np.random.default_rng(cfg.seed + 100 + k))
@@ -230,7 +231,8 @@ def suite_appendix_a(cfg: RunConfig, n_points=100) -> VerificationReport:
 # ------------------------------------------------------------ appendix B
 
 
-def suite_appendix_b(cfg: RunConfig, n_points=500) -> VerificationReport:
+def suite_appendix_b(cfg: RunConfig) -> VerificationReport:
+    n_points = 500
     rep = VerificationReport(suite="appendixB", seed=cfg.seed, tol_scale=cfg.tol_scale)
     rng = np.random.default_rng(cfg.seed)
     fields = [covariant.random_param_field(np.random.default_rng(cfg.seed + 200 + k))
@@ -309,7 +311,8 @@ def suite_appendix_b(cfg: RunConfig, n_points=500) -> VerificationReport:
 # ------------------------------------------------------------ appendix C
 
 
-def suite_appendix_c(cfg: RunConfig, n_z=100) -> VerificationReport:
+def suite_appendix_c(cfg: RunConfig) -> VerificationReport:
+    n_z = 100
     rep = VerificationReport(suite="appendixC", seed=cfg.seed, tol_scale=cfg.tol_scale)
 
     def full_residual(i):
@@ -453,8 +456,7 @@ def suite_particle(cfg: RunConfig) -> VerificationReport:
     def generic_jet():
         xdot, xddot, xi = _random_worldline_jet(rng)
         xidot = particle.xi_rate(xdot, xddot, xi)
-        st = particle.WorldlineState(tau0=0.0, x=np.zeros(4), xdot=xdot,
-                                     xddot=xddot, xi=xi)
+        st = particle.WorldlineState(x=np.zeros(4), xdot=xdot, xddot=xddot, xi=xi)
         return abs(particle.lagrangian_dc(st, p, xidot)
                    - particle.lagrangian_dc_covariant(st, p, xidot))
 

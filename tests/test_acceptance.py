@@ -55,7 +55,7 @@ def test_bilinear_equivalence():
 
 def test_kinetic_term_splitting():
     cfg = RunConfig(seed=42)
-    rep = suite_appendix_a(cfg, n_points=100)
+    rep = suite_appendix_a(cfg)
     by_id = {r.check_id: r for r in rep.records}
     _report("kinetic-split-residual-h1e-4",
             by_id["kinetic-split-residual"].residual, 1e-6)
@@ -65,7 +65,7 @@ def test_kinetic_term_splitting():
 
 def test_orbit_term_covariant_equivalence():
     cfg = RunConfig(seed=42)
-    rep = suite_appendix_b(cfg, n_points=500)
+    rep = suite_appendix_b(cfg)
     by_id = {r.check_id: r for r in rep.records}
     _report("orbit-term-3d-vs-covariant-500",
             by_id["orbit-term-covariant-equivalence"].residual, 1e-10)

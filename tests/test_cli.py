@@ -83,6 +83,20 @@ class TestVerifyCommand:
     ["helix", "--b", "1", "--dt", "1e-300"],
     ["rotator", "--a", "1", "--P0", "3", "--steps", "100000000000000000000"],
     ["rigidity", "--a-max", "0.1", "--n", "100000000000000000000"],
+    # zero constants, refused before any division by them
+    ["rigidity", "--m0", "0", "--a-max", "0.1"],
+    ["rigidity", "--c", "0", "--a-max", "0.1"],
+    ["identify", "--direction", "rr_to_dcr", "--m0", "0", "--v", "0.5"],
+    ["identify", "--direction", "dcr_to_rr", "--m", "0", "--zeta", "1"],
+    ["identify", "--direction", "rr_to_dcr", "--m0", "1", "--v", "0.5", "--hbar", "0"],
+    ["rigidity", "--m0", "1e-200", "--c", "1e-200", "--a-max", "0.1"],  # 4 m0 c underflows
+    # a negative sampling horizon, and a zero one that makes the default step 0
+    ["helix", "--b", "1", "--tmax", "-5", "--dt", "0.1"],
+    ["helix", "--b", "1", "--tmax", "0"],
+    # flags that only verify has, and formats that identify does not write
+    ["helix", "--b", "1", "--seed", "1"],
+    ["rotator", "--a", "1", "--P0", "3", "--tol-scale", "2"],
+    ["identify", "--direction", "rr_to_dcr", "--m0", "1", "--v", "0.5", "--format", "csv"],
 ])
 def test_bad_numeric_input_is_exit_2(argv, capsys):
     assert run_cli(argv) == 2

@@ -37,13 +37,13 @@ def random_jet(rng):
 
 class TestLagrangian:
     def test_straight_worldline(self):
-        st = WorldlineState(0.0, np.zeros(4), np.array([1.3, 0.5, 0.2, 0.1]),
+        st = WorldlineState(np.zeros(4), np.array([1.3, 0.5, 0.2, 0.1]),
                             np.zeros(4), np.array([1.0, 0, 0]))
         expect = -np.sqrt(mdot(st.xdot, st.xdot))
         assert abs(lagrangian_dc(st, P_UNIT) - expect) < 1e-14
 
     def test_rest_state(self):
-        st = WorldlineState(0.0, np.zeros(4), np.array([1.0, 0, 0, 0]),
+        st = WorldlineState(np.zeros(4), np.array([1.0, 0, 0, 0]),
                             np.zeros(4), np.array([0.0, 0, 1]))
         assert abs(lagrangian_dc(st, P_UNIT) + 1.0) < 1e-15
 
@@ -59,13 +59,13 @@ class TestLagrangian:
         rng = np.random.default_rng(seed)
         xdot, xddot, xi = random_jet(rng)
         xidot = xi_rate(xdot, xddot, xi)
-        st = WorldlineState(0.0, np.zeros(4), xdot, xddot, xi)
+        st = WorldlineState(np.zeros(4), xdot, xddot, xi)
         a = lagrangian_dc(st, P_UNIT, xidot)
         b = lagrangian_dc_covariant(st, P_UNIT, xidot)
         assert abs(a - b) < 1e-12 * max(1.0, abs(a))
 
     def test_spacelike_velocity_rejected(self):
-        st = WorldlineState(0.0, np.zeros(4), np.array([0.5, 1.0, 0, 0]),
+        st = WorldlineState(np.zeros(4), np.array([0.5, 1.0, 0, 0]),
                             np.zeros(4), np.array([0.0, 0, 1]))
         with pytest.raises(DomainError):
             lagrangian_dc(st, P_UNIT)
@@ -73,7 +73,7 @@ class TestLagrangian:
 
 class TestMomentum:
     def test_rest_state(self):
-        st = WorldlineState(0.0, np.zeros(4), np.array([1.0, 0, 0, 0]),
+        st = WorldlineState(np.zeros(4), np.array([1.0, 0, 0, 0]),
                             np.zeros(4), np.array([0.0, 0, 1]))
         P = momentum(st, np.zeros(3), P_UNIT)
         assert np.abs(P - [-1.0, 0, 0, 0]).max() < 1e-15
@@ -90,7 +90,7 @@ class TestMomentum:
             assert np.abs(P - P0).max() / scale < 1e-8
 
     def test_missing_acceleration(self):
-        st = WorldlineState(0.0, np.zeros(4), np.array([1.0, 0, 0, 0]),
+        st = WorldlineState(np.zeros(4), np.array([1.0, 0, 0, 0]),
                             None, np.array([0.0, 0, 1]))
         with pytest.raises(InsufficientJetError):
             momentum(st, np.zeros(3), P_UNIT)
