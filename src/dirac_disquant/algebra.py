@@ -69,14 +69,8 @@ class GammaBasis:
         return np.einsum("a,aij->ij", np.asarray(v, dtype=float), self.sigma)
 
 
-def build_gamma_basis(z=(0.0, 0.0, 1.0)) -> GammaBasis:
-    """Construct the Dirac representation and the projector for unit vector z.
-
-    With z = (0, 0, 1) the projector is diag(1, 0, 0, 0) (the proper
-    representation); for other z it is still rank 1 with trace 1.
-    """
-    z = _check_unit3(z, "z")
-
+def _dirac_matrices():
+    """gamma^k, gamma5 and sigma_a of the standard Dirac representation."""
     ident2 = np.eye(2, dtype=complex)
     zero2 = np.zeros((2, 2), dtype=complex)
 
@@ -92,10 +86,26 @@ def build_gamma_basis(z=(0.0, 0.0, 1.0)) -> GammaBasis:
     sigma[0] = 1j * gamma[2] @ gamma[3]
     sigma[1] = 1j * gamma[3] @ gamma[1]
     sigma[2] = 1j * gamma[1] @ gamma[2]
+    for m in (gamma, gamma5, sigma):
+        m.flags.writeable = False
+    return gamma, gamma5, sigma
+
+
+# Independent of z, so built once and shared, read-only, by every basis.
+_GAMMA, _GAMMA5, _SIGMA = _dirac_matrices()
+
+
+def build_gamma_basis(z=(0.0, 0.0, 1.0)) -> GammaBasis:
+    """Construct the Dirac representation and the projector for unit vector z.
+
+    With z = (0, 0, 1) the projector is diag(1, 0, 0, 0) (the proper
+    representation); for other z it is still rank 1 with trace 1.
+    """
+    z = _check_unit3(z, "z")
 
     eye4 = np.eye(4, dtype=complex)
-    z_sigma = np.einsum("a,aij->ij", z, sigma)
-    pi = 0.25 * (eye4 + gamma[0]) @ (eye4 + z_sigma)
+    z_sigma = np.einsum("a,aij->ij", z, _SIGMA)
+    pi = 0.25 * (eye4 + _GAMMA[0]) @ (eye4 + z_sigma)
 
     # Pi is Hermitian rank 1: take its largest column, normalize, and fix the
     # global phase so the dominant component is real positive (deterministic).
@@ -105,7 +115,7 @@ def build_gamma_basis(z=(0.0, 0.0, 1.0)) -> GammaBasis:
     k = int(np.argmax(np.abs(col)))
     col = col * np.exp(-1j * np.angle(col[k]))
 
-    return GammaBasis(z=z, gamma=gamma, gamma5=gamma5, sigma=sigma,
+    return GammaBasis(z=z, gamma=_GAMMA, gamma5=_GAMMA5, sigma=_SIGMA,
                       pi_projector=pi, pi_column=col)
 
 

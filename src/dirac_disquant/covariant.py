@@ -31,7 +31,7 @@ from .errors import (
     NumericConsistencyError,
     SingularDenominatorError,
 )
-from .minkowski import BASIS4, eps4, mdot
+from .minkowski import BASIS4, cross3, eps4, mdot
 
 # The frame vector f of the covariant shapes: the rest frame.
 F_DEFAULT = np.array([1.0, 0.0, 0.0, 0.0])
@@ -278,10 +278,13 @@ def lagrangian_pieces(fld: ParamField, x, m, hbar) -> LagrangianPieces:
     one_plus = 1.0 + float(np.dot(xi, p.z))
     if one_plus < 1e-9:
         raise SingularDenominatorError("1 + xi.z below tolerance (antipodal xi, z)")
-    f3 = -hbar / (2.0 * one_plus) * sum(
-        j[l] * float(np.linalg.det(np.column_stack([xi, d_xi[l], p.z])))
-        for l in range(4)
-    )
+    # det of the matrix with columns (xi, d_xi[l], z), for each l at once.
+    cols = np.empty((4, 3, 3))
+    cols[:, :, 0] = xi
+    cols[:, :, 1] = d_xi
+    cols[:, :, 2] = p.z
+    dets = np.linalg.det(cols)
+    f3 = -hbar / (2.0 * one_plus) * sum(j[l] * dets[l] for l in range(4))
 
     # Covariant F3 through mu = nu / sqrt(2 (1 + xi.z)).
     aux = CovariantAux.from_state(j, rho, xi, p.z)
@@ -300,9 +303,9 @@ def lagrangian_pieces(fld: ParamField, x, m, hbar) -> LagrangianPieces:
         d_v[1, 1] - d_v[2, 0],
     ])
     f4 = -0.5 * hbar * rho * float(
-        np.dot(np.cross(grad_eta_sp, v), xi)
+        np.dot(cross3(grad_eta_sp, v), xi)
         + np.sinh(eta) * np.dot(curl_v, xi)
-        + 2.0 * np.sinh(eta / 2) ** 2 * np.dot(np.cross(v, d_v[0]), xi)
+        + 2.0 * np.sinh(eta / 2) ** 2 * np.dot(cross3(v, d_v[0]), xi)
     )
 
     # Covariant F4, first from W = j + f rho with upper-index derivatives.

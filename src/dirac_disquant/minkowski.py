@@ -27,7 +27,15 @@ def eps4(a, b, c, d):
 
     Equals the determinant of the matrix whose columns are (a, b, c, d).
     """
-    return float(np.linalg.det(np.column_stack([a, b, c, d])))
+    return float(np.linalg.det(np.array([a, b, c, d], dtype=float).T))
+
+
+def cross3(a, b):
+    """Cross product of two 3-vectors: the products and differences of
+    ``np.cross``, in the same order, without its per-call overhead."""
+    return np.array([a[1] * b[2] - a[2] * b[1],
+                     a[2] * b[0] - a[0] * b[2],
+                     a[0] * b[1] - a[1] * b[0]])
 
 
 def as4(t, spatial):

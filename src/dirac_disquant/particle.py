@@ -29,7 +29,7 @@ from .errors import (
     InsufficientJetError,
     SingularDenominatorError,
 )
-from .minkowski import BASIS4, as4, eps4, lower, mdot, spatial
+from .minkowski import BASIS4, as4, cross3, eps4, lower, mdot, spatial
 
 #: The constant axis z of the spin term.
 Z_AXIS = np.array([0.0, 0.0, 1.0])
@@ -112,7 +112,7 @@ def _spin_term(xi, xidot, z):
     one_plus = 1.0 + float(np.dot(xi, z))
     if one_plus < 1e-9:
         raise SingularDenominatorError("1 + xi.z below tolerance (antipodal xi, z)")
-    return float(np.dot(np.cross(xidot, xi), z)) / (2.0 * one_plus)
+    return float(np.dot(cross3(xidot, xi), z)) / (2.0 * one_plus)
 
 
 def lagrangian_dc(s: WorldlineState, p: DcParams, xidot=None) -> float:
@@ -122,7 +122,7 @@ def lagrangian_dc(s: WorldlineState, p: DcParams, xidot=None) -> float:
     if ss <= 0:
         raise DomainError("worldline velocity must be timelike")
     q = q_factor(s.xdot)
-    orbit = 0.5 * q * float(np.dot(np.cross(spatial(s.xdot), spatial(s.xddot)), s.xi))
+    orbit = 0.5 * q * float(np.dot(cross3(spatial(s.xdot), spatial(s.xddot)), s.xi))
     return (-p.m * np.sqrt(ss)
             + p.hbar * _spin_term(s.xi, xidot, Z_AXIS)
             + p.hbar * orbit)
@@ -265,14 +265,20 @@ def observables_from_zeta(zeta, p: DcParams) -> HelixObservables:
     """The same observables in the zeta / rapidity parametrization."""
     if not zeta >= 0:
         raise DomainError(f"zeta must be nonnegative, got {zeta!r}")
-    root = np.sqrt(1.0 + zeta ** 2)
-    beta = 0.5 * np.arcsinh(zeta)
-    m_dcr = p.m * np.sqrt(2.0) / np.sqrt(root + 1.0)
-    a_dcr = zeta * p.hbar / (4.0 * p.m * p.c)
-    v = p.c * zeta / (root + 1.0)
-    omega_dcr = 4.0 * p.m * p.c ** 2 / (p.hbar * (root + 1.0))
-    return HelixObservables(float(m_dcr), float(a_dcr), float(v),
-                            float(omega_dcr), float(zeta), float(beta))
+    try:
+        root = np.sqrt(1.0 + zeta ** 2)
+        beta = 0.5 * np.arcsinh(zeta)
+        m_dcr = p.m * np.sqrt(2.0) / np.sqrt(root + 1.0)
+        a_dcr = zeta * p.hbar / (4.0 * p.m * p.c)
+        v = p.c * zeta / (root + 1.0)
+        omega_dcr = 4.0 * p.m * p.c ** 2 / (p.hbar * (root + 1.0))
+        obs = HelixObservables(float(m_dcr), float(a_dcr), float(v),
+                               float(omega_dcr), float(zeta), float(beta))
+        if all(map(math.isfinite, obs)):
+            return obs
+    except OverflowError:
+        pass
+    raise DomainError(f"helix observables overflow at zeta = {zeta!r}")
 
 
 @dataclass(frozen=True)
@@ -348,9 +354,9 @@ def reduced_residuals(y, ydot, xi, xdot0, w0, p: DcParams):
     xi = np.asarray(xi, dtype=float)
     lam = p.lam
     y2 = float(np.dot(y, y))
-    r1 = lam * np.cross(ydot, xi + 0.5 * y * float(np.dot(y, xi))) \
+    r1 = lam * cross3(ydot, xi + 0.5 * y * float(np.dot(y, xi))) \
         + y * ((1.0 - w0) / (y2 + 2.0) - w0)
-    r2 = lam * float(np.dot(ydot, np.cross(y, xi))) \
+    r2 = lam * float(np.dot(ydot, cross3(y, xi))) \
         - 2.0 * (1.0 - (1.0 - w0) / (y2 + 2.0))
     r3 = xdot0 - (y2 + 1.0)
     return r1, float(r2), float(r3)
@@ -361,8 +367,8 @@ def xi_rate(xdot, xddot, xi):
     xdot = np.asarray(xdot, dtype=float)
     xddot = np.asarray(xddot, dtype=float)
     q = q_factor(xdot)
-    return -np.cross(np.cross(spatial(xdot), spatial(xddot)),
-                     np.asarray(xi, dtype=float)) * q
+    return -cross3(cross3(spatial(xdot), spatial(xddot)),
+                   np.asarray(xi, dtype=float)) * q
 
 
 def xi_equation_check(xi, xidot, xdot, xddot, z, hbar=1.0):
@@ -383,15 +389,15 @@ def xi_equation_check(xi, xidot, xdot, xddot, z, hbar=1.0):
         raise SingularDenominatorError("1 + xi.z below tolerance (antipodal xi, z)")
 
     q = q_factor(xdot)
-    w = q * np.cross(spatial(np.asarray(xdot, float)),
-                     spatial(np.asarray(xddot, float)))
+    w = q * cross3(spatial(np.asarray(xdot, float)),
+                   spatial(np.asarray(xddot, float)))
     e_vec = 0.5 * hbar * (
-        2.0 * np.cross(z, xidot) / one_plus
-        + (float(np.dot(xidot, z)) * np.cross(xi, z)
-           - float(np.dot(np.cross(xidot, xi), z)) * z) / one_plus ** 2
+        2.0 * cross3(z, xidot) / one_plus
+        + (float(np.dot(xidot, z)) * cross3(xi, z)
+           - float(np.dot(cross3(xidot, xi), z)) * z) / one_plus ** 2
         + w
     )
-    res_full = float(np.abs(np.cross(xi, e_vec)).max())
+    res_full = float(np.abs(cross3(xi, e_vec)).max())
     res_reduced = float(np.abs(xidot - xi_rate(xdot, xddot, xi)).max())
     return res_full, res_reduced
 
@@ -402,32 +408,58 @@ def integrate_xi_along_helix(sol: HelixSolution, steps=2000):
     The closed form asserts xi = const; this integrates xidot = (y x ydot) x xi
     from xi(0) = (0,0,1) and reports the largest deviation, an independent
     confirmation rather than an assumption.
+
+    The rate field w = y x ydot depends on tau alone, so it is evaluated once
+    at every stage time: the full steps, where k4 of one step and k1 of the
+    next share the float tau + h, and the half steps, shared by k2 and k3.
+    The stepper then runs on Python floats with the operations, in order, of
+    the array form xi + h / 6 * (k1 + 2 k2 + 2 k3 + k4).
     """
     if sol.b == 0.0:
         return 0.0
     h = sol.tau_period / steps
-    xi = sol.xi.copy()
+    taus = [0.0] * (steps + 1)
+    for k in range(steps):
+        taus[k + 1] = taus[k] + h
+    taus = np.array(taus)
+    w_full = _helix_w(sol, taus).T.tolist()
+    w_half = _helix_w(sol, taus[:-1] + h / 2).T.tolist()
+
+    def rate(w, x0, x1, x2):
+        return (w[1] * x2 - w[2] * x1,
+                w[2] * x0 - w[0] * x2,
+                w[0] * x1 - w[1] * x0)
+
+    h2, h6 = h / 2, h / 6
+    x0, x1, x2 = sol.xi.tolist()
     # Row 0 is the initial axis; the drift is reduced once at the end, so
     # a NaN from any step reaches it.
-    xis = np.empty((steps + 1, 3))
-    xis[0] = xi
+    rows = [(x0, x1, x2)]
+    for k in range(steps):
+        a0, a1, a2 = rate(w_full[k], x0, x1, x2)
+        b0, b1, b2 = rate(w_half[k], x0 + h2 * a0, x1 + h2 * a1, x2 + h2 * a2)
+        c0, c1, c2 = rate(w_half[k], x0 + h2 * b0, x1 + h2 * b1, x2 + h2 * b2)
+        d0, d1, d2 = rate(w_full[k + 1], x0 + h * c0, x1 + h * c1, x2 + h * c2)
+        x0 = x0 + h6 * (a0 + 2 * b0 + 2 * c0 + d0)
+        x1 = x1 + h6 * (a1 + 2 * b1 + 2 * c1 + d1)
+        x2 = x2 + h6 * (a2 + 2 * b2 + 2 * c2 + d2)
+        rows.append((x0, x1, x2))
+    return float(np.abs(np.array(rows) - sol.xi).max())
 
-    def rate(tau, xi_c):
-        st = sol.state(tau)
-        ydot = _y_rate(sol, tau)
-        return np.cross(np.cross(st.y, ydot), xi_c)
 
-    tau = 0.0
-    for k in range(1, steps + 1):
-        k1 = rate(tau, xi)
-        k2 = rate(tau + h / 2, xi + h / 2 * k1)
-        k3 = rate(tau + h / 2, xi + h / 2 * k2)
-        k4 = rate(tau + h, xi + h * k3)
-        xis[k] = xi = xi + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        tau += h
-    return float(np.abs(xis - sol.xi).max())
+def _helix_w(sol: HelixSolution, taus):
+    """w = y x ydot at each tau, shape (3, len(taus)): y as in
+    ``sol.state(tau).y`` and ydot from ``_y_rate``, with the same operations."""
+    b = sol.b
+    th = sol.omega * taus + sol.phase
+    root = np.sqrt(b * (b + 2.0))
+    d = np.sqrt(1.0 + (b + 1.0))
+    y = (root * np.cos(th) / d, root * np.sin(th) / d, root * 0.0 / d)
+    return cross3(y, _y_rate(sol, taus))
 
 
 def _y_rate(sol: HelixSolution, tau):
+    """ydot at a proper time tau, or shape (3, n) for an array of n times."""
     th = sol.omega * tau + sol.phase
-    return np.sqrt(sol.b) * sol.omega * np.array([-np.sin(th), np.cos(th), 0.0])
+    return np.sqrt(sol.b) * sol.omega * np.array(
+        [-np.sin(th), np.cos(th), np.zeros_like(th)])

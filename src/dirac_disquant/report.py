@@ -21,9 +21,11 @@ class RunConfig:
     c: float = 1.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.tol_scale) and self.tol_scale > 0):
-            raise DomainError(
-                f"tol-scale must be finite and positive, got {self.tol_scale!r}")
+        for name in ("tol_scale", "m", "m0", "hbar", "c"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise DomainError(f"{name.replace('_', '-')} must be finite and "
+                                  f"positive, got {value!r}")
 
 
 @dataclass(frozen=True)

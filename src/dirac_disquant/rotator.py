@@ -28,7 +28,7 @@ from .errors import (
     StepSizeError,
     SubThresholdError,
 )
-from .minkowski import mdot
+from .minkowski import BASIS4, mdot
 
 
 @dataclass(frozen=True)
@@ -105,13 +105,17 @@ def constraint_monitors(s: RotatorState, p: RotatorParams) -> dict:
 
 
 def zeta_vector(s: RotatorState) -> np.ndarray:
-    """Conserved spacelike vector zeta_i = eps_iklm x^k p^l P^m."""
-    out = np.empty(4)
-    for i in range(4):
-        e = np.zeros(4)
-        e[i] = 1.0
-        out[i] = np.linalg.det(np.column_stack([e, s.x, s.p, s.P]))
-    return out
+    """Conserved spacelike vector zeta_i = eps_iklm x^k p^l P^m.
+
+    Component i is the determinant of the matrix with columns
+    (e_i, x, p, P); the four matrices go to LAPACK in one stacked call.
+    """
+    cols = np.empty((4, 4, 4))
+    cols[:, :, 0] = BASIS4
+    cols[:, :, 1] = s.x
+    cols[:, :, 2] = s.p
+    cols[:, :, 3] = s.P
+    return np.linalg.det(cols)
 
 
 @dataclass(frozen=True)
@@ -296,7 +300,14 @@ def rigidity(a, m0, hbar=1.0, c=1.0) -> float:
     if not 0.0 <= a < bound:
         raise DomainError(
             f"radius must satisfy 0 <= a < hbar/(4 m0 c) = {bound!r}, got {a!r}")
-    return hbar / np.sqrt(hbar ** 2 - (4.0 * a * m0 * c) ** 2) - 1.0
+    try:
+        den = hbar ** 2 - (4.0 * a * m0 * c) ** 2
+    except OverflowError:
+        den = math.inf
+    if not 0.0 < den < math.inf:
+        raise DomainError(
+            f"hbar^2 - (4 a m0 c)^2 = {den!r} is not a positive finite number")
+    return hbar / np.sqrt(den) - 1.0
 
 
 def rigidity_domain_bound(m0, hbar=1.0, c=1.0) -> float:
@@ -354,32 +365,40 @@ def identify_dcr_rr(direction, *, m=None, zeta=None, m0=None, v=None,
         _require_positive(m=m)
         if not zeta >= 0:
             raise DomainError(f"zeta must be nonnegative, got {zeta!r}")
-        root = np.sqrt(1.0 + zeta ** 2)
-        M = m * np.sqrt(2.0) / np.sqrt(root + 1.0)
-        m0_out = m / (root + 1.0)
-        a = zeta * hbar / (4.0 * m * c)
-        v_out = 4.0 * a * m0_out * c ** 2 / hbar
-        return {
+        try:
+            root = np.sqrt(1.0 + zeta ** 2)
+            M = m * np.sqrt(2.0) / np.sqrt(root + 1.0)
+            m0_out = m / (root + 1.0)
+            a = zeta * hbar / (4.0 * m * c)
+            v_out = 4.0 * a * m0_out * c ** 2 / hbar
+        except OverflowError:
+            raise DomainError(f"dcr_to_rr overflows at m = {m!r}, "
+                              f"zeta = {zeta!r}") from None
+        return _finite_values({
             "direction": direction,
             "m": m, "zeta": zeta,
             "M": float(M), "m0": float(m0_out), "a": float(a), "v": float(v_out),
             "P0": float(M),
-        }
+        })
     if direction == "rr_to_dcr":
         if m0 is None or v is None:
             raise DomainError("rr_to_dcr needs m0 and v")
         _require_positive(m0=m0)
         if not 0.0 <= v < c:
             raise DomainError(f"speed must satisfy 0 <= v < c, got {v!r}")
-        g2 = 1.0 - (v / c) ** 2
-        m_out = 2.0 * m0 / g2
-        m_dcr = 2.0 * m0 / np.sqrt(g2)
-        omega_dcr = 4.0 * m0 * c ** 2 / hbar
-        a = v * hbar / (4.0 * m0 * c ** 2)
-        zeta_out = 4.0 * a * m_out * c / hbar
-        ang_mom = 2.0 * m0 * a * v / np.sqrt(g2)
-        mag_moment = e_charge * a * v / (2.0 * np.sqrt(g2))
-        return {
+        try:
+            g2 = 1.0 - (v / c) ** 2
+            m_out = 2.0 * m0 / g2
+            m_dcr = 2.0 * m0 / np.sqrt(g2)
+            omega_dcr = 4.0 * m0 * c ** 2 / hbar
+            a = v * hbar / (4.0 * m0 * c ** 2)
+            zeta_out = 4.0 * a * m_out * c / hbar
+            ang_mom = 2.0 * m0 * a * v / np.sqrt(g2)
+            mag_moment = e_charge * a * v / (2.0 * np.sqrt(g2))
+        except OverflowError:
+            raise DomainError(f"rr_to_dcr overflows at m0 = {m0!r}, "
+                              f"v = {v!r}") from None
+        return _finite_values({
             "direction": direction,
             "m0": m0, "v": v,
             "m": float(m_out), "m_dcr": float(m_dcr),
@@ -387,5 +406,13 @@ def identify_dcr_rr(direction, *, m=None, zeta=None, m0=None, v=None,
             "angular_momentum": float(ang_mom),
             "magnetic_moment": float(mag_moment),
             "moment_to_angular_momentum": float(e_charge / (4.0 * m0)),
-        }
+        })
     raise DomainError(f"unknown direction {direction!r}")
+
+
+def _finite_values(out: dict) -> dict:
+    """``out`` unless one of its float values overflowed or is NaN."""
+    bad = [k for k, x in out.items() if isinstance(x, float) and not math.isfinite(x)]
+    if bad:
+        raise DomainError(f"non-finite {', '.join(bad)} in {out!r}")
+    return out

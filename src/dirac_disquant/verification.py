@@ -10,7 +10,7 @@ import numpy as np
 
 from . import algebra, covariant, particle, rotator
 from .algebra import random_unit
-from .minkowski import as4, mdot
+from .minkowski import as4, cross3, mdot
 from .report import RunConfig, VerificationReport
 
 SUITE_NAMES = ("all", "algebra", "appendixA", "appendixB", "appendixC",
@@ -337,7 +337,7 @@ def suite_appendix_c(cfg: RunConfig) -> VerificationReport:
     if 1.0 + float(np.dot(xi, z)) < 1e-3:
         z = -z
     xidot = particle.xi_rate(xdot, xddot, xi)
-    direction = np.cross(xi, random_unit(rng))
+    direction = cross3(xi, random_unit(rng))
     direction /= np.linalg.norm(direction)
     ratios = []
     for delta in (1e-4, 1e-5):

@@ -79,6 +79,13 @@ class TestGammaBasis:
             assert np.abs(pi @ g.sigma[a] @ pi - z[a] * pi).max() < 1e-14
         assert abs(np.trace(pi) - 1.0) < 1e-14
 
+    def test_shared_matrices_are_read_only(self, basis_z):
+        other = build_gamma_basis((1.0, 0.0, 0.0))
+        assert other.gamma is basis_z.gamma
+        for m in (other.gamma, other.gamma5, other.sigma):
+            with pytest.raises(ValueError):
+                m[0, 0] = 2.0
+
     def test_non_unit_z_rejected(self):
         with pytest.raises(DomainError):
             build_gamma_basis((0.0, 0.0, 2.0))

@@ -97,6 +97,13 @@ class TestVerifyCommand:
     ["helix", "--b", "1", "--seed", "1"],
     ["rotator", "--a", "1", "--P0", "3", "--tol-scale", "2"],
     ["identify", "--direction", "rr_to_dcr", "--m0", "1", "--v", "0.5", "--format", "csv"],
+    # physical constants that no suite-built parameter object would check
+    ["verify", "appendixA", "--m", "-3"],
+    ["verify", "algebra", "--m", "0"],
+    ["verify", "appendixC", "--c", "0"],
+    # finite input whose Python-float powers overflow
+    ["rigidity", "--hbar", "1e200", "--a-max", "0.1"],
+    ["identify", "--direction", "dcr_to_rr", "--m", "1", "--zeta", "1e200"],
 ])
 def test_bad_numeric_input_is_exit_2(argv, capsys):
     assert run_cli(argv) == 2

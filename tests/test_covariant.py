@@ -16,7 +16,7 @@ from dirac_disquant.covariant import (
     split_derivative,
 )
 from dirac_disquant.errors import DomainError, SingularDenominatorError
-from dirac_disquant.minkowski import mdot
+from dirac_disquant.minkowski import BASIS4, eps4, mdot
 
 
 class TestSplitDerivative:
@@ -209,3 +209,13 @@ class TestEffectiveMassBranch:
         out = effective_mass_branch(0.3)
         assert not out.stationary
         assert abs(out.value - np.cos(0.3)) < 1e-15
+
+
+def test_eps4_is_column_stack_det_bit_for_bit():
+    rng = np.random.default_rng(11)
+    for _ in range(500):
+        cols = rng.normal(size=(4, 4)) * 10.0 ** rng.uniform(-6, 6, size=(4, 1))
+        cols[rng.integers(4)] = BASIS4[rng.integers(4)]
+        expected = float(np.linalg.det(np.column_stack(cols)))
+        got = eps4(*cols)
+        assert np.float64(got).tobytes() == np.float64(expected).tobytes()

@@ -81,6 +81,11 @@ NON_FINITE = [
     (RotatorParams, dict(m0=1.0, a=1.0, P0=3.0, hbar=0.0)),
     (RotatorParams, dict(m0=1e300, a=1e300, P0=3e300)),  # P0**2 overflows
     (RotatorParams, dict(m0=1e-320, a=1.0, P0=3.0)),     # omega overflows
+    (RunConfig, dict(m=-3.0)),
+    (RunConfig, dict(m=0.0)),
+    (RunConfig, dict(m0=INF)),
+    (RunConfig, dict(hbar=NAN)),
+    (RunConfig, dict(c=0.0)),
 ]
 
 
@@ -99,5 +104,16 @@ def test_constructors_reject_non_finite(factory, kwargs):
     lambda: observables_from_zeta(NAN, DcParams(m=1.0, hbar=1.0)),
 ], ids=["rigidity", "identify_dcr_rr", "observables_from_zeta"])
 def test_nan_argument_raises(call):
+    with pytest.raises(DomainError):
+        call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: rotator.rigidity(0.1, 1.0, hbar=1e200),
+    lambda: rotator.identify_dcr_rr("dcr_to_rr", m=1.0, zeta=1e200),
+    lambda: rotator.identify_dcr_rr("rr_to_dcr", m0=1.0, v=0.5, c=1e200),
+    lambda: observables_from_zeta(1e200, DcParams(m=1.0, hbar=1.0)),
+], ids=["rigidity", "identify_dcr_rr", "identify_rr_dcr", "observables_from_zeta"])
+def test_overflowing_argument_raises(call):
     with pytest.raises(DomainError):
         call()

@@ -10,6 +10,7 @@ from dirac_disquant.minkowski import mdot
 from dirac_disquant.rotator import (
     RigidityCurve,
     RotatorParams,
+    RotatorState,
     closed_form_rotator,
     constraint_monitors,
     identify_dcr_rr,
@@ -88,6 +89,20 @@ class TestIntegrator:
         assert mdot(z0, z0) < 0
         for tau in np.linspace(0.0, cf.tau_period, 10):
             assert np.abs(zeta_vector(cf.state(tau)) - z0).max() < 1e-12
+
+    def test_zeta_vector_is_column_stack_det_bit_for_bit(self):
+        rng = np.random.default_rng(3)
+        cf = closed_form_rotator(PR)
+        states = [cf.state(tau) for tau in np.linspace(0.0, cf.tau_period, 7)]
+        states += [RotatorState(0.0, *rng.normal(size=(4, 4)) * 10.0 ** rng.uniform(-3, 3))
+                   for _ in range(100)]
+        for s in states:
+            expected = np.empty(4)
+            for i in range(4):
+                e = np.zeros(4)
+                e[i] = 1.0
+                expected[i] = np.linalg.det(np.column_stack([e, s.x, s.p, s.P]))
+            assert zeta_vector(s).tobytes() == expected.tobytes()
 
     def test_static_start_stays_static(self):
         pr = RotatorParams(m0=1.0, a=1.0, P0=2.0)
