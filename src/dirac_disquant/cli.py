@@ -182,10 +182,10 @@ def cmd_helix(args) -> int:
         "w0": sol.w0, "units": "c=1",
     }
     columns = ["t", "x", "y_coord", "z_coord", "xi1", "xi2", "xi3"]
-    rows = []
-    for t in times:
-        pos = sol.position_at_time(t)
-        rows.append([t, pos[0], pos[1], pos[2], sol.xi[0], sol.xi[1], sol.xi[2]])
+    rows = np.empty((n, len(columns)))
+    rows[:, 0] = times
+    rows[:, 1:4] = sol.position_at_time(times)
+    rows[:, 4:] = sol.xi
     _emit_table(args, meta, columns, rows)
     return 0
 
@@ -202,27 +202,33 @@ def cmd_rotator(args) -> int:
     }
     columns = ["t", "x1_1", "x1_2", "x2_1", "x2_2",
                "res_xx", "res_px", "res_Pp", "res_pp", "res_Xdotx"]
-    rows = []
+    rows = np.empty((args.steps + 1, len(columns)))
 
     if args.mode == "closed":
         if pr.omega == 0.0:
             times = np.linspace(0.0, 1.0, args.steps + 1)
         else:
             times = np.linspace(0.0, 2.0 * np.pi / abs(pr.omega0), args.steps + 1)
-        for t in times:
-            one, two = cf.worldlines_at_time(t)
-            tau = -4.0 * pr.m0 * t / pr.P0
-            mon = rotator.constraint_monitors(cf.state(tau), pr)
-            rows.append([t, one[1], one[2], two[1], two[2]] + list(mon.values()))
+        one, two = cf.worldlines_at_time(times)
+        rows[:, 0] = times
+        rows[:, 1:3] = one[:, 1:3]
+        rows[:, 3:5] = two[:, 1:3]
+        taus = -4.0 * pr.m0 * times / pr.P0
+        # The monitors stay per state: they are the verify suite's check route.
+        rows[:, 5:] = [list(rotator.constraint_monitors(cf.state(tau), pr).values())
+                       for tau in taus]
     else:
         if pr.omega == 0.0:
             dt = 0.05
         else:
             dt = cf.tau_period / args.steps
         traj = rotator.integrate_rotator(pr, cf.state(0.0), args.steps, dt)
-        for st, mon in zip(traj.states, traj.monitors):
-            one, two = st.worldlines()
-            rows.append([st.X[0], one[1], one[2], two[1], two[2]] + list(mon))
+        X = np.array([st.X for st in traj.states])
+        x = np.array([st.x for st in traj.states])
+        rows[:, 0] = X[:, 0]
+        rows[:, 1:3] = X[:, 1:3] + x[:, 1:3]
+        rows[:, 3:5] = X[:, 1:3] - x[:, 1:3]
+        rows[:, 5:] = traj.monitors
         meta["zeta_drift"] = traj.zeta_drift
         meta["nu_max"] = traj.nu_max
         meta["pre_projection_drift"] = traj.pre_projection_drift
@@ -234,7 +240,7 @@ def cmd_rigidity(args) -> int:
     _check_rows(args.n)
     curve = rotator.RigidityCurve.sample(args.m0, args.hbar, args.c,
                                          args.a_min, args.a_max, args.n)
-    rows = [[a, g] for a, g in zip(curve.a, curve.gamma)]
+    rows = np.column_stack((curve.a, curve.gamma))
     meta = {
         "kind": "rigidity-curve",
         "m0": float(args.m0), "hbar": float(args.hbar), "c": float(args.c),

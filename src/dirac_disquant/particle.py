@@ -312,19 +312,32 @@ class HelixSolution:
         th = self.omega * tau + self.phase
         root = np.sqrt(b * (b + 2.0))
         cs, sn = np.cos(th), np.sin(th)
-        x = np.empty(4)
-        x[0] = (b + 1.0) * tau
-        if self.omega == 0.0:
-            x[1:] = 0.0
-        else:
-            x[1:] = (root / self.omega) * np.array([sn, -cs, 0.0])
+        x = as4((b + 1.0) * tau, self._spatial_x(tau))
         xdot = as4(b + 1.0, root * np.array([cs, sn, 0.0]))
         xddot = as4(0.0, root * self.omega * np.array([-sn, cs, 0.0]))
         return WorldlineState(x=x, xdot=xdot, xddot=xddot, xi=self.xi)
 
     def position_at_time(self, t) -> np.ndarray:
-        """Spatial position as a function of coordinate time x^0 = t."""
-        return spatial(self.state(t / (self.b + 1.0)).x)
+        """Spatial position as a function of coordinate time x^0 = t.
+
+        Shape (3,) for one time, (n, 3) for an array of n times.
+        """
+        return self._spatial_x(np.asarray(t, dtype=float) / (self.b + 1.0))
+
+    def _spatial_x(self, tau):
+        """x^1..x^3 at proper time tau, elementwise over an array of times.
+
+        The z column is (root/omega) * 0.0 on every row, so its zero carries
+        the sign of root/omega.
+        """
+        out = np.zeros(np.shape(tau) + (3,))
+        if self.omega != 0.0:
+            th = self.omega * tau + self.phase
+            k = np.sqrt(self.b * (self.b + 2.0)) / self.omega
+            out[..., 0] = k * np.sin(th)
+            out[..., 1] = k * -np.cos(th)
+            out[..., 2] = k * 0.0
+        return out
 
 
 def helix_solution(b, phase=0.0, p: DcParams = None) -> HelixSolution:

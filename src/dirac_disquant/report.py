@@ -4,9 +4,14 @@ import json
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import DomainError
 
 SCHEMA_TAG = "dirac-disquant/1"
+
+#: Rows formatted per block by ``csv_table``; bounds its temporary lists.
+CSV_BLOCK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -123,17 +128,27 @@ def fmt(x) -> str:
 
 
 def csv_table(header_meta: dict, columns: list, rows) -> str:
-    """A CSV file: '#' metadata lines, one header line, 17-digit numbers."""
+    """A CSV file: '#' metadata lines, one header line, 17-digit numbers.
+
+    ``rows`` is an (n, len(columns)) array or anything ``np.asarray`` makes
+    one of.  Each row is written as ``fmt`` writes its values: "%.17g",
+    with -0.0 as 0.
+    """
     lines = [f"# {k}={fmt(v) if isinstance(v, float) else v}"
              for k, v in header_meta.items()]
     lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(fmt(v) for v in row))
+    rows = np.asarray(rows, dtype=float)
+    line = ",".join(["%.17g"] * len(columns))
+    for start in range(0, len(rows), CSV_BLOCK_ROWS):
+        # + 0.0 turns -0.0 into 0.0 and leaves every other value as it is.
+        block = rows[start:start + CSV_BLOCK_ROWS] + 0.0
+        lines.append("\n".join([line % tuple(row) for row in block.tolist()]))
     return "\n".join(lines) + "\n"
 
 
 def json_table(meta: dict, columns: list, rows) -> str:
+    """The same table as JSON; -0.0 stays -0.0."""
     payload = {"schema": SCHEMA_TAG, **meta,
                "columns": columns,
-               "rows": [[float(v) for v in row] for row in rows]}
+               "rows": np.asarray(rows, dtype=float).tolist()}
     return json.dumps(payload, indent=2) + "\n"

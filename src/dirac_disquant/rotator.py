@@ -92,15 +92,21 @@ class RotatorState:
 
 
 def constraint_monitors(s: RotatorState, p: RotatorParams) -> dict:
-    """The five on-shell constraint residuals (absolute values)."""
-    xdot_center = -(s.P - s.nu * s.x) / (4.0 * p.m0)
-    pp_target = -(mdot(s.P, s.P) - 4.0 * p.m0 ** 2) - p.a ** 2 * s.nu ** 2
+    """The five on-shell constraint residuals (absolute values).
+
+    The vectors go to ``mdot`` as lists of Python floats; Xdot is the
+    array form -(P - nu x) / (4 m0), one component at a time.
+    """
+    x, q, P = s.x.tolist(), s.p.tolist(), s.P.tolist()
+    m4 = 4.0 * p.m0
+    xdot_center = [-(Pi - s.nu * xi) / m4 for Pi, xi in zip(P, x)]
+    pp_target = -(mdot(P, P) - 4.0 * p.m0 ** 2) - p.a ** 2 * s.nu ** 2
     return {
-        "x.x + a^2": abs(mdot(s.x, s.x) + p.a ** 2),
-        "p.x": abs(mdot(s.p, s.x)),
-        "P.p": abs(mdot(s.P, s.p)),
-        "p.p - target": abs(mdot(s.p, s.p) - pp_target),
-        "Xdot.x": abs(mdot(xdot_center, s.x)),
+        "x.x + a^2": abs(mdot(x, x) + p.a ** 2),
+        "p.x": abs(mdot(q, x)),
+        "P.p": abs(mdot(P, q)),
+        "p.p - target": abs(mdot(q, q) - pp_target),
+        "Xdot.x": abs(mdot(xdot_center, x)),
     }
 
 
@@ -141,23 +147,27 @@ class RotatorClosedForm:
 
     def state(self, tau) -> RotatorState:
         p = self.params
-        th = p.omega * tau + p.phase
+        om = p.omega
+        th = om * tau + p.phase
         x = np.array([0.0, p.a * np.cos(th), p.a * np.sin(th), 0.0])
         # Upper components; the lower-index momentum has opposite spatial signs.
         prel = np.array([0.0,
-                         4.0 * p.a * p.m0 * p.omega * np.sin(th),
-                         -4.0 * p.a * p.m0 * p.omega * np.cos(th),
+                         4.0 * p.a * p.m0 * om * np.sin(th),
+                         -4.0 * p.a * p.m0 * om * np.cos(th),
                          0.0])
         X = np.array([-p.P0 * tau / (4.0 * p.m0), 0.0, 0.0, 0.0])
         P = np.array([p.P0, 0.0, 0.0, 0.0])
         return RotatorState(tau=float(tau), X=X, x=x, p=prel, P=P)
 
     def worldlines_at_time(self, t):
-        """Particle positions (4-vectors) as functions of coordinate time."""
+        """Particle positions (4-vectors) as functions of coordinate time:
+        shape (4,) each for one time, (n, 4) each for an array of n times."""
         p = self.params
+        t = np.asarray(t, dtype=float)
         th = p.omega0 * t + p.phase
-        one = np.array([t, p.a * np.cos(th), p.a * np.sin(th), 0.0])
-        two = np.array([t, -p.a * np.cos(th), -p.a * np.sin(th), 0.0])
+        zero = np.zeros_like(t)
+        one = np.stack([t, p.a * np.cos(th), p.a * np.sin(th), zero], axis=-1)
+        two = np.stack([t, -p.a * np.cos(th), -p.a * np.sin(th), zero], axis=-1)
         return one, two
 
     def steady_state_residual(self, t) -> float:
@@ -186,21 +196,58 @@ class RotatorTrajectory:
 
 
 def _rhs(x, prel, P, p: RotatorParams):
-    nu = -mdot(P, x) / p.a ** 2
-    xdot_center = -(P - nu * x) / (4.0 * p.m0)
-    xdot = -prel / (4.0 * p.m0)
-    pdot = (-x * (4.0 * p.m0 ** 2 - mdot(P, P)) / (4.0 * p.m0 * p.a ** 2)
-            - nu * P / (4.0 * p.m0))
+    """(Xdot, xdot, pdot, nu) of the established-motion equations.
+
+    x, prel and P are 4-sequences; the rates come back as 4-tuples of
+    floats, each component computed with the operations, in order, of the
+    array forms Xdot = -(P - nu x) / (4 m0), xdot = -p / (4 m0) and
+    pdot = -x (4 m0^2 - P.P) / (4 m0 a^2) - nu P / (4 m0).
+    """
+    x0, x1, x2, x3 = x
+    p0, p1, p2, p3 = prel
+    P0, P1, P2, P3 = P
+    m4 = 4.0 * p.m0
+    a2 = p.a ** 2
+    # mdot written out: this runs four times per step.
+    nu = -(P0 * x0 - P1 * x1 - P2 * x2 - P3 * x3) / a2
+    s = 4.0 * p.m0 ** 2 - (P0 * P0 - P1 * P1 - P2 * P2 - P3 * P3)
+    d = m4 * a2
+    xdot_center = (-(P0 - nu * x0) / m4, -(P1 - nu * x1) / m4,
+                   -(P2 - nu * x2) / m4, -(P3 - nu * x3) / m4)
+    xdot = (-p0 / m4, -p1 / m4, -p2 / m4, -p3 / m4)
+    pdot = (-x0 * s / d - nu * P0 / m4, -x1 * s / d - nu * P1 / m4,
+            -x2 * s / d - nu * P2 / m4, -x3 * s / d - nu * P3 / m4)
     return xdot_center, xdot, pdot, nu
 
 
-def _project(x, prel, P, p: RotatorParams):
+def _project(x, prel, P, a):
+    """Rescale x onto x.x = -a^2, then remove the x and P parts of prel.
+
+    Works on 4-tuples of floats with the operations of the array forms
+    x * (a / sqrt(-x.x)) and prel - x (prel.x / x.x) - P (prel.P / P.P).
+    """
     xx = mdot(x, x)
     if xx >= 0:
         raise StepSizeError("relative coordinate left the spacelike sphere")
-    x = x * (p.a / np.sqrt(-xx))
-    prel = prel - x * (mdot(prel, x) / mdot(x, x)) - P * (mdot(prel, P) / mdot(P, P))
-    return x, prel
+    scale = a / math.sqrt(-xx)
+    x = (x[0] * scale, x[1] * scale, x[2] * scale, x[3] * scale)
+    cx = mdot(prel, x) / mdot(x, x)
+    cP = mdot(prel, P) / mdot(P, P)
+    return x, (prel[0] - x[0] * cx - P[0] * cP, prel[1] - x[1] * cx - P[1] * cP,
+               prel[2] - x[2] * cx - P[2] * cP, prel[3] - x[3] * cx - P[3] * cP)
+
+
+def _stage(y, h, r):
+    """y + h r for 4-tuples."""
+    return (y[0] + h * r[0], y[1] + h * r[1], y[2] + h * r[2], y[3] + h * r[3])
+
+
+def _rk4_update(y, h6, r1, r2, r3, r4):
+    """y + h6 (r1 + 2 r2 + 2 r3 + r4) for 4-tuples, summed left to right."""
+    return (y[0] + h6 * (r1[0] + 2 * r2[0] + 2 * r3[0] + r4[0]),
+            y[1] + h6 * (r1[1] + 2 * r2[1] + 2 * r3[1] + r4[1]),
+            y[2] + h6 * (r1[2] + 2 * r2[2] + 2 * r3[2] + r4[2]),
+            y[3] + h6 * (r1[3] + 2 * r2[3] + 2 * r3[3] + r4[3]))
 
 
 def integrate_rotator(p: RotatorParams, initial: RotatorState, steps, dt) -> RotatorTrajectory:
@@ -211,6 +258,10 @@ def integrate_rotator(p: RotatorParams, initial: RotatorState, steps, dt) -> Rot
     renormalized to the sphere x.x = -a^2 and p is orthogonalized against x
     and P.  Raises StabilityError for omega dt >= 0.1 and StepSizeError if
     the pre-projection constraint drift exceeds 1e-6.
+
+    The stepper runs on 4-tuples of Python floats, with the operations, in
+    order, of the array form x + dt / 6 * (k1 + 2 k2 + 2 k3 + k4); each
+    state then goes through constraint_monitors and zeta_vector.
     """
     if not p.omega * dt < 0.1:
         raise StabilityError(
@@ -228,10 +279,13 @@ def integrate_rotator(p: RotatorParams, initial: RotatorState, steps, dt) -> Rot
         raise DomainError(
             f"initial state violates the constraints by {monitors[0].max():.3e}")
 
-    X = initial.X.copy()
-    x = initial.x.copy()
-    prel = initial.p.copy()
+    X = tuple(initial.X.tolist())
+    x = tuple(initial.x.tolist())
+    prel = tuple(initial.p.tolist())
     P = initial.P.copy()
+    Pf = tuple(P.tolist())
+    a2 = p.a ** 2
+    h2, h6 = 0.5 * dt, dt / 6.0
     tau = initial.tau
 
     states = [initial]
@@ -239,28 +293,24 @@ def integrate_rotator(p: RotatorParams, initial: RotatorState, steps, dt) -> Rot
     nus[0] = initial.nu
 
     for k in range(1, steps + 1):
-        def deriv(xc, pc):
-            dX, dx, dp, _ = _rhs(xc, pc, P, p)
-            return dX, dx, dp
+        X1, x1, p1, _ = _rhs(x, prel, Pf, p)
+        X2, x2, p2, _ = _rhs(_stage(x, h2, x1), _stage(prel, h2, p1), Pf, p)
+        X3, x3, p3, _ = _rhs(_stage(x, h2, x2), _stage(prel, h2, p2), Pf, p)
+        X4, x4, p4, _ = _rhs(_stage(x, dt, x3), _stage(prel, dt, p3), Pf, p)
 
-        k1 = deriv(x, prel)
-        k2 = deriv(x + 0.5 * dt * k1[1], prel + 0.5 * dt * k1[2])
-        k3 = deriv(x + 0.5 * dt * k2[1], prel + 0.5 * dt * k2[2])
-        k4 = deriv(x + dt * k3[1], prel + dt * k3[2])
-
-        X = X + dt / 6.0 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-        x = x + dt / 6.0 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-        prel = prel + dt / 6.0 * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
+        X = _rk4_update(X, h6, X1, X2, X3, X4)
+        x = _rk4_update(x, h6, x1, x2, x3, x4)
+        prel = _rk4_update(prel, h6, p1, p2, p3, p4)
         tau += dt
 
-        raw_drift = pre_drift[k - 1] = abs(mdot(x, x) + p.a ** 2)
+        raw_drift = pre_drift[k - 1] = abs(mdot(x, x) + a2)
         if not raw_drift <= 1e-6:
             raise StepSizeError(
                 f"constraint drift {raw_drift:.3e} before projection; reduce dt")
-        x, prel = _project(x, prel, P, p)
+        x, prel = _project(x, prel, Pf, p.a)
 
-        nus[k] = nu = -mdot(P, x) / p.a ** 2
-        state = RotatorState(tau=tau, X=X, x=x, p=prel, P=P, nu=float(nu))
+        nus[k] = nu = -mdot(Pf, x) / a2
+        state = RotatorState(tau=tau, X=X, x=x, p=prel, P=P, nu=nu)
         states.append(state)
         mon = constraint_monitors(state, p)
         monitors[k] = [mon[name] for name in names]
@@ -290,24 +340,28 @@ def mass_increase(v, c=1.0) -> float:
     return 1.0 / np.sqrt(1.0 - (v / c) ** 2) - 1.0
 
 
-def rigidity(a, m0, hbar=1.0, c=1.0) -> float:
+def rigidity(a, m0, hbar=1.0, c=1.0):
     """Rigidity function gamma = hbar / sqrt(hbar^2 - (4 a m0 c)^2) - 1.
 
     Defined for 0 <= a < hbar / (4 m0 c); the bound is where the particle
-    speed reaches c.
+    speed reaches c.  A float for a scalar ``a``, elementwise for an array.
+    The squares go through ``float_power``, which rounds as the libm
+    ``pow`` behind a scalar ``** 2``; an array ``** 2`` multiplies instead.
     """
     bound = rigidity_domain_bound(m0, hbar, c)
-    if not 0.0 <= a < bound:
-        raise DomainError(
-            f"radius must satisfy 0 <= a < hbar/(4 m0 c) = {bound!r}, got {a!r}")
-    try:
-        den = hbar ** 2 - (4.0 * a * m0 * c) ** 2
-    except OverflowError:
-        den = math.inf
-    if not 0.0 < den < math.inf:
-        raise DomainError(
-            f"hbar^2 - (4 a m0 c)^2 = {den!r} is not a positive finite number")
-    return hbar / np.sqrt(den) - 1.0
+    a_arr = np.asarray(a, dtype=float)
+    inside = (0.0 <= a_arr) & (a_arr < bound)
+    if not inside.all():
+        raise DomainError(f"radius must satisfy 0 <= a < hbar/(4 m0 c) = {bound!r}, "
+                          f"got {float(a_arr[~inside].flat[0])!r}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        den = np.float_power(hbar, 2.0) - np.float_power(4.0 * a_arr * m0 * c, 2.0)
+    positive = (0.0 < den) & (den < math.inf)
+    if not positive.all():
+        raise DomainError(f"hbar^2 - (4 a m0 c)^2 = {float(den[~positive].flat[0])!r} "
+                          "is not a positive finite number")
+    gamma = hbar / np.sqrt(den) - 1.0
+    return gamma if gamma.ndim else float(gamma)
 
 
 def rigidity_domain_bound(m0, hbar=1.0, c=1.0) -> float:
@@ -346,7 +400,7 @@ class RigidityCurve:
             raise DomainError(
                 f"a_max must stay below hbar/(4 m0 c) = {bound!r}")
         a = np.linspace(a_min, a_max, n)
-        gamma = np.array([rigidity(v, m0, hbar, c) for v in a])
+        gamma = rigidity(a, m0, hbar, c)
         return cls(m0=m0, hbar=hbar, c=c, a=a, gamma=gamma)
 
 

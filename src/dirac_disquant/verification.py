@@ -377,7 +377,8 @@ def suite_particle(cfg: RunConfig) -> VerificationReport:
     for b in b_values:
         sol = particle.helix_solution(b, phase=0.3, p=p)
         w0_rel.append(abs(sol.w0 * (b + 1.0) + 1.0))
-        omega_rel.append(abs(abs(sol.Omega) - 2.0 / (p.lam * (b + 1.0) ** 2)))
+        # Omega and ydot scale like 1/lam; lam is exactly 1 at unit constants.
+        omega_rel.append(abs(abs(sol.Omega) - 2.0 / (p.lam * (b + 1.0) ** 2)) * p.lam)
         P0_ref = particle.momentum(sol.state(0.0), np.zeros(3), p)
         scale = max(np.abs(P0_ref).max(), 1e-300)
         for tau in np.linspace(0.0, sol.tau_period, n_tau):
@@ -387,7 +388,7 @@ def suite_particle(cfg: RunConfig) -> VerificationReport:
                 st.y, ydot, st.xi, st.xdot[0], sol.w0, p)
             reduced.append((np.abs(r1).max(), abs(r2), abs(r3)))
             gauge.append(abs(mdot(st.xdot, st.xdot) - 1.0))
-            constraints.append((abs(float(np.dot(st.y, ydot))),
+            constraints.append((abs(float(np.dot(st.y, ydot))) * p.lam,
                                 abs(float(np.dot(st.y, st.xi))),
                                 abs(float(np.dot(st.y, st.y)) - b)))
             P = particle.momentum(st, np.zeros(3), p)
@@ -570,7 +571,7 @@ def suite_rotator(cfg: RunConfig) -> VerificationReport:
             r, 1e-12)
 
     a_grid = np.linspace(0.0, 0.999 * bound, 200)
-    gam = np.array([rotator.rigidity(a, cfg.m0, cfg.hbar, cfg.c) for a in a_grid])
+    gam = rotator.rigidity(a_grid, cfg.m0, cfg.hbar, cfg.c)
     mono = float(np.max(np.maximum(0.0, gam[:-1] - gam[1:])))
     rep.add("rigidity-monotone", "rigidity curve strictly increases on its domain",
             mono, 0.0)

@@ -58,6 +58,11 @@ class TestVerifyCommand:
         assert run_cli(["verify", "appendixA", "--hbar", "1e12"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_particle_suite_passes_at_small_hbar(self, tmp_path):
+        # Omega and ydot scale like 1/lam; their checks compare residuals times lam.
+        out = tmp_path / "particle.json"
+        assert run_cli(["verify", "particle", "--hbar", "1e-8", "--out", str(out)]) == 0
+
 
 @pytest.mark.parametrize("argv", [
     ["helix", "--b", "1", "--dt", "nan"],
