@@ -65,8 +65,8 @@ class GammaBasis:
     metric: np.ndarray = field(default_factory=lambda: np.diag([1.0, -1.0, -1.0, -1.0]))
 
     def sigma_dot(self, v):
-        """sigma . v for a real 3-vector v."""
-        return np.einsum("a,aij->ij", np.asarray(v, dtype=float), self.sigma)
+        """sigma . v for a real 3-vector v, or for each row of a (N, 3) stack."""
+        return np.einsum("...a,aij->...ij", np.asarray(v, dtype=float), self.sigma)
 
 
 def _dirac_matrices():
@@ -186,27 +186,51 @@ class Bilinears:
         object.__setattr__(self, "S", np.asarray(self.S, dtype=float))
 
 
-def spinor_rotor_matrices(p: SpinorParams, g: GammaBasis):
-    """The three closed-form exponential factors of the spinor, in order."""
+def spinor_rotor_stack(amplitude, kappa, phi, eta, n, g: GammaBasis):
+    """The three closed-form exponential factors for N parameter sets.
+
+    ``amplitude``, ``kappa`` and ``phi`` are (N,) arrays, ``eta`` and ``n``
+    (N, 3); each factor comes back as an (N, 4, 4) stack, in order.  Every
+    row has the bits of a one-set evaluation.  At |eta| = 0 the rapidity
+    direction is taken as zero instead of dividing by |eta|, so the boost
+    factor is exactly the identity there.
+    """
+    amplitude = np.asarray(amplitude, dtype=float)
+    if not np.all(amplitude >= 0):
+        raise DomainError("amplitude must be nonnegative")
+    eta = np.asarray(eta, dtype=float)
     eye4 = np.eye(4, dtype=complex)
-    half_kappa = 0.5 * p.kappa
-    f_phase = p.amplitude * np.exp(1j * p.phi) * (
+    half_kappa = (0.5 * np.asarray(kappa, dtype=float))[:, None, None]
+    f_phase = (amplitude * np.exp(1j * np.asarray(phi, dtype=float)))[:, None, None] * (
         np.cos(half_kappa) * eye4 + np.sin(half_kappa) * g.gamma5
     )
-    e = p.eta_norm
-    if e == 0.0:
-        f_boost = eye4.copy()
-    else:
-        # (i gamma5 sigma.v)^2 = +1, so the exponential is hyperbolic.
-        f_boost = np.cosh(e / 2) * eye4 - 1j * np.sinh(e / 2) * (g.gamma5 @ g.sigma_dot(p.v))
-    f_rot = 1j * g.sigma_dot(p.n)       # exp(i pi/2 sigma.n), (sigma.n)^2 = 1
+    e = np.sqrt(np.matmul(eta[:, None, :], eta[:, :, None]))[:, :, 0]
+    v = eta / np.where(e == 0.0, 1.0, e)
+    half_e = (e / 2)[:, :, None]
+    # (i gamma5 sigma.v)^2 = +1, so the exponential is hyperbolic.
+    f_boost = np.cosh(half_e) * eye4 - 1j * np.sinh(half_e) * (g.gamma5 @ g.sigma_dot(v))
+    f_rot = 1j * g.sigma_dot(n)         # exp(i pi/2 sigma.n), (sigma.n)^2 = 1
     return f_phase, f_boost, f_rot
+
+
+def spinor_columns(amplitude, kappa, phi, eta, n, g: GammaBasis) -> np.ndarray:
+    """Projector columns (N, 4) of the spinors of N parameter sets."""
+    f_phase, f_boost, f_rot = spinor_rotor_stack(amplitude, kappa, phi, eta, n, g)
+    return f_phase @ f_boost @ f_rot @ g.pi_column
+
+
+def _one_row(p: SpinorParams):
+    return [p.amplitude], [p.kappa], [p.phi], p.eta[None], p.n[None]
+
+
+def spinor_rotor_matrices(p: SpinorParams, g: GammaBasis):
+    """The three closed-form exponential factors of the spinor, in order."""
+    return tuple(f[0] for f in spinor_rotor_stack(*_one_row(p), g))
 
 
 def spinor_from_params(p: SpinorParams, g: GammaBasis) -> Spinor:
     """Evaluate the spinor by the closed half-angle exponential forms."""
-    f_phase, f_boost, f_rot = spinor_rotor_matrices(p, g)
-    return Spinor(f_phase @ f_boost @ f_rot @ g.pi_column)
+    return Spinor(spinor_columns(*_one_row(p), g)[0])
 
 
 IMAG_TOL = 1e-8

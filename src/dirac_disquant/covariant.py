@@ -18,23 +18,31 @@ for the whole decomposition.
 
 Derivative layout: ``d_l u`` arrays are indexed by the coordinate l = 0..3
 and hold plain lower-index derivatives; raising flips spatial signs.
+
+Array routes and bits.  ``ParamField.values`` evaluates a stack of points,
+and the finite-difference oracle makes one such call for its whole stencil.
+Each point must keep the bits of a one-point evaluation, so every
+contraction is a stacked ``np.matmul`` that keeps the one-row and one-column
+shapes of the one-point product, e.g. ``matmul(X[:, None, None, :],
+c1[:, :, None])`` for c1.x: numpy then calls the same BLAS ``ddot`` or
+``gemv`` per point.  A flat ``X @ c1.T`` or an ``einsum`` picks another
+kernel and another summation order, and the last bits change.  The
+``eps4`` sums fill one (4, 4, 4) stack for a single ``det`` call and keep
+the Python ``sum`` order.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import GammaBasis, SpinorParams, spin_from_xi
+from .algebra import GammaBasis, SpinorParams, spin_from_xi, spinor_columns
 from .errors import (
     DomainError,
     LightlikeFluxError,
     NumericConsistencyError,
     SingularDenominatorError,
 )
-from .minkowski import BASIS4, cross3, eps4, mdot
-
-# The frame vector f of the covariant shapes: the rest frame.
-F_DEFAULT = np.array([1.0, 0.0, 0.0, 0.0])
+from .minkowski import BASIS4, F_REST, cross3, eps4_stack, mdot
 
 
 def split_derivative(j, grad):
@@ -87,7 +95,7 @@ class CovariantAux:
 
     @classmethod
     def from_state(cls, j, rho, xi, z):
-        f = F_DEFAULT
+        f = F_REST
         xi4 = np.concatenate(([0.0], xi))
         z4 = np.concatenate(([0.0], z))
         nu = xi4 - mdot(xi4, f) * f
@@ -115,65 +123,86 @@ class ParamJet:
     d_n: np.ndarray       # (4, 3)
 
 
-class _PolyScalar:
-    """Quadratic scalar field c0 + c.x + x.Q.x with exact derivatives."""
-
-    def __init__(self, c0, c1, c2):
-        self.c0 = float(c0)
-        self.c1 = np.asarray(c1, dtype=float)
-        self.c2 = 0.5 * (np.asarray(c2, dtype=float) + np.asarray(c2, dtype=float).T)
-
-    def value(self, x):
-        return self.c0 + float(self.c1 @ x) + float(x @ self.c2 @ x)
-
-    def grad(self, x):
-        return self.c1 + 2.0 * (self.c2 @ x)
+_SHAPES = {"c0": (6,), "c1": (6, 4), "c2": (6, 4, 4), "n0": (3,), "n_lin": (3, 4),
+           "z": (3,)}
 
 
-@dataclass
+def _unit_n(raw):
+    """Rows of the raw n field (N, 3) normalized, with their norms (N, 1)."""
+    r = np.sqrt(np.matmul(raw[:, None, :], raw[:, :, None]))[:, 0]
+    if not np.all(r >= 1e-9):
+        raise DomainError("raw n field vanished at the evaluation point")
+    return raw / r, r
+
+
+@dataclass(frozen=True)
 class ParamField:
     """Smooth map from spacetime points to spinor parameters.
 
-    The amplitude, kappa, phi and the three rapidity components are quadratic
-    polynomials; n comes from normalizing an affine raw field, which keeps
-    |n| = 1 and n.d_l n = 0 by construction.  Derivatives are analytic.
+    The amplitude, kappa, phi and the three rapidity components, in that
+    order, are quadratic polynomials c0 + c1.x + x.c2.x, held as the stacked
+    arrays c0 (6,), c1 (6, 4) and c2 (6, 4, 4); c2 is symmetrized at
+    construction.  n comes from normalizing the affine raw field
+    n0 + n_lin x, which keeps |n| = 1 and n.d_l n = 0 by construction.
+    Derivatives are analytic.  The arrays are read-only copies;
+    ``dataclasses.replace`` builds a changed field.
     """
 
-    amp: _PolyScalar
-    kappa: _PolyScalar
-    phi: _PolyScalar
-    eta: list                 # three _PolyScalar components
-    n0: np.ndarray            # base direction of the raw n field
-    n_lin: np.ndarray         # (3, 4) linear part of the raw n field
+    c0: np.ndarray
+    c1: np.ndarray
+    c2: np.ndarray
+    n0: np.ndarray
+    n_lin: np.ndarray
     z: np.ndarray
+
+    def __post_init__(self):
+        for name, shape in _SHAPES.items():
+            value = np.array(getattr(self, name), dtype=float, order="C")
+            if value.shape != shape:
+                raise DomainError(f"field {name} must have shape {shape}, "
+                                  f"got {value.shape}")
+            if name == "c2":
+                value = 0.5 * (value + np.swapaxes(value, 1, 2))
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
+
+    def values(self, X):
+        """The six scalars (N, 6) and the raw n field (N, 3) at points X (N, 4).
+
+        Each contraction is a stacked matmul that keeps the one-row and
+        one-column shapes of the one-point products, so every entry has the
+        bits of the one-point evaluation.
+        """
+        X = np.asarray(X, dtype=float)
+        row = X[:, None, None, :]
+        lin = np.matmul(row, self.c1[:, :, None])[..., 0, 0]
+        quad = np.matmul(np.matmul(row, self.c2), X[:, None, :, None])[..., 0, 0]
+        raw = self.n0 + np.matmul(self.n_lin, X[:, :, None])[..., 0]
+        return self.c0 + lin + quad, raw
 
     def jet(self, x) -> ParamJet:
         x = np.asarray(x, dtype=float)
-        raw = self.n0 + self.n_lin @ x
-        r = np.linalg.norm(raw)
-        if r < 1e-9:
-            raise DomainError("raw n field vanished at the evaluation point")
-        n = raw / r
-        d_n = np.empty((4, 3))
-        for l in range(4):
-            dr = self.n_lin[:, l]
-            d_n[l] = dr / r - raw * float(raw @ dr) / r ** 3
-
+        s, raw = self.values(x[None])
+        n, r = _unit_n(raw)
+        s, raw, n, r = s[0], raw[0], n[0], r[0, 0]
+        dr = self.n_lin.T
+        d_n = dr / r - raw * np.matmul(raw, dr[:, :, None]) / r ** 3
+        grad = self.c1 + 2.0 * np.matmul(self.c2, x[:, None])[..., 0]
         params = SpinorParams(
-            amplitude=self.amp.value(x),
-            kappa=self.kappa.value(x),
-            phi=self.phi.value(x),
-            eta=np.array([c.value(x) for c in self.eta]),
+            amplitude=float(s[0]),
+            kappa=float(s[1]),
+            phi=float(s[2]),
+            eta=s[3:],
             n=n,
             z=self.z,
         )
-        d_eta = np.stack([c.grad(x) for c in self.eta], axis=1)
         return ParamJet(
             params=params,
-            d_amp=self.amp.grad(x),
-            d_kappa=self.kappa.grad(x),
-            d_phi=self.phi.grad(x),
-            d_eta=d_eta,
+            d_amp=grad[0],
+            d_kappa=grad[1],
+            d_phi=grad[2],
+            # C order keeps the BLAS kernel of d_eta @ v in _derived_jet.
+            d_eta=np.ascontiguousarray(grad[3:].T),
             d_n=d_n,
         )
 
@@ -190,8 +219,8 @@ def random_param_field(rng: np.random.Generator) -> ParamField:
     z = _unit(rng.normal(size=3))
 
     def scalar(base, lin=0.4, quad=0.15):
-        return _PolyScalar(base, rng.uniform(-lin, lin, size=4),
-                           rng.uniform(-quad, quad, size=(4, 4)))
+        return (base, rng.uniform(-lin, lin, size=4),
+                rng.uniform(-quad, quad, size=(4, 4)))
 
     eta_base = _unit(rng.normal(size=3)) * rng.uniform(0.8, 1.4)
     eta = [scalar(eta_base[a], lin=0.3, quad=0.1) for a in range(3)]
@@ -201,15 +230,11 @@ def random_param_field(rng: np.random.Generator) -> ParamField:
     n0 = _unit(z + tilt)
     n_lin = rng.uniform(-0.2, 0.2, size=(3, 4))
 
-    return ParamField(
-        amp=scalar(rng.uniform(0.8, 1.3), lin=0.2, quad=0.08),
-        kappa=scalar(rng.uniform(-0.8, 0.8)),
-        phi=scalar(rng.uniform(-1.0, 1.0)),
-        eta=eta,
-        n0=n0,
-        n_lin=n_lin,
-        z=z,
-    )
+    amp = scalar(rng.uniform(0.8, 1.3), lin=0.2, quad=0.08)
+    kappa = scalar(rng.uniform(-0.8, 0.8))
+    phi = scalar(rng.uniform(-1.0, 1.0))
+    c0, c1, c2 = zip(amp, kappa, phi, *eta)
+    return ParamField(c0=c0, c1=c1, c2=c2, n0=n0, n_lin=n_lin, z=z)
 
 
 def _unit(v):
@@ -267,7 +292,7 @@ def _derived_jet(jet: ParamJet):
 
 def lagrangian_pieces(fld: ParamField, x, m, hbar) -> LagrangianPieces:
     """Evaluate F1..F4 (both shapes each where two exist) and the L split."""
-    f = F_DEFAULT
+    f = F_REST
     jet = fld.jet(np.asarray(x, dtype=float))
     p = jet.params
     rho, d_rho, j, d_j, eta, d_eta_norm, v, d_v, xi, d_xi, S = _derived_jet(jet)
@@ -294,7 +319,7 @@ def lagrangian_pieces(fld: ParamField, x, m, hbar) -> LagrangianPieces:
     norm = np.sqrt(2.0 * one_plus)
     d_norm = (d_xi @ p.z) / norm
     d_mu = d_nu / norm - np.outer(d_norm, aux.nu) / norm ** 2
-    f3_cov = hbar * sum(j[s] * eps4(aux.mu, d_mu[s], aux.z4, f) for s in range(4))
+    f3_cov = hbar * sum(j * eps4_stack(aux.mu, d_mu, aux.z4, f))
 
     grad_eta_sp = d_eta_norm[1:]
     curl_v = np.array([
@@ -314,8 +339,7 @@ def lagrangian_pieces(fld: ParamField, x, m, hbar) -> LagrangianPieces:
     d_up = np.array([1.0, -1.0, -1.0, -1.0])
     jf = mdot(j, f)
     f4_cov = -hbar / (2.0 * (rho + jf)) * sum(
-        d_up[k] * eps4(d_w[k], BASIS4[k], w, aux.nu) for k in range(4)
-    )
+        d_up * eps4_stack(d_w, BASIS4, w, aux.nu))
 
     # Same term through the unit vector q.
     n2 = 2.0 * rho * (rho + jf)
@@ -324,9 +348,7 @@ def lagrangian_pieces(fld: ParamField, x, m, hbar) -> LagrangianPieces:
     nq = np.sqrt(n2)
     d_nq = d_n2 / (2.0 * nq)
     d_q = d_w / nq - np.outer(d_nq, w) / n2
-    f4_cov_q = hbar * rho * sum(
-        d_up[k] * eps4(aux.q, BASIS4[k], d_q[k], aux.nu) for k in range(4)
-    )
+    f4_cov_q = hbar * rho * sum(d_up * eps4_stack(aux.q, BASIS4, d_q, aux.nu))
 
     l_cl = -m * rho + f1 + f3
     l_q1 = 2.0 * m * rho * np.sin(p.kappa / 2) ** 2 + f2
@@ -344,7 +366,7 @@ def f3_without_inner_factor(fld: ParamField, x, hbar) -> float:
     because the leftover term contracts xi with itself inside the epsilon.
     Used as a regularization-invariance oracle.
     """
-    f = F_DEFAULT
+    f = F_REST
     jet = fld.jet(np.asarray(x, dtype=float))
     p = jet.params
     rho, d_rho, j, d_j, eta, d_eta_norm, v, d_v, xi, d_xi, S = _derived_jet(jet)
@@ -353,9 +375,7 @@ def f3_without_inner_factor(fld: ParamField, x, hbar) -> float:
     d_nu[:, 1:] = d_xi
     d_nu -= np.outer(np.array([mdot(d_nu[l], f) for l in range(4)]), f)
     one_plus = 1.0 + float(np.dot(xi, p.z))
-    return hbar / (2.0 * one_plus) * sum(
-        j[s] * eps4(aux.nu, d_nu[s], aux.z4, f) for s in range(4)
-    )
+    return hbar / (2.0 * one_plus) * sum(j * eps4_stack(aux.nu, d_nu, aux.z4, f))
 
 
 def kinetic_term_matrix(fld: ParamField, x, g: GammaBasis, hbar, h=1e-4) -> float:
@@ -367,24 +387,23 @@ def kinetic_term_matrix(fld: ParamField, x, g: GammaBasis, hbar, h=1e-4) -> floa
     """
     if not (1e-6 <= h <= 1e-3):
         raise DomainError(f"step h must lie in [1e-6, 1e-3], got {h!r}")
-    from .algebra import spinor_from_params
-
     x = np.asarray(x, dtype=float)
+    steps = h * np.eye(4)
+    # One evaluation of the stencil x, x + h e_l, x - h e_l (l = 0..3).
+    s, raw = fld.values(np.concatenate((x[None], x + steps, x - steps)))
+    n, _ = _unit_n(raw)
+    cols = spinor_columns(s[:, 0], s[:, 1], s[:, 2], s[:, 3:], n, g)
+    psi = cols[:, :, None] * g.pi_column.conj()        # psi = M Pi, row by row
+    psi0, psi_p, psi_m = psi[0], psi[1:5], psi[5:]
 
-    def psi_matrix(pt):
-        return spinor_from_params(fld.params(pt), g).matrix(g)
-
-    psi0 = psi_matrix(x)
     bar0 = psi0.conj().T @ g.gamma[0]
+    d_psi = (psi_p - psi_m) / (2.0 * h)
+    d_bar = (np.swapaxes(psi_p.conj(), 1, 2) - np.swapaxes(psi_m.conj(), 1, 2)
+             ) @ g.gamma[0] / (2.0 * h)
+    terms = 0.5j * hbar * (bar0 @ g.gamma @ d_psi - d_bar @ g.gamma @ psi0)
     total = np.zeros((4, 4), dtype=complex)
-    for l in range(4):
-        step = np.zeros(4)
-        step[l] = h
-        psi_p = psi_matrix(x + step)
-        psi_m = psi_matrix(x - step)
-        d_psi = (psi_p - psi_m) / (2.0 * h)
-        d_bar = (psi_p.conj().T - psi_m.conj().T) @ g.gamma[0] / (2.0 * h)
-        total += 0.5j * hbar * (bar0 @ g.gamma[l] @ d_psi - d_bar @ g.gamma[l] @ psi0)
+    for term in terms:
+        total += term
 
     a = np.trace(total)
     off = np.abs(total - a * g.pi_projector).max()

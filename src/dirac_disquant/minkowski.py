@@ -9,6 +9,11 @@ import numpy as np
 #: Coordinate basis vectors e_0..e_3 as rows.
 BASIS4 = np.eye(4)
 
+#: The frame vector f of the rest frame, read-only and shared by every
+#: covariant shape that takes a frame vector.
+F_REST = np.array([1.0, 0.0, 0.0, 0.0])
+F_REST.flags.writeable = False
+
 
 def mdot(a, b):
     """Minkowski scalar product a^i b_i = a0*b0 - a.b."""
@@ -28,6 +33,19 @@ def eps4(a, b, c, d):
     Equals the determinant of the matrix whose columns are (a, b, c, d).
     """
     return float(np.linalg.det(np.array([a, b, c, d], dtype=float).T))
+
+
+def eps4_stack(a, b, c, d):
+    """``eps4`` row by row for (K, 4) array stacks, single 4-vectors broadcast.
+
+    One ``det`` call over the (K, 4, 4) stack of column matrices; each entry
+    has the bits of the matching ``eps4`` call.
+    """
+    cols = (a, b, c, d)
+    m = np.empty(max((v.shape for v in cols), key=len) + (4,))
+    for i, v in enumerate(cols):
+        m[..., i] = v
+    return np.linalg.det(m)
 
 
 def cross3(a, b):

@@ -29,12 +29,10 @@ from .errors import (
     InsufficientJetError,
     SingularDenominatorError,
 )
-from .minkowski import BASIS4, as4, cross3, eps4, lower, mdot, spatial
+from .minkowski import BASIS4, F_REST, as4, cross3, eps4, lower, mdot, spatial
 
 #: The constant axis z of the spin term.
 Z_AXIS = np.array([0.0, 0.0, 1.0])
-#: The frame vector f of the rest frame.
-F_REST = BASIS4[0]
 
 
 @dataclass(frozen=True)

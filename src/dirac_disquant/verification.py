@@ -596,9 +596,11 @@ def suite_consistency(cfg: RunConfig) -> VerificationReport:
         pr = rotator.RotatorParams(m0=ident["m0"], a=ob.a_dcr, P0=ident["M"],
                                    c=cfg.c, hbar=cfg.hbar)
         # omega0 is angle per unit x^0 = c t, so c |omega0| is the lab rate.
-        return (abs(ident["M"] - ob.m_dcr), abs(ident["a"] - ob.a_dcr),
-                abs(ident["v"] - ob.v), abs(gam_rig - gam_kin),
-                abs(cfg.c * abs(pr.omega0) - ob.omega_dcr))
+        # Each part is divided by its natural scale (m, lam, c, c/lam), all
+        # exactly 1 at unit constants; the rigidity is dimensionless.
+        return (abs(ident["M"] - ob.m_dcr) / cfg.m, abs(ident["a"] - ob.a_dcr) / p.lam,
+                abs(ident["v"] - ob.v) / cfg.c, abs(gam_rig - gam_kin),
+                abs(cfg.c * abs(pr.omega0) - ob.omega_dcr) / (cfg.c / p.lam))
 
     rep.add("helix-rotator-identification",
             "helix observables match the rotator under the parameter map, "

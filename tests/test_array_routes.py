@@ -1,16 +1,27 @@
-"""The generators' array routes give the bytes of a scalar reference kept here.
+"""The array routes give the bytes of a scalar reference kept here.
 
-Each reference is the per-value or per-step form the array route replaced;
-comparisons go through ``tobytes`` or string equality, so a flipped sign of
-zero or a last-bit difference fails.
+This covers the generators and the covariant layer of ``verify``.  Each
+reference is the per-value, per-step or per-point form the array route
+replaced; comparisons go through ``tobytes`` or string equality, so a flipped
+sign of zero or a last-bit difference fails.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
 
-from dirac_disquant import report, rotator
+from dirac_disquant import algebra, covariant, report, rotator
+from dirac_disquant.algebra import SpinorParams, build_gamma_basis
+from dirac_disquant.covariant import (
+    ParamField,
+    f3_without_inner_factor,
+    kinetic_term_matrix,
+    lagrangian_pieces,
+    random_param_field,
+)
 from dirac_disquant.errors import DomainError, StepSizeError
-from dirac_disquant.minkowski import mdot
+from dirac_disquant.minkowski import BASIS4, eps4, eps4_stack, mdot
 from dirac_disquant.particle import DcParams, boost_matrix, helix_solution
 from dirac_disquant.report import csv_table, fmt, json_table
 from dirac_disquant.rotator import RotatorParams, RotatorState, closed_form_rotator
@@ -218,3 +229,188 @@ def test_rhs_float_form_matches_array_form():
 def test_projection_guard_fires_on_a_timelike_x():
     with pytest.raises(StepSizeError):
         rotator._project((1.0, 0.5, 0.0, 0.0), (0.0,) * 4, (3.0, 0.0, 0.0, 0.0), 1.0)
+
+
+# ------------------------------------------------------ covariant layer
+
+
+def same(a, b):
+    """Equal shapes and equal bytes, so signed zeros must match too."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+
+
+def scalar_value(c0, c1, c2, x):
+    return c0 + float(c1 @ x) + float(x @ c2 @ x)
+
+
+def scalar_grad(c1, c2, x):
+    return c1 + 2.0 * (c2 @ x)
+
+
+def scalar_jet(fld, x):
+    """Values, gradients, n and d_n of one point, one scalar at a time."""
+    vals = [scalar_value(float(fld.c0[a]), fld.c1[a], fld.c2[a], x) for a in range(6)]
+    grads = [scalar_grad(fld.c1[a], fld.c2[a], x) for a in range(6)]
+    raw = fld.n0 + fld.n_lin @ x
+    r = np.linalg.norm(raw)
+    d_n = np.empty((4, 3))
+    for l in range(4):
+        dr = fld.n_lin[:, l]
+        d_n[l] = dr / r - raw * float(raw @ dr) / r ** 3
+    return vals, grads, raw / r, d_n
+
+
+def scalar_params(fld, x):
+    vals, _, n, _ = scalar_jet(fld, x)
+    return SpinorParams(amplitude=vals[0], kappa=vals[1], phi=vals[2],
+                        eta=np.array(vals[3:]), n=n, z=fld.z)
+
+
+def scalar_rotors(p, g):
+    eye4 = np.eye(4, dtype=complex)
+    half_kappa = 0.5 * p.kappa
+    f_phase = p.amplitude * np.exp(1j * p.phi) * (
+        np.cos(half_kappa) * eye4 + np.sin(half_kappa) * g.gamma5
+    )
+    e = p.eta_norm
+    if e == 0.0:
+        f_boost = eye4.copy()
+    else:
+        sigma_v = np.einsum("a,aij->ij", p.v, g.sigma)
+        f_boost = np.cosh(e / 2) * eye4 - 1j * np.sinh(e / 2) * (g.gamma5 @ sigma_v)
+    f_rot = 1j * np.einsum("a,aij->ij", p.n, g.sigma)
+    return f_phase, f_boost, f_rot
+
+
+def scalar_column(p, g):
+    f_phase, f_boost, f_rot = scalar_rotors(p, g)
+    return f_phase @ f_boost @ f_rot @ g.pi_column
+
+
+def scalar_kinetic(fld, x, g, hbar, h):
+    """The nine-call stencil: one jet and one spinor per stencil point."""
+    def psi_matrix(pt):
+        return np.outer(scalar_column(scalar_params(fld, pt), g), g.pi_column.conj())
+
+    psi0 = psi_matrix(x)
+    bar0 = psi0.conj().T @ g.gamma[0]
+    total = np.zeros((4, 4), dtype=complex)
+    for l in range(4):
+        step = np.zeros(4)
+        step[l] = h
+        psi_p = psi_matrix(x + step)
+        psi_m = psi_matrix(x - step)
+        d_psi = (psi_p - psi_m) / (2.0 * h)
+        d_bar = (psi_p.conj().T - psi_m.conj().T) @ g.gamma[0] / (2.0 * h)
+        total += 0.5j * hbar * (bar0 @ g.gamma[l] @ d_psi - d_bar @ g.gamma[l] @ psi0)
+    return float(np.trace(total).real)
+
+
+FIELD_SEEDS = (0, 7, 31)
+
+
+def random_points(seed, n):
+    return np.random.default_rng(seed + 1000).uniform(-0.5, 0.5, size=(n, 4))
+
+
+@pytest.mark.parametrize("seed", FIELD_SEEDS)
+def test_values_and_jet_match_scalar_evaluation(seed):
+    fld = random_param_field(np.random.default_rng(seed))
+    X = random_points(seed, 12)
+    s, raw = fld.values(X)
+    for i, x in enumerate(X):
+        vals, grads, n, d_n = scalar_jet(fld, x)
+        assert same(s[i], np.array(vals))
+        assert same(raw[i], fld.n0 + fld.n_lin @ x)
+        jet = fld.jet(x)
+        p = jet.params
+        assert [p.amplitude, p.kappa, p.phi] == vals[:3]
+        assert same(p.eta, np.array(vals[3:]))
+        assert same(p.n, n)
+        assert same(jet.d_n, d_n)
+        for got, want in zip((jet.d_amp, jet.d_kappa, jet.d_phi), grads):
+            assert same(got, want)
+        assert same(jet.d_eta, np.stack(grads[3:], axis=1))
+
+
+@pytest.mark.parametrize("seed", FIELD_SEEDS)
+@pytest.mark.parametrize("h", [1e-3, 5e-4, 2.5e-4, 1e-4])
+def test_kinetic_oracle_matches_nine_call_stencil(seed, h):
+    fld = random_param_field(np.random.default_rng(seed))
+    g = build_gamma_basis(fld.z)
+    for x in random_points(seed, 3):
+        assert kinetic_term_matrix(fld, x, g, 0.9, h=h) == scalar_kinetic(fld, x, g, 0.9, h)
+
+
+def test_stacked_det_equals_eps4_sum():
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        a, c, d = rng.normal(size=(3, 4))
+        rows = rng.normal(size=(4, 4))
+        w = rng.normal(size=4)
+        for stack, ref in (
+            (eps4_stack(a, rows, c, d), [eps4(a, rows[k], c, d) for k in range(4)]),
+            (eps4_stack(rows, BASIS4, c, d), [eps4(rows[k], BASIS4[k], c, d)
+                                              for k in range(4)]),
+            (eps4_stack(a, BASIS4, rows, d), [eps4(a, BASIS4[k], rows[k], d)
+                                              for k in range(4)]),
+        ):
+            assert sum(w * stack) == sum(w[k] * ref[k] for k in range(4))
+
+
+@pytest.mark.parametrize("seed", FIELD_SEEDS)
+def test_lagrangian_pieces_match_eps4_sums(seed, monkeypatch):
+    fld = random_param_field(np.random.default_rng(seed))
+    X = random_points(seed, 5)
+    stacked = [(lagrangian_pieces(fld, x, 1.1, 0.8), f3_without_inner_factor(fld, x, 0.8))
+               for x in X]
+
+    def eps4_calls(a, b, c, d):
+        return np.array([eps4(*cols) for cols in zip(*np.broadcast_arrays(a, b, c, d))])
+
+    monkeypatch.setattr(covariant, "eps4_stack", eps4_calls)
+    for x, (pieces, f3_alt) in zip(X, stacked):
+        assert pieces == lagrangian_pieces(fld, x, 1.1, 0.8)
+        assert f3_alt == f3_without_inner_factor(fld, x, 0.8)
+
+
+def test_spinor_batch_size_invariance():
+    rng = np.random.default_rng(17)
+    g = build_gamma_basis(algebra.random_unit(rng))
+    params = [algebra.random_spinor_params(rng) for _ in range(9)]
+    params[4] = dataclasses.replace(params[4], eta=np.zeros(3))
+    batch = (np.array([p.amplitude for p in params]), np.array([p.kappa for p in params]),
+             np.array([p.phi for p in params]), np.array([p.eta for p in params]),
+             np.array([p.n for p in params]))
+    cols = algebra.spinor_columns(*batch, g)
+    rotors = algebra.spinor_rotor_stack(*batch, g)
+    assert same(rotors[1][4], np.eye(4, dtype=complex))
+    for i, p in enumerate(params):
+        one = algebra.spinor_columns(*(b[i:i + 1] for b in batch), g)
+        assert same(cols[i], one[0])
+        assert same(cols[i], scalar_column(p, g))
+        assert same(algebra.spinor_from_params(p, g).components, scalar_column(p, g))
+        for got, want in zip(algebra.spinor_rotor_matrices(p, g), scalar_rotors(p, g)):
+            assert same(got, want)
+        for stack, want in zip(rotors, scalar_rotors(p, g)):
+            assert same(stack[i], want)
+
+
+def test_param_field_is_immutable_and_rebuilt_by_replace():
+    fld = random_param_field(np.random.default_rng(3))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        fld.c0 = np.zeros(6)
+    with pytest.raises(ValueError):
+        fld.c0[0] = 2.0
+    c0 = fld.c0.copy()
+    c0[0] = 2.0
+    moved = dataclasses.replace(fld, c0=c0)
+    x = np.zeros(4)
+    assert moved.params(x).amplitude == 2.0
+    assert fld.params(x).amplitude == float(fld.c0[0])
+    assert np.array_equal(moved.c2, np.swapaxes(moved.c2, 1, 2))
+    with pytest.raises(DomainError):
+        ParamField(c0=c0[:5], c1=fld.c1, c2=fld.c2, n0=fld.n0, n_lin=fld.n_lin, z=fld.z)

@@ -63,6 +63,22 @@ class TestVerifyCommand:
         out = tmp_path / "particle.json"
         assert run_cli(["verify", "particle", "--hbar", "1e-8", "--out", str(out)]) == 0
 
+    @pytest.mark.parametrize("constants", [
+        ["--hbar", "1e-8"],
+        ["--c", "3e8"],
+        ["--m", "1e3"],
+        ["--hbar", "1e-8", "--c", "3e8", "--m", "1e3"],
+        ["--hbar", "1e4"],
+        ["--m0", "50"],
+        ["--m", "1e-3"],
+        ["--c", "3"],
+    ])
+    def test_consistency_suite_passes_at_nonunit_constants(self, constants, tmp_path):
+        # The identification residuals are divided by m, lam, c and c/lam.
+        out = tmp_path / "consistency.json"
+        assert run_cli(["verify", "consistency", *constants, "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["summary"]["failed"] == 0
+
 
 @pytest.mark.parametrize("argv", [
     ["helix", "--b", "1", "--dt", "nan"],

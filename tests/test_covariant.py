@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,6 @@ from hypothesis import strategies as st
 from dirac_disquant import algebra
 from dirac_disquant.covariant import (
     CovariantAux,
-    _PolyScalar,
     effective_mass_branch,
     f3_without_inner_factor,
     kinetic_term_matrix,
@@ -93,16 +94,16 @@ class TestParamField:
             assert np.abs((pp.n - pm.n) / (2 * h) - jet.d_n[l]).max() < 1e-8
 
 
+def constant_field(fld, c0):
+    """fld with the six scalars constant at c0 and a constant n field."""
+    return replace(fld, c0=c0, c1=np.zeros((6, 4)), c2=np.zeros((6, 4, 4)),
+                   n_lin=np.zeros((3, 4)))
+
+
 class TestLagrangianPieces:
     def test_constant_field(self):
-        const = _PolyScalar(0.7, np.zeros(4), np.zeros((4, 4)))
-        fld = random_param_field(np.random.default_rng(1))
-        fld.amp = _PolyScalar(1.1, np.zeros(4), np.zeros((4, 4)))
-        fld.kappa = const
-        fld.phi = _PolyScalar(0.2, np.zeros(4), np.zeros((4, 4)))
-        fld.eta = [_PolyScalar(c, np.zeros(4), np.zeros((4, 4)))
-                   for c in (0.5, -0.3, 0.8)]
-        fld.n_lin = np.zeros((3, 4))
+        fld = constant_field(random_param_field(np.random.default_rng(1)),
+                             [1.1, 0.7, 0.2, 0.5, -0.3, 0.8])
         pieces = lagrangian_pieces(fld, np.zeros(4), m=1.3, hbar=1.0)
         rho = 1.1 ** 2
         assert pieces.f1 == pieces.f2 == pieces.f3 == pieces.f4 == 0.0
@@ -150,20 +151,17 @@ class TestLagrangianPieces:
 
 class TestKineticTermMatrix:
     def test_constant_field_vanishes(self):
-        fld = random_param_field(np.random.default_rng(2))
-        fld.amp = _PolyScalar(1.0, np.zeros(4), np.zeros((4, 4)))
-        fld.kappa = _PolyScalar(0.1, np.zeros(4), np.zeros((4, 4)))
-        fld.phi = _PolyScalar(0.0, np.zeros(4), np.zeros((4, 4)))
-        fld.eta = [_PolyScalar(c, np.zeros(4), np.zeros((4, 4)))
-                   for c in (0.4, 0.2, -0.6)]
-        fld.n_lin = np.zeros((3, 4))
+        fld = constant_field(random_param_field(np.random.default_rng(2)),
+                             [1.0, 0.1, 0.0, 0.4, 0.2, -0.6])
         g = algebra.build_gamma_basis(fld.z)
         assert abs(kinetic_term_matrix(fld, np.zeros(4), g, hbar=1.0)) < 1e-10
 
     def test_linear_phase_hand_value(self):
         fld = random_param_field(np.random.default_rng(5))
         k = np.array([0.3, -0.2, 0.1, 0.4])
-        fld.phi = _PolyScalar(0.0, k, np.zeros((4, 4)))
+        c0, c1, c2 = fld.c0.copy(), fld.c1.copy(), fld.c2.copy()
+        c0[2], c1[2], c2[2] = 0.0, k, 0.0       # phi = k.x
+        fld = replace(fld, c0=c0, c1=c1, c2=c2)
         x = np.array([0.1, 0.0, -0.1, 0.2])
         g = algebra.build_gamma_basis(fld.z)
         fd = kinetic_term_matrix(fld, x, g, hbar=1.0)
