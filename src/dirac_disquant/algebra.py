@@ -42,7 +42,7 @@ def _check_unit3(v, name):
     v = np.asarray(v, dtype=float)
     if v.shape != (3,):
         raise DomainError(f"{name} must be a 3-vector")
-    if abs(np.dot(v, v) - 1.0) > 1e-10:
+    if not abs(np.dot(v, v) - 1.0) <= 1e-10:
         raise DomainError(f"{name} must be a unit vector, got |{name}|^2 = {np.dot(v, v)!r}")
     return v
 

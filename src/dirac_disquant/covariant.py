@@ -415,26 +415,3 @@ def kinetic_term_matrix(fld: ParamField, x, g: GammaBasis, hbar, h=1e-4) -> floa
             f"kinetic term scalar has imaginary part {a.imag:.3e}")
     return float(a.real)
 
-
-STATIONARY_SIN_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class EffectiveMassBranch:
-    """cos(kappa) snapped to +-1 when kappa is stationary (sin kappa = 0)."""
-
-    value: float
-    stationary: bool
-
-
-def effective_mass_branch(kappa) -> EffectiveMassBranch:
-    """Classify kappa against the stationarity condition sin(kappa) = 0.
-
-    Stationary kappa gives effective mass +-m (cosine snapped exactly to
-    +-1); anything else is flagged non-stationary and returns the raw cosine.
-    """
-    s = np.sin(kappa)
-    c = float(np.cos(kappa))
-    if abs(s) < STATIONARY_SIN_TOL:
-        return EffectiveMassBranch(value=float(np.sign(c)), stationary=True)
-    return EffectiveMassBranch(value=c, stationary=False)

@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Every one is a DomainError, the one class the CLI turns into exit code 2;
+the integrator and consistency errors also keep their builtin bases.
+"""
 
 
 class DomainError(ValueError):
@@ -21,13 +25,13 @@ class InsufficientJetError(DomainError):
     """A trajectory jet is missing derivative orders an operation needs."""
 
 
-class NumericConsistencyError(ArithmeticError):
+class NumericConsistencyError(DomainError, ArithmeticError):
     """A quantity that must be real (or a multiple of the projector) is not."""
 
 
-class StepSizeError(RuntimeError):
+class StepSizeError(DomainError, RuntimeError):
     """Integrator constraint drift before projection exceeded its bound."""
 
 
-class StabilityError(RuntimeError):
+class StabilityError(DomainError, RuntimeError):
     """Integrator step size too large for the motion's angular frequency."""

@@ -16,8 +16,13 @@ F_REST.flags.writeable = False
 
 
 def mdot(a, b):
-    """Minkowski scalar product a^i b_i = a0*b0 - a.b."""
-    return float(a[0] * b[0] - a[1] * b[1] - a[2] * b[2] - a[3] * b[3])
+    """Minkowski scalar product a^i b_i = a0*b0 - a.b.
+
+    A float for two 4-vectors; for transposed stacks, (4, n) arrays whose
+    rows are the components, the (n,) array of row-by-row products.
+    """
+    r = a[0] * b[0] - a[1] * b[1] - a[2] * b[2] - a[3] * b[3]
+    return r if isinstance(r, np.ndarray) else float(r)
 
 
 def lower(v):

@@ -72,7 +72,12 @@ class RotatorParams:
 
 @dataclass(frozen=True)
 class RotatorState:
-    """Center and relative coordinates/momenta with the multipliers."""
+    """Center and relative coordinates/momenta with the multiplier nu.
+
+    One state has X, x and p of shape (4,) and float tau and nu; a stack of
+    n states has them of shape (n, 4) and (n,).  P, the conserved total
+    momentum, is one 4-vector either way.
+    """
 
     tau: float
     X: np.ndarray
@@ -92,15 +97,17 @@ class RotatorState:
 
 
 def constraint_monitors(s: RotatorState, p: RotatorParams) -> dict:
-    """The five on-shell constraint residuals (absolute values).
+    """The five on-shell constraint residuals (absolute values): floats for
+    one state, (n,) arrays for a stack of n.
 
-    The vectors go to ``mdot`` as lists of Python floats; Xdot is the
-    array form -(P - nu x) / (4 m0), one component at a time.
+    ``mdot`` reads the transposed stack, so each component is a column;
+    Xdot is the array form -(P - nu x) / (4 m0), one component at a time.
     """
-    x, q, P = s.x.tolist(), s.p.tolist(), s.P.tolist()
+    x, q, P = s.x.T, s.p.T, s.P
     m4 = 4.0 * p.m0
     xdot_center = [-(Pi - s.nu * xi) / m4 for Pi, xi in zip(P, x)]
-    pp_target = -(mdot(P, P) - 4.0 * p.m0 ** 2) - p.a ** 2 * s.nu ** 2
+    # float_power rounds as the libm pow behind a scalar ``** 2``.
+    pp_target = -(mdot(P, P) - 4.0 * p.m0 ** 2) - p.a ** 2 * np.float_power(s.nu, 2.0)
     return {
         "x.x + a^2": abs(mdot(x, x) + p.a ** 2),
         "p.x": abs(mdot(q, x)),
@@ -110,17 +117,17 @@ def constraint_monitors(s: RotatorState, p: RotatorParams) -> dict:
     }
 
 
-def zeta_vector(s: RotatorState) -> np.ndarray:
-    """Conserved spacelike vector zeta_i = eps_iklm x^k p^l P^m.
+def zeta_vector(x, prel, P) -> np.ndarray:
+    """Conserved spacelike vector zeta_i = eps_iklm x^k p^l P^m of one state.
 
     Component i is the determinant of the matrix with columns
     (e_i, x, p, P); the four matrices go to LAPACK in one stacked call.
     """
     cols = np.empty((4, 4, 4))
     cols[:, :, 0] = BASIS4
-    cols[:, :, 1] = s.x
-    cols[:, :, 2] = s.p
-    cols[:, :, 3] = s.P
+    cols[:, :, 1] = x
+    cols[:, :, 2] = prel
+    cols[:, :, 3] = P
     return np.linalg.det(cols)
 
 
@@ -146,18 +153,21 @@ class RotatorClosedForm:
         return 2.0 * np.pi / om
 
     def state(self, tau) -> RotatorState:
+        """The state at one tau, or the stack of states at an array of them."""
         p = self.params
         om = p.omega
+        tau = np.asarray(tau, dtype=float)
         th = om * tau + p.phase
-        x = np.array([0.0, p.a * np.cos(th), p.a * np.sin(th), 0.0])
+        zero = np.zeros_like(tau)
+        x = np.stack([zero, p.a * np.cos(th), p.a * np.sin(th), zero], axis=-1)
         # Upper components; the lower-index momentum has opposite spatial signs.
-        prel = np.array([0.0,
+        prel = np.stack([zero,
                          4.0 * p.a * p.m0 * om * np.sin(th),
                          -4.0 * p.a * p.m0 * om * np.cos(th),
-                         0.0])
-        X = np.array([-p.P0 * tau / (4.0 * p.m0), 0.0, 0.0, 0.0])
+                         zero], axis=-1)
+        X = np.stack([-p.P0 * tau / (4.0 * p.m0), zero, zero, zero], axis=-1)
         P = np.array([p.P0, 0.0, 0.0, 0.0])
-        return RotatorState(tau=float(tau), X=X, x=x, p=prel, P=P)
+        return RotatorState(tau=tau if tau.ndim else float(tau), X=X, x=x, p=prel, P=P)
 
     def worldlines_at_time(self, t):
         """Particle positions (4-vectors) as functions of coordinate time:
@@ -188,8 +198,8 @@ def closed_form_rotator(p: RotatorParams) -> RotatorClosedForm:
 class RotatorTrajectory:
     """Integrated samples plus per-sample diagnostics and drift summary."""
 
-    states: list
-    monitors: np.ndarray          # (n, 5)
+    states: RotatorState          # the stack of steps + 1 states
+    monitors: np.ndarray          # (steps + 1, 5)
     zeta_drift: float             # max relative zeta_i drift
     nu_max: float
     pre_projection_drift: float
@@ -260,37 +270,37 @@ def integrate_rotator(p: RotatorParams, initial: RotatorState, steps, dt) -> Rot
     the pre-projection constraint drift exceeds 1e-6.
 
     The stepper runs on 4-tuples of Python floats, with the operations, in
-    order, of the array form x + dt / 6 * (k1 + 2 k2 + 2 k3 + k4); each
-    state then goes through constraint_monitors and zeta_vector.
+    order, of the array form x + dt / 6 * (k1 + 2 k2 + 2 k3 + k4).  Each
+    state is written into the rows of one stacked RotatorState, whose
+    monitors come from one constraint_monitors call at the end.
     """
     if not p.omega * dt < 0.1:
         raise StabilityError(
             f"omega dt = {p.omega * dt:.3f} too large; reduce the step")
-    mon0 = constraint_monitors(initial, p)
-    names = list(mon0.keys())
-    # Per-step diagnostics, row 0 the initial state; each is reduced once
-    # with numpy at the end, so a NaN anywhere reaches the summary.
-    monitors = np.empty((steps + 1, len(names)))
-    zetas = np.empty((steps + 1, 4))
+    worst0 = np.max(list(constraint_monitors(initial, p).values()))
+    if not worst0 <= 1e-10:
+        raise DomainError(f"initial state violates the constraints by {worst0:.3e}")
+    if not np.isfinite([initial.tau, *initial.X]).all():
+        raise DomainError("initial tau and X must be finite")
+
+    # Row 0 is the initial state; each diagnostic is reduced once with numpy
+    # at the end, so a NaN anywhere reaches the summary.
+    taus = np.empty(steps + 1)
+    Xs, xs, ps, zetas = (np.empty((steps + 1, 4)) for _ in range(4))
     nus = np.empty(steps + 1)
     pre_drift = np.empty(steps)
-    monitors[0] = [mon0[k] for k in names]
-    if not monitors[0].max() <= 1e-10:
-        raise DomainError(
-            f"initial state violates the constraints by {monitors[0].max():.3e}")
+    P = initial.P.copy()
+    taus[0], nus[0] = initial.tau, initial.nu
+    Xs[0], xs[0], ps[0] = initial.X, initial.x, initial.p
+    zetas[0] = zeta0 = zeta_vector(xs[0], ps[0], P)
 
     X = tuple(initial.X.tolist())
     x = tuple(initial.x.tolist())
     prel = tuple(initial.p.tolist())
-    P = initial.P.copy()
     Pf = tuple(P.tolist())
     a2 = p.a ** 2
     h2, h6 = 0.5 * dt, dt / 6.0
     tau = initial.tau
-
-    states = [initial]
-    zetas[0] = zeta0 = zeta_vector(initial)
-    nus[0] = initial.nu
 
     for k in range(1, steps + 1):
         X1, x1, p1, _ = _rhs(x, prel, Pf, p)
@@ -309,17 +319,15 @@ def integrate_rotator(p: RotatorParams, initial: RotatorState, steps, dt) -> Rot
                 f"constraint drift {raw_drift:.3e} before projection; reduce dt")
         x, prel = _project(x, prel, Pf, p.a)
 
-        nus[k] = nu = -mdot(Pf, x) / a2
-        state = RotatorState(tau=tau, X=X, x=x, p=prel, P=P, nu=nu)
-        states.append(state)
-        mon = constraint_monitors(state, p)
-        monitors[k] = [mon[name] for name in names]
-        zetas[k] = zeta_vector(state)
+        taus[k], Xs[k], xs[k], ps[k] = tau, X, x, prel
+        nus[k] = -mdot(Pf, x) / a2
+        zetas[k] = zeta_vector(xs[k], ps[k], P)
 
+    states = RotatorState(tau=taus, X=Xs, x=xs, p=ps, P=P, nu=nus)
     zeta_scale = max(np.abs(zeta0).max(), 1e-30)
     return RotatorTrajectory(
         states=states,
-        monitors=monitors,
+        monitors=np.column_stack(list(constraint_monitors(states, p).values())),
         zeta_drift=float(np.abs(zetas - zeta0).max() / zeta_scale),
         nu_max=float(np.abs(nus).max()),
         pre_projection_drift=float(pre_drift.max(initial=0.0)),

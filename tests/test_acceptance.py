@@ -137,10 +137,10 @@ def test_rotator_integration():
     steps = 2000
     dt = cf.tau_period / steps
     traj = rotator.integrate_rotator(pr, cf.state(0.0), steps, dt)
-    dev = max(np.abs(st.x - cf.state(k * dt).x).max()
-              for k, st in enumerate(traj.states))
-    dev = max(dev, max(np.abs(st.X - cf.state(k * dt).X).max()
-                       for k, st in enumerate(traj.states)))
+    dev = max(np.abs(x - cf.state(k * dt).x).max()
+              for k, x in enumerate(traj.states.x))
+    dev = max(dev, max(np.abs(X - cf.state(k * dt).X).max()
+                       for k, X in enumerate(traj.states.X)))
     _report("rotator-positional-deviation", dev, 1e-6)
     _report("rotator-constraint-monitors", float(traj.monitors.max()), 1e-8)
     _report("rotator-zeta-conservation", traj.zeta_drift, 1e-8)

@@ -140,7 +140,8 @@ def test_rigidity_array_fails_closed():
 
 def integrate_reference(p, initial, steps, dt):
     """RK4 with projection on numpy 4-vectors: the array form the float
-    stepper follows.  Returns the states, monitors and drift summary."""
+    stepper follows, one state and one monitor row per step.  Returns the
+    stacked states, the monitors and the drift summary."""
     def rhs(x, prel, P):
         nu = -mdot(P, x) / p.a ** 2
         xdot_center = -(P - nu * x) / (4.0 * p.m0)
@@ -174,10 +175,15 @@ def integrate_reference(p, initial, steps, dt):
         nu = -mdot(P, x) / p.a ** 2
         states.append(RotatorState(tau=tau, X=X, x=x, p=prel, P=P, nu=nu))
         mons.append(monitors(states[-1]))
-    zetas = np.array([rotator.zeta_vector(s) for s in states])
+    zetas = np.array([rotator.zeta_vector(s.x, s.p, s.P) for s in states])
     zeta_drift = np.abs(zetas - zetas[0]).max() / max(np.abs(zetas[0]).max(), 1e-30)
     nu_max = max(abs(s.nu) for s in states)
-    return states, np.array(mons), (max(pre, default=0.0), zeta_drift, nu_max)
+    stack = RotatorState(tau=np.array([s.tau for s in states]),
+                         X=np.array([s.X for s in states]),
+                         x=np.array([s.x for s in states]),
+                         p=np.array([s.p for s in states]), P=P,
+                         nu=np.array([s.nu for s in states]))
+    return stack, np.array(mons), (max(pre, default=0.0), zeta_drift, nu_max)
 
 
 def boosted(s, u):
@@ -199,12 +205,10 @@ def test_integrate_rotator_matches_array_stepper(params, steps, dt, u):
     dt = cf.tau_period / steps if dt is None else dt
     start = cf.state(0.0) if u is None else boosted(cf.state(0.0), u)
     traj = rotator.integrate_rotator(params, start, steps, dt)
-    states, mons, summary = integrate_reference(params, start, steps, dt)
-    assert len(traj.states) == len(states) == steps + 1
-    for got, ref in zip(traj.states, states):
-        assert got.tau == ref.tau and got.nu == ref.nu
-        for name in ("X", "x", "p", "P"):
-            assert getattr(got, name).tobytes() == getattr(ref, name).tobytes()
+    ref, mons, summary = integrate_reference(params, start, steps, dt)
+    assert traj.states.x.shape == ref.x.shape == (steps + 1, 4)
+    for name in ("tau", "X", "x", "p", "P", "nu"):
+        assert same(getattr(traj.states, name), getattr(ref, name))
     assert traj.monitors.tobytes() == mons.tobytes()
     assert (traj.pre_projection_drift, traj.zeta_drift, traj.nu_max) == summary
 
@@ -224,6 +228,55 @@ def test_rhs_float_form_matches_array_form():
         assert got[3] == nu
         for g, r in zip(got[:3], ref):
             assert np.array(g).tobytes() == r.tobytes()
+
+
+@pytest.mark.parametrize("params", [
+    RotatorParams(m0=1.1, a=0.8, P0=3.0, phase=0.2),
+    RotatorParams(m0=0.7, a=1.3, P0=2.0 * 0.7, phase=2.5),
+], ids=["established", "static"])
+def test_closed_form_states_and_monitors_match_per_state(params):
+    cf = closed_form_rotator(params)
+    taus = np.concatenate([np.linspace(-30.0, 30.0, 401), [0.0, -0.0]])
+    stack = cf.state(taus)
+    mon = rotator.constraint_monitors(stack, params)
+    assert stack.x.shape == stack.p.shape == stack.X.shape == (len(taus), 4)
+    assert same(stack.tau, taus) and stack.P.shape == (4,)
+    for k, tau in enumerate(taus.tolist()):
+        one = cf.state(tau)
+        assert isinstance(one.tau, float) and one.tau == tau
+        assert same(one.P, stack.P)
+        for name in ("X", "x", "p"):
+            assert same(getattr(one, name), getattr(stack, name)[k])
+        for key, value in rotator.constraint_monitors(one, params).items():
+            assert isinstance(value, float)
+            assert np.float64(value).tobytes() == mon[key][k].tobytes()
+
+
+def test_stacked_monitors_match_per_state_off_shell():
+    # Random stacks with nonzero nu: every monitor column is nonzero.
+    rng = np.random.default_rng(9)
+    params = RotatorParams(m0=0.9, a=1.2, P0=2.5)
+    n = 300
+    stack = RotatorState(tau=np.zeros(n), X=rng.normal(size=(n, 4)),
+                         x=rng.normal(size=(n, 4)), p=rng.normal(size=(n, 4)),
+                         P=rng.normal(size=4), nu=rng.normal(size=n))
+    mon = rotator.constraint_monitors(stack, params)
+    for k in range(n):
+        one = RotatorState(tau=0.0, X=stack.X[k], x=stack.x[k], p=stack.p[k],
+                           P=stack.P, nu=float(stack.nu[k]))
+        for key, value in rotator.constraint_monitors(one, params).items():
+            assert np.float64(value).tobytes() == mon[key][k].tobytes()
+
+
+@pytest.mark.parametrize("field", ["tau", "X", "x", "p", "P", "nu"])
+def test_nan_initial_state_raises(field):
+    params = RotatorParams(m0=1.0, a=1.0, P0=3.0)
+    start = closed_form_rotator(params).state(0.0)
+    value = np.array(getattr(start, field), dtype=float)
+    value.flat[0] = np.nan
+    bad = dataclasses.replace(start, **{field: value if value.ndim else float(value)})
+    with pytest.raises(DomainError):
+        rotator.integrate_rotator(params, bad, 10, 0.01)
 
 
 def test_projection_guard_fires_on_a_timelike_x():

@@ -70,6 +70,7 @@ class TestVerifyCommand:
         ["--hbar", "1e-8", "--c", "3e8", "--m", "1e3"],
         ["--hbar", "1e4"],
         ["--m0", "50"],
+        ["--m0", "1e-3"],
         ["--m", "1e-3"],
         ["--c", "3"],
     ])
@@ -77,6 +78,16 @@ class TestVerifyCommand:
         # The identification residuals are divided by m, lam, c and c/lam.
         out = tmp_path / "consistency.json"
         assert run_cli(["verify", "consistency", *constants, "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["summary"]["failed"] == 0
+
+    @pytest.mark.parametrize("m0", ["50", "1e-3"])
+    def test_rotator_suite_passes_at_nonunit_m0(self, m0, tmp_path):
+        # Only the rotator and consistency suites read m0, so with the
+        # consistency cases above this covers `verify all --m0 50` and
+        # `--m0 1e-3`; closed-form-constraints divides its momentum
+        # monitors by m0^2.
+        out = tmp_path / "rotator.json"
+        assert run_cli(["verify", "rotator", "--m0", m0, "--out", str(out)]) == 0
         assert json.loads(out.read_text())["summary"]["failed"] == 0
 
 

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from dirac_disquant import algebra
 from dirac_disquant.covariant import (
     CovariantAux,
-    effective_mass_branch,
     f3_without_inner_factor,
     kinetic_term_matrix,
     lagrangian_pieces,
@@ -192,21 +191,6 @@ class TestKineticTermMatrix:
         g = algebra.build_gamma_basis(fld.z)
         with pytest.raises(DomainError):
             kinetic_term_matrix(fld, np.zeros(4), g, hbar=1.0, h=1e-2)
-
-
-class TestEffectiveMassBranch:
-    def test_stable_branch(self):
-        out = effective_mass_branch(0.0)
-        assert out.stationary and out.value == 1.0
-
-    def test_unstable_branch(self):
-        out = effective_mass_branch(np.pi)
-        assert out.stationary and out.value == -1.0
-
-    def test_non_stationary(self):
-        out = effective_mass_branch(0.3)
-        assert not out.stationary
-        assert abs(out.value - np.cos(0.3)) < 1e-15
 
 
 def test_eps4_is_column_stack_det_bit_for_bit():

@@ -7,8 +7,14 @@ import numpy as np
 import pytest
 
 from dirac_disquant import covariant, rotator
+from dirac_disquant.algebra import SpinorParams, build_gamma_basis
 from dirac_disquant.cli import main
-from dirac_disquant.errors import DomainError, StepSizeError
+from dirac_disquant.errors import (
+    DomainError,
+    NumericConsistencyError,
+    StabilityError,
+    StepSizeError,
+)
 from dirac_disquant.particle import DcParams, helix_solution, observables_from_zeta
 from dirac_disquant.report import RunConfig
 from dirac_disquant.rotator import RotatorParams
@@ -96,6 +102,29 @@ NON_FINITE = [
 def test_constructors_reject_non_finite(factory, kwargs):
     with pytest.raises(DomainError):
         factory(**kwargs)
+
+
+@pytest.mark.parametrize("cls, base", [(NumericConsistencyError, ArithmeticError),
+                                       (StepSizeError, RuntimeError),
+                                       (StabilityError, RuntimeError)])
+def test_errors_share_the_domain_error_root(cls, base):
+    # The CLI catches DomainError only and exits 2 for every one of them.
+    assert issubclass(cls, DomainError) and issubclass(cls, base)
+
+
+@pytest.mark.parametrize("field", ["n", "z"])
+def test_nan_unit_vector_rejected_by_spinor_params(field):
+    kwargs = dict(amplitude=1.0, kappa=0.0, phi=0.0, eta=np.zeros(3),
+                  n=[0.0, 0.0, 1.0], z=[0.0, 0.0, 1.0])
+    kwargs[field] = [NAN, 0.0, 0.0]
+    with pytest.raises(DomainError):
+        SpinorParams(**kwargs)
+
+
+@pytest.mark.parametrize("z", [[NAN, 0.0, 0.0], [0.0, 0.0, NAN]])
+def test_nan_axis_rejected_by_gamma_basis(z):
+    with pytest.raises(DomainError):
+        build_gamma_basis(z)
 
 
 @pytest.mark.parametrize("call", [
