@@ -23,6 +23,7 @@ gamma^0 gamma^a = -i gamma5 sigma_a holds.  All operations below are
 basis-independent; only these product relations matter.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,7 +63,7 @@ class GammaBasis:
     sigma: np.ndarray          # shape (3, 4, 4)
     pi_projector: np.ndarray
     pi_column: np.ndarray
-    metric: np.ndarray = field(default_factory=lambda: np.diag([1.0, -1.0, -1.0, -1.0]))
+    metric: np.ndarray = field(default_factory=lambda: _METRIC)
 
     def sigma_dot(self, v):
         """sigma . v for a real 3-vector v, or for each row of a (N, 3) stack."""
@@ -86,13 +87,21 @@ def _dirac_matrices():
     sigma[0] = 1j * gamma[2] @ gamma[3]
     sigma[1] = 1j * gamma[3] @ gamma[1]
     sigma[2] = 1j * gamma[1] @ gamma[2]
-    for m in (gamma, gamma5, sigma):
-        m.flags.writeable = False
     return gamma, gamma5, sigma
 
 
-# Independent of z, so built once and shared, read-only, by every basis.
-_GAMMA, _GAMMA5, _SIGMA = _dirac_matrices()
+def _read_only(*arrays):
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+# Independent of z, so built once and shared, read-only, by every basis and
+# kernel: the Dirac matrices, the 4x4 identity, the metric, the left factor
+# (1 + gamma^0)/4 of the projector and the products gamma5 gamma^k.
+_GAMMA, _GAMMA5, _SIGMA = _read_only(*_dirac_matrices())
+_EYE4, _METRIC = _read_only(np.eye(4, dtype=complex), np.diag([1.0, -1.0, -1.0, -1.0]))
+_PI_LEFT, _G5_GAMMA = _read_only(0.25 * (_EYE4 + _GAMMA[0]), _GAMMA5 @ _GAMMA)
 
 
 def build_gamma_basis(z=(0.0, 0.0, 1.0)) -> GammaBasis:
@@ -103,9 +112,8 @@ def build_gamma_basis(z=(0.0, 0.0, 1.0)) -> GammaBasis:
     """
     z = _check_unit3(z, "z")
 
-    eye4 = np.eye(4, dtype=complex)
     z_sigma = np.einsum("a,aij->ij", z, _SIGMA)
-    pi = 0.25 * (eye4 + _GAMMA[0]) @ (eye4 + z_sigma)
+    pi = _PI_LEFT @ (_EYE4 + z_sigma)
 
     # Pi is Hermitian rank 1: take its largest column, normalize, and fix the
     # global phase so the dominant component is real positive (deterministic).
@@ -132,6 +140,8 @@ class SpinorParams:
 
     def __post_init__(self):
         object.__setattr__(self, "eta", np.asarray(self.eta, dtype=float))
+        if self.eta.shape != (3,):
+            raise DomainError("eta must be a 3-vector")
         object.__setattr__(self, "n", _check_unit3(self.n, "n"))
         object.__setattr__(self, "z", _check_unit3(self.z, "z"))
         if self.amplitude < 0:
@@ -139,7 +149,8 @@ class SpinorParams:
 
     @property
     def eta_norm(self) -> float:
-        return float(np.linalg.norm(self.eta))
+        # The sqrt(eta.eta) of np.linalg.norm, without its dispatch.
+        return math.sqrt(self.eta.dot(self.eta))
 
     @property
     def v(self) -> np.ndarray:
@@ -152,7 +163,7 @@ class SpinorParams:
     @property
     def xi(self) -> np.ndarray:
         """The spin direction 2 n (n.z) - z, a unit 3-vector."""
-        return 2.0 * self.n * float(np.dot(self.n, self.z)) - self.z
+        return 2.0 * self.n * float(self.n.dot(self.z)) - self.z
 
 
 @dataclass(frozen=True)
@@ -196,19 +207,18 @@ def spinor_rotor_stack(amplitude, kappa, phi, eta, n, g: GammaBasis):
     factor is exactly the identity there.
     """
     amplitude = np.asarray(amplitude, dtype=float)
-    if not np.all(amplitude >= 0):
+    if not (amplitude >= 0).all():
         raise DomainError("amplitude must be nonnegative")
     eta = np.asarray(eta, dtype=float)
-    eye4 = np.eye(4, dtype=complex)
     half_kappa = (0.5 * np.asarray(kappa, dtype=float))[:, None, None]
     f_phase = (amplitude * np.exp(1j * np.asarray(phi, dtype=float)))[:, None, None] * (
-        np.cos(half_kappa) * eye4 + np.sin(half_kappa) * g.gamma5
+        np.cos(half_kappa) * _EYE4 + np.sin(half_kappa) * g.gamma5
     )
     e = np.sqrt(np.matmul(eta[:, None, :], eta[:, :, None]))[:, :, 0]
     v = eta / np.where(e == 0.0, 1.0, e)
     half_e = (e / 2)[:, :, None]
     # (i gamma5 sigma.v)^2 = +1, so the exponential is hyperbolic.
-    f_boost = np.cosh(half_e) * eye4 - 1j * np.sinh(half_e) * (g.gamma5 @ g.sigma_dot(v))
+    f_boost = np.cosh(half_e) * _EYE4 - 1j * np.sinh(half_e) * (g.gamma5 @ g.sigma_dot(v))
     f_rot = 1j * g.sigma_dot(n)         # exp(i pi/2 sigma.n), (sigma.n)^2 = 1
     return f_phase, f_boost, f_rot
 
@@ -246,8 +256,11 @@ def bilinears_matrix(s: Spinor, g: GammaBasis) -> Bilinears:
     c = s.components
     bar = c.conj() @ g.gamma[0]
     scalar_c = bar @ c
-    j_c = np.array([bar @ (g.gamma[k] @ c) for k in range(4)])
-    s_c = np.array([1j * (bar @ (g.gamma5 @ g.gamma[k] @ c)) for k in range(4)])
+    # One stacked matmul per bilinear; the one-row and one-column shapes keep
+    # the gemv and dot of the per-k products bar @ (gamma^k @ c).
+    col = c[:, None]
+    j_c = (bar @ (g.gamma @ col))[:, 0]
+    s_c = 1j * (bar @ (_G5_GAMMA @ col))[:, 0]
 
     resid = np.abs(np.concatenate(([scalar_c], j_c, s_c)).imag).max()
     if not resid <= IMAG_TOL:
@@ -271,14 +284,16 @@ def bilinears_closed_form(p: SpinorParams) -> Bilinears:
     e = p.eta_norm
     v = p.v
     xi = p.xi
+    ch, sh = np.cosh(e), np.sinh(e)
+    xi_v = float(xi.dot(v))         # the products of v.xi, in the same order
 
     j = np.empty(4)
-    j[0] = a2 * np.cosh(e)
-    j[1:] = a2 * np.sinh(e) * v
+    j[0] = a2 * ch
+    j[1:] = a2 * sh * v
 
     S = np.empty(4)
-    S[0] = a2 * np.sinh(e) * float(np.dot(xi, v))
-    S[1:] = a2 * (xi + (np.cosh(e) - 1.0) * v * float(np.dot(v, xi)))
+    S[0] = a2 * sh * xi_v
+    S[1:] = a2 * (xi + (ch - 1.0) * v * xi_v)
 
     return Bilinears(scalar=a2 * np.cos(p.kappa), j=j, S=S, rho=a2)
 

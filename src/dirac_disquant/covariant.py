@@ -26,9 +26,12 @@ contraction is a stacked ``np.matmul`` that keeps the one-row and one-column
 shapes of the one-point product, e.g. ``matmul(X[:, None, None, :],
 c1[:, :, None])`` for c1.x: numpy then calls the same BLAS ``ddot`` or
 ``gemv`` per point.  A flat ``X @ c1.T`` or an ``einsum`` picks another
-kernel and another summation order, and the last bits change.  The
-``eps4`` sums fill one (4, 4, 4) stack for a single ``det`` call and keep
-the Python ``sum`` order.
+kernel and another summation order, and the last bits change.  The three
+covariant ``eps4`` sums of ``lagrangian_pieces`` fill one (3, 4, 4, 4) stack
+for a single ``det`` call, LAPACK factors each matrix on its own, and each
+sum keeps the Python ``sum`` order over numpy scalars.  Outer products are
+broadcast multiplies ``a[:, None] * b``, the products ``np.outer`` makes, and
+``mdot`` of a transposed (4, 4) stack gives its four row products at once.
 """
 
 from dataclasses import dataclass
@@ -42,7 +45,7 @@ from .errors import (
     NumericConsistencyError,
     SingularDenominatorError,
 )
-from .minkowski import BASIS4, F_REST, cross3, eps4_stack, mdot
+from .minkowski import BASIS4, F_REST, as4, cross3, eps4_blocks, eps4_stack, mdot
 
 
 def split_derivative(j, grad):
@@ -96,18 +99,19 @@ class CovariantAux:
     @classmethod
     def from_state(cls, j, rho, xi, z):
         f = F_REST
-        xi4 = np.concatenate(([0.0], xi))
-        z4 = np.concatenate(([0.0], z))
+        xi4 = as4(0.0, xi)
+        z4 = as4(0.0, z)
         nu = xi4 - mdot(xi4, f) * f
         one_plus = 1.0 + float(np.dot(xi, z))
         if one_plus < 1e-9:
             raise SingularDenominatorError("1 + xi.z below tolerance (antipodal xi, z)")
         mu = nu / np.sqrt(2.0 * one_plus)
-        jf = mdot(np.asarray(j, dtype=float), f)
+        j = np.asarray(j, dtype=float)
+        jf = mdot(j, f)
         norm2 = 2.0 * rho * (rho + jf)
         if norm2 < 1e-9:
             raise SingularDenominatorError("rho (rho + j.f) below tolerance")
-        q = (np.asarray(j, dtype=float) + f * rho) / np.sqrt(norm2)
+        q = (j + f * rho) / np.sqrt(norm2)
         return cls(f=f, z4=z4, nu=nu, mu=mu, q=q)
 
 
@@ -130,7 +134,7 @@ _SHAPES = {"c0": (6,), "c1": (6, 4), "c2": (6, 4, 4), "n0": (3,), "n_lin": (3, 4
 def _unit_n(raw):
     """Rows of the raw n field (N, 3) normalized, with their norms (N, 1)."""
     r = np.sqrt(np.matmul(raw[:, None, :], raw[:, :, None]))[:, 0]
-    if not np.all(r >= 1e-9):
+    if not (r >= 1e-9).all():
         raise DomainError("raw n field vanished at the evaluation point")
     return raw / r, r
 
@@ -188,10 +192,11 @@ class ParamField:
         dr = self.n_lin.T
         d_n = dr / r - raw * np.matmul(raw, dr[:, :, None]) / r ** 3
         grad = self.c1 + 2.0 * np.matmul(self.c2, x[:, None])[..., 0]
+        amplitude, kappa, phi = s[:3].tolist()
         params = SpinorParams(
-            amplitude=float(s[0]),
-            kappa=float(s[1]),
-            phi=float(s[2]),
+            amplitude=amplitude,
+            kappa=kappa,
+            phi=phi,
             eta=s[3:],
             n=n,
             z=self.z,
@@ -270,30 +275,34 @@ def _derived_jet(jet: ParamJet):
         raise DomainError("field evaluation needs |eta| bounded away from 0")
     v = eta_vec / eta
     d_eta_norm = jet.d_eta @ v                       # (4,)
-    d_v = jet.d_eta / eta - np.outer(d_eta_norm, eta_vec) / eta ** 2
+    d_v = jet.d_eta / eta - d_eta_norm[:, None] * eta_vec / eta ** 2
 
-    nz = float(np.dot(p.n, p.z))
+    nz = float(p.n.dot(p.z))
     xi = p.xi
-    d_xi = 2.0 * jet.d_n * nz + 2.0 * np.outer(jet.d_n @ p.z, p.n)
+    d_xi = 2.0 * jet.d_n * nz + 2.0 * ((jet.d_n @ p.z)[:, None] * p.n)
 
     rho = p.amplitude ** 2
     d_rho = 2.0 * p.amplitude * jet.d_amp
 
     ch, sh = np.cosh(eta), np.sinh(eta)
-    j = np.concatenate(([rho * ch], rho * sh * v))
+    j = as4(rho * ch, rho * sh * v)
     d_j = np.empty((4, 4))
     d_j[:, 0] = d_rho * ch + rho * sh * d_eta_norm
-    d_j[:, 1:] = (np.outer(d_rho * sh + rho * ch * d_eta_norm, v)
-                  + rho * sh * d_v)
+    d_j[:, 1:] = (d_rho * sh + rho * ch * d_eta_norm)[:, None] * v + rho * sh * d_v
 
     S = spin_from_xi(xi, j, rho)
     return rho, d_rho, j, d_j, eta, d_eta_norm, v, d_v, xi, d_xi, S
 
 
+#: Signs that raise the derivative index of the eps4 sums of the F4 shapes.
+_D_UP = np.array([1.0, -1.0, -1.0, -1.0])
+_D_UP.flags.writeable = False
+
+
 def lagrangian_pieces(fld: ParamField, x, m, hbar) -> LagrangianPieces:
     """Evaluate F1..F4 (both shapes each where two exist) and the L split."""
     f = F_REST
-    jet = fld.jet(np.asarray(x, dtype=float))
+    jet = fld.jet(x)
     p = jet.params
     rho, d_rho, j, d_j, eta, d_eta_norm, v, d_v, xi, d_xi, S = _derived_jet(jet)
 
@@ -315,11 +324,10 @@ def lagrangian_pieces(fld: ParamField, x, m, hbar) -> LagrangianPieces:
     aux = CovariantAux.from_state(j, rho, xi, p.z)
     d_nu = np.zeros((4, 4))
     d_nu[:, 1:] = d_xi
-    d_nu -= np.outer(np.array([mdot(d_nu[l], f) for l in range(4)]), f)
+    d_nu -= mdot(d_nu.T, f)[:, None] * f
     norm = np.sqrt(2.0 * one_plus)
     d_norm = (d_xi @ p.z) / norm
-    d_mu = d_nu / norm - np.outer(d_norm, aux.nu) / norm ** 2
-    f3_cov = hbar * sum(j * eps4_stack(aux.mu, d_mu, aux.z4, f))
+    d_mu = d_nu / norm - d_norm[:, None] * aux.nu / norm ** 2
 
     grad_eta_sp = d_eta_norm[1:]
     curl_v = np.array([
@@ -328,27 +336,29 @@ def lagrangian_pieces(fld: ParamField, x, m, hbar) -> LagrangianPieces:
         d_v[1, 1] - d_v[2, 0],
     ])
     f4 = -0.5 * hbar * rho * float(
-        np.dot(cross3(grad_eta_sp, v), xi)
-        + np.sinh(eta) * np.dot(curl_v, xi)
-        + 2.0 * np.sinh(eta / 2) ** 2 * np.dot(cross3(v, d_v[0]), xi)
+        cross3(grad_eta_sp, v).dot(xi)
+        + np.sinh(eta) * curl_v.dot(xi)
+        + 2.0 * np.sinh(eta / 2) ** 2 * cross3(v, d_v[0]).dot(xi)
     )
 
-    # Covariant F4, first from W = j + f rho with upper-index derivatives.
+    # Covariant F4, first from W = j + f rho with upper-index derivatives,
+    # then through the unit vector q.
     w = j + f * rho
-    d_w = d_j + np.outer(d_rho, f)
-    d_up = np.array([1.0, -1.0, -1.0, -1.0])
+    d_w = d_j + d_rho[:, None] * f
     jf = mdot(j, f)
-    f4_cov = -hbar / (2.0 * (rho + jf)) * sum(
-        d_up * eps4_stack(d_w, BASIS4, w, aux.nu))
-
-    # Same term through the unit vector q.
     n2 = 2.0 * rho * (rho + jf)
-    d_n2 = 2.0 * d_rho * (rho + jf) + 2.0 * rho * (
-        d_rho + np.array([mdot(d_j[l], f) for l in range(4)]))
+    d_n2 = 2.0 * d_rho * (rho + jf) + 2.0 * rho * (d_rho + mdot(d_j.T, f))
     nq = np.sqrt(n2)
     d_nq = d_n2 / (2.0 * nq)
-    d_q = d_w / nq - np.outer(d_nq, w) / n2
-    f4_cov_q = hbar * rho * sum(d_up * eps4_stack(aux.q, BASIS4, d_q, aux.nu))
+    d_q = d_w / nq - d_nq[:, None] * w / n2
+
+    # The three covariant eps4 sums share one det call.
+    eps_mu, eps_w, eps_q = eps4_blocks((aux.mu, d_mu, aux.z4, f),
+                                       (d_w, BASIS4, w, aux.nu),
+                                       (aux.q, BASIS4, d_q, aux.nu))
+    f3_cov = hbar * sum(j * eps_mu)
+    f4_cov = -hbar / (2.0 * (rho + jf)) * sum(_D_UP * eps_w)
+    f4_cov_q = hbar * rho * sum(_D_UP * eps_q)
 
     l_cl = -m * rho + f1 + f3
     l_q1 = 2.0 * m * rho * np.sin(p.kappa / 2) ** 2 + f2
@@ -367,13 +377,13 @@ def f3_without_inner_factor(fld: ParamField, x, hbar) -> float:
     Used as a regularization-invariance oracle.
     """
     f = F_REST
-    jet = fld.jet(np.asarray(x, dtype=float))
+    jet = fld.jet(x)
     p = jet.params
     rho, d_rho, j, d_j, eta, d_eta_norm, v, d_v, xi, d_xi, S = _derived_jet(jet)
     aux = CovariantAux.from_state(j, rho, xi, p.z)
     d_nu = np.zeros((4, 4))
     d_nu[:, 1:] = d_xi
-    d_nu -= np.outer(np.array([mdot(d_nu[l], f) for l in range(4)]), f)
+    d_nu -= mdot(d_nu.T, f)[:, None] * f
     one_plus = 1.0 + float(np.dot(xi, p.z))
     return hbar / (2.0 * one_plus) * sum(j * eps4_stack(aux.nu, d_nu, aux.z4, f))
 

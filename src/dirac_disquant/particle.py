@@ -29,7 +29,7 @@ from .errors import (
     InsufficientJetError,
     SingularDenominatorError,
 )
-from .minkowski import BASIS4, F_REST, as4, cross3, eps4, lower, mdot, spatial
+from .minkowski import BASIS4, F_REST, as4, cross3, eps4, eps4_stack, lower, mdot, spatial
 
 #: The constant axis z of the spin term.
 Z_AXIS = np.array([0.0, 0.0, 1.0])
@@ -150,13 +150,11 @@ def lagrangian_dc_covariant(s: WorldlineState, p: DcParams, xidot=None) -> float
 
 
 def _eps_free(slot, b, c, d):
-    """eps contraction with one free lower index in the given slot."""
-    out = np.empty(4)
-    for i in range(4):
-        args = [b, c, d]
-        args.insert(slot, BASIS4[i])
-        out[i] = eps4(*args)
-    return out
+    """eps contraction with one free lower index in the given slot: the
+    four contractions with e_i in that slot, in one ``det`` call."""
+    cols = [b, c, d]
+    cols.insert(slot, BASIS4)
+    return eps4_stack(*cols)
 
 
 def momentum_covariant(xdot, xddot, xi4, xidot4, p: DcParams, f=None) -> np.ndarray:

@@ -10,7 +10,8 @@ from .errors import DomainError
 
 SCHEMA_TAG = "dirac-disquant/1"
 
-#: Rows formatted per block by ``csv_table``; bounds its temporary lists.
+#: Rows formatted per block by ``csv_table`` and ``json_table``; bounds
+#: their temporary lists.
 CSV_BLOCK_ROWS = 4096
 
 
@@ -147,8 +148,27 @@ def csv_table(header_meta: dict, columns: list, rows) -> str:
 
 
 def json_table(meta: dict, columns: list, rows) -> str:
-    """The same table as JSON; -0.0 stays -0.0."""
-    payload = {"schema": SCHEMA_TAG, **meta,
-               "columns": columns,
-               "rows": np.asarray(rows, dtype=float).tolist()}
-    return json.dumps(payload, indent=2) + "\n"
+    """The same table as JSON; -0.0 stays -0.0.
+
+    The text is ``json.dumps(payload, indent=2) + "\n"`` of the payload
+    {"schema", **meta, "columns", "rows"}.  ``json.dumps`` writes everything
+    but the rows; the rows are formatted in blocks of ``CSV_BLOCK_ROWS``, one
+    ``%r`` line per value, which is the encoder's float repr.  Its NaN and
+    Infinity spellings are put in afterwards, since repr says nan and inf.
+    """
+    # The payload without its rows, less the closing "\n}".
+    head = json.dumps({"schema": SCHEMA_TAG, **meta, "columns": columns}, indent=2)[:-2]
+    rows = np.asarray(rows, dtype=float)
+    if len(rows) == 0:
+        return head + ',\n  "rows": []\n}\n'
+    values = ",\n".join(["      %r"] * rows.shape[1])
+    row = f"    [\n{values}\n    ]" if values else "    []"
+    blocks = []
+    for start in range(0, len(rows), CSV_BLOCK_ROWS):
+        block = rows[start:start + CSV_BLOCK_ROWS]
+        text = ",\n".join([row % tuple(r) for r in block.tolist()])
+        if not np.isfinite(block).all():
+            text = text.replace("nan", "NaN").replace("inf", "Infinity")
+        blocks.append(text)
+    body = ",\n".join(blocks)
+    return f'{head},\n  "rows": [\n{body}\n  ]\n}}\n'

@@ -117,6 +117,16 @@ def constraint_monitors(s: RotatorState, p: RotatorParams) -> dict:
     }
 
 
+def monitor_scales(p: RotatorParams) -> np.ndarray:
+    """Divisors that make the ``constraint_monitors`` unit-free, in its order.
+
+    The momentum products P.p and p.p - target scale like m0^2; the other
+    three are left as they are.  Every divisor is exactly 1 at m0 = 1.
+    """
+    m2 = p.m0 ** 2
+    return np.array([1.0, 1.0, m2, m2, 1.0])
+
+
 def zeta_vector(x, prel, P) -> np.ndarray:
     """Conserved spacelike vector zeta_i = eps_iklm x^k p^l P^m of one state.
 
@@ -277,7 +287,8 @@ def integrate_rotator(p: RotatorParams, initial: RotatorState, steps, dt) -> Rot
     if not p.omega * dt < 0.1:
         raise StabilityError(
             f"omega dt = {p.omega * dt:.3f} too large; reduce the step")
-    worst0 = np.max(list(constraint_monitors(initial, p).values()))
+    worst0 = np.max(np.array(list(constraint_monitors(initial, p).values()))
+                    / monitor_scales(p))
     if not worst0 <= 1e-10:
         raise DomainError(f"initial state violates the constraints by {worst0:.3e}")
     if not np.isfinite([initial.tau, *initial.X]).all():

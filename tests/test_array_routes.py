@@ -7,11 +7,12 @@ sign of zero or a last-bit difference fails.
 """
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 
-from dirac_disquant import algebra, covariant, report, rotator
+from dirac_disquant import algebra, covariant, particle, report, rotator
 from dirac_disquant.algebra import SpinorParams, build_gamma_basis
 from dirac_disquant.covariant import (
     ParamField,
@@ -21,7 +22,7 @@ from dirac_disquant.covariant import (
     random_param_field,
 )
 from dirac_disquant.errors import DomainError, StepSizeError
-from dirac_disquant.minkowski import BASIS4, eps4, eps4_stack, mdot
+from dirac_disquant.minkowski import BASIS4, F_REST, eps4, eps4_blocks, eps4_stack, mdot
 from dirac_disquant.particle import DcParams, boost_matrix, helix_solution
 from dirac_disquant.report import csv_table, fmt, json_table
 from dirac_disquant.rotator import RotatorParams, RotatorState, closed_form_rotator
@@ -101,6 +102,35 @@ def test_json_table_keeps_negative_zero():
     text = json_table({"kind": "t"}, ["a", "b"], rows)
     assert '"rows": [\n    [\n      -0.0,' in text
     assert text == json_table({"kind": "t"}, ["a", "b"], rows.tolist())
+
+
+def json_reference(meta, columns, rows):
+    """The pure-Python encoder on the whole payload."""
+    payload = {"schema": report.SCHEMA_TAG, **meta, "columns": columns,
+               "rows": np.asarray(rows, dtype=float).tolist()}
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def non_finite_rows():
+    rows = awkward_rows(7)
+    rows[1, 2], rows[3, 0], rows[5, 3], rows[6, 1] = np.nan, np.inf, -np.inf, -np.nan
+    return rows
+
+
+@pytest.mark.parametrize("columns, rows", [
+    (["c1", "c2", "c3", "c4"], awkward_rows(1)),
+    (["c1", "c2", "c3", "c4"], awkward_rows(report.CSV_BLOCK_ROWS)),
+    (["c1", "c2", "c3", "c4"], awkward_rows(report.CSV_BLOCK_ROWS + 1)),
+    (["c1", "c2", "c3", "c4"], non_finite_rows()),
+    (["a", "b"], []),
+    ([], []),
+    ([], np.zeros((3, 0))),
+    (["a"], [[-0.0], [5e-324]]),
+], ids=["one", "block", "block+1", "non-finite", "empty", "no-columns", "empty-rows",
+        "one-column"])
+def test_json_table_matches_json_dumps(columns, rows):
+    meta = {"kind": "test", "x": -0.0, "y": float("nan"), "units": "c=1", "n": 3}
+    assert json_table(meta, columns, rows) == json_reference(meta, columns, rows)
 
 
 # ------------------------------------------------------------- rigidity
@@ -425,6 +455,8 @@ def test_lagrangian_pieces_match_eps4_sums(seed, monkeypatch):
         return np.array([eps4(*cols) for cols in zip(*np.broadcast_arrays(a, b, c, d))])
 
     monkeypatch.setattr(covariant, "eps4_stack", eps4_calls)
+    monkeypatch.setattr(covariant, "eps4_blocks",
+                        lambda *blocks: np.array([eps4_calls(*b) for b in blocks]))
     for x, (pieces, f3_alt) in zip(X, stacked):
         assert pieces == lagrangian_pieces(fld, x, 1.1, 0.8)
         assert f3_alt == f3_without_inner_factor(fld, x, 0.8)
@@ -467,3 +499,240 @@ def test_param_field_is_immutable_and_rebuilt_by_replace():
     assert np.array_equal(moved.c2, np.swapaxes(moved.c2, 1, 2))
     with pytest.raises(DomainError):
         ParamField(c0=c0[:5], c1=fld.c1, c2=fld.c2, n0=fld.n0, n_lin=fld.n_lin, z=fld.z)
+
+
+# ----------------------------------------- per-call kernels, bit for bit
+#
+# The bodies below are the kernels as they were before their per-call
+# overhead was cut: list comprehensions over k or l, np.outer, a fresh
+# identity and metric per call, and one det per eps4 sum.  The kernels must
+# keep their bits on every input.
+
+
+def gamma_basis_reference(z):
+    z = np.asarray(z, dtype=float)
+    eye4 = np.eye(4, dtype=complex)
+    z_sigma = np.einsum("a,aij->ij", z, algebra._SIGMA)
+    pi = 0.25 * (eye4 + algebra._GAMMA[0]) @ (eye4 + z_sigma)
+    norms = np.linalg.norm(pi, axis=0)
+    col = pi[:, int(np.argmax(norms))]
+    col = col / np.linalg.norm(col)
+    k = int(np.argmax(np.abs(col)))
+    return pi, col * np.exp(-1j * np.angle(col[k]))
+
+
+def rotor_stack_reference(amplitude, kappa, phi, eta, n, g):
+    amplitude = np.asarray(amplitude, dtype=float)
+    eta = np.asarray(eta, dtype=float)
+    eye4 = np.eye(4, dtype=complex)
+    half_kappa = (0.5 * np.asarray(kappa, dtype=float))[:, None, None]
+    f_phase = (amplitude * np.exp(1j * np.asarray(phi, dtype=float)))[:, None, None] * (
+        np.cos(half_kappa) * eye4 + np.sin(half_kappa) * g.gamma5)
+    e = np.sqrt(np.matmul(eta[:, None, :], eta[:, :, None]))[:, :, 0]
+    v = eta / np.where(e == 0.0, 1.0, e)
+    half_e = (e / 2)[:, :, None]
+    f_boost = np.cosh(half_e) * eye4 - 1j * np.sinh(half_e) * (g.gamma5 @ g.sigma_dot(v))
+    return f_phase, f_boost, 1j * g.sigma_dot(n)
+
+
+def bilinears_matrix_reference(s, g):
+    c = s.components
+    bar = c.conj() @ g.gamma[0]
+    scalar_c = bar @ c
+    j_c = np.array([bar @ (g.gamma[k] @ c) for k in range(4)])
+    s_c = np.array([1j * (bar @ (g.gamma5 @ g.gamma[k] @ c)) for k in range(4)])
+    return float(scalar_c.real), j_c.real, s_c.real
+
+
+def closed_form_reference(p):
+    a2 = p.amplitude ** 2
+    e = float(np.linalg.norm(p.eta))
+    v = np.zeros(3) if e == 0.0 else p.eta / e
+    xi = 2.0 * p.n * float(np.dot(p.n, p.z)) - p.z
+    j = np.empty(4)
+    j[0] = a2 * np.cosh(e)
+    j[1:] = a2 * np.sinh(e) * v
+    S = np.empty(4)
+    S[0] = a2 * np.sinh(e) * float(np.dot(xi, v))
+    S[1:] = a2 * (xi + (np.cosh(e) - 1.0) * v * float(np.dot(v, xi)))
+    return a2 * np.cos(p.kappa), j, S
+
+
+def mdot_rows_reference(d, f):
+    return np.array([mdot(d[l], f) for l in range(4)])
+
+
+def derived_jet_reference(jet):
+    p = jet.params
+    eta_vec = p.eta
+    eta = float(np.linalg.norm(eta_vec))
+    v = eta_vec / eta
+    d_eta_norm = jet.d_eta @ v
+    d_v = jet.d_eta / eta - np.outer(d_eta_norm, eta_vec) / eta ** 2
+    nz = float(np.dot(p.n, p.z))
+    xi = 2.0 * p.n * nz - p.z
+    d_xi = 2.0 * jet.d_n * nz + 2.0 * np.outer(jet.d_n @ p.z, p.n)
+    rho = p.amplitude ** 2
+    d_rho = 2.0 * p.amplitude * jet.d_amp
+    ch, sh = np.cosh(eta), np.sinh(eta)
+    j = np.concatenate(([rho * ch], rho * sh * v))
+    d_j = np.empty((4, 4))
+    d_j[:, 0] = d_rho * ch + rho * sh * d_eta_norm
+    d_j[:, 1:] = np.outer(d_rho * sh + rho * ch * d_eta_norm, v) + rho * sh * d_v
+    S = algebra.spin_from_xi(xi, j, rho)
+    return rho, d_rho, j, d_j, eta, d_eta_norm, v, d_v, xi, d_xi, S
+
+
+def aux_reference(j, rho, xi, z):
+    f = F_REST
+    xi4 = np.concatenate(([0.0], xi))
+    z4 = np.concatenate(([0.0], z))
+    nu = xi4 - mdot(xi4, f) * f
+    mu = nu / np.sqrt(2.0 * (1.0 + float(np.dot(xi, z))))
+    q = (j + f * rho) / np.sqrt(2.0 * rho * (rho + mdot(j, f)))
+    return z4, nu, mu, q
+
+
+def covariant_reference(fld, x, hbar):
+    """f3_cov, f4_cov and f4_cov_q of lagrangian_pieces and the F3 of
+    f3_without_inner_factor, with three separate eps4_stack sums."""
+    f = F_REST
+    jet = fld.jet(x)
+    p = jet.params
+    rho, d_rho, j, d_j, eta, d_eta_norm, v, d_v, xi, d_xi, S = derived_jet_reference(jet)
+    one_plus = 1.0 + float(np.dot(xi, p.z))
+    z4, nu, mu, q = aux_reference(j, rho, xi, p.z)
+    d_nu = np.zeros((4, 4))
+    d_nu[:, 1:] = d_xi
+    d_nu -= np.outer(mdot_rows_reference(d_nu, f), f)
+    norm = np.sqrt(2.0 * one_plus)
+    d_norm = (d_xi @ p.z) / norm
+    d_mu = d_nu / norm - np.outer(d_norm, nu) / norm ** 2
+    f3_cov = hbar * sum(j * eps4_stack(mu, d_mu, z4, f))
+    w = j + f * rho
+    d_w = d_j + np.outer(d_rho, f)
+    d_up = np.array([1.0, -1.0, -1.0, -1.0])
+    jf = mdot(j, f)
+    f4_cov = -hbar / (2.0 * (rho + jf)) * sum(d_up * eps4_stack(d_w, BASIS4, w, nu))
+    n2 = 2.0 * rho * (rho + jf)
+    d_n2 = 2.0 * d_rho * (rho + jf) + 2.0 * rho * (d_rho + mdot_rows_reference(d_j, f))
+    nq = np.sqrt(n2)
+    d_nq = d_n2 / (2.0 * nq)
+    d_q = d_w / nq - np.outer(d_nq, w) / n2
+    f4_cov_q = hbar * rho * sum(d_up * eps4_stack(q, BASIS4, d_q, nu))
+    f3_alt = hbar / (2.0 * one_plus) * sum(j * eps4_stack(nu, d_nu, z4, f))
+    return f3_cov, f4_cov, f4_cov_q, f3_alt
+
+
+def random_parameter_sets(n, seed):
+    """n generic parameter sets; every tenth has eta = 0, one has tiny eta."""
+    rng = np.random.default_rng(seed)
+    params = [algebra.random_spinor_params(rng) for _ in range(n)]
+    for i in range(0, n, 10):
+        params[i] = dataclasses.replace(params[i], eta=np.zeros(3))
+    params[1] = dataclasses.replace(params[1], eta=np.array([1e-300, 0.0, -0.0]))
+    return params
+
+
+def test_gamma_basis_matches_reference():
+    rng = np.random.default_rng(41)
+    axes = [(0.0, 0.0, 1.0), (0.0, 0.0, -1.0), (1.0, 0.0, 0.0), (0.0, -1.0, 0.0)]
+    for z in axes + [algebra.random_unit(rng) for _ in range(250)]:
+        g = build_gamma_basis(z)
+        pi, col = gamma_basis_reference(z)
+        assert same(g.pi_projector, pi) and same(g.pi_column, col)
+        assert same(g.metric, np.diag([1.0, -1.0, -1.0, -1.0]))
+
+
+def test_algebra_kernels_match_references():
+    params = random_parameter_sets(250, 43)
+    for p in params:
+        g = build_gamma_basis(p.z)
+        one = algebra._one_row(p)
+        for got, want in zip(algebra.spinor_rotor_stack(*one, g),
+                             rotor_stack_reference(*one, g)):
+            assert same(got, want)
+        s = algebra.spinor_from_params(p, g)
+        bm = algebra.bilinears_matrix(s, g)
+        scalar, j, S = bilinears_matrix_reference(s, g)
+        assert bm.scalar == scalar and same(bm.j, j) and same(bm.S, S)
+        bc = algebra.bilinears_closed_form(p)
+        scalar, j, S = closed_form_reference(p)
+        assert bc.scalar == scalar and same(bc.j, j) and same(bc.S, S)
+        assert p.eta_norm == float(np.linalg.norm(p.eta))
+    # The same rows as one stack of 250.
+    g = build_gamma_basis(params[0].z)
+    batch = (np.array([p.amplitude for p in params]), np.array([p.kappa for p in params]),
+             np.array([p.phi for p in params]), np.array([p.eta for p in params]),
+             np.array([p.n for p in params]))
+    for got, want in zip(algebra.spinor_rotor_stack(*batch, g),
+                         rotor_stack_reference(*batch, g)):
+        assert same(got, want)
+
+
+def test_mdot_of_transposed_rows_matches_row_calls():
+    rng = np.random.default_rng(44)
+    frames = [F_REST] + [boost_matrix(rng.uniform(-0.45, 0.45, size=3))[:, 0]
+                         for _ in range(250)]
+    for f in frames:
+        d = rng.normal(size=(4, 4))
+        d[:, rng.integers(4)] = 0.0
+        assert same(mdot(d.T, f), mdot_rows_reference(d, f))
+
+
+def test_covariant_kernels_match_references():
+    for k in range(24):
+        fld = random_param_field(np.random.default_rng(500 + k))
+        for x in random_points(500 + k, 10):
+            jet = fld.jet(x)
+            for got, want in zip(covariant._derived_jet(jet), derived_jet_reference(jet)):
+                assert same(got, want)
+            rho, _, j, _, _, _, _, _, xi, _, _ = derived_jet_reference(jet)
+            aux = covariant.CovariantAux.from_state(j, rho, xi, fld.z)
+            for got, want in zip((aux.z4, aux.nu, aux.mu, aux.q),
+                                 aux_reference(j, rho, xi, fld.z)):
+                assert same(got, want)
+            pieces = lagrangian_pieces(fld, x, 1.1, 0.8)
+            f3_cov, f4_cov, f4_cov_q, f3_alt = covariant_reference(fld, x, 0.8)
+            assert (pieces.f3_cov, pieces.f4_cov, pieces.f4_cov_q) == (f3_cov, f4_cov, f4_cov_q)
+            assert f3_without_inner_factor(fld, x, 0.8) == f3_alt
+
+
+def test_eps4_blocks_rows_are_eps4_stacks():
+    rng = np.random.default_rng(45)
+    for _ in range(200):
+        a, c, d = rng.normal(size=(3, 4))
+        rows, more = rng.normal(size=(2, 4, 4))
+        blocks = ((a, rows, c, d), (rows, BASIS4, more, d), (a, BASIS4, more, c))
+        got = eps4_blocks(*blocks)
+        assert got.shape == (3, 4)
+        for row, block in zip(got, blocks):
+            assert same(row, eps4_stack(*block))
+
+
+def eps_free_reference(slot, b, c, d):
+    out = np.empty(4)
+    for i in range(4):
+        args = [b, c, d]
+        args.insert(slot, BASIS4[i])
+        out[i] = eps4(*args)
+    return out
+
+
+def test_momentum_of_boosted_jets_matches_eps4_calls(monkeypatch):
+    rng = np.random.default_rng(46)
+    p = DcParams(m=1.3, hbar=0.7)
+    jets = []
+    for _ in range(250):
+        lam = boost_matrix(rng.uniform(-0.45, 0.45, size=3))
+        xdot = lam @ np.array([1.2, *rng.normal(size=3) * 0.3])
+        jets.append((xdot, lam @ rng.normal(size=4), lam @ np.array([0.0, *rng.normal(size=3)]),
+                     rng.normal(size=4), lam[:, 0]))
+    for slot in range(4):
+        for xdot, xddot, xi4, _, f in jets[:50]:
+            assert same(particle._eps_free(slot, xddot, xi4, f),
+                        eps_free_reference(slot, xddot, xi4, f))
+    got = [particle.momentum_covariant(*jet, p, f) for *jet, f in jets]
+    monkeypatch.setattr(particle, "_eps_free", eps_free_reference)
+    for g, (*jet, f) in zip(got, jets):
+        assert same(g, particle.momentum_covariant(*jet, p, f))

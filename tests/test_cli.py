@@ -80,14 +80,25 @@ class TestVerifyCommand:
         assert run_cli(["verify", "consistency", *constants, "--out", str(out)]) == 0
         assert json.loads(out.read_text())["summary"]["failed"] == 0
 
-    @pytest.mark.parametrize("m0", ["50", "1e-3"])
+    @pytest.mark.parametrize("m0", ["50", "1e-3", "1e3"])
     def test_rotator_suite_passes_at_nonunit_m0(self, m0, tmp_path):
         # Only the rotator and consistency suites read m0, so with the
-        # consistency cases above this covers `verify all --m0 50` and
-        # `--m0 1e-3`; closed-form-constraints divides its momentum
-        # monitors by m0^2.
+        # consistency cases above this covers `verify all --m0 50`, `1e-3`
+        # and `1e3`; the integrator's initial-state guard and both monitor
+        # checks divide the momentum monitors by m0^2.
         out = tmp_path / "rotator.json"
         assert run_cli(["verify", "rotator", "--m0", m0, "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["summary"]["failed"] == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "all", "--m", "1e3"],
+        ["verify", "appendixA", "--hbar", "1e4"],
+    ])
+    def test_unit_free_residuals_at_nonunit_constants(self, argv, tmp_path):
+        # The Lagrangian, mass and momentum residuals are divided by m, the
+        # kinetic split residual by hbar.
+        out = tmp_path / "report.json"
+        assert run_cli([*argv, "--out", str(out)]) == 0
         assert json.loads(out.read_text())["summary"]["failed"] == 0
 
 

@@ -121,6 +121,13 @@ def test_nan_unit_vector_rejected_by_spinor_params(field):
         SpinorParams(**kwargs)
 
 
+@pytest.mark.parametrize("eta", [np.zeros((1, 3)), [0.1, 0.2], [0.1, 0.2, 0.3, 0.4], 0.5])
+def test_rapidity_that_is_not_a_3_vector_rejected(eta):
+    with pytest.raises(DomainError, match="eta must be a 3-vector"):
+        SpinorParams(amplitude=1.0, kappa=0.0, phi=0.0, eta=eta,
+                     n=[0.0, 0.0, 1.0], z=[0.0, 0.0, 1.0])
+
+
 @pytest.mark.parametrize("z", [[NAN, 0.0, 0.0], [0.0, 0.0, NAN]])
 def test_nan_axis_rejected_by_gamma_basis(z):
     with pytest.raises(DomainError):
