@@ -12,7 +12,6 @@ and the ``dirac-disquant`` CLI run the full check suites.
 from .algebra import (
     Bilinears,
     GammaBasis,
-    Spinor,
     SpinorParams,
     bilinears_closed_form,
     bilinears_matrix,
@@ -31,8 +30,8 @@ from .particle import (
 )
 from .rotator import (
     RigidityCurve,
+    RotatorClosedForm,
     RotatorParams,
-    closed_form_rotator,
     identify_dcr_rr,
     integrate_rotator,
     mass_increase,
@@ -44,7 +43,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Bilinears",
     "GammaBasis",
-    "Spinor",
     "SpinorParams",
     "bilinears_closed_form",
     "bilinears_matrix",
@@ -59,8 +57,8 @@ __all__ = [
     "observables",
     "relativize",
     "RigidityCurve",
+    "RotatorClosedForm",
     "RotatorParams",
-    "closed_form_rotator",
     "identify_dcr_rr",
     "integrate_rotator",
     "mass_increase",

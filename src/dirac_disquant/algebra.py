@@ -12,6 +12,14 @@ and the module evaluates its bilinears (scalar, flux 4-vector ``j``, spin
 4-pseudovector ``S``) twice: by direct matrix algebra and by closed forms in
 the parameters.  The two routes are compared by the verification suites.
 
+Representation.  The Dirac matrices do not depend on z, so they are the
+read-only module constants ``GAMMA`` (gamma^k, shape (4, 4, 4)), ``GAMMA5``,
+``SIGMA`` (shape (3, 4, 4)) and ``METRIC``; ``sigma_dot`` contracts SIGMA
+with a 3-vector.  A ``GammaBasis`` holds only what z fixes: the projector
+``Pi`` and the unit column spanning its range.  A spinor is that column
+multiplied by the three exponential factors, a complex (4,) array; the
+matrix spinor psi = M Pi is its outer product with the conjugated column.
+
 Conventions.  Metric diag(+1,-1,-1,-1); standard Dirac basis for gamma^k.
 The spin matrices are fixed by the Pauli relation
 
@@ -24,7 +32,7 @@ basis-independent; only these product relations matter.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,28 +54,6 @@ def _check_unit3(v, name):
     if not abs(np.dot(v, v) - 1.0) <= 1e-10:
         raise DomainError(f"{name} must be a unit vector, got |{name}|^2 = {np.dot(v, v)!r}")
     return v
-
-
-@dataclass(frozen=True)
-class GammaBasis:
-    """Concrete 4x4 representation of the Dirac algebra for one choice of z.
-
-    ``pi_projector`` is the rank-1 Hermitian projector
-    (1 + gamma^0)(1 + z.sigma)/4 and ``pi_column`` a unit vector spanning its
-    range, so any sandwich Pi X Pi equals (pi_column^* X pi_column) Pi.
-    """
-
-    z: np.ndarray
-    gamma: np.ndarray          # shape (4, 4, 4): gamma[k] is gamma^k
-    gamma5: np.ndarray
-    sigma: np.ndarray          # shape (3, 4, 4)
-    pi_projector: np.ndarray
-    pi_column: np.ndarray
-    metric: np.ndarray = field(default_factory=lambda: _METRIC)
-
-    def sigma_dot(self, v):
-        """sigma . v for a real 3-vector v, or for each row of a (N, 3) stack."""
-        return np.einsum("...a,aij->...ij", np.asarray(v, dtype=float), self.sigma)
 
 
 def _dirac_matrices():
@@ -96,24 +82,42 @@ def _read_only(*arrays):
     return arrays
 
 
-# Independent of z, so built once and shared, read-only, by every basis and
-# kernel: the Dirac matrices, the 4x4 identity, the metric, the left factor
+# Independent of z, so built once, read-only: the Dirac matrices
+# (GAMMA[k] is gamma^k), the metric, the 4x4 identity, the left factor
 # (1 + gamma^0)/4 of the projector and the products gamma5 gamma^k.
-_GAMMA, _GAMMA5, _SIGMA = _read_only(*_dirac_matrices())
-_EYE4, _METRIC = _read_only(np.eye(4, dtype=complex), np.diag([1.0, -1.0, -1.0, -1.0]))
-_PI_LEFT, _G5_GAMMA = _read_only(0.25 * (_EYE4 + _GAMMA[0]), _GAMMA5 @ _GAMMA)
+GAMMA, GAMMA5, SIGMA = _read_only(*_dirac_matrices())
+METRIC, _EYE4 = _read_only(np.diag([1.0, -1.0, -1.0, -1.0]), np.eye(4, dtype=complex))
+_PI_LEFT, _G5_GAMMA = _read_only(0.25 * (_EYE4 + GAMMA[0]), GAMMA5 @ GAMMA)
+
+
+def sigma_dot(v):
+    """sigma . v for a real 3-vector v, or for each row of a (N, 3) stack."""
+    return np.einsum("...a,aij->...ij", np.asarray(v, dtype=float), SIGMA)
+
+
+@dataclass(frozen=True)
+class GammaBasis:
+    """The z-dependent part of the representation for one unit vector z.
+
+    ``pi_projector`` is the rank-1 Hermitian projector
+    (1 + gamma^0)(1 + z.sigma)/4 and ``pi_column`` a unit vector spanning its
+    range, so any sandwich Pi X Pi equals (pi_column^* X pi_column) Pi.
+    """
+
+    z: np.ndarray
+    pi_projector: np.ndarray
+    pi_column: np.ndarray
 
 
 def build_gamma_basis(z=(0.0, 0.0, 1.0)) -> GammaBasis:
-    """Construct the Dirac representation and the projector for unit vector z.
+    """Construct the projector and its column for unit vector z.
 
     With z = (0, 0, 1) the projector is diag(1, 0, 0, 0) (the proper
     representation); for other z it is still rank 1 with trace 1.
     """
     z = _check_unit3(z, "z")
 
-    z_sigma = np.einsum("a,aij->ij", z, _SIGMA)
-    pi = _PI_LEFT @ (_EYE4 + z_sigma)
+    pi = _PI_LEFT @ (_EYE4 + sigma_dot(z))
 
     # Pi is Hermitian rank 1: take its largest column, normalize, and fix the
     # global phase so the dominant component is real positive (deterministic).
@@ -123,8 +127,7 @@ def build_gamma_basis(z=(0.0, 0.0, 1.0)) -> GammaBasis:
     k = int(np.argmax(np.abs(col)))
     col = col * np.exp(-1j * np.angle(col[k]))
 
-    return GammaBasis(z=z, gamma=_GAMMA, gamma5=_GAMMA5, sigma=_SIGMA,
-                      pi_projector=pi, pi_column=col)
+    return GammaBasis(z=z, pi_projector=pi, pi_column=col)
 
 
 @dataclass(frozen=True)
@@ -142,6 +145,10 @@ class SpinorParams:
         object.__setattr__(self, "eta", np.asarray(self.eta, dtype=float))
         if self.eta.shape != (3,):
             raise DomainError("eta must be a 3-vector")
+        if not all(map(math.isfinite, (self.amplitude, self.kappa, self.phi, *self.eta))):
+            raise DomainError("amplitude, kappa, phi and eta must be finite, got "
+                              f"{self.amplitude!r}, {self.kappa!r}, {self.phi!r}, "
+                              f"{self.eta!r}")
         object.__setattr__(self, "n", _check_unit3(self.n, "n"))
         object.__setattr__(self, "z", _check_unit3(self.z, "z"))
         if self.amplitude < 0:
@@ -167,23 +174,6 @@ class SpinorParams:
 
 
 @dataclass(frozen=True)
-class Spinor:
-    """Four complex components: the projector column of the matrix spinor."""
-
-    components: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "components",
-                           np.asarray(self.components, dtype=complex))
-        if self.components.shape != (4,):
-            raise DomainError("spinor needs exactly 4 complex components")
-
-    def matrix(self, basis: GammaBasis) -> np.ndarray:
-        """Reconstruct the 4x4 matrix form psi = column (x) pi_column^*."""
-        return np.outer(self.components, basis.pi_column.conj())
-
-
-@dataclass(frozen=True)
 class Bilinears:
     """Scalar psi-bar psi, flux j, spin pseudovector S, and rho = sqrt(j.j)."""
 
@@ -197,7 +187,7 @@ class Bilinears:
         object.__setattr__(self, "S", np.asarray(self.S, dtype=float))
 
 
-def spinor_rotor_stack(amplitude, kappa, phi, eta, n, g: GammaBasis):
+def spinor_rotor_stack(amplitude, kappa, phi, eta, n):
     """The three closed-form exponential factors for N parameter sets.
 
     ``amplitude``, ``kappa`` and ``phi`` are (N,) arrays, ``eta`` and ``n``
@@ -212,54 +202,47 @@ def spinor_rotor_stack(amplitude, kappa, phi, eta, n, g: GammaBasis):
     eta = np.asarray(eta, dtype=float)
     half_kappa = (0.5 * np.asarray(kappa, dtype=float))[:, None, None]
     f_phase = (amplitude * np.exp(1j * np.asarray(phi, dtype=float)))[:, None, None] * (
-        np.cos(half_kappa) * _EYE4 + np.sin(half_kappa) * g.gamma5
+        np.cos(half_kappa) * _EYE4 + np.sin(half_kappa) * GAMMA5
     )
     e = np.sqrt(np.matmul(eta[:, None, :], eta[:, :, None]))[:, :, 0]
     v = eta / np.where(e == 0.0, 1.0, e)
     half_e = (e / 2)[:, :, None]
     # (i gamma5 sigma.v)^2 = +1, so the exponential is hyperbolic.
-    f_boost = np.cosh(half_e) * _EYE4 - 1j * np.sinh(half_e) * (g.gamma5 @ g.sigma_dot(v))
-    f_rot = 1j * g.sigma_dot(n)         # exp(i pi/2 sigma.n), (sigma.n)^2 = 1
+    f_boost = np.cosh(half_e) * _EYE4 - 1j * np.sinh(half_e) * (GAMMA5 @ sigma_dot(v))
+    f_rot = 1j * sigma_dot(n)           # exp(i pi/2 sigma.n), (sigma.n)^2 = 1
     return f_phase, f_boost, f_rot
 
 
 def spinor_columns(amplitude, kappa, phi, eta, n, g: GammaBasis) -> np.ndarray:
     """Projector columns (N, 4) of the spinors of N parameter sets."""
-    f_phase, f_boost, f_rot = spinor_rotor_stack(amplitude, kappa, phi, eta, n, g)
+    f_phase, f_boost, f_rot = spinor_rotor_stack(amplitude, kappa, phi, eta, n)
     return f_phase @ f_boost @ f_rot @ g.pi_column
 
 
-def _one_row(p: SpinorParams):
-    return [p.amplitude], [p.kappa], [p.phi], p.eta[None], p.n[None]
-
-
-def spinor_rotor_matrices(p: SpinorParams, g: GammaBasis):
-    """The three closed-form exponential factors of the spinor, in order."""
-    return tuple(f[0] for f in spinor_rotor_stack(*_one_row(p), g))
-
-
-def spinor_from_params(p: SpinorParams, g: GammaBasis) -> Spinor:
-    """Evaluate the spinor by the closed half-angle exponential forms."""
-    return Spinor(spinor_columns(*_one_row(p), g)[0])
+def spinor_from_params(p: SpinorParams, g: GammaBasis) -> np.ndarray:
+    """The spinor column (4,) by the closed half-angle exponential forms."""
+    return spinor_columns([p.amplitude], [p.kappa], [p.phi], p.eta[None], p.n[None], g)[0]
 
 
 IMAG_TOL = 1e-8
 
 
-def bilinears_matrix(s: Spinor, g: GammaBasis) -> Bilinears:
-    """Bilinears by direct matrix algebra on the spinor column.
+def bilinears_matrix(c) -> Bilinears:
+    """Bilinears by direct matrix algebra on the spinor column c, shape (4,).
 
     j^k = psi-bar gamma^k psi and S^l = i psi-bar gamma5 gamma^l psi with
     psi-bar = psi^* gamma^0.  All eight numbers must come out real; an
     imaginary residual above 1e-8 raises NumericConsistencyError.
     """
-    c = s.components
-    bar = c.conj() @ g.gamma[0]
+    c = np.asarray(c, dtype=complex)
+    if c.shape != (4,):
+        raise DomainError(f"a spinor column has 4 components, got shape {c.shape}")
+    bar = c.conj() @ GAMMA[0]
     scalar_c = bar @ c
     # One stacked matmul per bilinear; the one-row and one-column shapes keep
     # the gemv and dot of the per-k products bar @ (gamma^k @ c).
     col = c[:, None]
-    j_c = (bar @ (g.gamma @ col))[:, 0]
+    j_c = (bar @ (GAMMA @ col))[:, 0]
     s_c = 1j * (bar @ (_G5_GAMMA @ col))[:, 0]
 
     resid = np.abs(np.concatenate(([scalar_c], j_c, s_c)).imag).max()

@@ -188,7 +188,7 @@ def cmd_helix(args) -> int:
 def cmd_rotator(args) -> int:
     _check_rows(args.steps + 1)
     pr = rotator.RotatorParams(m0=args.m0, a=args.a, P0=args.P0, phase=args.phase)
-    cf = rotator.closed_form_rotator(pr)
+    cf = rotator.RotatorClosedForm(pr)
     meta = {
         "kind": f"rotator-trajectory-{args.mode}",
         "m0": float(args.m0), "a": float(args.a), "P0": float(args.P0),

@@ -14,7 +14,9 @@ equivalent shapes, a three-dimensional one and a manifestly covariant one
 built from the auxiliary vectors (nu, mu, q).  This module evaluates every
 shape from an analytic parameter field and also recomputes the kinetic term
 by finite differences of the matrix spinor, which is the independent oracle
-for the whole decomposition.
+for the whole decomposition.  That oracle reads the Dirac matrices from the
+``algebra`` constants and only the z-dependent projector from a
+``GammaBasis``.
 
 Derivative layout: ``d_l u`` arrays are indexed by the coordinate l = 0..3
 and hold plain lower-index derivatives; raising flips spatial signs.
@@ -38,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import GammaBasis, SpinorParams, spin_from_xi, spinor_columns
+from .algebra import GAMMA, GammaBasis, SpinorParams, spin_from_xi, spinor_columns
 from .errors import (
     DomainError,
     LightlikeFluxError,
@@ -391,9 +393,11 @@ def f3_without_inner_factor(fld: ParamField, x, hbar) -> float:
 def kinetic_term_matrix(fld: ParamField, x, g: GammaBasis, hbar, h=1e-4) -> float:
     """Kinetic term i/2 hbar (psi-bar gamma^l d_l psi - h.c.) by central FD.
 
-    Spinors are evaluated as full 4x4 matrices psi = M Pi; the product is an
-    exact multiple of Pi, so the scalar is its trace.  Central differences of
-    step h give an O(h^2) truncation error against the closed forms.
+    Spinors are evaluated as full 4x4 matrices psi = M Pi, the outer product
+    of each spinor column with the conjugated projector column of ``g``; the
+    product is an exact multiple of Pi, so the scalar is its trace.  Central
+    differences of step h give an O(h^2) truncation error against the closed
+    forms.
     """
     if not (1e-6 <= h <= 1e-3):
         raise DomainError(f"step h must lie in [1e-6, 1e-3], got {h!r}")
@@ -406,11 +410,11 @@ def kinetic_term_matrix(fld: ParamField, x, g: GammaBasis, hbar, h=1e-4) -> floa
     psi = cols[:, :, None] * g.pi_column.conj()        # psi = M Pi, row by row
     psi0, psi_p, psi_m = psi[0], psi[1:5], psi[5:]
 
-    bar0 = psi0.conj().T @ g.gamma[0]
+    bar0 = psi0.conj().T @ GAMMA[0]
     d_psi = (psi_p - psi_m) / (2.0 * h)
     d_bar = (np.swapaxes(psi_p.conj(), 1, 2) - np.swapaxes(psi_m.conj(), 1, 2)
-             ) @ g.gamma[0] / (2.0 * h)
-    terms = 0.5j * hbar * (bar0 @ g.gamma @ d_psi - d_bar @ g.gamma @ psi0)
+             ) @ GAMMA[0] / (2.0 * h)
+    terms = 0.5j * hbar * (bar0 @ GAMMA @ d_psi - d_bar @ GAMMA @ psi0)
     total = np.zeros((4, 4), dtype=complex)
     for term in terms:
         total += term

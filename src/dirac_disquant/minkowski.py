@@ -64,6 +64,26 @@ def eps4_blocks(*blocks):
     return np.linalg.det(m)
 
 
+#: For each slot of the free index, the other three slots in order.
+_OTHER_SLOTS = ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))
+
+
+def eps4_free(slot, b, c, d):
+    """eps contraction with one free lower index: component i puts e_i in
+    ``slot`` and b, c, d in the other three slots, in order.
+
+    The four column matrices go to LAPACK in one stacked ``det`` call, so
+    each component has the bits of the matching ``eps4`` call.
+    """
+    i, k, l = _OTHER_SLOTS[slot]
+    cols = np.empty((4, 4, 4))
+    cols[:, :, slot] = BASIS4
+    cols[:, :, i] = b
+    cols[:, :, k] = c
+    cols[:, :, l] = d
+    return np.linalg.det(cols)
+
+
 def cross3(a, b):
     """Cross product of two 3-vectors: the products and differences of
     ``np.cross``, in the same order, without its per-call overhead."""

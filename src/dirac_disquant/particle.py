@@ -29,7 +29,7 @@ from .errors import (
     InsufficientJetError,
     SingularDenominatorError,
 )
-from .minkowski import BASIS4, F_REST, as4, cross3, eps4, eps4_stack, lower, mdot, spatial
+from .minkowski import F_REST, as4, cross3, eps4, eps4_free, lower, mdot, spatial
 
 #: The constant axis z of the spin term.
 Z_AXIS = np.array([0.0, 0.0, 1.0])
@@ -149,14 +149,6 @@ def lagrangian_dc_covariant(s: WorldlineState, p: DcParams, xidot=None) -> float
             - 0.5 * p.hbar * q * eps4(s.xdot, s.xddot, xi4, F_REST))
 
 
-def _eps_free(slot, b, c, d):
-    """eps contraction with one free lower index in the given slot: the
-    four contractions with e_i in that slot, in one ``det`` call."""
-    cols = [b, c, d]
-    cols.insert(slot, BASIS4)
-    return eps4_stack(*cols)
-
-
 def momentum_covariant(xdot, xddot, xi4, xidot4, p: DcParams, f=None) -> np.ndarray:
     """Momentum P_i (lower components) for an arbitrary frame vector f.
 
@@ -178,10 +170,10 @@ def momentum_covariant(xdot, xddot, xi4, xidot4, p: DcParams, f=None) -> np.ndar
 
     out = -p.m * lower(xdot) / s_norm
     out -= 0.5 * p.hbar * w_f * gq
-    out -= 0.5 * p.hbar * q * _eps_free(0, xddot, xi4, f)
-    out += 0.5 * p.hbar * (qdot * _eps_free(1, xdot, xi4, f)
-                           + q * _eps_free(1, xddot, xi4, f)
-                           + q * _eps_free(1, xdot, xidot4, f))
+    out -= 0.5 * p.hbar * q * eps4_free(0, xddot, xi4, f)
+    out += 0.5 * p.hbar * (qdot * eps4_free(1, xdot, xi4, f)
+                           + q * eps4_free(1, xddot, xi4, f)
+                           + q * eps4_free(1, xdot, xidot4, f))
     return out
 
 

@@ -28,7 +28,7 @@ from .errors import (
     StepSizeError,
     SubThresholdError,
 )
-from .minkowski import BASIS4, mdot
+from .minkowski import eps4_free, mdot
 
 
 @dataclass(frozen=True)
@@ -91,10 +91,6 @@ class RotatorState:
             object.__setattr__(self, name,
                                np.asarray(getattr(self, name), dtype=float))
 
-    def worldlines(self):
-        """Positions of the two particles, X + x and X - x."""
-        return self.X + self.x, self.X - self.x
-
 
 def constraint_monitors(s: RotatorState, p: RotatorParams) -> dict:
     """The five on-shell constraint residuals (absolute values): floats for
@@ -128,17 +124,8 @@ def monitor_scales(p: RotatorParams) -> np.ndarray:
 
 
 def zeta_vector(x, prel, P) -> np.ndarray:
-    """Conserved spacelike vector zeta_i = eps_iklm x^k p^l P^m of one state.
-
-    Component i is the determinant of the matrix with columns
-    (e_i, x, p, P); the four matrices go to LAPACK in one stacked call.
-    """
-    cols = np.empty((4, 4, 4))
-    cols[:, :, 0] = BASIS4
-    cols[:, :, 1] = x
-    cols[:, :, 2] = prel
-    cols[:, :, 3] = P
-    return np.linalg.det(cols)
+    """Conserved spacelike vector zeta_i = eps_iklm x^k p^l P^m of one state."""
+    return eps4_free(0, x, prel, P)
 
 
 @dataclass(frozen=True)
@@ -146,14 +133,6 @@ class RotatorClosedForm:
     """Closed-form rotator motion in the frame P = (P0, 0, 0, 0)."""
 
     params: RotatorParams
-
-    @property
-    def omega(self):
-        return self.params.omega
-
-    @property
-    def omega0(self):
-        return self.params.omega0
 
     @property
     def tau_period(self) -> float:
@@ -198,10 +177,6 @@ class RotatorClosedForm:
                        p.a * p.omega0 * np.cos(th), 0.0])
         sep = self.worldlines_at_time(t)[0] - self.worldlines_at_time(t)[1]
         return max(abs(mdot(d1, sep)), abs(mdot(-d1 + 2.0 * np.array([1.0, 0, 0, 0]), sep)))
-
-
-def closed_form_rotator(p: RotatorParams) -> RotatorClosedForm:
-    return RotatorClosedForm(params=p)
 
 
 @dataclass

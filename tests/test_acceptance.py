@@ -38,7 +38,7 @@ def test_bilinear_equivalence():
     for i in range(1000):
         p = algebra.random_spinor_params(np.random.default_rng(9000 + i))
         g = algebra.build_gamma_basis(p.z)
-        bm = algebra.bilinears_matrix(algebra.spinor_from_params(p, g), g)
+        bm = algebra.bilinears_matrix(algebra.spinor_from_params(p, g))
         bc = algebra.bilinears_closed_form(p)
         scale = max(np.abs(bc.j).max(), np.abs(bc.S).max(), abs(bc.scalar))
         worst_eq = max(worst_eq,
@@ -133,7 +133,7 @@ def test_observable_identities():
 
 def test_rotator_integration():
     pr = rotator.RotatorParams(m0=1.0, a=1.0, P0=2.0 * np.sqrt(2.0))
-    cf = rotator.closed_form_rotator(pr)
+    cf = rotator.RotatorClosedForm(pr)
     steps = 2000
     dt = cf.tau_period / steps
     traj = rotator.integrate_rotator(pr, cf.state(0.0), steps, dt)

@@ -1,11 +1,14 @@
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dirac_disquant import algebra
 from dirac_disquant.algebra import (
+    GAMMA,
+    GAMMA5,
+    METRIC,
+    SIGMA,
     Bilinears,
     SpinorParams,
     bilinears_closed_form,
@@ -13,9 +16,9 @@ from dirac_disquant.algebra import (
     build_gamma_basis,
     n_from_xi,
     random_spinor_params,
+    sigma_dot,
     spin_from_xi,
     spinor_from_params,
-    spinor_rotor_matrices,
     xi_from_bilinears,
 )
 from dirac_disquant.errors import (
@@ -29,39 +32,35 @@ from conftest import expm_taylor, unit3
 
 
 class TestGammaBasis:
-    def test_anticommutation(self, basis_z):
-        g = basis_z
+    def test_anticommutation(self):
         eye = np.eye(4)
         for k in range(4):
             for l in range(4):
-                resid = np.abs(g.gamma[l] @ g.gamma[k] + g.gamma[k] @ g.gamma[l]
-                               - 2 * g.metric[k, l] * eye).max()
+                resid = np.abs(GAMMA[l] @ GAMMA[k] + GAMMA[k] @ GAMMA[l]
+                               - 2 * METRIC[k, l] * eye).max()
                 assert resid < 1e-12
 
-    def test_pauli_relation(self, basis_z):
-        g = basis_z
+    def test_pauli_relation(self):
         eye = np.eye(4)
         cyclic = {(0, 1): 2, (1, 2): 0, (2, 0): 1}
         for a in range(3):
-            assert np.abs(g.sigma[a] @ g.sigma[a] - eye).max() < 1e-12
+            assert np.abs(SIGMA[a] @ SIGMA[a] - eye).max() < 1e-12
         for (a, b), c in cyclic.items():
-            assert np.abs(g.sigma[a] @ g.sigma[b] - 1j * g.sigma[c]).max() < 1e-12
-            assert np.abs(g.sigma[b] @ g.sigma[a] + 1j * g.sigma[c]).max() < 1e-12
+            assert np.abs(SIGMA[a] @ SIGMA[b] - 1j * SIGMA[c]).max() < 1e-12
+            assert np.abs(SIGMA[b] @ SIGMA[a] + 1j * SIGMA[c]).max() < 1e-12
 
-    def test_gamma5_relations(self, basis_z):
-        g = basis_z
-        assert np.abs(g.gamma5 @ g.gamma5 + np.eye(4)).max() < 1e-12
+    def test_gamma5_relations(self):
+        assert np.abs(GAMMA5 @ GAMMA5 + np.eye(4)).max() < 1e-12
         for a in range(3):
-            assert np.abs(g.gamma5 @ g.sigma[a] - g.sigma[a] @ g.gamma5).max() < 1e-12
-            assert np.abs(g.gamma[0] @ g.gamma[a + 1]
-                          + 1j * g.gamma5 @ g.sigma[a]).max() < 1e-12
-        assert np.abs(g.gamma[0] @ g.gamma5 + g.gamma5 @ g.gamma[0]).max() < 1e-12
+            assert np.abs(GAMMA5 @ SIGMA[a] - SIGMA[a] @ GAMMA5).max() < 1e-12
+            assert np.abs(GAMMA[0] @ GAMMA[a + 1]
+                          + 1j * GAMMA5 @ SIGMA[a]).max() < 1e-12
+        assert np.abs(GAMMA[0] @ GAMMA5 + GAMMA5 @ GAMMA[0]).max() < 1e-12
 
-    def test_hermiticity(self, basis_z):
-        g = basis_z
-        assert np.abs(g.gamma[0].conj().T - g.gamma[0]).max() < 1e-12
+    def test_hermiticity(self):
+        assert np.abs(GAMMA[0].conj().T - GAMMA[0]).max() < 1e-12
         for a in (1, 2, 3):
-            assert np.abs(g.gamma[a].conj().T + g.gamma[a]).max() < 1e-12
+            assert np.abs(GAMMA[a].conj().T + GAMMA[a]).max() < 1e-12
 
     def test_proper_representation_projector(self, basis_z):
         assert np.abs(basis_z.pi_projector - np.diag([1.0, 0, 0, 0])).max() < 1e-14
@@ -72,17 +71,18 @@ class TestGammaBasis:
         g = build_gamma_basis(z)
         pi = g.pi_projector
         assert np.abs(pi @ pi - pi).max() < 1e-14
-        assert np.abs(g.gamma[0] @ pi - pi).max() < 1e-14
-        assert np.abs(g.sigma_dot(z) @ pi - pi).max() < 1e-14
-        assert np.abs(pi @ g.gamma5 @ pi).max() < 1e-14
+        assert np.abs(GAMMA[0] @ pi - pi).max() < 1e-14
+        assert np.abs(sigma_dot(z) @ pi - pi).max() < 1e-14
+        assert np.abs(pi @ GAMMA5 @ pi).max() < 1e-14
         for a in range(3):
-            assert np.abs(pi @ g.sigma[a] @ pi - z[a] * pi).max() < 1e-14
+            assert np.abs(pi @ SIGMA[a] @ pi - z[a] * pi).max() < 1e-14
         assert abs(np.trace(pi) - 1.0) < 1e-14
 
     def test_shared_matrices_are_read_only(self, basis_z):
-        other = build_gamma_basis((1.0, 0.0, 0.0))
-        assert other.gamma is basis_z.gamma
-        for m in (other.gamma, other.gamma5, other.sigma):
+        # A basis holds only what depends on z; the Dirac matrices are the
+        # module constants.
+        assert set(vars(basis_z)) == {"z", "pi_projector", "pi_column"}
+        for m in (GAMMA, GAMMA5, SIGMA, METRIC):
             with pytest.raises(ValueError):
                 m[0, 0] = 2.0
 
@@ -94,14 +94,14 @@ class TestGammaBasis:
 class TestSpinor:
     def test_identity_exponentials(self, basis_z):
         p = SpinorParams(1.0, 0.0, 0.0, np.zeros(3), (0, 0, 1), (0, 0, 1))
-        b = bilinears_matrix(spinor_from_params(p, basis_z), basis_z)
+        b = bilinears_matrix(spinor_from_params(p, basis_z))
         assert abs(b.scalar - 1.0) < 1e-14
         assert np.abs(b.j - [1, 0, 0, 0]).max() < 1e-14
 
     def test_scalar_closed_form(self, basis_z):
         for kappa in (0.0, 0.4, -1.2, np.pi / 2):
             p = SpinorParams(2.0, kappa, 0.1, np.zeros(3), (0, 1, 0), (0, 0, 1))
-            b = bilinears_matrix(spinor_from_params(p, basis_z), basis_z)
+            b = bilinears_matrix(spinor_from_params(p, basis_z))
             assert abs(b.scalar - 4.0 * np.cos(kappa)) < 1e-12
 
     @pytest.mark.parametrize("seed", range(12))
@@ -109,12 +109,13 @@ class TestSpinor:
         rng = np.random.default_rng(seed)
         p = random_spinor_params(rng)
         g = build_gamma_basis(p.z)
-        closed = spinor_from_params(p, g).components
+        closed = spinor_from_params(p, g)
+        assert closed.shape == (4,) and closed.dtype == complex
 
         eye = np.eye(4, dtype=complex)
-        arg1 = 1j * p.phi * eye + 0.5 * p.kappa * g.gamma5
-        arg2 = -0.5j * g.gamma5 @ g.sigma_dot(p.eta)
-        arg3 = 0.5j * np.pi * g.sigma_dot(p.n)
+        arg1 = 1j * p.phi * eye + 0.5 * p.kappa * GAMMA5
+        arg2 = -0.5j * GAMMA5 @ sigma_dot(p.eta)
+        arg3 = 0.5j * np.pi * sigma_dot(p.n)
         oracle = (p.amplitude
                   * expm_taylor(arg1) @ expm_taylor(arg2) @ expm_taylor(arg3)
                   @ g.pi_column)
@@ -122,8 +123,7 @@ class TestSpinor:
 
     def test_matrix_reconstruction_is_projector_multiple(self, basis_z):
         p = SpinorParams(1.3, 0.2, -0.5, (0.4, 0.1, -0.2), (0, 0, 1), (0, 0, 1))
-        s = spinor_from_params(p, basis_z)
-        m = s.matrix(basis_z)
+        m = np.outer(spinor_from_params(p, basis_z), basis_z.pi_column.conj())
         # psi = M Pi: right-multiplying by Pi changes nothing.
         assert np.abs(m @ basis_z.pi_projector - m).max() < 1e-12
 
@@ -131,14 +131,14 @@ class TestSpinor:
 class TestBilinears:
     def test_rest_frame(self, basis_z):
         p = SpinorParams(1.0, 0.0, 0.0, np.zeros(3), (0, 0, 1), (0, 0, 1))
-        b = bilinears_matrix(spinor_from_params(p, basis_z), basis_z)
+        b = bilinears_matrix(spinor_from_params(p, basis_z))
         assert np.abs(b.j - [1, 0, 0, 0]).max() < 1e-14
         assert abs(b.S[0]) < 1e-14
 
     def test_pure_boost_flux(self, basis_z):
         eta = 1.3
         p = SpinorParams(1.0, 0.0, 0.0, (eta, 0, 0), (0, 0, 1), (0, 0, 1))
-        b = bilinears_matrix(spinor_from_params(p, basis_z), basis_z)
+        b = bilinears_matrix(spinor_from_params(p, basis_z))
         assert np.abs(b.j - [np.cosh(eta), np.sinh(eta), 0, 0]).max() < 1e-12
 
     def test_boost_along_spin(self, basis_z):
@@ -157,7 +157,7 @@ class TestBilinears:
     def test_matrix_equals_closed_form(self, seed):
         p = random_spinor_params(np.random.default_rng(seed))
         g = build_gamma_basis(p.z)
-        bm = bilinears_matrix(spinor_from_params(p, g), g)
+        bm = bilinears_matrix(spinor_from_params(p, g))
         bc = bilinears_closed_form(p)
         scale = max(np.abs(bc.j).max(), np.abs(bc.S).max())
         assert np.abs(bm.j - bc.j).max() / scale < 1e-10
@@ -170,7 +170,7 @@ class TestBilinears:
     def test_flux_spin_identities_property(self, seed):
         p = random_spinor_params(np.random.default_rng(seed))
         g = build_gamma_basis(p.z)
-        b = bilinears_matrix(spinor_from_params(p, g), g)
+        b = bilinears_matrix(spinor_from_params(p, g))
         a4 = p.amplitude ** 4
         assert abs(mdot(b.S, b.S) + mdot(b.j, b.j)) < 1e-10 * a4
         assert abs(mdot(b.j, b.S)) < 1e-10 * a4
@@ -181,15 +181,19 @@ class TestBilinears:
             b = bilinears_closed_form(p)
             assert b.j[0] >= b.rho > 0
 
-    def test_consistency_guard_fires_on_broken_basis(self, basis_z):
+    def test_consistency_guard_fires_on_broken_basis(self, basis_z, monkeypatch):
         # A deliberately non-Hermitian gamma^0 leaks imaginary parts.
-        bad = dataclasses.replace(
-            basis_z, gamma=np.array([basis_z.gamma[0] + 0.1j * np.eye(4),
-                                     *basis_z.gamma[1:]]))
         p = SpinorParams(1.0, 0.3, 0.2, (0.5, 0, 0), (0, 0, 1), (0, 0, 1))
-        s = spinor_from_params(p, basis_z)
+        c = spinor_from_params(p, basis_z)
+        monkeypatch.setattr(algebra, "GAMMA",
+                            np.array([GAMMA[0] + 0.1j * np.eye(4), *GAMMA[1:]]))
         with pytest.raises(NumericConsistencyError):
-            bilinears_matrix(s, bad)
+            bilinears_matrix(c)
+
+    @pytest.mark.parametrize("shape", [(3,), (4, 1), (1, 4), (8,)])
+    def test_column_that_is_not_four_components_rejected(self, shape):
+        with pytest.raises(DomainError, match="4 components"):
+            bilinears_matrix(np.ones(shape, dtype=complex))
 
 
 class TestXiMaps:

@@ -22,10 +22,18 @@ from dirac_disquant.covariant import (
     random_param_field,
 )
 from dirac_disquant.errors import DomainError, StepSizeError
-from dirac_disquant.minkowski import BASIS4, F_REST, eps4, eps4_blocks, eps4_stack, mdot
+from dirac_disquant.minkowski import (
+    BASIS4,
+    F_REST,
+    eps4,
+    eps4_blocks,
+    eps4_free,
+    eps4_stack,
+    mdot,
+)
 from dirac_disquant.particle import DcParams, boost_matrix, helix_solution
 from dirac_disquant.report import csv_table, fmt, json_table
-from dirac_disquant.rotator import RotatorParams, RotatorState, closed_form_rotator
+from dirac_disquant.rotator import RotatorClosedForm, RotatorParams, RotatorState
 
 
 @pytest.mark.parametrize("b", [0.0, 0.1, 1.0, 10.0])
@@ -44,7 +52,7 @@ def test_position_at_time_matches_state_per_row(b, hbar):
 
 def test_worldlines_at_time_array_matches_scalar_per_row():
     pr = RotatorParams(m0=1.1, a=0.8, P0=3.0, phase=0.2)
-    cf = closed_form_rotator(pr)
+    cf = RotatorClosedForm(pr)
     times = np.linspace(0.0, 40.0, 3001)
     one, two = cf.worldlines_at_time(times)
     assert one.shape == two.shape == (len(times), 4)
@@ -231,7 +239,7 @@ def boosted(s, u):
     (RotatorParams(m0=1.0, a=1.0, P0=2.0), 200, 0.05, None),
 ], ids=["established", "suite-params", "boosted", "static"])
 def test_integrate_rotator_matches_array_stepper(params, steps, dt, u):
-    cf = closed_form_rotator(params)
+    cf = RotatorClosedForm(params)
     dt = cf.tau_period / steps if dt is None else dt
     start = cf.state(0.0) if u is None else boosted(cf.state(0.0), u)
     traj = rotator.integrate_rotator(params, start, steps, dt)
@@ -244,7 +252,7 @@ def test_integrate_rotator_matches_array_stepper(params, steps, dt, u):
 
 
 def test_rhs_float_form_matches_array_form():
-    cf = closed_form_rotator(RotatorParams(m0=1.1, a=0.8, P0=3.0, phase=0.2))
+    cf = RotatorClosedForm(RotatorParams(m0=1.1, a=0.8, P0=3.0, phase=0.2))
     rng = np.random.default_rng(2)
     p = cf.params
     for _ in range(200):
@@ -265,7 +273,7 @@ def test_rhs_float_form_matches_array_form():
     RotatorParams(m0=0.7, a=1.3, P0=2.0 * 0.7, phase=2.5),
 ], ids=["established", "static"])
 def test_closed_form_states_and_monitors_match_per_state(params):
-    cf = closed_form_rotator(params)
+    cf = RotatorClosedForm(params)
     taus = np.concatenate([np.linspace(-30.0, 30.0, 401), [0.0, -0.0]])
     stack = cf.state(taus)
     mon = rotator.constraint_monitors(stack, params)
@@ -301,7 +309,7 @@ def test_stacked_monitors_match_per_state_off_shell():
 @pytest.mark.parametrize("field", ["tau", "X", "x", "p", "P", "nu"])
 def test_nan_initial_state_raises(field):
     params = RotatorParams(m0=1.0, a=1.0, P0=3.0)
-    start = closed_form_rotator(params).state(0.0)
+    start = RotatorClosedForm(params).state(0.0)
     value = np.array(getattr(start, field), dtype=float)
     value.flat[0] = np.nan
     bad = dataclasses.replace(start, **{field: value if value.ndim else float(value)})
@@ -352,24 +360,24 @@ def scalar_params(fld, x):
                         eta=np.array(vals[3:]), n=n, z=fld.z)
 
 
-def scalar_rotors(p, g):
+def scalar_rotors(p):
     eye4 = np.eye(4, dtype=complex)
     half_kappa = 0.5 * p.kappa
     f_phase = p.amplitude * np.exp(1j * p.phi) * (
-        np.cos(half_kappa) * eye4 + np.sin(half_kappa) * g.gamma5
+        np.cos(half_kappa) * eye4 + np.sin(half_kappa) * algebra.GAMMA5
     )
     e = p.eta_norm
     if e == 0.0:
         f_boost = eye4.copy()
     else:
-        sigma_v = np.einsum("a,aij->ij", p.v, g.sigma)
-        f_boost = np.cosh(e / 2) * eye4 - 1j * np.sinh(e / 2) * (g.gamma5 @ sigma_v)
-    f_rot = 1j * np.einsum("a,aij->ij", p.n, g.sigma)
+        sigma_v = np.einsum("a,aij->ij", p.v, algebra.SIGMA)
+        f_boost = np.cosh(e / 2) * eye4 - 1j * np.sinh(e / 2) * (algebra.GAMMA5 @ sigma_v)
+    f_rot = 1j * np.einsum("a,aij->ij", p.n, algebra.SIGMA)
     return f_phase, f_boost, f_rot
 
 
 def scalar_column(p, g):
-    f_phase, f_boost, f_rot = scalar_rotors(p, g)
+    f_phase, f_boost, f_rot = scalar_rotors(p)
     return f_phase @ f_boost @ f_rot @ g.pi_column
 
 
@@ -378,8 +386,9 @@ def scalar_kinetic(fld, x, g, hbar, h):
     def psi_matrix(pt):
         return np.outer(scalar_column(scalar_params(fld, pt), g), g.pi_column.conj())
 
+    gamma = algebra.GAMMA
     psi0 = psi_matrix(x)
-    bar0 = psi0.conj().T @ g.gamma[0]
+    bar0 = psi0.conj().T @ gamma[0]
     total = np.zeros((4, 4), dtype=complex)
     for l in range(4):
         step = np.zeros(4)
@@ -387,8 +396,8 @@ def scalar_kinetic(fld, x, g, hbar, h):
         psi_p = psi_matrix(x + step)
         psi_m = psi_matrix(x - step)
         d_psi = (psi_p - psi_m) / (2.0 * h)
-        d_bar = (psi_p.conj().T - psi_m.conj().T) @ g.gamma[0] / (2.0 * h)
-        total += 0.5j * hbar * (bar0 @ g.gamma[l] @ d_psi - d_bar @ g.gamma[l] @ psi0)
+        d_bar = (psi_p.conj().T - psi_m.conj().T) @ gamma[0] / (2.0 * h)
+        total += 0.5j * hbar * (bar0 @ gamma[l] @ d_psi - d_bar @ gamma[l] @ psi0)
     return float(np.trace(total).real)
 
 
@@ -471,16 +480,16 @@ def test_spinor_batch_size_invariance():
              np.array([p.phi for p in params]), np.array([p.eta for p in params]),
              np.array([p.n for p in params]))
     cols = algebra.spinor_columns(*batch, g)
-    rotors = algebra.spinor_rotor_stack(*batch, g)
+    rotors = algebra.spinor_rotor_stack(*batch)
     assert same(rotors[1][4], np.eye(4, dtype=complex))
     for i, p in enumerate(params):
-        one = algebra.spinor_columns(*(b[i:i + 1] for b in batch), g)
-        assert same(cols[i], one[0])
+        one_row = [b[i:i + 1] for b in batch]
+        assert same(cols[i], algebra.spinor_columns(*one_row, g)[0])
         assert same(cols[i], scalar_column(p, g))
-        assert same(algebra.spinor_from_params(p, g).components, scalar_column(p, g))
-        for got, want in zip(algebra.spinor_rotor_matrices(p, g), scalar_rotors(p, g)):
-            assert same(got, want)
-        for stack, want in zip(rotors, scalar_rotors(p, g)):
+        assert same(algebra.spinor_from_params(p, g), scalar_column(p, g))
+        for got, want in zip(algebra.spinor_rotor_stack(*one_row), scalar_rotors(p)):
+            assert same(got[0], want)
+        for stack, want in zip(rotors, scalar_rotors(p)):
             assert same(stack[i], want)
 
 
@@ -512,8 +521,8 @@ def test_param_field_is_immutable_and_rebuilt_by_replace():
 def gamma_basis_reference(z):
     z = np.asarray(z, dtype=float)
     eye4 = np.eye(4, dtype=complex)
-    z_sigma = np.einsum("a,aij->ij", z, algebra._SIGMA)
-    pi = 0.25 * (eye4 + algebra._GAMMA[0]) @ (eye4 + z_sigma)
+    z_sigma = np.einsum("a,aij->ij", z, algebra.SIGMA)
+    pi = 0.25 * (eye4 + algebra.GAMMA[0]) @ (eye4 + z_sigma)
     norms = np.linalg.norm(pi, axis=0)
     col = pi[:, int(np.argmax(norms))]
     col = col / np.linalg.norm(col)
@@ -521,26 +530,27 @@ def gamma_basis_reference(z):
     return pi, col * np.exp(-1j * np.angle(col[k]))
 
 
-def rotor_stack_reference(amplitude, kappa, phi, eta, n, g):
+def rotor_stack_reference(amplitude, kappa, phi, eta, n):
     amplitude = np.asarray(amplitude, dtype=float)
     eta = np.asarray(eta, dtype=float)
     eye4 = np.eye(4, dtype=complex)
     half_kappa = (0.5 * np.asarray(kappa, dtype=float))[:, None, None]
     f_phase = (amplitude * np.exp(1j * np.asarray(phi, dtype=float)))[:, None, None] * (
-        np.cos(half_kappa) * eye4 + np.sin(half_kappa) * g.gamma5)
+        np.cos(half_kappa) * eye4 + np.sin(half_kappa) * algebra.GAMMA5)
     e = np.sqrt(np.matmul(eta[:, None, :], eta[:, :, None]))[:, :, 0]
     v = eta / np.where(e == 0.0, 1.0, e)
     half_e = (e / 2)[:, :, None]
-    f_boost = np.cosh(half_e) * eye4 - 1j * np.sinh(half_e) * (g.gamma5 @ g.sigma_dot(v))
-    return f_phase, f_boost, 1j * g.sigma_dot(n)
+    f_boost = (np.cosh(half_e) * eye4
+               - 1j * np.sinh(half_e) * (algebra.GAMMA5 @ algebra.sigma_dot(v)))
+    return f_phase, f_boost, 1j * algebra.sigma_dot(n)
 
 
-def bilinears_matrix_reference(s, g):
-    c = s.components
-    bar = c.conj() @ g.gamma[0]
+def bilinears_matrix_reference(c):
+    gamma, gamma5 = algebra.GAMMA, algebra.GAMMA5
+    bar = c.conj() @ gamma[0]
     scalar_c = bar @ c
-    j_c = np.array([bar @ (g.gamma[k] @ c) for k in range(4)])
-    s_c = np.array([1j * (bar @ (g.gamma5 @ g.gamma[k] @ c)) for k in range(4)])
+    j_c = np.array([bar @ (gamma[k] @ c) for k in range(4)])
+    s_c = np.array([1j * (bar @ (gamma5 @ gamma[k] @ c)) for k in range(4)])
     return float(scalar_c.real), j_c.real, s_c.real
 
 
@@ -641,32 +651,31 @@ def test_gamma_basis_matches_reference():
         g = build_gamma_basis(z)
         pi, col = gamma_basis_reference(z)
         assert same(g.pi_projector, pi) and same(g.pi_column, col)
-        assert same(g.metric, np.diag([1.0, -1.0, -1.0, -1.0]))
+    assert same(algebra.METRIC, np.diag([1.0, -1.0, -1.0, -1.0]))
 
 
 def test_algebra_kernels_match_references():
     params = random_parameter_sets(250, 43)
     for p in params:
         g = build_gamma_basis(p.z)
-        one = algebra._one_row(p)
-        for got, want in zip(algebra.spinor_rotor_stack(*one, g),
-                             rotor_stack_reference(*one, g)):
+        one = [p.amplitude], [p.kappa], [p.phi], p.eta[None], p.n[None]
+        for got, want in zip(algebra.spinor_rotor_stack(*one),
+                             rotor_stack_reference(*one)):
             assert same(got, want)
-        s = algebra.spinor_from_params(p, g)
-        bm = algebra.bilinears_matrix(s, g)
-        scalar, j, S = bilinears_matrix_reference(s, g)
+        c = algebra.spinor_from_params(p, g)
+        bm = algebra.bilinears_matrix(c)
+        scalar, j, S = bilinears_matrix_reference(c)
         assert bm.scalar == scalar and same(bm.j, j) and same(bm.S, S)
         bc = algebra.bilinears_closed_form(p)
         scalar, j, S = closed_form_reference(p)
         assert bc.scalar == scalar and same(bc.j, j) and same(bc.S, S)
         assert p.eta_norm == float(np.linalg.norm(p.eta))
     # The same rows as one stack of 250.
-    g = build_gamma_basis(params[0].z)
     batch = (np.array([p.amplitude for p in params]), np.array([p.kappa for p in params]),
              np.array([p.phi for p in params]), np.array([p.eta for p in params]),
              np.array([p.n for p in params]))
-    for got, want in zip(algebra.spinor_rotor_stack(*batch, g),
-                         rotor_stack_reference(*batch, g)):
+    for got, want in zip(algebra.spinor_rotor_stack(*batch),
+                         rotor_stack_reference(*batch)):
         assert same(got, want)
 
 
@@ -730,9 +739,9 @@ def test_momentum_of_boosted_jets_matches_eps4_calls(monkeypatch):
                      rng.normal(size=4), lam[:, 0]))
     for slot in range(4):
         for xdot, xddot, xi4, _, f in jets[:50]:
-            assert same(particle._eps_free(slot, xddot, xi4, f),
+            assert same(eps4_free(slot, xddot, xi4, f),
                         eps_free_reference(slot, xddot, xi4, f))
     got = [particle.momentum_covariant(*jet, p, f) for *jet, f in jets]
-    monkeypatch.setattr(particle, "_eps_free", eps_free_reference)
+    monkeypatch.setattr(particle, "eps4_free", eps_free_reference)
     for g, (*jet, f) in zip(got, jets):
         assert same(g, particle.momentum_covariant(*jet, p, f))

@@ -93,10 +93,13 @@ class TestVerifyCommand:
     @pytest.mark.parametrize("argv", [
         ["verify", "all", "--m", "1e3"],
         ["verify", "appendixA", "--hbar", "1e4"],
+        ["verify", "all", "--hbar", "1e4"],
+        ["verify", "all", "--hbar", "1e-8", "--c", "3e8", "--m", "1e3", "--m0", "50"],
     ])
     def test_unit_free_residuals_at_nonunit_constants(self, argv, tmp_path):
         # The Lagrangian, mass and momentum residuals are divided by m, the
-        # kinetic split residual by hbar.
+        # kinetic split residual by hbar, and the generic dual-Lagrangian
+        # residual by max(m, hbar).
         out = tmp_path / "report.json"
         assert run_cli([*argv, "--out", str(out)]) == 0
         assert json.loads(out.read_text())["summary"]["failed"] == 0

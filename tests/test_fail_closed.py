@@ -65,7 +65,7 @@ def test_nan_rotator_rhs_trips_step_guard(monkeypatch):
     nan4 = np.full(4, NAN)
     monkeypatch.setattr(rotator, "_rhs", lambda x, prel, P, p: (nan4, nan4, nan4, NAN))
     pr = RotatorParams(m0=1.0, a=1.0, P0=3.0)
-    cf = rotator.closed_form_rotator(pr)
+    cf = rotator.RotatorClosedForm(pr)
     with pytest.raises(StepSizeError):
         rotator.integrate_rotator(pr, cf.state(0.0), 10, cf.tau_period / 100)
 
@@ -118,6 +118,20 @@ def test_nan_unit_vector_rejected_by_spinor_params(field):
                   n=[0.0, 0.0, 1.0], z=[0.0, 0.0, 1.0])
     kwargs[field] = [NAN, 0.0, 0.0]
     with pytest.raises(DomainError):
+        SpinorParams(**kwargs)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("amplitude", NAN), ("amplitude", INF), ("kappa", NAN), ("kappa", -INF),
+    ("phi", NAN), ("phi", INF), ("eta", [NAN, 0.0, 0.0]), ("eta", [0.0, 0.0, -INF]),
+])
+def test_non_finite_parameter_rejected_by_spinor_params(field, value):
+    # Unchecked, amplitude = nan gave an all-NaN flux and phi = inf a finite
+    # scalar bilinear.
+    kwargs = dict(amplitude=1.0, kappa=0.0, phi=0.0, eta=np.zeros(3),
+                  n=[0.0, 0.0, 1.0], z=[0.0, 0.0, 1.0])
+    kwargs[field] = value
+    with pytest.raises(DomainError, match="must be finite"):
         SpinorParams(**kwargs)
 
 

@@ -9,9 +9,9 @@ from dirac_disquant.errors import (
 from dirac_disquant.minkowski import mdot
 from dirac_disquant.rotator import (
     RigidityCurve,
+    RotatorClosedForm,
     RotatorParams,
     RotatorState,
-    closed_form_rotator,
     constraint_monitors,
     identify_dcr_rr,
     integrate_rotator,
@@ -32,7 +32,7 @@ class TestClosedForm:
 
     def test_threshold_is_static(self):
         pr = RotatorParams(m0=1.0, a=1.0, P0=2.0)
-        cf = closed_form_rotator(pr)
+        cf = RotatorClosedForm(pr)
         assert pr.omega == 0.0
         one, two = cf.worldlines_at_time(3.0)
         assert np.abs(one[1:] + two[1:]).max() < 1e-15
@@ -43,23 +43,23 @@ class TestClosedForm:
             RotatorParams(m0=1.0, a=1.0, P0=1.9)
 
     def test_steady_state_conditions(self):
-        cf = closed_form_rotator(PR)
+        cf = RotatorClosedForm(PR)
         for t in np.linspace(0.0, 10.0, 20):
             assert cf.steady_state_residual(t) < 1e-12
 
     def test_constraints_and_worldlines(self):
-        cf = closed_form_rotator(PR)
+        cf = RotatorClosedForm(PR)
         for tau in np.linspace(0.0, cf.tau_period, 20):
             s = cf.state(tau)
             mon = constraint_monitors(s, PR)
             assert max(mon.values()) < 1e-12
-            one, two = s.worldlines()
+            one, two = s.X + s.x, s.X - s.x
             assert np.abs((one + two) / 2 - s.X).max() < 1e-14
             assert abs(np.linalg.norm(one[1:] - two[1:]) - 2 * PR.a) < 1e-12
 
     def test_equations_of_motion_by_finite_differences(self):
         from dirac_disquant.rotator import _rhs
-        cf = closed_form_rotator(PR)
+        cf = RotatorClosedForm(PR)
         h = 1e-6
         for tau in np.linspace(0.0, cf.tau_period, 12):
             s, sp, sm = cf.state(tau), cf.state(tau + h), cf.state(tau - h)
@@ -72,7 +72,7 @@ class TestClosedForm:
 
 class TestIntegrator:
     def test_matches_closed_form_over_period(self):
-        cf = closed_form_rotator(PR)
+        cf = RotatorClosedForm(PR)
         steps = 2000
         dt = cf.tau_period / steps
         traj = integrate_rotator(PR, cf.state(0.0), steps, dt)
@@ -84,7 +84,7 @@ class TestIntegrator:
         assert traj.nu_max < 1e-9
 
     def test_zeta_vector_spacelike_conserved(self):
-        cf = closed_form_rotator(PR)
+        cf = RotatorClosedForm(PR)
         s0 = cf.state(0.0)
         z0 = zeta_vector(s0.x, s0.p, s0.P)
         assert mdot(z0, z0) < 0
@@ -94,7 +94,7 @@ class TestIntegrator:
 
     def test_zeta_vector_is_column_stack_det_bit_for_bit(self):
         rng = np.random.default_rng(3)
-        cf = closed_form_rotator(PR)
+        cf = RotatorClosedForm(PR)
         states = [cf.state(tau) for tau in np.linspace(0.0, cf.tau_period, 7)]
         states += [RotatorState(0.0, *rng.normal(size=(4, 4)) * 10.0 ** rng.uniform(-3, 3))
                    for _ in range(100)]
@@ -108,7 +108,7 @@ class TestIntegrator:
 
     def test_static_start_stays_static(self):
         pr = RotatorParams(m0=1.0, a=1.0, P0=2.0)
-        cf = closed_form_rotator(pr)
+        cf = RotatorClosedForm(pr)
         traj = integrate_rotator(pr, cf.state(0.0), 100, 0.05)
         ref = cf.state(0.0)
         for x, q in zip(traj.states.x, traj.states.p):
@@ -116,7 +116,7 @@ class TestIntegrator:
             assert np.abs(q).max() < 1e-12
 
     def test_rk4_convergence_order(self):
-        cf = closed_form_rotator(PR)
+        cf = RotatorClosedForm(PR)
 
         def position_error(steps):
             dt = cf.tau_period / steps
@@ -129,12 +129,12 @@ class TestIntegrator:
         assert np.all(orders >= 3.8), orders
 
     def test_too_large_step_rejected(self):
-        cf = closed_form_rotator(PR)
+        cf = RotatorClosedForm(PR)
         with pytest.raises(StabilityError):
             integrate_rotator(PR, cf.state(0.0), 10, cf.tau_period / 10)
 
     def test_bad_initial_state_rejected(self):
-        cf = closed_form_rotator(PR)
+        cf = RotatorClosedForm(PR)
         import dataclasses
         bad = dataclasses.replace(cf.state(0.0), x=np.array([0.0, 1.5, 0, 0]))
         with pytest.raises(DomainError):
