@@ -47,13 +47,30 @@ _PAULI = np.array(
     dtype=complex,
 )
 
-def _check_unit3(v, name):
+def _check_unit3(v, name, rows=None):
+    """v as a float unit 3-vector, or as a (rows, 3) stack of them."""
     v = np.asarray(v, dtype=float)
-    if v.shape != (3,):
-        raise DomainError(f"{name} must be a 3-vector")
-    if not abs(np.dot(v, v) - 1.0) <= 1e-10:
-        raise DomainError(f"{name} must be a unit vector, got |{name}|^2 = {np.dot(v, v)!r}")
+    if rows is None:
+        if v.shape != (3,):
+            raise DomainError(f"{name} must be a 3-vector")
+        vv = np.dot(v, v)
+        off = abs(vv - 1.0)
+    else:
+        if v.shape != (rows, 3):
+            raise DomainError(f"{name} must be a 3-vector in each of the {rows} rows")
+        vv = np.einsum("ij,ij->i", v, v)
+        off = np.abs(vv - 1.0).max()
+    if not off <= 1e-10:
+        raise DomainError(f"{name} must be a unit vector, got |{name}|^2 = {vv!r}")
     return v
+
+
+def _dot3(a, b):
+    """a.b over the last axis, kept: a scalar for two 3-vectors, an (N, 1)
+    column for two (N, 3) stacks; each row keeps the ``dot`` of one pair."""
+    if a.ndim == 1:
+        return a.dot(b)
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0]
 
 
 def _dirac_matrices():
@@ -132,7 +149,13 @@ def build_gamma_basis(z=(0.0, 0.0, 1.0)) -> GammaBasis:
 
 @dataclass(frozen=True)
 class SpinorParams:
-    """The eight real parameters of the spinor plus the constant axis z."""
+    """The eight real parameters of the spinor plus the constant axis z.
+
+    One set has float amplitude, kappa and phi and (3,) eta, n and z; a
+    stack of N sets has them of shape (N,) and (N, 3), and ``stack`` builds
+    one from N single sets.  The properties give each row of a stack the
+    bits of the one-set property.
+    """
 
     amplitude: float
     kappa: float
@@ -142,40 +165,69 @@ class SpinorParams:
     z: np.ndarray     # unit 3-vector, constant
 
     def __post_init__(self):
-        object.__setattr__(self, "eta", np.asarray(self.eta, dtype=float))
-        if self.eta.shape != (3,):
-            raise DomainError("eta must be a 3-vector")
-        if not all(map(math.isfinite, (self.amplitude, self.kappa, self.phi, *self.eta))):
+        eta = np.asarray(self.eta, dtype=float)
+        object.__setattr__(self, "eta", eta)
+        # A stack is told by its amplitude: an (N,) array, not a number.
+        rows = len(self.amplitude) if getattr(self.amplitude, "ndim", 0) else None
+        if rows is None:
+            if eta.shape != (3,):
+                raise DomainError("eta must be a 3-vector")
+            finite = all(map(math.isfinite, (self.amplitude, self.kappa, self.phi, *eta)))
+        else:
+            for name in ("amplitude", "kappa", "phi"):
+                object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+                if getattr(self, name).shape != (rows,):
+                    raise DomainError(f"a stack of {name} must have shape ({rows},)")
+            if eta.shape != (rows, 3):
+                raise DomainError(f"eta must be a 3-vector in each of the {rows} rows")
+            finite = all(np.isfinite(a).all() for a in (self.amplitude, self.kappa,
+                                                         self.phi, eta))
+        if not finite:
             raise DomainError("amplitude, kappa, phi and eta must be finite, got "
                               f"{self.amplitude!r}, {self.kappa!r}, {self.phi!r}, "
                               f"{self.eta!r}")
-        object.__setattr__(self, "n", _check_unit3(self.n, "n"))
-        object.__setattr__(self, "z", _check_unit3(self.z, "z"))
-        if self.amplitude < 0:
+        object.__setattr__(self, "n", _check_unit3(self.n, "n", rows))
+        object.__setattr__(self, "z", _check_unit3(self.z, "z", rows))
+        nonnegative = self.amplitude >= 0
+        if not (nonnegative if rows is None else nonnegative.all()):
             raise DomainError("amplitude must be nonnegative")
+
+    @classmethod
+    def stack(cls, sets) -> "SpinorParams":
+        """The one-set parameters ``sets`` as the rows of one stack, in order."""
+        return cls(*(np.array([getattr(p, f) for p in sets])
+                     for f in ("amplitude", "kappa", "phi", "eta", "n", "z")))
 
     @property
     def eta_norm(self) -> float:
-        # The sqrt(eta.eta) of np.linalg.norm, without its dispatch.
-        return math.sqrt(self.eta.dot(self.eta))
+        """|eta|, or the (N,) row norms of a stack."""
+        if self.eta.ndim == 1:
+            # The sqrt(eta.eta) of np.linalg.norm, without its dispatch.
+            return math.sqrt(self.eta.dot(self.eta))
+        return np.sqrt(_dot3(self.eta, self.eta))[:, 0]
 
     @property
     def v(self) -> np.ndarray:
         """Unit rapidity direction; zero vector in the eta = 0 limit."""
         e = self.eta_norm
-        if e == 0.0:
-            return np.zeros(3)
-        return self.eta / e
+        if self.eta.ndim == 1:
+            return np.zeros(3) if e == 0.0 else self.eta / e
+        e = e[:, None]
+        return np.divide(self.eta, e, out=np.zeros(self.eta.shape), where=e != 0.0)
 
     @property
     def xi(self) -> np.ndarray:
         """The spin direction 2 n (n.z) - z, a unit 3-vector."""
-        return 2.0 * self.n * float(self.n.dot(self.z)) - self.z
+        return 2.0 * self.n * _dot3(self.n, self.z) - self.z
 
 
 @dataclass(frozen=True)
 class Bilinears:
-    """Scalar psi-bar psi, flux j, spin pseudovector S, and rho = sqrt(j.j)."""
+    """Scalar psi-bar psi, flux j, spin pseudovector S, and rho = sqrt(j.j).
+
+    One set has float scalar and rho and (4,) j and S; a stack of N has them
+    of shape (N,) and (N, 4).
+    """
 
     scalar: float
     j: np.ndarray
@@ -213,70 +265,98 @@ def spinor_rotor_stack(amplitude, kappa, phi, eta, n):
     return f_phase, f_boost, f_rot
 
 
-def spinor_columns(amplitude, kappa, phi, eta, n, g: GammaBasis) -> np.ndarray:
-    """Projector columns (N, 4) of the spinors of N parameter sets."""
+def spinor_columns(amplitude, kappa, phi, eta, n, pi_column) -> np.ndarray:
+    """Spinor columns (N, 4) of N parameter sets.
+
+    ``pi_column`` is the projector column of each set, (N, 4), or one (4,)
+    column shared by all N.
+    """
     f_phase, f_boost, f_rot = spinor_rotor_stack(amplitude, kappa, phi, eta, n)
-    return f_phase @ f_boost @ f_rot @ g.pi_column
+    return (f_phase @ f_boost @ f_rot @ np.asarray(pi_column)[..., None])[..., 0]
 
 
 def spinor_from_params(p: SpinorParams, g: GammaBasis) -> np.ndarray:
     """The spinor column (4,) by the closed half-angle exponential forms."""
-    return spinor_columns([p.amplitude], [p.kappa], [p.phi], p.eta[None], p.n[None], g)[0]
+    return spinor_columns([p.amplitude], [p.kappa], [p.phi], p.eta[None], p.n[None],
+                          g.pi_column)[0]
 
 
+#: Largest imaginary part of a bilinear, relative to c^dagger c = psi^dagger psi.
 IMAG_TOL = 1e-8
 
 
 def bilinears_matrix(c) -> Bilinears:
-    """Bilinears by direct matrix algebra on the spinor column c, shape (4,).
+    """Bilinears by direct matrix algebra on the spinor column c, shape (4,),
+    or on each row of an (N, 4) stack of columns.
 
     j^k = psi-bar gamma^k psi and S^l = i psi-bar gamma5 gamma^l psi with
     psi-bar = psi^* gamma^0.  All eight numbers must come out real; an
-    imaginary residual above 1e-8 raises NumericConsistencyError.
+    imaginary part above 1e-8 c^dagger c in any row raises
+    NumericConsistencyError.
     """
     c = np.asarray(c, dtype=complex)
-    if c.shape != (4,):
+    if c.shape[-1:] != (4,) or c.ndim > 2:
         raise DomainError(f"a spinor column has 4 components, got shape {c.shape}")
-    bar = c.conj() @ GAMMA[0]
-    scalar_c = bar @ c
+    rows = c.reshape(-1, 4)
+    conj = rows.conj()
     # One stacked matmul per bilinear; the one-row and one-column shapes keep
-    # the gemv and dot of the per-k products bar @ (gamma^k @ c).
-    col = c[:, None]
-    j_c = (bar @ (GAMMA @ col))[:, 0]
-    s_c = 1j * (bar @ (_G5_GAMMA @ col))[:, 0]
+    # the gemv and dot of the one-column products bar @ (gamma^k @ c).
+    bar = conj[:, None, :] @ GAMMA[0]
+    scalar_c = np.matmul(bar, rows[:, :, None])[:, 0, 0]
+    col = rows[:, None, :, None]
+    j_c = (bar[:, None] @ (GAMMA @ col))[:, :, 0, 0]
+    s_c = 1j * (bar[:, None] @ (_G5_GAMMA @ col))[:, :, 0, 0]
 
-    resid = np.abs(np.concatenate(([scalar_c], j_c, s_c)).imag).max()
-    if not resid <= IMAG_TOL:
+    imag = np.abs(np.concatenate((scalar_c[:, None], j_c, s_c), axis=1).imag).max(axis=1)
+    norm2 = np.matmul(conj[:, None, :], rows[:, :, None]).real[:, 0, 0]
+    bad = ~(imag <= IMAG_TOL * norm2)
+    if bad.any():
+        k = int(np.argmax(bad))
         raise NumericConsistencyError(
-            f"bilinears acquired imaginary parts up to {resid:.3e}")
+            f"bilinears acquired imaginary parts up to {imag[k]:.3e} "
+            f"at c^dagger c = {norm2[k]:.3e}")
 
     j = j_c.real
-    jj = j[0] ** 2 - j[1] ** 2 - j[2] ** 2 - j[3] ** 2
-    return Bilinears(scalar=float(scalar_c.real), j=j, S=s_c.real,
-                     rho=float(np.sqrt(max(jj, 0.0))))
+    # float_power rounds as the libm pow behind a scalar ``** 2``.
+    sq = np.float_power(j, 2.0)
+    rho = np.sqrt(np.maximum(sq[:, 0] - sq[:, 1] - sq[:, 2] - sq[:, 3], 0.0))
+    if c.ndim == 1:
+        return Bilinears(scalar=float(scalar_c[0].real), j=j[0], S=s_c[0].real,
+                         rho=float(rho[0]))
+    return Bilinears(scalar=scalar_c.real, j=j, S=s_c.real, rho=rho)
+
+
+def _pow(x, k):
+    """x ** k rounded as the libm pow behind the float operator, element by
+    element for an array (numpy's own ``**`` squares by multiplication)."""
+    return x ** k if isinstance(x, float) else np.float_power(x, k)
 
 
 def bilinears_closed_form(p: SpinorParams) -> Bilinears:
-    """Bilinears straight from the parameters, no matrices.
+    """Bilinears straight from the parameters, no matrices; row by row for
+    a stack.
 
     j^0 = A^2 cosh eta, j = A^2 sinh(eta) v, S^0 = A^2 sinh(eta) (xi.v),
     S = A^2 [xi + (cosh eta - 1) v (v.xi)] with xi = 2n(n.z) - z.  At
     eta = 0 every sinh-weighted term has the removable limit zero.
     """
-    a2 = p.amplitude ** 2
+    a2 = _pow(p.amplitude, 2.0)
     e = p.eta_norm
     v = p.v
     xi = p.xi
     ch, sh = np.cosh(e), np.sinh(e)
-    xi_v = float(xi.dot(v))         # the products of v.xi, in the same order
+    xi_v = _dot3(xi, v).T           # the products of v.xi, in the same order
 
-    j = np.empty(4)
-    j[0] = a2 * ch
-    j[1:] = a2 * sh * v
-
-    S = np.empty(4)
-    S[0] = a2 * sh * xi_v
-    S[1:] = a2 * (xi + (ch - 1.0) * v * xi_v)
+    # Written components first, through the transposes of the (N, 4) rows;
+    # for one set .T changes nothing.
+    shape = v.shape[:-1] + (4,)
+    j, S = np.empty(shape), np.empty(shape)
+    jT, ST, v, xi = j.T, S.T, v.T, xi.T
+    a2_sh = a2 * sh
+    jT[0] = a2 * ch
+    jT[1:] = a2_sh * v
+    ST[0] = a2_sh * xi_v
+    ST[1:] = a2 * (xi + (ch - 1.0) * v * xi_v)
 
     return Bilinears(scalar=a2 * np.cos(p.kappa), j=j, S=S, rho=a2)
 
@@ -285,24 +365,27 @@ RHO_TOL = 1e-12
 
 
 def xi_from_bilinears(b: Bilinears) -> np.ndarray:
-    """Recover the unit spin direction xi from (j, S).
+    """Recover the unit spin direction xi from (j, S), row by row for a stack.
 
     xi^a = [S^a - j^a S^0 / (j^0 + rho)] / rho; requires timelike flux.
     """
-    if b.rho <= RHO_TOL:
+    if np.any(b.rho <= RHO_TOL):
         raise LightlikeFluxError(
-            f"flux is lightlike within tolerance (rho = {b.rho:.3e})")
-    return (b.S[1:] - b.j[1:] * b.S[0] / (b.j[0] + b.rho)) / b.rho
+            f"flux is lightlike within tolerance (rho = {np.min(b.rho):.3e})")
+    j, S = b.j.T, b.S.T
+    return ((S[1:] - j[1:] * S[0] / (j[0] + b.rho)) / b.rho).T
 
 
 def spin_from_xi(xi, j, rho) -> np.ndarray:
-    """Inverse map: spin pseudovector from xi and the flux."""
+    """Inverse map: spin pseudovector from xi and the flux; row by row for
+    xi (N, 3), j (N, 4) and rho (N,)."""
     xi = np.asarray(xi, dtype=float)
     j = np.asarray(j, dtype=float)
-    jxi = float(np.dot(j[1:], xi))
-    S = np.empty(4)
-    S[0] = jxi
-    S[1:] = rho * xi + jxi * j[1:] / (rho + j[0])
+    jxi = _dot3(j[..., 1:], xi).T
+    S = np.empty(j.shape)
+    ST, j = S.T, j.T
+    ST[0] = jxi
+    ST[1:] = rho * xi.T + jxi * j[1:] / (rho + j[0])
     return S
 
 

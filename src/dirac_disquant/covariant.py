@@ -406,7 +406,7 @@ def kinetic_term_matrix(fld: ParamField, x, g: GammaBasis, hbar, h=1e-4) -> floa
     # One evaluation of the stencil x, x + h e_l, x - h e_l (l = 0..3).
     s, raw = fld.values(np.concatenate((x[None], x + steps, x - steps)))
     n, _ = _unit_n(raw)
-    cols = spinor_columns(s[:, 0], s[:, 1], s[:, 2], s[:, 3:], n, g)
+    cols = spinor_columns(s[:, 0], s[:, 1], s[:, 2], s[:, 3:], n, g.pi_column)
     psi = cols[:, :, None] * g.pi_column.conj()        # psi = M Pi, row by row
     psi0, psi_p, psi_m = psi[0], psi[1:5], psi[5:]
 

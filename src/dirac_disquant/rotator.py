@@ -116,11 +116,12 @@ def constraint_monitors(s: RotatorState, p: RotatorParams) -> dict:
 def monitor_scales(p: RotatorParams) -> np.ndarray:
     """Divisors that make the ``constraint_monitors`` unit-free, in its order.
 
-    The momentum products P.p and p.p - target scale like m0^2; the other
-    three are left as they are.  Every divisor is exactly 1 at m0 = 1.
+    p.x scales like m0 a and the momentum products P.p and p.p - target
+    like m0^2; the other two are left as they are.  Every divisor is exactly
+    1 at m0 = a = 1.
     """
     m2 = p.m0 ** 2
-    return np.array([1.0, 1.0, m2, m2, 1.0])
+    return np.array([1.0, p.m0 * p.a, m2, m2, 1.0])
 
 
 def zeta_vector(x, prel, P) -> np.ndarray:
@@ -175,7 +176,8 @@ class RotatorClosedForm:
         th = p.omega0 * t + p.phase
         d1 = np.array([1.0, -p.a * p.omega0 * np.sin(th),
                        p.a * p.omega0 * np.cos(th), 0.0])
-        sep = self.worldlines_at_time(t)[0] - self.worldlines_at_time(t)[1]
+        one, two = self.worldlines_at_time(t)
+        sep = one - two
         return max(abs(mdot(d1, sep)), abs(mdot(-d1 + 2.0 * np.array([1.0, 0, 0, 0]), sep)))
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -190,7 +192,38 @@ class TestBilinears:
         with pytest.raises(NumericConsistencyError):
             bilinears_matrix(c)
 
-    @pytest.mark.parametrize("shape", [(3,), (4, 1), (1, 4), (8,)])
+    def test_imaginary_guard_is_relative_to_the_norm(self):
+        # An absolute 1e-8 bound raised for 49 of these 200 sets at A = 1e4
+        # and for all of them at A = 1e5, on roundoff alone.
+        for amplitude in (1e4, 1e5):
+            params = [dataclasses.replace(random_spinor_params(np.random.default_rng(s)),
+                                          amplitude=amplitude) for s in range(200)]
+            ps = SpinorParams.stack(params)
+            cols = np.array([spinor_from_params(p, build_gamma_basis(p.z)) for p in params])
+            b = bilinears_matrix(cols)
+            assert b.j.shape == (200, 4)
+            assert np.abs(b.rho / amplitude ** 2 - 1.0).max() < 1e-12
+            assert np.abs(bilinears_closed_form(ps).j - b.j).max() / amplitude ** 2 < 1e-10
+
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+    def test_consistency_guard_fires_at_any_amplitude(self, basis_z, monkeypatch, scale):
+        # A leak of 1e-7 c^dagger c fails at every scale, in a column and in
+        # any row of a stack.
+        p = SpinorParams(1.0, 0.3, 0.2, (0.5, 0, 0), (0, 0, 1), (0, 0, 1))
+        c = scale * spinor_from_params(p, basis_z)
+        monkeypatch.setattr(algebra, "GAMMA",
+                            np.array([GAMMA[0] + 1e-7j * np.eye(4), *GAMMA[1:]]))
+        with pytest.raises(NumericConsistencyError):
+            bilinears_matrix(c)
+        with pytest.raises(NumericConsistencyError):
+            bilinears_matrix(np.stack([c, c / scale]))
+
+    def test_zero_spinor_passes_the_guard(self):
+        b = bilinears_matrix(np.zeros((2, 4), dtype=complex))
+        assert (b.j == 0.0).all() and (b.rho == 0.0).all()
+
+    # (1, 4) is a stack of one column; (1, 1, 4) is neither a column nor a stack.
+    @pytest.mark.parametrize("shape", [(3,), (4, 1), (1, 1, 4), (8,)])
     def test_column_that_is_not_four_components_rejected(self, shape):
         with pytest.raises(DomainError, match="4 components"):
             bilinears_matrix(np.ones(shape, dtype=complex))
@@ -212,6 +245,12 @@ class TestXiMaps:
         assert np.abs(xi - p.xi).max() < 1e-10
         s_back = spin_from_xi(xi, b.j, b.rho)
         assert np.abs(s_back - b.S).max() / np.abs(b.S).max() < 1e-12
+
+    def test_lightlike_row_of_a_stack_rejected(self):
+        b = Bilinears(scalar=np.zeros(2), j=np.array([[1.0, 0, 0, 0], [1.0, 1.0, 0, 0]]),
+                      S=np.zeros((2, 4)), rho=np.array([1.0, 0.0]))
+        with pytest.raises(LightlikeFluxError):
+            xi_from_bilinears(b)
 
     def test_lightlike_flux_rejected(self):
         b = Bilinears(scalar=0.0, j=np.array([1.0, 1.0, 0, 0]),

@@ -1,6 +1,7 @@
 """The array routes give the bytes of a scalar reference kept here.
 
-This covers the generators and the covariant layer of ``verify``.  Each
+This covers the generators, the covariant layer of ``verify`` and the
+stacked algebra kernels of its ``algebra`` suite.  Each
 reference is the per-value, per-step or per-point form the array route
 replaced; comparisons go through ``tobytes`` or string equality, so a flipped
 sign of zero or a last-bit difference fails.
@@ -12,7 +13,7 @@ import json
 import numpy as np
 import pytest
 
-from dirac_disquant import algebra, covariant, particle, report, rotator
+from dirac_disquant import algebra, covariant, particle, report, rotator, verification
 from dirac_disquant.algebra import SpinorParams, build_gamma_basis
 from dirac_disquant.covariant import (
     ParamField,
@@ -479,12 +480,12 @@ def test_spinor_batch_size_invariance():
     batch = (np.array([p.amplitude for p in params]), np.array([p.kappa for p in params]),
              np.array([p.phi for p in params]), np.array([p.eta for p in params]),
              np.array([p.n for p in params]))
-    cols = algebra.spinor_columns(*batch, g)
+    cols = algebra.spinor_columns(*batch, g.pi_column)
     rotors = algebra.spinor_rotor_stack(*batch)
     assert same(rotors[1][4], np.eye(4, dtype=complex))
     for i, p in enumerate(params):
         one_row = [b[i:i + 1] for b in batch]
-        assert same(cols[i], algebra.spinor_columns(*one_row, g)[0])
+        assert same(cols[i], algebra.spinor_columns(*one_row, g.pi_column)[0])
         assert same(cols[i], scalar_column(p, g))
         assert same(algebra.spinor_from_params(p, g), scalar_column(p, g))
         for got, want in zip(algebra.spinor_rotor_stack(*one_row), scalar_rotors(p)):
@@ -677,6 +678,116 @@ def test_algebra_kernels_match_references():
     for got, want in zip(algebra.spinor_rotor_stack(*batch),
                          rotor_stack_reference(*batch)):
         assert same(got, want)
+
+
+def test_stacked_algebra_kernels_match_one_set_calls():
+    # Rows 0, 10, 20, ... have eta = 0 and row 1 has |eta| = 1e-300.
+    params = random_parameter_sets(250, 47)
+    bases = [build_gamma_basis(p.z) for p in params]
+    ps = SpinorParams.stack(params)
+    cols = algebra.spinor_columns(ps.amplitude, ps.kappa, ps.phi, ps.eta, ps.n,
+                                  np.array([g.pi_column for g in bases]))
+    bm = algebra.bilinears_matrix(cols)
+    bc = algebra.bilinears_closed_form(ps)
+    xi = algebra.xi_from_bilinears(bc)
+    s_back = algebra.spin_from_xi(xi, bc.j, bc.rho)
+    assert cols.shape == (250, 4) and xi.shape == (250, 3) and s_back.shape == (250, 4)
+    assert same(ps.eta_norm, [p.eta_norm for p in params])
+    assert same(ps.v, [p.v for p in params]) and same(ps.xi, [p.xi for p in params])
+    for i, (p, g) in enumerate(zip(params, bases)):
+        c = algebra.spinor_from_params(p, g)
+        assert same(cols[i], c)
+        one = SpinorParams.stack([p])
+        assert same(algebra.spinor_columns(one.amplitude, one.kappa, one.phi, one.eta,
+                                           one.n, g.pi_column[None])[0], c)
+        bm1, bc1 = algebra.bilinears_matrix(c), algebra.bilinears_closed_form(p)
+        for stack, row, b1 in ((bm, i, bm1), (algebra.bilinears_matrix(c[None]), 0, bm1),
+                               (bc, i, bc1), (algebra.bilinears_closed_form(one), 0, bc1)):
+            assert same(stack.scalar[row], b1.scalar) and same(stack.rho[row], b1.rho)
+            assert same(stack.j[row], b1.j) and same(stack.S[row], b1.S)
+        xi1 = algebra.xi_from_bilinears(bc1)
+        assert same(xi[i], xi1)
+        assert same(s_back[i], algebra.spin_from_xi(xi1, bc1.j, bc1.rho))
+        assert same(algebra.spin_from_xi(xi1[None], bc1.j[None], np.array([bc1.rho]))[0],
+                    s_back[i])
+
+
+def test_stacked_rho_rounds_as_the_scalar_squares():
+    # ``j[k] ** 2`` of a float is libm pow, which differs from numpy's
+    # array square j * j in about one value in a thousand.
+    rng = np.random.default_rng(48)
+    params = [algebra.random_spinor_params(rng) for _ in range(5000)]
+    ps = SpinorParams.stack(params)
+    cols = algebra.spinor_columns(ps.amplitude, ps.kappa, ps.phi, ps.eta, ps.n,
+                                  np.array([build_gamma_basis(p.z).pi_column for p in params]))
+    bm = algebra.bilinears_matrix(cols)
+    for j, rho in zip(bm.j, bm.rho):
+        j0, j1, j2, j3 = (float(x) for x in j)
+        assert same(rho, np.sqrt(max(j0 ** 2 - j1 ** 2 - j2 ** 2 - j3 ** 2, 0.0)))
+
+
+def per_set_algebra_residuals(seed):
+    """The four heavy algebra checks as the per-set loops they replaced."""
+    params = [algebra.random_spinor_params(np.random.default_rng(seed + 1000 + i))
+              for i in range(1000)]
+
+    def matrix_route(p):
+        return algebra.bilinears_matrix(
+            algebra.spinor_from_params(p, algebra.build_gamma_basis(p.z)))
+
+    def equivalence(p):
+        bm = matrix_route(p)
+        bc = algebra.bilinears_closed_form(p)
+        scale = max(np.abs(bc.j).max(), np.abs(bc.S).max(), abs(bc.scalar), 1e-300)
+        return (np.abs(bm.j - bc.j).max() / scale, np.abs(bm.S - bc.S).max() / scale,
+                abs(bm.scalar - bc.scalar) / scale)
+
+    def identities(p):
+        bm = matrix_route(p)
+        a4 = p.amplitude ** 4
+        return (abs(mdot(bm.S, bm.S) + mdot(bm.j, bm.j)) / a4,
+                abs(mdot(bm.j, bm.S)) / a4)
+
+    def rho_check(p):
+        return abs(matrix_route(p).rho - p.amplitude ** 2) / p.amplitude ** 2
+
+    def xi_checks(p):
+        bc = algebra.bilinears_closed_form(p)
+        xi = algebra.xi_from_bilinears(bc)
+        s_back = algebra.spin_from_xi(xi, bc.j, bc.rho)
+        return (np.abs(xi - p.xi).max(), abs(np.linalg.norm(xi) - 1.0),
+                np.abs(s_back - bc.S).max() / max(np.abs(bc.S).max(), 1e-300))
+
+    worst = verification._worst
+    return {
+        "bilinear-equivalence": worst(map(equivalence, params)),
+        "flux-spin-identities": worst(map(identities, params)),
+        "rho-equals-amplitude-squared": worst(map(rho_check, params)),
+        "xi-extraction-roundtrip": worst(map(xi_checks, params)),
+    }
+
+
+@pytest.mark.parametrize("seed", [42, 7, 123])
+def test_batched_algebra_records_match_per_set_checks(seed):
+    rep = verification.suite_algebra(report.RunConfig(seed=seed))
+    got = {r.check_id: r.residual for r in rep.records}
+    for check_id, residual in per_set_algebra_residuals(seed).items():
+        assert same(got[check_id], residual), check_id
+
+
+def test_algebra_suite_builds_one_basis_per_set_and_check(monkeypatch):
+    # Each matrix-route check keeps its own bases and one call per kernel.
+    calls = {"build_gamma_basis": 0, "bilinears_matrix": 0, "spinor_columns": 0}
+    for name in calls:
+        fn = getattr(algebra, name)
+
+        def counted(*args, _fn=fn, _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(algebra, name, counted)
+    verification.suite_algebra(report.RunConfig(seed=42))
+    assert calls == {"build_gamma_basis": 1 + 8 + 3 * 1000, "bilinears_matrix": 3,
+                     "spinor_columns": 3}
 
 
 def test_mdot_of_transposed_rows_matches_row_calls():

@@ -85,7 +85,7 @@ class TestVerifyCommand:
         # Only the rotator and consistency suites read m0, so with the
         # consistency cases above this covers `verify all --m0 50`, `1e-3`
         # and `1e3`; the integrator's initial-state guard and both monitor
-        # checks divide the momentum monitors by m0^2.
+        # checks divide the momentum monitors by m0^2 and p.x by m0 a.
         out = tmp_path / "rotator.json"
         assert run_cli(["verify", "rotator", "--m0", m0, "--out", str(out)]) == 0
         assert json.loads(out.read_text())["summary"]["failed"] == 0
@@ -95,11 +95,15 @@ class TestVerifyCommand:
         ["verify", "appendixA", "--hbar", "1e4"],
         ["verify", "all", "--hbar", "1e4"],
         ["verify", "all", "--hbar", "1e-8", "--c", "3e8", "--m", "1e3", "--m0", "50"],
+        ["verify", "all", "--m0", "1e4"],
+        ["verify", "all", "--c", "0.5"],
     ])
     def test_unit_free_residuals_at_nonunit_constants(self, argv, tmp_path):
         # The Lagrangian, mass and momentum residuals are divided by m, the
         # kinetic split residual by hbar, and the generic dual-Lagrangian
-        # residual by max(m, hbar).
+        # residual by max(m, hbar).  The rotator's p.x monitor is divided by
+        # m0 a, and the grand-consistency speeds are fractions of c, so any
+        # c > 0 admits them.
         out = tmp_path / "report.json"
         assert run_cli([*argv, "--out", str(out)]) == 0
         assert json.loads(out.read_text())["summary"]["failed"] == 0

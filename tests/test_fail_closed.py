@@ -142,6 +142,35 @@ def test_rapidity_that_is_not_a_3_vector_rejected(eta):
                      n=[0.0, 0.0, 1.0], z=[0.0, 0.0, 1.0])
 
 
+def _stack_kwargs():
+    return dict(amplitude=np.ones(3), kappa=np.zeros(3), phi=np.zeros(3),
+                eta=np.zeros((3, 3)), n=np.tile([0.0, 0.0, 1.0], (3, 1)),
+                z=np.tile([0.0, 0.0, 1.0], (3, 1)))
+
+
+@pytest.mark.parametrize("field, row, value, match", [
+    ("amplitude", 1, NAN, "must be finite"), ("phi", 2, INF, "must be finite"),
+    ("eta", 0, [0.0, NAN, 0.0], "must be finite"), ("amplitude", 2, -1.0, "nonnegative"),
+    ("n", 1, [0.0, 0.0, 2.0], "unit vector"), ("z", 0, [NAN, 0.0, 0.0], "unit vector"),
+])
+def test_bad_row_of_a_spinor_params_stack_rejected(field, row, value, match):
+    kwargs = _stack_kwargs()
+    kwargs[field][row] = value
+    with pytest.raises(DomainError, match=match):
+        SpinorParams(**kwargs)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("kappa", np.zeros(2)), ("eta", np.zeros((2, 3))), ("n", np.zeros(3)),
+    ("z", np.zeros((3, 4))),
+])
+def test_spinor_params_stack_of_mismatched_shapes_rejected(field, value):
+    kwargs = _stack_kwargs()
+    kwargs[field] = value
+    with pytest.raises(DomainError):
+        SpinorParams(**kwargs)
+
+
 @pytest.mark.parametrize("z", [[NAN, 0.0, 0.0], [0.0, 0.0, NAN]])
 def test_nan_axis_rejected_by_gamma_basis(z):
     with pytest.raises(DomainError):

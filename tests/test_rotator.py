@@ -16,6 +16,7 @@ from dirac_disquant.rotator import (
     identify_dcr_rr,
     integrate_rotator,
     mass_increase,
+    monitor_scales,
     rigidity,
     rigidity_domain_bound,
     zeta_vector,
@@ -46,6 +47,27 @@ class TestClosedForm:
         cf = RotatorClosedForm(PR)
         for t in np.linspace(0.0, 10.0, 20):
             assert cf.steady_state_residual(t) < 1e-12
+
+    def test_steady_state_residual_evaluates_the_worldlines_once(self, monkeypatch):
+        cf = RotatorClosedForm(PR)
+        calls = []
+        worldlines = RotatorClosedForm.worldlines_at_time
+
+        def counted(self, t):
+            calls.append(t)
+            return worldlines(self, t)
+        monkeypatch.setattr(RotatorClosedForm, "worldlines_at_time", counted)
+        cf.steady_state_residual(0.7)
+        assert calls == [0.7]
+
+    @pytest.mark.parametrize("m0, a", [(1e4, 1.0), (1e5, 1.0), (1e5, 1e-3), (3.0, 0.2)])
+    def test_monitors_are_unit_free(self, m0, a):
+        # p.x scales like m0 a; every divisor is 1 at m0 = a = 1.
+        pr = RotatorParams(m0=m0, a=a, P0=2.0 * np.sqrt(2.0) * m0)
+        s = RotatorClosedForm(pr).state(np.linspace(0.0, 10.0, 32))
+        mon = np.array(list(constraint_monitors(s, pr).values()))
+        assert (mon / monitor_scales(pr)[:, None]).max() < 1e-12
+        assert list(monitor_scales(PR)) == [1.0] * 5
 
     def test_constraints_and_worldlines(self):
         cf = RotatorClosedForm(PR)
