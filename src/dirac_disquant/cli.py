@@ -15,7 +15,7 @@ import numpy as np
 
 from . import particle, rotator
 from .errors import DomainError
-from .report import SCHEMA_TAG, RunConfig, csv_table, fmt, json_table
+from .report import SCHEMA_TAG, RunConfig, csv_chunks, fmt, json_chunks, row_blocks
 from .verification import SUITE_NAMES, run_suite
 
 # Largest table a generator writes; checked before any row is built.
@@ -118,25 +118,30 @@ def build_parser():
     return ap
 
 
-def _emit(text, out_path):
+def _emit(chunks, out_path):
+    """Write the text chunks to ``out_path``, or to stdout for None or "-"."""
     if out_path in (None, "-"):
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
         with open(out_path, "w", encoding="utf-8", newline="\n") as f:
-            f.write(text)
+            f.writelines(chunks)
 
 
-def _emit_table(args, meta, columns, rows):
-    """Write a data table in the chosen format."""
-    table = json_table if args.out_format == "json" else csv_table
-    _emit(table(meta, columns, rows), args.out)
+def _emit_table(args, meta, columns, n, rows_of):
+    """Write an n-row data table in the chosen format, one block at a time.
+
+    ``rows_of(slice)`` makes the rows of one block.  It must not raise: every
+    check runs before this call, so a failing command writes no file.
+    """
+    chunks = json_chunks if args.out_format == "json" else csv_chunks
+    _emit(chunks(meta, columns, row_blocks(n, rows_of)), args.out)
 
 
 def cmd_verify(args) -> int:
     cfg = RunConfig(seed=args.seed, tol_scale=args.tol_scale,
                     m=args.m, m0=args.m0, hbar=args.hbar, c=args.c)
     report = run_suite(args.suite, cfg)
-    _emit(report.render(args.out_format), args.out)
+    _emit([report.render(args.out_format)], args.out)
     ok, total = report.counts
     print(f"suite {args.suite}: {ok}/{total} checks passed "
           f"in {report.wall_time:.2f} s", file=sys.stderr)
@@ -177,11 +182,15 @@ def cmd_helix(args) -> int:
         "w0": sol.w0, "units": "c=1",
     }
     columns = ["t", "x", "y_coord", "z_coord", "xi1", "xi2", "xi3"]
-    rows = np.empty((n, len(columns)))
-    rows[:, 0] = times
-    rows[:, 1:4] = sol.position_at_time(times)
-    rows[:, 4:] = sol.xi
-    _emit_table(args, meta, columns, rows)
+
+    def rows_of(block):
+        t = times[block]
+        rows = np.empty((len(t), len(columns)))
+        rows[:, 0] = t
+        rows[:, 1:4] = sol.position_at_time(t)
+        rows[:, 4:] = sol.xi
+        return rows
+    _emit_table(args, meta, columns, n, rows_of)
     return 0
 
 
@@ -197,34 +206,34 @@ def cmd_rotator(args) -> int:
     }
     columns = ["t", "x1_1", "x1_2", "x2_1", "x2_2",
                "res_xx", "res_px", "res_Pp", "res_pp", "res_Xdotx"]
-    rows = np.empty((args.steps + 1, len(columns)))
 
     if args.mode == "closed":
         if pr.omega == 0.0:
             times = np.linspace(0.0, 1.0, args.steps + 1)
         else:
             times = np.linspace(0.0, 2.0 * np.pi / abs(pr.omega0), args.steps + 1)
-        one, two = cf.worldlines_at_time(times)
-        rows[:, 0] = times
-        rows[:, 1:3] = one[:, 1:3]
-        rows[:, 3:5] = two[:, 1:3]
-        states = cf.state(-4.0 * pr.m0 * times / pr.P0)
-        rows[:, 5:] = np.column_stack(list(rotator.constraint_monitors(states, pr).values()))
+
+        def rows_of(block):
+            t = times[block]
+            one, two = cf.worldlines_at_time(t)
+            states = cf.state(-4.0 * pr.m0 * t / pr.P0)
+            return np.column_stack((t, one[:, 1:3], two[:, 1:3],
+                                    *rotator.constraint_monitors(states, pr).values()))
     else:
         if pr.omega == 0.0:
             dt = 0.05
         else:
             dt = cf.tau_period / args.steps
         traj = rotator.integrate_rotator(pr, cf.state(0.0), args.steps, dt)
-        X, x = traj.states.X, traj.states.x
-        rows[:, 0] = X[:, 0]
-        rows[:, 1:3] = X[:, 1:3] + x[:, 1:3]
-        rows[:, 3:5] = X[:, 1:3] - x[:, 1:3]
-        rows[:, 5:] = traj.monitors
         meta["zeta_drift"] = traj.zeta_drift
         meta["nu_max"] = traj.nu_max
         meta["pre_projection_drift"] = traj.pre_projection_drift
-    _emit_table(args, meta, columns, rows)
+
+        def rows_of(block):
+            X, x = traj.states.X[block], traj.states.x[block]
+            return np.column_stack((X[:, 0], X[:, 1:3] + x[:, 1:3], X[:, 1:3] - x[:, 1:3],
+                                    traj.monitors[block]))
+    _emit_table(args, meta, columns, args.steps + 1, rows_of)
     return 0
 
 
@@ -232,13 +241,13 @@ def cmd_rigidity(args) -> int:
     _check_rows(args.n)
     curve = rotator.RigidityCurve.sample(args.m0, args.hbar, args.c,
                                          args.a_min, args.a_max, args.n)
-    rows = np.column_stack((curve.a, curve.gamma))
     meta = {
         "kind": "rigidity-curve",
         "m0": float(args.m0), "hbar": float(args.hbar), "c": float(args.c),
         "domain_bound": curve.domain_bound,
     }
-    _emit_table(args, meta, ["a", "gamma"], rows)
+    _emit_table(args, meta, ["a", "gamma"], args.n,
+                lambda block: np.column_stack((curve.a[block], curve.gamma[block])))
     return 0
 
 
@@ -252,7 +261,7 @@ def cmd_identify(args) -> int:
     payload = {"schema": SCHEMA_TAG, "kind": "identification",
                "hbar": args.hbar, "c": args.c,
                "parameters": result, "consistency_residual": residual}
-    _emit(json.dumps(payload, indent=2) + "\n", args.out)
+    _emit([json.dumps(payload, indent=2) + "\n"], args.out)
     return 0
 
 

@@ -10,8 +10,9 @@ from .errors import DomainError
 
 SCHEMA_TAG = "dirac-disquant/1"
 
-#: Rows formatted per block by ``csv_table`` and ``json_table``; bounds
-#: their temporary lists.
+#: Rows per block of a data table.  The generators evaluate, and the writers
+#: format and write, this many rows at a time, so neither the whole row
+#: array nor the whole text of a table is ever held.
 CSV_BLOCK_ROWS = 4096
 
 
@@ -128,47 +129,73 @@ def fmt(x) -> str:
     return format(x, ".17g")
 
 
-def csv_table(header_meta: dict, columns: list, rows) -> str:
-    """A CSV file: '#' metadata lines, one header line, 17-digit numbers.
+def row_blocks(n, rows_of):
+    """The row blocks of an n-row table, made one at a time:
+    ``rows_of(slice)`` for each consecutive ``CSV_BLOCK_ROWS``-row slice."""
+    return (rows_of(slice(start, start + CSV_BLOCK_ROWS))
+            for start in range(0, n, CSV_BLOCK_ROWS))
 
-    ``rows`` is an (n, len(columns)) array or anything ``np.asarray`` makes
-    one of.  Each row is written as ``fmt`` writes its values: "%.17g",
-    with -0.0 as 0.
+
+def csv_chunks(header_meta: dict, columns: list, blocks):
+    """Yield a CSV file: '#' metadata lines and one header line, then the
+    lines of each row block, 17-digit numbers.
+
+    ``blocks`` yields (k, len(columns)) arrays, or anything ``np.asarray``
+    makes one of.  Each row is written as ``fmt`` writes its values:
+    "%.17g", with -0.0 as 0.  Every chunk ends with a whole line, so where
+    the blocks split the rows changes no byte.
     """
-    lines = [f"# {k}={fmt(v) if isinstance(v, float) else v}"
+    lines = [f"# {k}={fmt(v) if isinstance(v, float) else v}\n"
              for k, v in header_meta.items()]
-    lines.append(",".join(columns))
-    rows = np.asarray(rows, dtype=float)
-    line = ",".join(["%.17g"] * len(columns))
-    for start in range(0, len(rows), CSV_BLOCK_ROWS):
+    lines.append(",".join(columns) + "\n")
+    yield "".join(lines)
+    line = ",".join(["%.17g"] * len(columns)) + "\n"
+    for block in blocks:
         # + 0.0 turns -0.0 into 0.0 and leaves every other value as it is.
-        block = rows[start:start + CSV_BLOCK_ROWS] + 0.0
-        lines.append("\n".join([line % tuple(row) for row in block.tolist()]))
-    return "\n".join(lines) + "\n"
+        block = np.asarray(block, dtype=float) + 0.0
+        yield "".join([line % tuple(row) for row in block.tolist()])
 
 
-def json_table(meta: dict, columns: list, rows) -> str:
-    """The same table as JSON; -0.0 stays -0.0.
+def json_chunks(meta: dict, columns: list, blocks):
+    """Yield the same table as JSON; -0.0 stays -0.0.
 
     The text is ``json.dumps(payload, indent=2) + "\n"`` of the payload
-    {"schema", **meta, "columns", "rows"}.  ``json.dumps`` writes everything
-    but the rows; the rows are formatted in blocks of ``CSV_BLOCK_ROWS``, one
-    ``%r`` line per value, which is the encoder's float repr.  Its NaN and
-    Infinity spellings are put in afterwards, since repr says nan and inf.
+    {"schema", **meta, "columns", "rows"}, with ``blocks`` as in
+    ``csv_chunks``.  ``json.dumps`` writes everything but the rows; each
+    block is formatted on its own, one ``%r`` line per value, which is the
+    encoder's float repr.  Its NaN and Infinity spellings are put in
+    afterwards, since repr says nan and inf.
     """
     # The payload without its rows, less the closing "\n}".
     head = json.dumps({"schema": SCHEMA_TAG, **meta, "columns": columns}, indent=2)[:-2]
-    rows = np.asarray(rows, dtype=float)
-    if len(rows) == 0:
-        return head + ',\n  "rows": []\n}\n'
-    values = ",\n".join(["      %r"] * rows.shape[1])
+    yield head + ',\n  "rows": ['
+    values = ",\n".join(["      %r"] * len(columns))
     row = f"    [\n{values}\n    ]" if values else "    []"
-    blocks = []
-    for start in range(0, len(rows), CSV_BLOCK_ROWS):
-        block = rows[start:start + CSV_BLOCK_ROWS]
+    # The first row opens on a new line, every later one after a comma.
+    sep = "\n"
+    for block in blocks:
+        block = np.asarray(block, dtype=float)
+        if not len(block):
+            continue
         text = ",\n".join([row % tuple(r) for r in block.tolist()])
         if not np.isfinite(block).all():
             text = text.replace("nan", "NaN").replace("inf", "Infinity")
-        blocks.append(text)
-    body = ",\n".join(blocks)
-    return f'{head},\n  "rows": [\n{body}\n  ]\n}}\n'
+        yield sep + text
+        sep = ",\n"
+    yield "]\n}\n" if sep == "\n" else "\n  ]\n}\n"
+
+
+def _array_blocks(rows):
+    rows = np.asarray(rows, dtype=float)
+    return row_blocks(len(rows), rows.__getitem__)
+
+
+def csv_table(header_meta: dict, columns: list, rows) -> str:
+    """The whole text of ``csv_chunks`` for an (n, len(columns)) array of
+    rows, or anything ``np.asarray`` makes one of."""
+    return "".join(csv_chunks(header_meta, columns, _array_blocks(rows)))
+
+
+def json_table(meta: dict, columns: list, rows) -> str:
+    """The whole text of ``json_chunks`` for the rows of ``csv_table``."""
+    return "".join(json_chunks(meta, columns, _array_blocks(rows)))

@@ -116,12 +116,12 @@ def constraint_monitors(s: RotatorState, p: RotatorParams) -> dict:
 def monitor_scales(p: RotatorParams) -> np.ndarray:
     """Divisors that make the ``constraint_monitors`` unit-free, in its order.
 
-    p.x scales like m0 a and the momentum products P.p and p.p - target
-    like m0^2; the other two are left as they are.  Every divisor is exactly
-    1 at m0 = a = 1.
+    x.x + a^2 scales like a^2, p.x like m0 a and the momentum products P.p
+    and p.p - target like m0^2; Xdot.x is left as it is.  Every divisor is
+    exactly 1 at m0 = a = 1.
     """
     m2 = p.m0 ** 2
-    return np.array([1.0, p.m0 * p.a, m2, m2, 1.0])
+    return np.array([p.a ** 2, p.m0 * p.a, m2, m2, 1.0])
 
 
 def zeta_vector(x, prel, P) -> np.ndarray:
@@ -254,7 +254,7 @@ def integrate_rotator(p: RotatorParams, initial: RotatorState, steps, dt) -> Rot
     (it stays near 0 and is monitored, not trusted).  After each step x is
     renormalized to the sphere x.x = -a^2 and p is orthogonalized against x
     and P.  Raises StabilityError for omega dt >= 0.1 and StepSizeError if
-    the pre-projection constraint drift exceeds 1e-6.
+    the pre-projection constraint drift |x.x + a^2| exceeds 1e-6 a^2.
 
     The stepper runs on 4-tuples of Python floats, with the operations, in
     order, of the array form x + dt / 6 * (k1 + 2 k2 + 2 k3 + k4).  Each
@@ -287,6 +287,7 @@ def integrate_rotator(p: RotatorParams, initial: RotatorState, steps, dt) -> Rot
     prel = tuple(initial.p.tolist())
     Pf = tuple(P.tolist())
     a2 = p.a ** 2
+    drift_bound = 1e-6 * a2
     h2, h6 = 0.5 * dt, dt / 6.0
     tau = initial.tau
 
@@ -302,7 +303,7 @@ def integrate_rotator(p: RotatorParams, initial: RotatorState, steps, dt) -> Rot
         tau += dt
 
         raw_drift = pre_drift[k - 1] = abs(mdot(x, x) + a2)
-        if not raw_drift <= 1e-6:
+        if not raw_drift <= drift_bound:
             raise StepSizeError(
                 f"constraint drift {raw_drift:.3e} before projection; reduce dt")
         x, prel = _project(x, prel, Pf, p.a)

@@ -33,7 +33,7 @@ from dirac_disquant.minkowski import (
     mdot,
 )
 from dirac_disquant.particle import DcParams, boost_matrix, helix_solution
-from dirac_disquant.report import csv_table, fmt, json_table
+from dirac_disquant.report import csv_chunks, csv_table, fmt, json_chunks, json_table
 from dirac_disquant.rotator import RotatorClosedForm, RotatorParams, RotatorState
 
 
@@ -140,6 +140,87 @@ def non_finite_rows():
 def test_json_table_matches_json_dumps(columns, rows):
     meta = {"kind": "test", "x": -0.0, "y": float("nan"), "units": "c=1", "n": 3}
     assert json_table(meta, columns, rows) == json_reference(meta, columns, rows)
+
+
+# ------------------------------------------------------- streamed tables
+
+
+def csv_block_reference(header_meta, columns, rows):
+    """The whole-table CSV writer: the text of every block held at once."""
+    lines = [f"# {k}={fmt(v) if isinstance(v, float) else v}"
+             for k, v in header_meta.items()]
+    lines.append(",".join(columns))
+    rows = np.asarray(rows, dtype=float)
+    line = ",".join(["%.17g"] * len(columns))
+    for start in range(0, len(rows), report.CSV_BLOCK_ROWS):
+        block = rows[start:start + report.CSV_BLOCK_ROWS] + 0.0
+        lines.append("\n".join([line % tuple(row) for row in block.tolist()]))
+    return "\n".join(lines) + "\n"
+
+
+def json_block_reference(meta, columns, rows):
+    """The whole-table JSON writer: the text of every block held at once."""
+    head = json.dumps({"schema": report.SCHEMA_TAG, **meta, "columns": columns},
+                      indent=2)[:-2]
+    rows = np.asarray(rows, dtype=float)
+    if len(rows) == 0:
+        return head + ',\n  "rows": []\n}\n'
+    values = ",\n".join(["      %r"] * rows.shape[1])
+    row = f"    [\n{values}\n    ]" if values else "    []"
+    blocks = []
+    for start in range(0, len(rows), report.CSV_BLOCK_ROWS):
+        block = rows[start:start + report.CSV_BLOCK_ROWS]
+        text = ",\n".join([row % tuple(r) for r in block.tolist()])
+        if not np.isfinite(block).all():
+            text = text.replace("nan", "NaN").replace("inf", "Infinity")
+        blocks.append(text)
+    body = ",\n".join(blocks)
+    return f'{head},\n  "rows": [\n{body}\n  ]\n}}\n'
+
+
+def uneven_blocks(rows, seed=3):
+    """``rows`` cut at random places, empty blocks included."""
+    rng = np.random.default_rng(seed)
+    cuts = np.sort(rng.integers(0, len(rows) + 1, size=7))
+    return [rows[a:b] for a, b in zip([0, *cuts], [*cuts, len(rows)])]
+
+
+def special_rows(n, ncols=4):
+    """awkward_rows with -0.0, NaN and both infinities spread over the table."""
+    rows = awkward_rows(n)[:, :ncols].copy()
+    flat = rows.reshape(-1)
+    if flat.size >= 5:
+        flat[np.arange(5) * (flat.size // 5)] = [-0.0, np.nan, np.inf, -np.inf, -np.nan]
+    return rows
+
+
+BLOCK = report.CSV_BLOCK_ROWS
+TABLE_META = {"kind": "test", "x": -0.0, "y": float("nan"), "units": "c=1", "n": 3}
+
+
+@pytest.mark.parametrize("n", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 1])
+@pytest.mark.parametrize("ncols", [0, 1, 4])
+def test_chunk_writers_match_whole_table_writers(n, ncols):
+    rows = special_rows(n, ncols)
+    columns = [f"c{k}" for k in range(ncols)]
+    pairs = ((csv_chunks, csv_table, csv_block_reference),
+             (json_chunks, json_table, json_block_reference))
+    for chunks, table, reference in pairs:
+        expect = reference(TABLE_META, columns, rows)
+        assert table(TABLE_META, columns, rows) == expect
+        assert "".join(chunks(TABLE_META, columns, uneven_blocks(rows))) == expect
+        assert "".join(chunks(TABLE_META, columns, [r[None] for r in rows])) == expect
+        assert "".join(chunks(TABLE_META, columns, [rows[:0], rows, rows[:0]])) == expect
+    text = json_table(TABLE_META, columns, rows)
+    assert text == json_reference(TABLE_META, columns, rows)
+    if rows.size >= 5:
+        assert "      NaN" in text and "      -Infinity" in text
+
+
+def test_chunk_writers_yield_whole_lines():
+    rows = special_rows(BLOCK + 5)
+    for chunk in csv_chunks({"k": 1}, ["a", "b", "c", "d"], uneven_blocks(rows)):
+        assert chunk == "" or chunk.endswith("\n")
 
 
 # ------------------------------------------------------------- rigidity

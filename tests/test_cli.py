@@ -1,9 +1,10 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from dirac_disquant import cli
+from dirac_disquant import cli, rotator
 from dirac_disquant.cli import main
 from dirac_disquant.errors import DomainError
 from dirac_disquant.report import RunConfig, VerificationReport
@@ -175,6 +176,71 @@ def test_row_ceiling_boundary(argv, extra_rows, monkeypatch, capsys):
     assert capsys.readouterr().out == ""
 
 
+NAN4 = np.full(4, np.nan)
+
+
+@pytest.mark.parametrize("out_format", ["csv", "json"])
+@pytest.mark.parametrize("argv", [
+    ["helix", "--b", "1", "--dt", "nan"],
+    ["rigidity", "--hbar", "1e200", "--a-max", "0.1"],
+    ["helix", "--b", "1", "--tmax", str(cli.MAX_ROWS), "--dt", "1"],
+    ["rotator", "--a", "1", "--P0", "3", "--steps", str(cli.MAX_ROWS)],
+    ["rigidity", "--a-max", "0.1", "--n", str(cli.MAX_ROWS + 1)],
+    ["rotator", "--a", "1", "--P0", "3", "--mode", "integrate", "--steps", "100"],
+], ids=["helix-nan-dt", "rigidity-overflow", "helix-rows", "rotator-rows",
+        "rigidity-rows", "integrate-step-size"])
+def test_failing_generator_writes_no_output(argv, out_format, tmp_path, monkeypatch, capsys):
+    """Every check runs before the output file is opened: a failing command
+    leaves an existing file as it was and creates no new one."""
+    # A NaN right-hand side trips the integrator's pre-projection drift guard.
+    monkeypatch.setattr(rotator, "_rhs", lambda x, prel, P, p: (NAN4, NAN4, NAN4, np.nan))
+    existing, fresh = tmp_path / "existing.out", tmp_path / "fresh.out"
+    existing.write_bytes(b"old bytes\n")
+    for out in (existing, fresh):
+        assert run_cli([*argv, "--format", out_format, "--out", str(out)]) == 2
+    assert existing.read_bytes() == b"old bytes\n"
+    assert not fresh.exists()
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("out_format", ["csv", "json"])
+@pytest.mark.parametrize("argv", [
+    ["helix", "--b", "1.3", "--phase", "0.4", "--tmax", "4096.5", "--dt", "1"],
+    ["rotator", "--a", "0.7", "--P0", "3.1", "--steps", "4096"],
+    ["rotator", "--a", "0.7", "--P0", "3.1", "--mode", "integrate", "--steps", "4096"],
+    ["rigidity", "--a-max", "0.2", "--n", "4097"],
+], ids=["helix", "rotator-closed", "rotator-integrate", "rigidity"])
+def test_file_and_stdout_get_the_same_bytes(argv, out_format, tmp_path, capsysbinary):
+    out = tmp_path / "table.out"
+    assert run_cli([*argv, "--format", out_format, "--out", str(out)]) == 0
+    capsysbinary.readouterr()
+    assert run_cli([*argv, "--format", out_format, "--out", "-"]) == 0
+    assert capsysbinary.readouterr().out == out.read_bytes()
+    assert run_cli([*argv, "--format", out_format]) == 0
+    assert capsysbinary.readouterr().out == out.read_bytes()
+
+
+def helix_traced_peak(rows, out_format, out):
+    """tracemalloc's peak over one helix command of ``rows`` rows."""
+    argv = ["helix", "--b", "1.7", "--dt", "0.01", "--tmax", repr(0.01 * (rows - 0.5)),
+            "--format", out_format, "--out", str(out)]
+    tracemalloc.start()
+    try:
+        assert run_cli(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("out_format", ["csv", "json"])
+def test_helix_memory_does_not_grow_with_rows(out_format, tmp_path):
+    """Tables stream in blocks: only the abscissa, 8 B a row, grows with n."""
+    out = tmp_path / "helix.out"
+    small = helix_traced_peak(10 ** 4, out_format, out)
+    large = helix_traced_peak(10 ** 5, out_format, out)
+    assert large - small <= 8 * (10 ** 5 - 10 ** 4) + 2 * 2 ** 20
+
+
 class TestHelixCommand:
     def test_static_point(self, tmp_path):
         out = tmp_path / "h.csv"
@@ -245,6 +311,17 @@ class TestRotatorCommand:
             vals = [float(v) for v in line.split(",")]
             assert max(vals[5:]) < 1e-8
             assert abs(np.hypot(vals[1], vals[2]) - 1.0) < 1e-6
+
+    @pytest.mark.parametrize("a", ["1e3", "1e4"])
+    def test_integrate_guards_are_unit_free(self, a, tmp_path):
+        # The drift guard holds |x.x + a^2| to 1e-6 a^2, and the initial-state
+        # guard divides x.x + a^2 by a^2.
+        out = tmp_path / "r.csv"
+        assert run_cli(["rotator", "--a", a, "--P0", "3", "--mode", "integrate",
+                        "--steps", "200", "--out", str(out)]) == 0
+        meta = dict(line[2:].split("=", 1) for line in out.read_text().splitlines()
+                    if line.startswith("# "))
+        assert float(meta["pre_projection_drift"]) <= 1e-6 * float(a) ** 2
 
     def test_sub_threshold_usage_error(self, capsys):
         assert run_cli(["rotator", "--m0", "1", "--a", "1", "--P0", "1"]) == 2
