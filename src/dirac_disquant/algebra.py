@@ -53,7 +53,7 @@ def _check_unit3(v, name, rows=None):
     if rows is None:
         if v.shape != (3,):
             raise DomainError(f"{name} must be a 3-vector")
-        vv = np.dot(v, v)
+        vv = float(v.dot(v))
         off = abs(vv - 1.0)
     else:
         if v.shape != (rows, 3):
@@ -138,11 +138,16 @@ def build_gamma_basis(z=(0.0, 0.0, 1.0)) -> GammaBasis:
 
     # Pi is Hermitian rank 1: take its largest column, normalize, and fix the
     # global phase so the dominant component is real positive (deterministic).
-    norms = np.linalg.norm(pi, axis=0)
-    col = pi[:, int(np.argmax(norms))]
-    col = col / np.linalg.norm(col)
-    k = int(np.argmax(np.abs(col)))
-    col = col * np.exp(-1j * np.angle(col[k]))
+    # The norms and the angle are numpy's own formulas for complex input,
+    # written out to skip the dispatch of np.linalg.norm and np.angle: sqrt
+    # of (x^* x).real summed down each column, for one column the dots of its
+    # real and imaginary parts, and arctan2(imag, real).
+    norms = np.sqrt(np.add.reduce((pi.conj() * pi).real, axis=0))
+    col = pi[:, int(norms.argmax())]
+    flat = col.ravel(order="K")
+    col = col / math.sqrt(flat.real.dot(flat.real) + flat.imag.dot(flat.imag))
+    top = col[int(np.abs(col).argmax())]
+    col = col * np.exp(-1j * np.arctan2(top.imag, top.real))
 
     return GammaBasis(z=z, pi_projector=pi, pi_column=col)
 
@@ -172,7 +177,8 @@ class SpinorParams:
         if rows is None:
             if eta.shape != (3,):
                 raise DomainError("eta must be a 3-vector")
-            finite = all(map(math.isfinite, (self.amplitude, self.kappa, self.phi, *eta)))
+            finite = all(map(math.isfinite, (self.amplitude, self.kappa, self.phi,
+                                             *eta.tolist())))
         else:
             for name in ("amplitude", "kappa", "phi"):
                 object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
@@ -378,14 +384,28 @@ def xi_from_bilinears(b: Bilinears) -> np.ndarray:
 
 def spin_from_xi(xi, j, rho) -> np.ndarray:
     """Inverse map: spin pseudovector from xi and the flux; row by row for
-    xi (N, 3), j (N, 4) and rho (N,)."""
+    xi (N, 3), j (N, 4) and rho (N,).
+
+    rho + j^0 must be positive, as it is for a future-pointing flux;
+    LightlikeFluxError otherwise.
+    """
     xi = np.asarray(xi, dtype=float)
     j = np.asarray(j, dtype=float)
     jxi = _dot3(j[..., 1:], xi).T
+    den = rho + j.T[0]
+    if not (den > 0 if xi.ndim == 1 else (den > 0).all()):
+        raise LightlikeFluxError(f"spin_from_xi needs rho + j^0 > 0, got {den!r}")
+    if xi.ndim == 1:
+        # One point: the operations of the stacked rows below, on floats.
+        _, j1, j2, j3 = j.tolist()
+        x1, x2, x3 = xi.tolist()
+        jxi, den = float(jxi), float(den)
+        return np.array([jxi, rho * x1 + jxi * j1 / den, rho * x2 + jxi * j2 / den,
+                         rho * x3 + jxi * j3 / den])
     S = np.empty(j.shape)
     ST, j = S.T, j.T
     ST[0] = jxi
-    ST[1:] = rho * xi.T + jxi * j[1:] / (rho + j[0])
+    ST[1:] = rho * xi.T + jxi * j[1:] / den
     return S
 
 

@@ -142,6 +142,8 @@ def cmd_verify(args) -> int:
                     m=args.m, m0=args.m0, hbar=args.hbar, c=args.c)
     report = run_suite(args.suite, cfg)
     _emit([report.render(args.out_format)], args.out)
+    for sub, seconds in report.suite_times.items():
+        print(f"  {sub}: {seconds:.3f} s", file=sys.stderr)
     ok, total = report.counts
     print(f"suite {args.suite}: {ok}/{total} checks passed "
           f"in {report.wall_time:.2f} s", file=sys.stderr)

@@ -32,22 +32,44 @@ kernel and another summation order, and the last bits change.  The three
 covariant ``eps4`` sums of ``lagrangian_pieces`` fill one (3, 4, 4, 4) stack
 for a single ``det`` call, LAPACK factors each matrix on its own, and each
 sum keeps the Python ``sum`` order over numpy scalars.  Outer products are
-broadcast multiplies ``a[:, None] * b``, the products ``np.outer`` makes, and
-``mdot`` of a transposed (4, 4) stack gives its four row products at once.
+broadcast multiplies ``a[:, None] * b``, the products ``np.outer`` makes.
+
+The one-point kernels behind ``lagrangian_pieces`` keep one more rule.
+Elementwise arithmetic on scalars and on 3- and 4-vectors may run on Python
+floats (``.tolist()``): +, -, *, / and sqrt round the same there, a scalar
+``**`` is libm ``pow`` on both sides, the ``mdot`` products against
+``F_REST`` are the same products, and a sum adds in the order ``sum`` does
+over numpy scalars.  Every BLAS contraction (``@``, ``.dot``, ``matmul``)
+and every ``det`` stays a numpy call on the same operands, and ``cosh``,
+``sinh`` and ``sin`` stay numpy ufuncs (numpy's SIMD ``cosh`` and ``sinh``
+differ from ``math``'s in the last bit).  For example, a hand-written
+three-term sum in place of ``cross3(grad, v).dot(xi)`` in F4 moves three
+appendixB residuals of the ``verify all --seed 123`` report, because BLAS
+``ddot`` rounds differently.  A float division by zero or ``math.sqrt`` of a
+negative raises ZeroDivisionError or ValueError where numpy gave inf or nan,
+so each one sits behind a check that raises a DomainError subclass first.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import GAMMA, GammaBasis, SpinorParams, spin_from_xi, spinor_columns
+from .algebra import (
+    GAMMA,
+    GammaBasis,
+    SpinorParams,
+    _check_unit3,
+    spin_from_xi,
+    spinor_columns,
+)
 from .errors import (
     DomainError,
     LightlikeFluxError,
     NumericConsistencyError,
     SingularDenominatorError,
 )
-from .minkowski import BASIS4, F_REST, as4, cross3, eps4_blocks, eps4_stack, mdot
+from .minkowski import BASIS4, F_REST, cross3, eps4_stack, mdot
 
 
 def split_derivative(j, grad):
@@ -88,6 +110,13 @@ def quasi_uniformity(j, grad_u, u, m, hbar, c=1.0):
     return (hbar / (m * c)) * np.sqrt(max(radicand, 0.0)) / abs(u)
 
 
+def _mdot_rows(rows, f):
+    """``mdot(row, f)`` for each row of a 4-vector list, on floats: the row
+    products that ``mdot`` of the transposed stack gives."""
+    f0, f1, f2, f3 = f
+    return [a * f0 - b * f1 - c * f2 - d * f3 for a, b, c, d in rows]
+
+
 @dataclass(frozen=True)
 class CovariantAux:
     """Auxiliary unit vectors entering the covariant F3/F4 shapes."""
@@ -100,21 +129,23 @@ class CovariantAux:
 
     @classmethod
     def from_state(cls, j, rho, xi, z):
-        f = F_REST
-        xi4 = as4(0.0, xi)
-        z4 = as4(0.0, z)
-        nu = xi4 - mdot(xi4, f) * f
-        one_plus = 1.0 + float(np.dot(xi, z))
+        f = F_REST.tolist()
+        xi, z = np.asarray(xi, dtype=float), np.asarray(z, dtype=float)
+        xi4 = [0.0, *xi.tolist()]
+        j = np.asarray(j, dtype=float).tolist()
+        xf, jf = _mdot_rows((xi4, j), f)
+        nu = [a - xf * b for a, b in zip(xi4, f)]
+        one_plus = 1.0 + float(xi.dot(z))
         if one_plus < 1e-9:
             raise SingularDenominatorError("1 + xi.z below tolerance (antipodal xi, z)")
-        mu = nu / np.sqrt(2.0 * one_plus)
-        j = np.asarray(j, dtype=float)
-        jf = mdot(j, f)
+        norm = math.sqrt(2.0 * one_plus)
         norm2 = 2.0 * rho * (rho + jf)
         if norm2 < 1e-9:
             raise SingularDenominatorError("rho (rho + j.f) below tolerance")
-        q = (j + f * rho) / np.sqrt(norm2)
-        return cls(f=f, z4=z4, nu=nu, mu=mu, q=q)
+        nq = math.sqrt(norm2)
+        return cls(f=F_REST, z4=np.array([0.0, *z.tolist()]),
+                   nu=np.array(nu), mu=np.array([a / norm for a in nu]),
+                   q=np.array([(a + b * rho) / nq for a, b in zip(j, f)]))
 
 
 @dataclass(frozen=True)
@@ -151,7 +182,8 @@ class ParamField:
     construction.  n comes from normalizing the affine raw field
     n0 + n_lin x, which keeps |n| = 1 and n.d_l n = 0 by construction.
     Derivatives are analytic.  The arrays are read-only copies;
-    ``dataclasses.replace`` builds a changed field.
+    ``dataclasses.replace`` builds a changed field.  Every array must be
+    finite and z a unit vector, or construction raises DomainError.
     """
 
     c0: np.ndarray
@@ -169,8 +201,11 @@ class ParamField:
                                   f"got {value.shape}")
             if name == "c2":
                 value = 0.5 * (value + np.swapaxes(value, 1, 2))
+            if not np.isfinite(value).all():
+                raise DomainError(f"field {name} must be finite, got {value!r}")
             value.flags.writeable = False
             object.__setattr__(self, name, value)
+        _check_unit3(self.z, "z")
 
     def values(self, X):
         """The six scalars (N, 6) and the raw n field (N, 3) at points X (N, 4).
@@ -189,8 +224,12 @@ class ParamField:
     def jet(self, x) -> ParamJet:
         x = np.asarray(x, dtype=float)
         s, raw = self.values(x[None])
-        n, r = _unit_n(raw)
-        s, raw, n, r = s[0], raw[0], n[0], r[0, 0]
+        # _unit_n of the one point, its norm r a numpy scalar (r ** 3 may
+        # overflow to inf, where a float raises OverflowError).
+        r = np.sqrt(np.matmul(raw[:, None, :], raw[:, :, None])[0, 0, 0])
+        if not r >= 1e-9:
+            raise DomainError("raw n field vanished at the evaluation point")
+        s, raw = s[0], raw[0]
         dr = self.n_lin.T
         d_n = dr / r - raw * np.matmul(raw, dr[:, :, None]) / r ** 3
         grad = self.c1 + 2.0 * np.matmul(self.c2, x[:, None])[..., 0]
@@ -200,7 +239,7 @@ class ParamField:
             kappa=kappa,
             phi=phi,
             eta=s[3:],
-            n=n,
+            n=raw / r,
             z=self.z,
         )
         return ParamJet(
@@ -279,31 +318,46 @@ def _derived_jet(jet: ParamJet):
     d_eta_norm = jet.d_eta @ v                       # (4,)
     d_v = jet.d_eta / eta - d_eta_norm[:, None] * eta_vec / eta ** 2
 
+    # SpinorParams.xi, from the one n.z dot.
     nz = float(p.n.dot(p.z))
-    xi = p.xi
+    xi = 2.0 * p.n * nz - p.z
     d_xi = 2.0 * jet.d_n * nz + 2.0 * ((jet.d_n @ p.z)[:, None] * p.n)
 
     rho = p.amplitude ** 2
     d_rho = 2.0 * p.amplitude * jet.d_amp
 
-    ch, sh = np.cosh(eta), np.sinh(eta)
-    j = as4(rho * ch, rho * sh * v)
-    d_j = np.empty((4, 4))
-    d_j[:, 0] = d_rho * ch + rho * sh * d_eta_norm
-    d_j[:, 1:] = (d_rho * sh + rho * ch * d_eta_norm)[:, None] * v + rho * sh * d_v
+    ch, sh = float(np.cosh(eta)), float(np.sinh(eta))
+    rho_ch, rho_sh = rho * ch, rho * sh
+    v1, v2, v3 = v.tolist()
+    j = np.array([rho_ch, rho_sh * v1, rho_sh * v2, rho_sh * v3])
+    # Row l of d_j: d_rho ch + rho sh d_eta_norm, then
+    # (d_rho sh + rho ch d_eta_norm) v + rho sh d_v.
+    d_j = []
+    for dr, de, (dv1, dv2, dv3) in zip(d_rho.tolist(), d_eta_norm.tolist(), d_v.tolist()):
+        c = dr * sh + rho_ch * de
+        d_j.append((dr * ch + rho_sh * de, c * v1 + rho_sh * dv1, c * v2 + rho_sh * dv2,
+                    c * v3 + rho_sh * dv3))
+    d_j = np.array(d_j)
 
     S = spin_from_xi(xi, j, rho)
     return rho, d_rho, j, d_j, eta, d_eta_norm, v, d_v, xi, d_xi, S
 
 
 #: Signs that raise the derivative index of the eps4 sums of the F4 shapes.
-_D_UP = np.array([1.0, -1.0, -1.0, -1.0])
-_D_UP.flags.writeable = False
+_D_UP = (1.0, -1.0, -1.0, -1.0)
+
+
+def _sum_of_products(a, b):
+    """``sum(a * b)`` of two 4-vectors held as floats, with the products and
+    additions of ``sum`` over numpy scalars, from its start value 0.  (From
+    Python 3.12 on, ``sum`` of floats compensates its additions.)"""
+    return 0.0 + a[0] * b[0] + a[1] * b[1] + a[2] * b[2] + a[3] * b[3]
 
 
 def lagrangian_pieces(fld: ParamField, x, m, hbar) -> LagrangianPieces:
     """Evaluate F1..F4 (both shapes each where two exist) and the L split."""
     f = F_REST
+    f_list = f.tolist()
     jet = fld.jet(x)
     p = jet.params
     rho, d_rho, j, d_j, eta, d_eta_norm, v, d_v, xi, d_xi, S = _derived_jet(jet)
@@ -311,7 +365,7 @@ def lagrangian_pieces(fld: ParamField, x, m, hbar) -> LagrangianPieces:
     f1 = -hbar * float(j @ jet.d_phi)
     f2 = -0.5 * hbar * float(S @ jet.d_kappa)
 
-    one_plus = 1.0 + float(np.dot(xi, p.z))
+    one_plus = 1.0 + float(xi.dot(p.z))
     if one_plus < 1e-9:
         raise SingularDenominatorError("1 + xi.z below tolerance (antipodal xi, z)")
     # det of the matrix with columns (xi, d_xi[l], z), for each l at once.
@@ -319,51 +373,62 @@ def lagrangian_pieces(fld: ParamField, x, m, hbar) -> LagrangianPieces:
     cols[:, :, 0] = xi
     cols[:, :, 1] = d_xi
     cols[:, :, 2] = p.z
-    dets = np.linalg.det(cols)
-    f3 = -hbar / (2.0 * one_plus) * sum(j[l] * dets[l] for l in range(4))
+    j_list = j.tolist()
+    f3 = -hbar / (2.0 * one_plus) * _sum_of_products(j_list, np.linalg.det(cols).tolist())
 
-    # Covariant F3 through mu = nu / sqrt(2 (1 + xi.z)).
+    # Covariant F3 through mu = nu / sqrt(2 (1 + xi.z)); d_nu = d_xi4 - (d_xi4.f) f.
     aux = CovariantAux.from_state(j, rho, xi, p.z)
     d_nu = np.zeros((4, 4))
     d_nu[:, 1:] = d_xi
-    d_nu -= mdot(d_nu.T, f)[:, None] * f
-    norm = np.sqrt(2.0 * one_plus)
+    d_nu -= np.array(_mdot_rows(d_nu.tolist(), f_list))[:, None] * f
+    norm = math.sqrt(2.0 * one_plus)
     d_norm = (d_xi @ p.z) / norm
     d_mu = d_nu / norm - d_norm[:, None] * aux.nu / norm ** 2
 
-    grad_eta_sp = d_eta_norm[1:]
+    v_list, dv = v.tolist(), d_v.tolist()
     curl_v = np.array([
-        d_v[2, 2] - d_v[3, 1],
-        d_v[3, 0] - d_v[1, 2],
-        d_v[1, 1] - d_v[2, 0],
+        dv[2][2] - dv[3][1],
+        dv[3][0] - dv[1][2],
+        dv[1][1] - dv[2][0],
     ])
-    f4 = -0.5 * hbar * rho * float(
-        cross3(grad_eta_sp, v).dot(xi)
-        + np.sinh(eta) * curl_v.dot(xi)
-        + 2.0 * np.sinh(eta / 2) ** 2 * cross3(v, d_v[0]).dot(xi)
+    f4 = -0.5 * hbar * rho * (
+        float(cross3(d_eta_norm[1:].tolist(), v_list).dot(xi))
+        + float(np.sinh(eta)) * float(curl_v.dot(xi))
+        + 2.0 * float(np.sinh(eta / 2) ** 2) * float(cross3(v_list, dv[0]).dot(xi))
     )
 
     # Covariant F4, first from W = j + f rho with upper-index derivatives,
     # then through the unit vector q.
     w = j + f * rho
     d_w = d_j + d_rho[:, None] * f
-    jf = mdot(j, f)
-    n2 = 2.0 * rho * (rho + jf)
-    d_n2 = 2.0 * d_rho * (rho + jf) + 2.0 * rho * (d_rho + mdot(d_j.T, f))
-    nq = np.sqrt(n2)
-    d_nq = d_n2 / (2.0 * nq)
+    rho_jf = rho + mdot(j_list, f_list)
+    n2 = 2.0 * rho * rho_jf
+    nq = math.sqrt(n2)
+    d_nq = np.array([(2.0 * a * rho_jf + 2.0 * rho * (a + b)) / (2.0 * nq)
+                     for a, b in zip(d_rho.tolist(), _mdot_rows(d_j.tolist(), f_list))])
     d_q = d_w / nq - d_nq[:, None] * w / n2
 
-    # The three covariant eps4 sums share one det call.
-    eps_mu, eps_w, eps_q = eps4_blocks((aux.mu, d_mu, aux.z4, f),
-                                       (d_w, BASIS4, w, aux.nu),
-                                       (aux.q, BASIS4, d_q, aux.nu))
-    f3_cov = hbar * sum(j * eps_mu)
-    f4_cov = -hbar / (2.0 * (rho + jf)) * sum(_D_UP * eps_w)
-    f4_cov_q = hbar * rho * sum(_D_UP * eps_q)
+    # The three covariant eps4 sums share one det call: block k, derivative
+    # l, column i of the (3, 4, 4, 4) stack, with the columns that two blocks
+    # share written once.
+    cols = np.empty((3, 4, 4, 4))
+    cols[0, :, :, 0] = aux.mu
+    cols[0, :, :, 1] = d_mu
+    cols[0, :, :, 2] = aux.z4
+    cols[0, :, :, 3] = f
+    cols[1, :, :, 0] = d_w
+    cols[1:, :, :, 1] = BASIS4
+    cols[1, :, :, 2] = w
+    cols[1:, :, :, 3] = aux.nu
+    cols[2, :, :, 0] = aux.q
+    cols[2, :, :, 2] = d_q
+    eps_mu, eps_w, eps_q = np.linalg.det(cols).tolist()
+    f3_cov = hbar * _sum_of_products(j_list, eps_mu)
+    f4_cov = -hbar / (2.0 * rho_jf) * _sum_of_products(_D_UP, eps_w)
+    f4_cov_q = hbar * rho * _sum_of_products(_D_UP, eps_q)
 
     l_cl = -m * rho + f1 + f3
-    l_q1 = 2.0 * m * rho * np.sin(p.kappa / 2) ** 2 + f2
+    l_q1 = 2.0 * m * rho * float(np.sin(p.kappa / 2)) ** 2 + f2
     l_q2 = f4
 
     return LagrangianPieces(f1=f1, f2=f2, f3=f3, f4=f4,
@@ -385,9 +450,10 @@ def f3_without_inner_factor(fld: ParamField, x, hbar) -> float:
     aux = CovariantAux.from_state(j, rho, xi, p.z)
     d_nu = np.zeros((4, 4))
     d_nu[:, 1:] = d_xi
-    d_nu -= mdot(d_nu.T, f)[:, None] * f
-    one_plus = 1.0 + float(np.dot(xi, p.z))
-    return hbar / (2.0 * one_plus) * sum(j * eps4_stack(aux.nu, d_nu, aux.z4, f))
+    d_nu -= np.array(_mdot_rows(d_nu.tolist(), f.tolist()))[:, None] * f
+    one_plus = 1.0 + float(xi.dot(p.z))
+    eps = eps4_stack(aux.nu, d_nu, aux.z4, f).tolist()
+    return hbar / (2.0 * one_plus) * _sum_of_products(j.tolist(), eps)
 
 
 def kinetic_term_matrix(fld: ParamField, x, g: GammaBasis, hbar, h=1e-4) -> float:

@@ -64,14 +64,17 @@ class CheckRecord:
 
 @dataclass
 class VerificationReport:
-    """Outcome of one suite.  Wall time is kept out of the serialized forms
-    so identical (command, seed, config) runs produce byte-identical files."""
+    """Outcome of one suite.  Wall times are kept out of the serialized forms
+    so identical (command, seed, config) runs produce byte-identical files:
+    ``wall_time`` of the whole run and ``suite_times``, the seconds of each
+    suite it ran, by name and in order."""
 
     suite: str
     seed: int
     tol_scale: float
     records: list = field(default_factory=list)
     wall_time: float = 0.0
+    suite_times: dict = field(default_factory=dict)
 
     def add(self, check_id, description, residual, tolerance):
         self.records.append(CheckRecord(

@@ -43,7 +43,9 @@ def run_suite(name, cfg: RunConfig) -> VerificationReport:
     t0 = time.perf_counter()
     report = VerificationReport(suite=name, seed=cfg.seed, tol_scale=cfg.tol_scale)
     for sub in fns if name == "all" else (name,):
+        t_sub = time.perf_counter()
         report.records.extend(fns[sub](cfg).records)
+        report.suite_times[sub] = time.perf_counter() - t_sub
     report.wall_time = time.perf_counter() - t0
     return report
 

@@ -535,21 +535,22 @@ def test_stacked_det_equals_eps4_sum():
             assert sum(w * stack) == sum(w[k] * ref[k] for k in range(4))
 
 
+def eps4_calls(a, b, c, d):
+    """``eps4_stack`` as one ``eps4`` call per matrix."""
+    return np.array([eps4(*cols) for cols in zip(*np.broadcast_arrays(a, b, c, d))])
+
+
 @pytest.mark.parametrize("seed", FIELD_SEEDS)
 def test_lagrangian_pieces_match_eps4_sums(seed, monkeypatch):
     fld = random_param_field(np.random.default_rng(seed))
     X = random_points(seed, 5)
-    stacked = [(lagrangian_pieces(fld, x, 1.1, 0.8), f3_without_inner_factor(fld, x, 0.8))
-               for x in X]
-
-    def eps4_calls(a, b, c, d):
-        return np.array([eps4(*cols) for cols in zip(*np.broadcast_arrays(a, b, c, d))])
+    stacked = [f3_without_inner_factor(fld, x, 0.8) for x in X]
+    for x in X:
+        pieces, _ = covariant_reference(fld, x, 1.1, 0.8, eps=eps4_calls)
+        assert dataclasses.astuple(lagrangian_pieces(fld, x, 1.1, 0.8)) == pieces
 
     monkeypatch.setattr(covariant, "eps4_stack", eps4_calls)
-    monkeypatch.setattr(covariant, "eps4_blocks",
-                        lambda *blocks: np.array([eps4_calls(*b) for b in blocks]))
-    for x, (pieces, f3_alt) in zip(X, stacked):
-        assert pieces == lagrangian_pieces(fld, x, 1.1, 0.8)
+    for x, f3_alt in zip(X, stacked):
         assert f3_alt == f3_without_inner_factor(fld, x, 0.8)
 
 
@@ -685,14 +686,19 @@ def aux_reference(j, rho, xi, z):
     return z4, nu, mu, q
 
 
-def covariant_reference(fld, x, hbar):
-    """f3_cov, f4_cov and f4_cov_q of lagrangian_pieces and the F3 of
-    f3_without_inner_factor, with three separate eps4_stack sums."""
+def covariant_reference(fld, x, m, hbar, eps=eps4_stack):
+    """The ten fields of lagrangian_pieces, in order, and the F3 of
+    f3_without_inner_factor, with numpy-scalar arithmetic, a Python ``sum``
+    over numpy scalars and one ``eps`` call per eps4 sum."""
     f = F_REST
     jet = fld.jet(x)
     p = jet.params
     rho, d_rho, j, d_j, eta, d_eta_norm, v, d_v, xi, d_xi, S = derived_jet_reference(jet)
+    f1 = -hbar * float(j @ jet.d_phi)
+    f2 = -0.5 * hbar * float(S @ jet.d_kappa)
     one_plus = 1.0 + float(np.dot(xi, p.z))
+    dets = [np.linalg.det(np.array([xi, d_xi[l], p.z]).T) for l in range(4)]
+    f3 = -hbar / (2.0 * one_plus) * sum(j[l] * dets[l] for l in range(4))
     z4, nu, mu, q = aux_reference(j, rho, xi, p.z)
     d_nu = np.zeros((4, 4))
     d_nu[:, 1:] = d_xi
@@ -700,20 +706,27 @@ def covariant_reference(fld, x, hbar):
     norm = np.sqrt(2.0 * one_plus)
     d_norm = (d_xi @ p.z) / norm
     d_mu = d_nu / norm - np.outer(d_norm, nu) / norm ** 2
-    f3_cov = hbar * sum(j * eps4_stack(mu, d_mu, z4, f))
+    curl_v = np.array([d_v[2, 2] - d_v[3, 1], d_v[3, 0] - d_v[1, 2], d_v[1, 1] - d_v[2, 0]])
+    f4 = -0.5 * hbar * rho * float(
+        np.cross(d_eta_norm[1:], v).dot(xi)
+        + np.sinh(eta) * curl_v.dot(xi)
+        + 2.0 * np.sinh(eta / 2) ** 2 * np.cross(v, d_v[0]).dot(xi))
+    f3_cov = hbar * sum(j * eps(mu, d_mu, z4, f))
     w = j + f * rho
     d_w = d_j + np.outer(d_rho, f)
     d_up = np.array([1.0, -1.0, -1.0, -1.0])
     jf = mdot(j, f)
-    f4_cov = -hbar / (2.0 * (rho + jf)) * sum(d_up * eps4_stack(d_w, BASIS4, w, nu))
+    f4_cov = -hbar / (2.0 * (rho + jf)) * sum(d_up * eps(d_w, BASIS4, w, nu))
     n2 = 2.0 * rho * (rho + jf)
     d_n2 = 2.0 * d_rho * (rho + jf) + 2.0 * rho * (d_rho + mdot_rows_reference(d_j, f))
     nq = np.sqrt(n2)
     d_nq = d_n2 / (2.0 * nq)
     d_q = d_w / nq - np.outer(d_nq, w) / n2
-    f4_cov_q = hbar * rho * sum(d_up * eps4_stack(q, BASIS4, d_q, nu))
-    f3_alt = hbar / (2.0 * one_plus) * sum(j * eps4_stack(nu, d_nu, z4, f))
-    return f3_cov, f4_cov, f4_cov_q, f3_alt
+    f4_cov_q = hbar * rho * sum(d_up * eps(q, BASIS4, d_q, nu))
+    f3_alt = hbar / (2.0 * one_plus) * sum(j * eps(nu, d_nu, z4, f))
+    l_cl = -m * rho + f1 + f3
+    l_q1 = 2.0 * m * rho * np.sin(p.kappa / 2) ** 2 + f2
+    return (f1, f2, f3, f4, f3_cov, f4_cov, f4_cov_q, l_cl, l_q1, f4), f3_alt
 
 
 def random_parameter_sets(n, seed):
@@ -893,10 +906,12 @@ def test_covariant_kernels_match_references():
             for got, want in zip((aux.z4, aux.nu, aux.mu, aux.q),
                                  aux_reference(j, rho, xi, fld.z)):
                 assert same(got, want)
-            pieces = lagrangian_pieces(fld, x, 1.1, 0.8)
-            f3_cov, f4_cov, f4_cov_q, f3_alt = covariant_reference(fld, x, 0.8)
-            assert (pieces.f3_cov, pieces.f4_cov, pieces.f4_cov_q) == (f3_cov, f4_cov, f4_cov_q)
-            assert f3_without_inner_factor(fld, x, 0.8) == f3_alt
+            pieces = dataclasses.astuple(lagrangian_pieces(fld, x, 1.1, 0.8))
+            want, f3_alt = covariant_reference(fld, x, 1.1, 0.8)
+            assert len(pieces) == len(want) == 10
+            for got, ref in zip(pieces, want):
+                assert same(got, ref)
+            assert same(f3_without_inner_factor(fld, x, 0.8), f3_alt)
 
 
 def test_eps4_blocks_rows_are_eps4_stacks():

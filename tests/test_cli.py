@@ -59,6 +59,23 @@ class TestVerifyCommand:
         assert run_cli(["verify", "appendixA", "--hbar", "1e12"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_suite_times_go_to_stderr_and_not_to_the_report(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        assert run_cli(["verify", "all", "--seed", "42", "--out", str(out)]) == 0
+        lines = capsys.readouterr().err.splitlines()
+        names = ("algebra", "appendixA", "appendixB", "appendixC", "particle",
+                 "rotator", "consistency")
+        assert [line.split(":")[0].strip() for line in lines[:7]] == list(names)
+        assert all(line.endswith(" s") for line in lines[:7])
+        assert lines[7].startswith("suite all: 51/51 checks passed")
+        # The report has the bytes of one rendered without its times.
+        rep = run_suite("all", RunConfig(seed=42))
+        assert list(rep.suite_times) == list(names)
+        assert out.read_text() == VerificationReport(
+            suite="all", seed=42, tol_scale=1.0, records=rep.records).to_json()
+        assert list(json.loads(out.read_text())) == [
+            "schema", "kind", "suite", "seed", "tol_scale", "summary", "checks"]
+
     def test_particle_suite_passes_at_small_hbar(self, tmp_path):
         # Omega and ydot scale like 1/lam; their checks compare residuals times lam.
         out = tmp_path / "particle.json"

@@ -1,13 +1,15 @@
 """A NaN or an overflow anywhere must fail a check or raise DomainError."""
 
+import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from dirac_disquant import covariant, rotator
-from dirac_disquant.algebra import SpinorParams, build_gamma_basis
+from dirac_disquant.algebra import SpinorParams, build_gamma_basis, spin_from_xi
 from dirac_disquant.cli import main
 from dirac_disquant.errors import (
     DomainError,
@@ -181,7 +183,11 @@ def test_nan_axis_rejected_by_gamma_basis(z):
     lambda: rotator.rigidity(NAN, 1.0),
     lambda: rotator.identify_dcr_rr("dcr_to_rr", m=1.0, zeta=NAN),
     lambda: observables_from_zeta(NAN, DcParams(m=1.0, hbar=1.0)),
-], ids=["rigidity", "identify_dcr_rr", "observables_from_zeta"])
+    lambda: spin_from_xi([0.0, 0.0, 1.0], [NAN, 0.0, 0.0, 0.0], 1.0),
+    lambda: spin_from_xi([0.0, 0.0, 1.0], np.zeros(4), 0.0),
+    lambda: spin_from_xi(np.eye(3)[:2], [[2.0, 1.0, 0.0, 0.0], [0.0] * 4], [1.0, 0.0]),
+], ids=["rigidity", "identify_dcr_rr", "observables_from_zeta", "spin_from_xi-nan",
+        "spin_from_xi-zero-flux", "spin_from_xi-zero-flux-row"])
 def test_nan_argument_raises(call):
     with pytest.raises(DomainError):
         call()
@@ -196,3 +202,77 @@ def test_nan_argument_raises(call):
 def test_overflowing_argument_raises(call):
     with pytest.raises(DomainError):
         call()
+
+
+def _field(**changes):
+    return dataclasses.replace(covariant.random_param_field(np.random.default_rng(3)),
+                               **changes)
+
+
+def _row_changed(name, index, value):
+    arr = getattr(_field(), name).copy()
+    arr[index] = value
+    return {name: arr}
+
+
+@pytest.mark.parametrize("changes", [
+    {"z": [0.0, 0.0, 2.0]},
+    {"z": [0.6, 0.8, 1e-4]},
+    {"z": [NAN, 0.0, 1.0]},
+    _row_changed("c0", 2, NAN),
+    _row_changed("c1", (4, 1), INF),
+    _row_changed("c2", (0, 1, 2), -INF),
+    _row_changed("n0", 1, NAN),
+    _row_changed("n_lin", (2, 3), INF),
+], ids=["z-norm-2", "z-norm-off-1e-4", "z-nan", "c0-nan", "c1-inf", "c2-inf",
+        "n0-nan", "n_lin-inf"])
+def test_param_field_rejects_bad_arrays_at_construction(changes):
+    # Before, such a field constructed, and kinetic_term_matrix, which reads
+    # z from its basis, returned a number for a non-unit z.
+    with pytest.raises(DomainError):
+        _field(**changes)
+
+
+def _antipodal(nz):
+    # n . z = nz everywhere, so 1 + xi.z = 2 nz^2.
+    return {"z": [0.0, 0.0, 1.0], "n0": [math.sqrt(1.0 - nz * nz), 0.0, nz],
+            "n_lin": np.zeros((3, 4))}
+
+
+def _rapidity(eta):
+    fld = _field()
+    c0, c1, c2 = fld.c0.copy(), fld.c1.copy(), fld.c2.copy()
+    c0[3:] = (eta, 0.0, 0.0)
+    c1[3:] = 0.0
+    c2[3:] = 0.0
+    return {"c0": c0, "c1": c1, "c2": c2}
+
+
+def _amplitude(a):
+    fld = _field()
+    c0, c1, c2 = fld.c0.copy(), fld.c1.copy(), fld.c2.copy()
+    c0[0], c1[0], c2[0] = a, 0.0, 0.0
+    return {"c0": c0, "c1": c1, "c2": c2}
+
+
+WALLS = [_antipodal(0.0), _antipodal(1e-8), _antipodal(2e-5),
+         _rapidity(0.0), _rapidity(1e-300), _rapidity(9e-7),
+         _amplitude(0.0), _amplitude(1e-300), _amplitude(1e-5)]
+
+
+@pytest.mark.parametrize("changes", WALLS, ids=[
+    "xi=-z", "xi.z+1=2e-16", "xi.z+1=8e-10", "eta=0", "eta=1e-300", "eta=9e-7",
+    "amplitude=0", "amplitude=1e-300", "amplitude=1e-5"])
+@pytest.mark.parametrize("call", [
+    lambda fld, x: covariant.lagrangian_pieces(fld, x, 1.0, 1.0),
+    lambda fld, x: covariant.f3_without_inner_factor(fld, x, 1.0),
+], ids=["lagrangian_pieces", "f3_without_inner_factor"])
+def test_one_point_kernels_raise_domain_error_at_the_walls(changes, call):
+    # Only a DomainError subclass: no ValueError from math.sqrt, no
+    # ZeroDivisionError from a float division, no numpy warning.
+    fld = _field(**changes)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x in (np.zeros(4), np.array([0.3, -0.2, 0.1, 0.4])):
+            with pytest.raises(DomainError):
+                call(fld, x)
