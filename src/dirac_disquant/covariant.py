@@ -163,6 +163,10 @@ class ParamJet:
 _SHAPES = {"c0": (6,), "c1": (6, 4), "c2": (6, 4, 4), "n0": (3,), "n_lin": (3, 4),
            "z": (3,)}
 
+#: ``jet`` divides by r ** 3 of the raw n norm r; below this bound, the cube
+#: root of the largest float, r ** 3 is finite.
+_N_NORM_MAX = float(np.finfo(float).max) ** (1.0 / 3.0)
+
 
 def _unit_n(raw):
     """Rows of the raw n field (N, 3) normalized, with their norms (N, 1)."""
@@ -224,11 +228,12 @@ class ParamField:
     def jet(self, x) -> ParamJet:
         x = np.asarray(x, dtype=float)
         s, raw = self.values(x[None])
-        # _unit_n of the one point, its norm r a numpy scalar (r ** 3 may
-        # overflow to inf, where a float raises OverflowError).
+        # _unit_n of the one point, its norm r a numpy scalar.
         r = np.sqrt(np.matmul(raw[:, None, :], raw[:, :, None])[0, 0, 0])
         if not r >= 1e-9:
             raise DomainError("raw n field vanished at the evaluation point")
+        if not r < _N_NORM_MAX:
+            raise DomainError(f"raw n field norm {float(r)!r} overflows its cube")
         s, raw = s[0], raw[0]
         dr = self.n_lin.T
         d_n = dr / r - raw * np.matmul(raw, dr[:, :, None]) / r ** 3

@@ -68,6 +68,18 @@ def eps4_blocks(*blocks):
 _OTHER_SLOTS = ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))
 
 
+def _eps4_template(slot):
+    cols = np.zeros((4, 4, 4))
+    cols[:, :, slot] = BASIS4
+    cols.flags.writeable = False
+    return cols
+
+
+#: For each slot, the (4, 4, 4) stack of column matrices with e_i already
+#: in that slot of matrix i; read-only, so ``eps4_free`` fills a copy.
+_EPS4_TEMPLATES = tuple(_eps4_template(slot) for slot in range(4))
+
+
 def eps4_free(slot, b, c, d):
     """eps contraction with one free lower index: component i puts e_i in
     ``slot`` and b, c, d in the other three slots, in order.
@@ -76,8 +88,7 @@ def eps4_free(slot, b, c, d):
     each component has the bits of the matching ``eps4`` call.
     """
     i, k, l = _OTHER_SLOTS[slot]
-    cols = np.empty((4, 4, 4))
-    cols[:, :, slot] = BASIS4
+    cols = _EPS4_TEMPLATES[slot].copy()
     cols[:, :, i] = b
     cols[:, :, k] = c
     cols[:, :, l] = d

@@ -147,16 +147,26 @@ def csv_chunks(header_meta: dict, columns: list, blocks):
     makes one of.  Each row is written as ``fmt`` writes its values:
     "%.17g", with -0.0 as 0.  Every chunk ends with a whole line, so where
     the blocks split the rows changes no byte.
+
+    Each block is one ``%`` call: a column that holds one value over the
+    whole block is formatted once, into the line template, and the other
+    values fill k copies of that template.  NaN never equals itself, so a
+    NaN column is never taken as constant.
     """
     lines = [f"# {k}={fmt(v) if isinstance(v, float) else v}\n"
              for k, v in header_meta.items()]
     lines.append(",".join(columns) + "\n")
     yield "".join(lines)
-    line = ",".join(["%.17g"] * len(columns)) + "\n"
     for block in blocks:
         # + 0.0 turns -0.0 into 0.0 and leaves every other value as it is.
         block = np.asarray(block, dtype=float) + 0.0
-        yield "".join([line % tuple(row) for row in block.tolist()])
+        if not len(block):
+            continue
+        const = (block == block[0]).all(axis=0)
+        cells = [format(v, ".17g") if same else "%.17g"
+                 for v, same in zip(block[0].tolist(), const.tolist())]
+        line = ",".join(cells) + "\n"
+        yield (line * len(block)) % tuple(block[:, ~const].ravel().tolist())
 
 
 def json_chunks(meta: dict, columns: list, blocks):

@@ -223,15 +223,19 @@ def _project(x, prel, P, a):
     Works on 4-tuples of floats with the operations of the array forms
     x * (a / sqrt(-x.x)) and prel - x (prel.x / x.x) - P (prel.P / P.P).
     """
-    xx = mdot(x, x)
+    x0, x1, x2, x3 = x
+    p0, p1, p2, p3 = prel
+    P0, P1, P2, P3 = P
+    # mdot written out, as in _rhs.
+    xx = x0 * x0 - x1 * x1 - x2 * x2 - x3 * x3
     if xx >= 0:
         raise StepSizeError("relative coordinate left the spacelike sphere")
     scale = a / math.sqrt(-xx)
-    x = (x[0] * scale, x[1] * scale, x[2] * scale, x[3] * scale)
-    cx = mdot(prel, x) / mdot(x, x)
-    cP = mdot(prel, P) / mdot(P, P)
-    return x, (prel[0] - x[0] * cx - P[0] * cP, prel[1] - x[1] * cx - P[1] * cP,
-               prel[2] - x[2] * cx - P[2] * cP, prel[3] - x[3] * cx - P[3] * cP)
+    x0, x1, x2, x3 = x0 * scale, x1 * scale, x2 * scale, x3 * scale
+    cx = (p0 * x0 - p1 * x1 - p2 * x2 - p3 * x3) / (x0 * x0 - x1 * x1 - x2 * x2 - x3 * x3)
+    cP = (p0 * P0 - p1 * P1 - p2 * P2 - p3 * P3) / (P0 * P0 - P1 * P1 - P2 * P2 - P3 * P3)
+    return (x0, x1, x2, x3), (p0 - x0 * cx - P0 * cP, p1 - x1 * cx - P1 * cP,
+                              p2 - x2 * cx - P2 * cP, p3 - x3 * cx - P3 * cP)
 
 
 def _stage(y, h, r):
@@ -257,9 +261,12 @@ def integrate_rotator(p: RotatorParams, initial: RotatorState, steps, dt) -> Rot
     the pre-projection constraint drift |x.x + a^2| exceeds 1e-6 a^2.
 
     The stepper runs on 4-tuples of Python floats, with the operations, in
-    order, of the array form x + dt / 6 * (k1 + 2 k2 + 2 k3 + k4).  Each
-    state is written into the rows of one stacked RotatorState, whose
-    monitors come from one constraint_monitors call at the end.
+    order, of the array form x + dt / 6 * (k1 + 2 k2 + 2 k3 + k4).  The
+    Minkowski products of a step (in _rhs, the drift, _project and nu) are
+    written out on the unpacked floats, the products and order of ``mdot``,
+    without its call.  Each state is written into the rows of one stacked
+    RotatorState, with one zeta_vector call per state; the monitors come
+    from one constraint_monitors call at the end.
     """
     if not p.omega * dt < 0.1:
         raise StabilityError(
@@ -286,6 +293,7 @@ def integrate_rotator(p: RotatorParams, initial: RotatorState, steps, dt) -> Rot
     x = tuple(initial.x.tolist())
     prel = tuple(initial.p.tolist())
     Pf = tuple(P.tolist())
+    P0, P1, P2, P3 = Pf
     a2 = p.a ** 2
     drift_bound = 1e-6 * a2
     h2, h6 = 0.5 * dt, dt / 6.0
@@ -302,14 +310,17 @@ def integrate_rotator(p: RotatorParams, initial: RotatorState, steps, dt) -> Rot
         prel = _rk4_update(prel, h6, p1, p2, p3, p4)
         tau += dt
 
-        raw_drift = pre_drift[k - 1] = abs(mdot(x, x) + a2)
+        # mdot written out here and for nu below, as in _rhs.
+        y0, y1, y2, y3 = x
+        raw_drift = pre_drift[k - 1] = abs((y0 * y0 - y1 * y1 - y2 * y2 - y3 * y3) + a2)
         if not raw_drift <= drift_bound:
             raise StepSizeError(
                 f"constraint drift {raw_drift:.3e} before projection; reduce dt")
         x, prel = _project(x, prel, Pf, p.a)
 
         taus[k], Xs[k], xs[k], ps[k] = tau, X, x, prel
-        nus[k] = -mdot(Pf, x) / a2
+        y0, y1, y2, y3 = x
+        nus[k] = -(P0 * y0 - P1 * y1 - P2 * y2 - P3 * y3) / a2
         zetas[k] = zeta_vector(xs[k], ps[k], P)
 
     states = RotatorState(tau=taus, X=Xs, x=xs, p=ps, P=P, nu=nus)

@@ -13,7 +13,7 @@ import json
 import numpy as np
 import pytest
 
-from dirac_disquant import algebra, covariant, particle, report, rotator, verification
+from dirac_disquant import algebra, covariant, minkowski, particle, report, rotator, verification
 from dirac_disquant.algebra import SpinorParams, build_gamma_basis
 from dirac_disquant.covariant import (
     ParamField,
@@ -217,6 +217,38 @@ def test_chunk_writers_match_whole_table_writers(n, ncols):
         assert "      NaN" in text and "      -Infinity" in text
 
 
+def constant_column_rows(n, seed=6):
+    """Rows whose columns are constant over some or all rows: one column
+    steps from a constant first half to random values, and one column per
+    special value (-0.0, denormals, +-inf, NaN, ...) holds that value in every
+    row, beside two random columns."""
+    rng = np.random.default_rng(seed)
+    specials = [-0.0, 0.0, 1e-300, 5e-324, 1.0 / 3.0, 123456789012345678.0,
+                -2.2250738585072014e-308, np.inf, -np.inf, np.nan]
+    step = np.where(np.arange(n) < n // 2, 2.5, rng.normal(size=n))
+    return np.column_stack([awkward_rows(n, seed)[:, 0], step,
+                            *(np.full(n, v) for v in specials),
+                            rng.normal(size=n) * 1e-7])
+
+
+@pytest.mark.parametrize("n", [1, 2, 9, BLOCK + 3])
+@pytest.mark.parametrize("ncols", [0, 13])
+def test_csv_chunks_format_constant_columns_as_the_reference(n, ncols):
+    # csv_chunks formats a column that is constant over a block once; this
+    # is the same text as "%.17g" on every value, whatever the cut.
+    rows = constant_column_rows(n)[:, :ncols]
+    columns = [f"c{k}" for k in range(ncols)]
+    expect = csv_block_reference(TABLE_META, columns, rows)
+    assert expect == csv_reference(TABLE_META, columns, rows)
+    half = n // 2
+    for blocks in ([rows], uneven_blocks(rows), [r[None] for r in rows],
+                   [rows[:half], rows[half:half + 1], rows[half + 1:]]):
+        assert "".join(csv_chunks(TABLE_META, columns, blocks)) == expect
+    if ncols and n > 1:
+        assert ",2.5,0,0,1e-300,4.9406564584124654e-324," in expect
+        assert ",inf,-inf,nan," in expect
+
+
 def test_chunk_writers_yield_whole_lines():
     rows = special_rows(BLOCK + 5)
     for chunk in csv_chunks({"k": 1}, ["a", "b", "c", "d"], uneven_blocks(rows)):
@@ -348,6 +380,31 @@ def test_rhs_float_form_matches_array_form():
         assert got[3] == nu
         for g, r in zip(got[:3], ref):
             assert np.array(g).tobytes() == r.tobytes()
+
+
+def test_project_float_form_matches_array_form():
+    rng = np.random.default_rng(8)
+    cf = RotatorClosedForm(RotatorParams(m0=0.9, a=1.2, P0=2.5, phase=1.0))
+    cases = []
+    for _ in range(150):
+        # Integrated states slightly off the sphere, seen from a moving frame.
+        s = boosted(cf.state(rng.uniform(0.0, 20.0)), rng.uniform(-0.45, 0.45, size=3))
+        cases.append((s.x + rng.normal(size=4) * 1e-4, s.p + rng.normal(size=4) * 1e-4,
+                      s.P, cf.params.a))
+        # Generic spacelike x with any momentum, P and radius.
+        x = rng.normal(size=4)
+        x[0] *= 0.1
+        cases.append((x, rng.normal(size=4), np.array([3.0, 0, 0, 0]) + rng.normal(size=4),
+                      rng.uniform(0.5, 2.0)))
+    for x, prel, P, a in cases:
+        ref_x = x * (a / np.sqrt(-mdot(x, x)))
+        ref_p = (prel - ref_x * (mdot(prel, ref_x) / mdot(ref_x, ref_x))
+                 - P * (mdot(prel, P) / mdot(P, P)))
+        got_x, got_p = rotator._project(tuple(x.tolist()), tuple(prel.tolist()),
+                                        tuple(P.tolist()), a)
+        assert all(type(v) is float for v in got_x + got_p)
+        assert np.array(got_x).tobytes() == ref_x.tobytes()
+        assert np.array(got_p).tobytes() == ref_p.tobytes()
 
 
 @pytest.mark.parametrize("params", [
@@ -933,6 +990,24 @@ def eps_free_reference(slot, b, c, d):
         args.insert(slot, BASIS4[i])
         out[i] = eps4(*args)
     return out
+
+
+def test_eps4_free_templates_are_read_only_and_stay_clean():
+    # eps4_free fills a copy of a per-slot template that holds BASIS4; the
+    # templates themselves can be neither written nor changed by a call.
+    for template in minkowski._EPS4_TEMPLATES:
+        with pytest.raises(ValueError):
+            template[0, 0, 0] = 1.0
+    rng = np.random.default_rng(47)
+    calls = [(slot, *rng.normal(size=(3, 4)) * 10.0 ** rng.uniform(-3, 3))
+             for slot in rng.integers(0, 4, size=40)]
+    calls += [(slot, rng.normal(size=4), BASIS4[1], np.full(4, np.nan)) for slot in range(4)]
+    with np.errstate(invalid="ignore"):
+        for call in calls:
+            eps4_free(*call)
+    for slot in range(4):
+        b, c, d = rng.normal(size=(3, 4))
+        assert same(eps4_free(slot, b, c, d), eps_free_reference(slot, b, c, d))
 
 
 def test_momentum_of_boosted_jets_matches_eps4_calls(monkeypatch):

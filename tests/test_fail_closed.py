@@ -255,14 +255,21 @@ def _amplitude(a):
     return {"c0": c0, "c1": c1, "c2": c2}
 
 
+def _n_scaled(scale):
+    # The raw n norm stays finite and its cube overflows.
+    fld = _field()
+    return {"n0": fld.n0 * scale, "n_lin": fld.n_lin * scale}
+
+
 WALLS = [_antipodal(0.0), _antipodal(1e-8), _antipodal(2e-5),
          _rapidity(0.0), _rapidity(1e-300), _rapidity(9e-7),
-         _amplitude(0.0), _amplitude(1e-300), _amplitude(1e-5)]
+         _amplitude(0.0), _amplitude(1e-300), _amplitude(1e-5),
+         _n_scaled(1e110), _n_scaled(1e150)]
 
 
 @pytest.mark.parametrize("changes", WALLS, ids=[
     "xi=-z", "xi.z+1=2e-16", "xi.z+1=8e-10", "eta=0", "eta=1e-300", "eta=9e-7",
-    "amplitude=0", "amplitude=1e-300", "amplitude=1e-5"])
+    "amplitude=0", "amplitude=1e-300", "amplitude=1e-5", "n*1e110", "n*1e150"])
 @pytest.mark.parametrize("call", [
     lambda fld, x: covariant.lagrangian_pieces(fld, x, 1.0, 1.0),
     lambda fld, x: covariant.f3_without_inner_factor(fld, x, 1.0),
