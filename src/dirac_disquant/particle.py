@@ -19,6 +19,7 @@ with c = 1 (x^0 is time); only the observable formulas carry an explicit c.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -416,6 +417,8 @@ def integrate_xi_along_helix(sol: HelixSolution, steps=2000):
     The stepper then runs on Python floats with the operations, in order, of
     the array form xi + h / 6 * (k1 + 2 k2 + 2 k3 + k4).
     """
+    if not isinstance(steps, numbers.Integral) or steps < 1:
+        raise DomainError(f"steps must be an integer >= 1, got {steps!r}")
     if sol.b == 0.0:
         return 0.0
     h = sol.tau_period / steps

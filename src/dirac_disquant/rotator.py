@@ -18,6 +18,7 @@ with the classical Dirac particle's helix.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -195,17 +196,20 @@ class RotatorTrajectory:
 def _rhs(x, prel, P, p: RotatorParams):
     """(Xdot, xdot, pdot, nu) of the established-motion equations.
 
-    x, prel and P are 4-sequences; the rates come back as 4-tuples of
-    floats, each component computed with the operations, in order, of the
-    array forms Xdot = -(P - nu x) / (4 m0), xdot = -p / (4 m0) and
-    pdot = -x (4 m0^2 - P.P) / (4 m0 a^2) - nu P / (4 m0).
+    The equation of motion the ``closed-form-dynamics`` check holds the
+    closed form to.  x, prel and P are 4-sequences, of floats or of arrays
+    (transposed stacks, one component per entry); the rates come back as
+    4-tuples, each component computed with the operations, in order, of
+    the array forms Xdot = -(P - nu x) / (4 m0), xdot = -p / (4 m0) and
+    pdot = -x (4 m0^2 - P.P) / (4 m0 a^2) - nu P / (4 m0).  The integrator
+    does not call it: ``_rk4_step`` writes the same rates out for each RK4
+    stage, with the run constants computed once.
     """
     x0, x1, x2, x3 = x
     p0, p1, p2, p3 = prel
     P0, P1, P2, P3 = P
     m4 = 4.0 * p.m0
     a2 = p.a ** 2
-    # mdot written out: this runs four times per step.
     nu = -(P0 * x0 - P1 * x1 - P2 * x2 - P3 * x3) / a2
     s = 4.0 * p.m0 ** 2 - (P0 * P0 - P1 * P1 - P2 * P2 - P3 * P3)
     d = m4 * a2
@@ -226,7 +230,7 @@ def _project(x, prel, P, a):
     x0, x1, x2, x3 = x
     p0, p1, p2, p3 = prel
     P0, P1, P2, P3 = P
-    # mdot written out, as in _rhs.
+    # mdot written out, as in _rk4_step.
     xx = x0 * x0 - x1 * x1 - x2 * x2 - x3 * x3
     if xx >= 0:
         raise StepSizeError("relative coordinate left the spacelike sphere")
@@ -238,17 +242,117 @@ def _project(x, prel, P, a):
                               p2 - x2 * cx - P2 * cP, p3 - x3 * cx - P3 * cP)
 
 
-def _stage(y, h, r):
-    """y + h r for 4-tuples."""
-    return (y[0] + h * r[0], y[1] + h * r[1], y[2] + h * r[2], y[3] + h * r[3])
+def _rk4_constants(p: RotatorParams, P, dt):
+    """The run constants of ``_rk4_step``, computed once per integration:
+    P0..P3, m4 = 4 m0, -m4, -a^2, -s with s = 4 m0^2 - P.P, d = m4 a^2,
+    dt / 2, dt / 6 and dt.
+
+    P is a 4-sequence of floats.  The negated constants let each rate carry
+    its sign in the divisor or factor: -(u) / m4 and u / (-m4) round to the
+    same float, as do -u * s / d and u * (-s) / d, because negation is exact
+    and * and / treat signs symmetrically.  Every constant is a Python float
+    (a numpy scalar dt, as ``tau_period / steps`` is, would make every stage
+    value a numpy scalar, with the same bits at several times the cost).
+    """
+    P0, P1, P2, P3 = P
+    m4 = float(4.0 * p.m0)
+    a2 = float(p.a ** 2)
+    s = float(4.0 * p.m0 ** 2 - (P0 * P0 - P1 * P1 - P2 * P2 - P3 * P3))
+    dt = float(dt)
+    return (P0, P1, P2, P3, m4, -m4, -a2, -s, m4 * a2, 0.5 * dt, dt / 6.0, dt)
 
 
-def _rk4_update(y, h6, r1, r2, r3, r4):
-    """y + h6 (r1 + 2 r2 + 2 r3 + r4) for 4-tuples, summed left to right."""
-    return (y[0] + h6 * (r1[0] + 2 * r2[0] + 2 * r3[0] + r4[0]),
-            y[1] + h6 * (r1[1] + 2 * r2[1] + 2 * r3[1] + r4[1]),
-            y[2] + h6 * (r1[2] + 2 * r2[2] + 2 * r3[2] + r4[2]),
-            y[3] + h6 * (r1[3] + 2 * r2[3] + 2 * r3[3] + r4[3]))
+def _rk4_step(X0, X1, X2, X3, x0, x1, x2, x3, p0, p1, p2, p3, nu, k):
+    """One RK4 step of the ``_rhs`` equations on floats, before projection.
+
+    Takes the 12 components of X, x and p, the state's nu = P.x / (-a^2)
+    and the ``_rk4_constants`` tuple k; returns the 12 stepped components.
+    Each stage is the ``_rhs`` of its (x, p) with every rate written out,
+    and each update has the operations, in order, of the array form
+    y + dt / 6 * (r1 + 2 r2 + 2 r3 + r4), so a step has the bits of the
+    array-form RK4; the signs of -(u) / m4, -u s / d and -(P.u) / a^2 are
+    carried by the constants -m4, -s and -a^2.
+    """
+    P0, P1, P2, P3, m4, nm4, na2, ns, d, h2, h6, dt = k
+    # Stage 1 at (x, p); Xdot, xdot and pdot are A, B and C.
+    A10 = (P0 - nu * x0) / nm4
+    A11 = (P1 - nu * x1) / nm4
+    A12 = (P2 - nu * x2) / nm4
+    A13 = (P3 - nu * x3) / nm4
+    B10 = p0 / nm4
+    B11 = p1 / nm4
+    B12 = p2 / nm4
+    B13 = p3 / nm4
+    C10 = x0 * ns / d - nu * P0 / m4
+    C11 = x1 * ns / d - nu * P1 / m4
+    C12 = x2 * ns / d - nu * P2 / m4
+    C13 = x3 * ns / d - nu * P3 / m4
+    # Stage 2 at (x, p) + dt/2 stage 1.
+    u0 = x0 + h2 * B10
+    u1 = x1 + h2 * B11
+    u2 = x2 + h2 * B12
+    u3 = x3 + h2 * B13
+    q0 = p0 + h2 * C10
+    q1 = p1 + h2 * C11
+    q2 = p2 + h2 * C12
+    q3 = p3 + h2 * C13
+    n = (P0 * u0 - P1 * u1 - P2 * u2 - P3 * u3) / na2
+    A20 = (P0 - n * u0) / nm4
+    A21 = (P1 - n * u1) / nm4
+    A22 = (P2 - n * u2) / nm4
+    A23 = (P3 - n * u3) / nm4
+    B20 = q0 / nm4
+    B21 = q1 / nm4
+    B22 = q2 / nm4
+    B23 = q3 / nm4
+    C20 = u0 * ns / d - n * P0 / m4
+    C21 = u1 * ns / d - n * P1 / m4
+    C22 = u2 * ns / d - n * P2 / m4
+    C23 = u3 * ns / d - n * P3 / m4
+    # Stage 3 at (x, p) + dt/2 stage 2.
+    u0 = x0 + h2 * B20
+    u1 = x1 + h2 * B21
+    u2 = x2 + h2 * B22
+    u3 = x3 + h2 * B23
+    q0 = p0 + h2 * C20
+    q1 = p1 + h2 * C21
+    q2 = p2 + h2 * C22
+    q3 = p3 + h2 * C23
+    n = (P0 * u0 - P1 * u1 - P2 * u2 - P3 * u3) / na2
+    A30 = (P0 - n * u0) / nm4
+    A31 = (P1 - n * u1) / nm4
+    A32 = (P2 - n * u2) / nm4
+    A33 = (P3 - n * u3) / nm4
+    B30 = q0 / nm4
+    B31 = q1 / nm4
+    B32 = q2 / nm4
+    B33 = q3 / nm4
+    C30 = u0 * ns / d - n * P0 / m4
+    C31 = u1 * ns / d - n * P1 / m4
+    C32 = u2 * ns / d - n * P2 / m4
+    C33 = u3 * ns / d - n * P3 / m4
+    # Stage 4 at (x, p) + dt stage 3.
+    u0 = x0 + dt * B30
+    u1 = x1 + dt * B31
+    u2 = x2 + dt * B32
+    u3 = x3 + dt * B33
+    q0 = p0 + dt * C30
+    q1 = p1 + dt * C31
+    q2 = p2 + dt * C32
+    q3 = p3 + dt * C33
+    n = (P0 * u0 - P1 * u1 - P2 * u2 - P3 * u3) / na2
+    return (X0 + h6 * (A10 + 2.0 * A20 + 2.0 * A30 + (P0 - n * u0) / nm4),
+            X1 + h6 * (A11 + 2.0 * A21 + 2.0 * A31 + (P1 - n * u1) / nm4),
+            X2 + h6 * (A12 + 2.0 * A22 + 2.0 * A32 + (P2 - n * u2) / nm4),
+            X3 + h6 * (A13 + 2.0 * A23 + 2.0 * A33 + (P3 - n * u3) / nm4),
+            x0 + h6 * (B10 + 2.0 * B20 + 2.0 * B30 + q0 / nm4),
+            x1 + h6 * (B11 + 2.0 * B21 + 2.0 * B31 + q1 / nm4),
+            x2 + h6 * (B12 + 2.0 * B22 + 2.0 * B32 + q2 / nm4),
+            x3 + h6 * (B13 + 2.0 * B23 + 2.0 * B33 + q3 / nm4),
+            p0 + h6 * (C10 + 2.0 * C20 + 2.0 * C30 + (u0 * ns / d - n * P0 / m4)),
+            p1 + h6 * (C11 + 2.0 * C21 + 2.0 * C31 + (u1 * ns / d - n * P1 / m4)),
+            p2 + h6 * (C12 + 2.0 * C22 + 2.0 * C32 + (u2 * ns / d - n * P2 / m4)),
+            p3 + h6 * (C13 + 2.0 * C23 + 2.0 * C33 + (u3 * ns / d - n * P3 / m4)))
 
 
 def integrate_rotator(p: RotatorParams, initial: RotatorState, steps, dt) -> RotatorTrajectory:
@@ -260,14 +364,17 @@ def integrate_rotator(p: RotatorParams, initial: RotatorState, steps, dt) -> Rot
     and P.  Raises StabilityError for omega dt >= 0.1 and StepSizeError if
     the pre-projection constraint drift |x.x + a^2| exceeds 1e-6 a^2.
 
-    The stepper runs on 4-tuples of Python floats, with the operations, in
-    order, of the array form x + dt / 6 * (k1 + 2 k2 + 2 k3 + k4).  The
-    Minkowski products of a step (in _rhs, the drift, _project and nu) are
-    written out on the unpacked floats, the products and order of ``mdot``,
-    without its call.  Each state is written into the rows of one stacked
-    RotatorState, with one zeta_vector call per state; the monitors come
-    from one constraint_monitors call at the end.
+    Each step is one ``_rk4_step`` call on Python floats, whose bits are
+    those of the array-form RK4 of ``_rhs``.  The run constants are computed
+    once, and stage 1 of a step takes the nu of the state it starts from.
+    The Minkowski products of the drift, _project and nu are written out on
+    the floats, the products and order of ``mdot``, without its call.  Each
+    state is written into the rows of one stacked RotatorState, with one
+    zeta_vector call per state; the monitors come from one
+    constraint_monitors call at the end.
     """
+    if not isinstance(steps, numbers.Integral) or steps < 0:
+        raise DomainError(f"steps must be an integer >= 0, got {steps!r}")
     if not p.omega * dt < 0.1:
         raise StabilityError(
             f"omega dt = {p.omega * dt:.3f} too large; reduce the step")
@@ -289,39 +396,34 @@ def integrate_rotator(p: RotatorParams, initial: RotatorState, steps, dt) -> Rot
     Xs[0], xs[0], ps[0] = initial.X, initial.x, initial.p
     zetas[0] = zeta0 = zeta_vector(xs[0], ps[0], P)
 
-    X = tuple(initial.X.tolist())
-    x = tuple(initial.x.tolist())
-    prel = tuple(initial.p.tolist())
+    X0, X1, X2, X3 = initial.X.tolist()
+    x0, x1, x2, x3 = initial.x.tolist()
+    p0, p1, p2, p3 = initial.p.tolist()
     Pf = tuple(P.tolist())
     P0, P1, P2, P3 = Pf
-    a2 = p.a ** 2
+    k = _rk4_constants(p, Pf, dt)
+    na2, dt = k[6], k[-1]
+    a, a2 = float(p.a), float(p.a ** 2)
     drift_bound = 1e-6 * a2
-    h2, h6 = 0.5 * dt, dt / 6.0
-    tau = initial.tau
+    tau = float(initial.tau)
+    # mdot written out here and for the drift below, as in _rk4_step.
+    nu = (P0 * x0 - P1 * x1 - P2 * x2 - P3 * x3) / na2
 
-    for k in range(1, steps + 1):
-        X1, x1, p1, _ = _rhs(x, prel, Pf, p)
-        X2, x2, p2, _ = _rhs(_stage(x, h2, x1), _stage(prel, h2, p1), Pf, p)
-        X3, x3, p3, _ = _rhs(_stage(x, h2, x2), _stage(prel, h2, p2), Pf, p)
-        X4, x4, p4, _ = _rhs(_stage(x, dt, x3), _stage(prel, dt, p3), Pf, p)
-
-        X = _rk4_update(X, h6, X1, X2, X3, X4)
-        x = _rk4_update(x, h6, x1, x2, x3, x4)
-        prel = _rk4_update(prel, h6, p1, p2, p3, p4)
+    for i in range(1, steps + 1):
+        X0, X1, X2, X3, x0, x1, x2, x3, p0, p1, p2, p3 = _rk4_step(
+            X0, X1, X2, X3, x0, x1, x2, x3, p0, p1, p2, p3, nu, k)
         tau += dt
-
-        # mdot written out here and for nu below, as in _rhs.
-        y0, y1, y2, y3 = x
-        raw_drift = pre_drift[k - 1] = abs((y0 * y0 - y1 * y1 - y2 * y2 - y3 * y3) + a2)
+        raw_drift = pre_drift[i - 1] = abs((x0 * x0 - x1 * x1 - x2 * x2 - x3 * x3) + a2)
         if not raw_drift <= drift_bound:
             raise StepSizeError(
                 f"constraint drift {raw_drift:.3e} before projection; reduce dt")
-        x, prel = _project(x, prel, Pf, p.a)
+        x, prel = _project((x0, x1, x2, x3), (p0, p1, p2, p3), Pf, a)
+        x0, x1, x2, x3 = x
+        p0, p1, p2, p3 = prel
+        nu = (P0 * x0 - P1 * x1 - P2 * x2 - P3 * x3) / na2
 
-        taus[k], Xs[k], xs[k], ps[k] = tau, X, x, prel
-        y0, y1, y2, y3 = x
-        nus[k] = -(P0 * y0 - P1 * y1 - P2 * y2 - P3 * y3) / a2
-        zetas[k] = zeta_vector(xs[k], ps[k], P)
+        taus[i], Xs[i], xs[i], ps[i], nus[i] = tau, (X0, X1, X2, X3), x, prel, nu
+        zetas[i] = zeta_vector(xs[i], ps[i], P)
 
     states = RotatorState(tau=taus, X=Xs, x=xs, p=ps, P=P, nu=nus)
     zeta_scale = max(np.abs(zeta0).max(), 1e-30)

@@ -290,11 +290,10 @@ def test_rigidity_array_fails_closed():
 # ------------------------------------------------------------ integrator
 
 
-def integrate_reference(p, initial, steps, dt):
-    """RK4 with projection on numpy 4-vectors: the array form the float
-    stepper follows, one state and one monitor row per step.  Returns the
-    stacked states, the monitors and the drift summary."""
-    def rhs(x, prel, P):
+def rk4_reference(p, X, x, prel, P, dt):
+    """One RK4 step on numpy 4-vectors, before projection: the array form
+    of ``rotator._rk4_step``.  Returns the stepped X, x and prel."""
+    def rhs(x, prel):
         nu = -mdot(P, x) / p.a ** 2
         xdot_center = -(P - nu * x) / (4.0 * p.m0)
         xdot = -prel / (4.0 * p.m0)
@@ -302,6 +301,19 @@ def integrate_reference(p, initial, steps, dt):
                 - nu * P / (4.0 * p.m0))
         return xdot_center, xdot, pdot
 
+    k1 = rhs(x, prel)
+    k2 = rhs(x + 0.5 * dt * k1[1], prel + 0.5 * dt * k1[2])
+    k3 = rhs(x + 0.5 * dt * k2[1], prel + 0.5 * dt * k2[2])
+    k4 = rhs(x + dt * k3[1], prel + dt * k3[2])
+    return (X + dt / 6.0 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0]),
+            x + dt / 6.0 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1]),
+            prel + dt / 6.0 * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2]))
+
+
+def integrate_reference(p, initial, steps, dt):
+    """RK4 with projection on numpy 4-vectors: the array form the float
+    stepper follows, one state and one monitor row per step.  Returns the
+    stacked states, the monitors and the drift summary."""
     def monitors(s):
         xdot_center = -(s.P - s.nu * s.x) / (4.0 * p.m0)
         pp_target = -(mdot(s.P, s.P) - 4.0 * p.m0 ** 2) - p.a ** 2 * s.nu ** 2
@@ -313,13 +325,7 @@ def integrate_reference(p, initial, steps, dt):
     tau = initial.tau
     states, mons, pre = [initial], [monitors(initial)], []
     for _ in range(steps):
-        k1 = rhs(x, prel, P)
-        k2 = rhs(x + 0.5 * dt * k1[1], prel + 0.5 * dt * k1[2], P)
-        k3 = rhs(x + 0.5 * dt * k2[1], prel + 0.5 * dt * k2[2], P)
-        k4 = rhs(x + dt * k3[1], prel + dt * k3[2], P)
-        X = X + dt / 6.0 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-        x = x + dt / 6.0 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-        prel = prel + dt / 6.0 * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
+        X, x, prel = rk4_reference(p, X, x, prel, P, dt)
         tau += dt
         pre.append(abs(mdot(x, x) + p.a ** 2))
         x = x * (p.a / np.sqrt(-mdot(x, x)))
@@ -351,7 +357,8 @@ def boosted(s, u):
     (RotatorParams(m0=1.0, a=1.0, P0=2.0 * np.sqrt(2.0)), 2000, None, None),
     (RotatorParams(m0=0.9, a=1.2, P0=2.5, phase=1.0), 400, None, (0.3, -0.2, 0.1)),
     (RotatorParams(m0=1.0, a=1.0, P0=2.0), 200, 0.05, None),
-], ids=["established", "suite-params", "boosted", "static"])
+    (RotatorParams(m0=1.0, a=1e3, P0=3.0), 200, None, None),
+], ids=["established", "suite-params", "boosted", "static", "a-1e3"])
 def test_integrate_rotator_matches_array_stepper(params, steps, dt, u):
     cf = RotatorClosedForm(params)
     dt = cf.tau_period / steps if dt is None else dt
@@ -363,6 +370,42 @@ def test_integrate_rotator_matches_array_stepper(params, steps, dt, u):
         assert same(getattr(traj.states, name), getattr(ref, name))
     assert traj.monitors.tobytes() == mons.tobytes()
     assert (traj.pre_projection_drift, traj.zeta_drift, traj.nu_max) == summary
+
+
+def rk4_step_cases():
+    """(params, X, x, prel, P, dt): random states, boosted and rest-frame P,
+    and components that are +0.0 or -0.0."""
+    rng = np.random.default_rng(5)
+    cases = []
+    for _ in range(100):
+        p = RotatorParams(m0=rng.uniform(0.5, 2.0), a=rng.uniform(0.5, 2.0), P0=4.5)
+        P = np.array([rng.uniform(2.0, 5.0), *rng.normal(size=3)])
+        cases.append((p, *rng.normal(size=(3, 4)), P, rng.uniform(1e-3, 0.1)))
+    cf = RotatorClosedForm(RotatorParams(m0=0.9, a=1.2, P0=2.5, phase=1.0))
+    for _ in range(100):
+        s = boosted(cf.state(rng.uniform(0.0, 20.0)), rng.uniform(-0.45, 0.45, size=3))
+        assert np.all(s.P[1:] != 0.0)
+        cases.append((cf.params, s.X, s.x, s.p, s.P, cf.tau_period / 1000))
+    for _ in range(100):
+        s = cf.state(rng.uniform(0.0, 20.0))
+        assert s.P.tolist() == [2.5, 0.0, 0.0, 0.0]
+        cases.append((cf.params, s.X, s.x, s.p, s.P, cf.tau_period / 1000))
+    for _ in range(200):
+        signed = rng.choice([0.0, -0.0, 1.0], size=(4, 4)) * rng.normal(size=(4, 4))
+        signed[3, 0] = rng.uniform(2.0, 4.0)
+        cases.append((cf.params, *signed, 0.01))
+    return cases
+
+
+def test_rk4_step_matches_array_form():
+    zeros = 0
+    for p, X, x, prel, P, dt in rk4_step_cases():
+        nu = -mdot(P, x) / p.a ** 2
+        k = rotator._rk4_constants(p, P.tolist(), dt)
+        got = rotator._rk4_step(*X.tolist(), *x.tolist(), *prel.tolist(), nu, k)
+        assert same(np.array(got), np.concatenate(rk4_reference(p, X, x, prel, P, dt)))
+        zeros += np.count_nonzero(np.array(got) == 0.0)
+    assert zeros > 0
 
 
 def test_rhs_float_form_matches_array_form():

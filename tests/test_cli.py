@@ -193,7 +193,7 @@ def test_row_ceiling_boundary(argv, extra_rows, monkeypatch, capsys):
     assert capsys.readouterr().out == ""
 
 
-NAN4 = np.full(4, np.nan)
+NAN_STATE = (np.nan,) * 12
 
 
 @pytest.mark.parametrize("out_format", ["csv", "json"])
@@ -209,8 +209,8 @@ NAN4 = np.full(4, np.nan)
 def test_failing_generator_writes_no_output(argv, out_format, tmp_path, monkeypatch, capsys):
     """Every check runs before the output file is opened: a failing command
     leaves an existing file as it was and creates no new one."""
-    # A NaN right-hand side trips the integrator's pre-projection drift guard.
-    monkeypatch.setattr(rotator, "_rhs", lambda x, prel, P, p: (NAN4, NAN4, NAN4, np.nan))
+    # A NaN RK4 step trips the integrator's pre-projection drift guard.
+    monkeypatch.setattr(rotator, "_rk4_step", lambda *state_nu_k: NAN_STATE)
     existing, fresh = tmp_path / "existing.out", tmp_path / "fresh.out"
     existing.write_bytes(b"old bytes\n")
     for out in (existing, fresh):

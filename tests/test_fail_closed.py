@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from dirac_disquant import covariant, rotator
+from dirac_disquant import covariant, particle, rotator
 from dirac_disquant.algebra import SpinorParams, build_gamma_basis, spin_from_xi
 from dirac_disquant.cli import main
 from dirac_disquant.errors import (
@@ -63,13 +63,38 @@ def test_nan_oracle_call_fails_regularization_check(monkeypatch):
     assert not rec.passed
 
 
-def test_nan_rotator_rhs_trips_step_guard(monkeypatch):
-    nan4 = np.full(4, NAN)
-    monkeypatch.setattr(rotator, "_rhs", lambda x, prel, P, p: (nan4, nan4, nan4, NAN))
+def test_nan_rotator_step_trips_step_guard(monkeypatch):
+    monkeypatch.setattr(rotator, "_rk4_step", lambda *state_nu_k: (NAN,) * 12)
     pr = RotatorParams(m0=1.0, a=1.0, P0=3.0)
     cf = rotator.RotatorClosedForm(pr)
     with pytest.raises(StepSizeError):
         rotator.integrate_rotator(pr, cf.state(0.0), 10, cf.tau_period / 100)
+
+
+@pytest.mark.parametrize("steps", [-1, 2.5, 2.0, "3", None])
+def test_bad_rotator_step_count_rejected(steps):
+    # Unchecked, -1 raised numpy's "negative dimensions" and 2.5 a TypeError.
+    pr = RotatorParams(m0=1.0, a=1.0, P0=3.0)
+    cf = rotator.RotatorClosedForm(pr)
+    with pytest.raises(DomainError, match="steps must be an integer >= 0"):
+        rotator.integrate_rotator(pr, cf.state(0.0), steps, cf.tau_period / 100)
+
+
+@pytest.mark.parametrize("steps", [0, np.int64(3)])
+def test_integer_rotator_step_counts_accepted(steps):
+    pr = RotatorParams(m0=1.0, a=1.0, P0=3.0)
+    cf = rotator.RotatorClosedForm(pr)
+    traj = rotator.integrate_rotator(pr, cf.state(0.0), steps, cf.tau_period / 100)
+    assert traj.states.x.shape == (steps + 1, 4)
+    assert np.isfinite(traj.monitors).all()
+
+
+@pytest.mark.parametrize("b", [0.0, 1.0])
+@pytest.mark.parametrize("steps", [0, -1, 2.5, 100.0])
+def test_bad_spin_step_count_rejected(b, steps):
+    # Unchecked, 0 divided by zero and -1 gave a drift of 0.0 from no step.
+    with pytest.raises(DomainError, match="steps must be an integer >= 1"):
+        particle.integrate_xi_along_helix(helix_solution(b), steps)
 
 
 NON_FINITE = [

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -149,6 +151,22 @@ class TestIntegrator:
         errors = [position_error(steps) for steps in (100, 200, 400)]
         orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
         assert np.all(orders >= 3.8), orders
+
+    def test_memory_grows_by_the_preallocated_rows_only(self):
+        # The preallocated rows and the monitor arrays made at the end take
+        # 256 B per step; a list of per-step tuples would add more than 300 B.
+        cf = RotatorClosedForm(PR)
+
+        def peak(steps):
+            tracemalloc.start()
+            try:
+                integrate_rotator(PR, cf.state(0.0), steps, cf.tau_period / steps)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(2000), peak(20000)
+        assert (large - small) / 18000 <= 320
 
     def test_too_large_step_rejected(self):
         cf = RotatorClosedForm(PR)
