@@ -36,7 +36,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, LightlikeFluxError, NumericConsistencyError
+from .errors import (
+    DomainError,
+    LightlikeFluxError,
+    NumericConsistencyError,
+    SingularDenominatorError,
+)
 
 _PAULI = np.array(
     [
@@ -332,12 +337,6 @@ def bilinears_matrix(c) -> Bilinears:
     return Bilinears(scalar=scalar_c.real, j=j, S=s_c.real, rho=rho)
 
 
-def _pow(x, k):
-    """x ** k rounded as the libm pow behind the float operator, element by
-    element for an array (numpy's own ``**`` squares by multiplication)."""
-    return x ** k if isinstance(x, float) else np.float_power(x, k)
-
-
 def bilinears_closed_form(p: SpinorParams) -> Bilinears:
     """Bilinears straight from the parameters, no matrices; row by row for
     a stack.
@@ -346,7 +345,8 @@ def bilinears_closed_form(p: SpinorParams) -> Bilinears:
     S = A^2 [xi + (cosh eta - 1) v (v.xi)] with xi = 2n(n.z) - z.  At
     eta = 0 every sinh-weighted term has the removable limit zero.
     """
-    a2 = _pow(p.amplitude, 2.0)
+    # float_power rounds as the libm pow behind a scalar ``** 2``.
+    a2 = np.float_power(p.amplitude, 2.0)
     e = p.eta_norm
     v = p.v
     xi = p.xi
@@ -412,13 +412,21 @@ def spin_from_xi(xi, j, rho) -> np.ndarray:
 XI_Z_TOL = 1e-9
 
 
+def require_off_antipode(one_plus):
+    """The caller's own 1 + xi.z, returned as given; SingularDenominatorError
+    below XI_Z_TOL, where xi is antipodal to z and every formula that divides
+    by it is singular."""
+    if one_plus < XI_Z_TOL:
+        raise SingularDenominatorError(
+            f"1 + xi.z = {one_plus!r} below tolerance (antipodal xi, z)")
+    return one_plus
+
+
 def n_from_xi(xi, z) -> np.ndarray:
     """Rotation axis n = (xi + z)/sqrt(2(1 + xi.z)); singular at xi = -z."""
     xi = np.asarray(xi, dtype=float)
     z = np.asarray(z, dtype=float)
-    denom = 2.0 * (1.0 + float(np.dot(xi, z)))
-    if denom < 2.0 * XI_Z_TOL:
-        raise DomainError("xi antipodal to z: 1 + xi.z below tolerance")
+    denom = 2.0 * require_off_antipode(1.0 + float(np.dot(xi, z)))
     return (xi + z) / np.sqrt(denom)
 
 

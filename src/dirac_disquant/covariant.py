@@ -48,6 +48,14 @@ appendixB residuals of the ``verify all --seed 123`` report, because BLAS
 ``ddot`` rounds differently.  A float division by zero or ``math.sqrt`` of a
 negative raises ZeroDivisionError or ValueError where numpy gave inf or nan,
 so each one sits behind a check that raises a DomainError subclass first.
+Each such wall is decided in one place.  The antipodal wall 1 + xi.z below
+``algebra.XI_Z_TOL`` is ``algebra.require_off_antipode``, which
+``lagrangian_pieces`` and ``CovariantAux.from_state`` each call with the
+1 + xi.z they compute themselves.  A vanishing amplitude stops at
+``algebra.spin_from_xi`` (rho + j^0 = 0) or, when small but not zero, at
+the rho (rho + j.f) check of ``CovariantAux.from_state``; |eta| near 0 stops
+at ``_derived_jet``, and a vanishing or overflowing raw n field at
+``ParamField.jet``.
 """
 
 import math
@@ -60,6 +68,7 @@ from .algebra import (
     GammaBasis,
     SpinorParams,
     _check_unit3,
+    require_off_antipode,
     spin_from_xi,
     spinor_columns,
 )
@@ -135,10 +144,7 @@ class CovariantAux:
         j = np.asarray(j, dtype=float).tolist()
         xf, jf = _mdot_rows((xi4, j), f)
         nu = [a - xf * b for a, b in zip(xi4, f)]
-        one_plus = 1.0 + float(xi.dot(z))
-        if one_plus < 1e-9:
-            raise SingularDenominatorError("1 + xi.z below tolerance (antipodal xi, z)")
-        norm = math.sqrt(2.0 * one_plus)
+        norm = math.sqrt(2.0 * require_off_antipode(1.0 + float(xi.dot(z))))
         norm2 = 2.0 * rho * (rho + jf)
         if norm2 < 1e-9:
             raise SingularDenominatorError("rho (rho + j.f) below tolerance")
@@ -370,9 +376,7 @@ def lagrangian_pieces(fld: ParamField, x, m, hbar) -> LagrangianPieces:
     f1 = -hbar * float(j @ jet.d_phi)
     f2 = -0.5 * hbar * float(S @ jet.d_kappa)
 
-    one_plus = 1.0 + float(xi.dot(p.z))
-    if one_plus < 1e-9:
-        raise SingularDenominatorError("1 + xi.z below tolerance (antipodal xi, z)")
+    one_plus = require_off_antipode(1.0 + float(xi.dot(p.z)))
     # det of the matrix with columns (xi, d_xi[l], z), for each l at once.
     cols = np.empty((4, 3, 3))
     cols[:, :, 0] = xi

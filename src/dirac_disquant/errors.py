@@ -1,8 +1,10 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the positivity guard.
 
 Every one is a DomainError, the one class the CLI turns into exit code 2;
 the integrator and consistency errors also keep their builtin bases.
 """
+
+import math
 
 
 class DomainError(ValueError):
@@ -35,3 +37,10 @@ class StepSizeError(DomainError, RuntimeError):
 
 class StabilityError(DomainError, RuntimeError):
     """Integrator step size too large for the motion's angular frequency."""
+
+
+def require_positive(**values):
+    """DomainError unless every value is a finite positive number."""
+    for name, value in values.items():
+        if not 0.0 < value < math.inf:
+            raise DomainError(f"{name} must be finite and positive, got {value!r}")

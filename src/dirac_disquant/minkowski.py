@@ -43,24 +43,14 @@ def eps4(a, b, c, d):
 def eps4_stack(a, b, c, d):
     """``eps4`` row by row for (K, 4) array stacks, single 4-vectors broadcast.
 
-    One ``det`` call over the (K, 4, 4) stack of column matrices; each entry
-    has the bits of the matching ``eps4`` call.
+    One ``det`` call over the (K, 4, 4) stack of column matrices.  LAPACK
+    factors each matrix on its own, so each entry has the bits of the
+    matching ``eps4`` call.
     """
-    return eps4_blocks((a, b, c, d))[0]
-
-
-def eps4_blocks(*blocks):
-    """``eps4_stack`` of several blocks (a, b, c, d) in one ``det`` call.
-
-    The columns of every block broadcast to one (K, 4) shape, and the result
-    is (len(blocks), K).  LAPACK factors each matrix on its own, so every
-    entry still has the bits of the matching ``eps4`` call.
-    """
-    shape = max((v.shape for cols in blocks for v in cols), key=len)
-    m = np.empty((len(blocks),) + shape + (4,))
-    for k, cols in enumerate(blocks):
-        for i, v in enumerate(cols):
-            m[k, ..., i] = v
+    cols = (a, b, c, d)
+    m = np.empty(max((v.shape for v in cols), key=len) + (4,))
+    for i, v in enumerate(cols):
+        m[..., i] = v
     return np.linalg.det(m)
 
 

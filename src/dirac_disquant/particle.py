@@ -25,10 +25,12 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .algebra import require_off_antipode
 from .errors import (
     DomainError,
     InsufficientJetError,
     SingularDenominatorError,
+    require_positive,
 )
 from .minkowski import F_REST, as4, cross3, eps4, eps4_free, lower, mdot, spatial
 
@@ -45,10 +47,7 @@ class DcParams:
     c: float = 1.0
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.m, self.hbar, self.c))):
-            raise DomainError(f"particle parameters must be finite: {self!r}")
-        if self.m <= 0 or self.hbar <= 0 or self.c <= 0:
-            raise DomainError("m, hbar and c must be positive")
+        require_positive(m=self.m, hbar=self.hbar, c=self.c)
         if not 0.0 < self.lam < math.inf:
             raise DomainError(f"length scale hbar/(m c) = {self.lam!r} is not "
                               "a positive finite number")
@@ -108,9 +107,7 @@ def q_gradient(xdot, f=None):
 
 
 def _spin_term(xi, xidot, z):
-    one_plus = 1.0 + float(np.dot(xi, z))
-    if one_plus < 1e-9:
-        raise SingularDenominatorError("1 + xi.z below tolerance (antipodal xi, z)")
+    one_plus = require_off_antipode(1.0 + float(np.dot(xi, z)))
     return float(np.dot(cross3(xidot, xi), z)) / (2.0 * one_plus)
 
 
@@ -118,8 +115,6 @@ def lagrangian_dc(s: WorldlineState, p: DcParams, xidot=None) -> float:
     """Worldline Lagrangian in the three-dimensional form."""
     xidot = np.zeros(3) if xidot is None else np.asarray(xidot, dtype=float)
     ss = mdot(s.xdot, s.xdot)
-    if ss <= 0:
-        raise DomainError("worldline velocity must be timelike")
     q = q_factor(s.xdot)
     orbit = 0.5 * q * float(np.dot(cross3(spatial(s.xdot), spatial(s.xddot)), s.xi))
     return (-p.m * np.sqrt(ss)
@@ -139,8 +134,6 @@ def lagrangian_dc_covariant(s: WorldlineState, p: DcParams, xidot=None) -> float
     xidot4 = as4(0.0, xidot)
     z4 = as4(0.0, Z_AXIS)
     ss = mdot(s.xdot, s.xdot)
-    if ss <= 0:
-        raise DomainError("worldline velocity must be timelike")
     denom = 2.0 * (1.0 - mdot(xi4, z4))
     if denom < 2e-9:
         raise SingularDenominatorError("1 - xi.z (4d) below tolerance")
@@ -386,9 +379,7 @@ def xi_equation_check(xi, xidot, xdot, xddot, z, hbar=1.0):
     z = np.asarray(z, dtype=float)
     if abs(float(np.dot(xi, xidot))) > 1e-10:
         raise DomainError("xidot must be tangent to the unit sphere (xi.xidot = 0)")
-    one_plus = 1.0 + float(np.dot(z, xi))
-    if one_plus < 1e-9:
-        raise SingularDenominatorError("1 + xi.z below tolerance (antipodal xi, z)")
+    one_plus = require_off_antipode(1.0 + float(np.dot(z, xi)))
 
     q = q_factor(xdot)
     w = q * cross3(spatial(np.asarray(xdot, float)),

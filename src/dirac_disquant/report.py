@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import require_positive
 
 SCHEMA_TAG = "dirac-disquant/1"
 
@@ -28,11 +28,8 @@ class RunConfig:
     c: float = 1.0
 
     def __post_init__(self):
-        for name in ("tol_scale", "m", "m0", "hbar", "c"):
-            value = getattr(self, name)
-            if not 0.0 < value < math.inf:
-                raise DomainError(f"{name.replace('_', '-')} must be finite and "
-                                  f"positive, got {value!r}")
+        require_positive(**{"tol-scale": self.tol_scale}, m=self.m, m0=self.m0,
+                         hbar=self.hbar, c=self.c)
 
 
 @dataclass(frozen=True)

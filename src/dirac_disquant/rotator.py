@@ -28,6 +28,7 @@ from .errors import (
     StabilityError,
     StepSizeError,
     SubThresholdError,
+    require_positive,
 )
 from .minkowski import eps4_free, mdot
 
@@ -44,11 +45,9 @@ class RotatorParams:
     hbar: float = 1.0
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.m0, self.a, self.P0, self.phase,
-                                       self.c, self.hbar))):
-            raise DomainError(f"rotator parameters must be finite: {self!r}")
-        if self.m0 <= 0 or self.a <= 0 or self.c <= 0 or self.hbar <= 0:
-            raise DomainError("m0, a, c and hbar must be positive")
+        require_positive(m0=self.m0, a=self.a, c=self.c, hbar=self.hbar)
+        if not (math.isfinite(self.P0) and math.isfinite(self.phase)):
+            raise DomainError(f"P0 and phase must be finite: {self!r}")
         if self.P0 < 2.0 * self.m0:
             raise SubThresholdError(
                 f"P0 = {self.P0} below the two-particle threshold 2 m0 = {2 * self.m0}")
@@ -436,13 +435,6 @@ def integrate_rotator(p: RotatorParams, initial: RotatorState, steps, dt) -> Rot
     )
 
 
-def _require_positive(**values):
-    """DomainError unless every value is a finite positive number."""
-    for name, value in values.items():
-        if not 0.0 < value < math.inf:
-            raise DomainError(f"{name} must be finite and positive, got {value!r}")
-
-
 def mass_increase(v, c=1.0) -> float:
     """Relative rotational mass increase gamma = 1/sqrt(1 - v^2/c^2) - 1."""
     if not 0.0 <= v < c:
@@ -476,7 +468,7 @@ def rigidity(a, m0, hbar=1.0, c=1.0):
 
 def rigidity_domain_bound(m0, hbar=1.0, c=1.0) -> float:
     """The radius hbar / (4 m0 c) at which the particle speed reaches c."""
-    _require_positive(m0=m0, hbar=hbar, c=c)
+    require_positive(m0=m0, hbar=hbar, c=c)
     scale = 4.0 * m0 * c
     bound = hbar / scale if scale > 0.0 else math.inf
     if not 0.0 < bound < math.inf:
@@ -522,11 +514,11 @@ def identify_dcr_rr(direction, *, m=None, zeta=None, m0=None, v=None,
     rr_to_dcr: from (m0, v) to the particle's (m, m_dcr, omega_dcr, a, zeta),
     plus the angular momentum and magnetic moment of the charged rotator.
     """
-    _require_positive(hbar=hbar, c=c)
+    require_positive(hbar=hbar, c=c)
     if direction == "dcr_to_rr":
         if m is None or zeta is None:
             raise DomainError("dcr_to_rr needs m and zeta")
-        _require_positive(m=m)
+        require_positive(m=m)
         if not zeta >= 0:
             raise DomainError(f"zeta must be nonnegative, got {zeta!r}")
         try:
@@ -547,7 +539,7 @@ def identify_dcr_rr(direction, *, m=None, zeta=None, m0=None, v=None,
     if direction == "rr_to_dcr":
         if m0 is None or v is None:
             raise DomainError("rr_to_dcr needs m0 and v")
-        _require_positive(m0=m0)
+        require_positive(m0=m0)
         if not 0.0 <= v < c:
             raise DomainError(f"speed must satisfy 0 <= v < c, got {v!r}")
         try:

@@ -27,7 +27,6 @@ from dirac_disquant.minkowski import (
     BASIS4,
     F_REST,
     eps4,
-    eps4_blocks,
     eps4_free,
     eps4_stack,
     mdot,
@@ -1012,18 +1011,6 @@ def test_covariant_kernels_match_references():
             for got, ref in zip(pieces, want):
                 assert same(got, ref)
             assert same(f3_without_inner_factor(fld, x, 0.8), f3_alt)
-
-
-def test_eps4_blocks_rows_are_eps4_stacks():
-    rng = np.random.default_rng(45)
-    for _ in range(200):
-        a, c, d = rng.normal(size=(3, 4))
-        rows, more = rng.normal(size=(2, 4, 4))
-        blocks = ((a, rows, c, d), (rows, BASIS4, more, d), (a, BASIS4, more, c))
-        got = eps4_blocks(*blocks)
-        assert got.shape == (3, 4)
-        for row, block in zip(got, blocks):
-            assert same(row, eps4_stack(*block))
 
 
 def eps_free_reference(slot, b, c, d):

@@ -152,6 +152,8 @@ class TestVerifyCommand:
     ["rotator", "--a", "1", "--P0", "3", "--steps", "100000000000000000000"],
     ["rigidity", "--a-max", "0.1", "--n", "100000000000000000000"],
     # zero constants, refused before any division by them
+    ["helix", "--b", "1", "--m", "0"],
+    ["verify", "particle", "--m", "0"],
     ["rigidity", "--m0", "0", "--a-max", "0.1"],
     ["rigidity", "--c", "0", "--a-max", "0.1"],
     ["identify", "--direction", "rr_to_dcr", "--m0", "0", "--v", "0.5"],

@@ -8,12 +8,13 @@ import warnings
 import numpy as np
 import pytest
 
-from dirac_disquant import covariant, particle, rotator
+from dirac_disquant import algebra, covariant, particle, rotator
 from dirac_disquant.algebra import SpinorParams, build_gamma_basis, spin_from_xi
 from dirac_disquant.cli import main
 from dirac_disquant.errors import (
     DomainError,
     NumericConsistencyError,
+    SingularDenominatorError,
     StabilityError,
     StepSizeError,
 )
@@ -129,6 +130,21 @@ NON_FINITE = [
 def test_constructors_reject_non_finite(factory, kwargs):
     with pytest.raises(DomainError):
         factory(**kwargs)
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0, NAN, INF])
+@pytest.mark.parametrize("call", [
+    lambda v: RunConfig(m=v),
+    lambda v: DcParams(m=1.0, hbar=v),
+    lambda v: RotatorParams(m0=1.0, a=v, P0=3.0),
+    lambda v: rotator.rigidity_domain_bound(1.0, 1.0, c=v),
+    lambda v: rotator.identify_dcr_rr("dcr_to_rr", m=v, zeta=1.0),
+    lambda v: rotator.identify_dcr_rr("rr_to_dcr", m0=v, v=0.5),
+], ids=["RunConfig", "DcParams", "RotatorParams", "rigidity_domain_bound", "dcr_to_rr",
+        "rr_to_dcr"])
+def test_positive_constants_share_one_guard(call, value):
+    with pytest.raises(DomainError, match="must be finite and positive"):
+        call(value)
 
 
 @pytest.mark.parametrize("cls, base", [(NumericConsistencyError, ArithmeticError),
@@ -308,3 +324,47 @@ def test_one_point_kernels_raise_domain_error_at_the_walls(changes, call):
         for x in (np.zeros(4), np.array([0.3, -0.2, 0.1, 0.4])):
             with pytest.raises(DomainError):
                 call(fld, x)
+
+
+# Each route computes 1 + xi.z itself and hands it to the one guard.
+ANTIPODAL_SITES = [
+    lambda xi, z: algebra.n_from_xi(xi, z),
+    lambda xi, z: covariant.CovariantAux.from_state(np.array([1.0, 0.0, 0.0, 0.0]),
+                                                    1.0, xi, z),
+    lambda xi, z: particle.lagrangian_dc(
+        particle.WorldlineState(x=np.zeros(4), xdot=[1.0, 0.0, 0.0, 0.0],
+                                xddot=np.zeros(4), xi=xi),
+        DcParams(m=1.0, hbar=1.0), xidot=[0.0, 1.0, 0.0]),
+    lambda xi, z: particle.xi_equation_check(xi, [0.0, 1.0, 0.0], [1.0, 0.0, 0.0, 0.0],
+                                             np.zeros(4), z),
+]
+ANTIPODAL_IDS = ["n_from_xi", "CovariantAux.from_state", "lagrangian_dc",
+                 "xi_equation_check"]
+
+
+def _xi_z(nz):
+    """xi = 2 n (n.z) - z and z of the ``_antipodal(nz)`` field: 1 + xi.z = 2 nz^2.
+    The spin rate (0, 1, 0) of the sites is tangent to every such xi."""
+    wall = _antipodal(nz)
+    n, z = np.array(wall["n0"]), np.array(wall["z"])
+    return 2.0 * n * n.dot(z) - z, z
+
+
+@pytest.mark.parametrize("nz", [0.0, 1e-8, 2e-5],
+                         ids=["xi=-z", "xi.z+1=2e-16", "xi.z+1=8e-10"])
+@pytest.mark.parametrize("call", ANTIPODAL_SITES, ids=ANTIPODAL_IDS)
+def test_antipodal_wall_is_one_guard(call, nz):
+    xi, z = _xi_z(nz)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularDenominatorError):
+            call(xi, z)
+
+
+@pytest.mark.parametrize("call", ANTIPODAL_SITES, ids=ANTIPODAL_IDS)
+def test_antipodal_guard_accepts_twice_its_tolerance(call):
+    xi, z = _xi_z(math.sqrt(algebra.XI_Z_TOL))
+    assert 1.0 + xi.dot(z) == pytest.approx(2.0 * algebra.XI_Z_TOL, rel=1e-6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        call(xi, z)

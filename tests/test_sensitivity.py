@@ -1,0 +1,66 @@
+"""Every check must be able to fail: a table of named mutations.
+
+Each row replaces one program function, as one module binds it, by a
+plausible defect, and names the checks that must then fail at seed 42.  The
+rows were fixed before they were first run; a row whose check still passes
+shows a check that cannot see the defect it guards against.
+"""
+
+import math
+import types
+
+import pytest
+
+from dirac_disquant import algebra, covariant, particle, rotator
+from dirac_disquant.report import RunConfig
+from dirac_disquant.verification import run_suite
+
+
+def scaled_guard(one_plus):
+    """The antipodal guard, its returned 1 + xi.z off by a relative 1e-3."""
+    return algebra.require_off_antipode(one_plus) * (1.0 + 1e-3)
+
+
+def midpoint_step(X0, X1, X2, X3, x0, x1, x2, x3, p0, p1, p2, p3, nu, k):
+    """A midpoint (RK2) step of the ``_rhs`` equations in place of RK4."""
+    P, h2, dt = k[:4], k[9], k[11]
+    params = types.SimpleNamespace(m0=k[4] / 4.0, a=math.sqrt(-k[6]))
+    X, x, p = (X0, X1, X2, X3), (x0, x1, x2, x3), (p0, p1, p2, p3)
+    _, xdot, pdot, _ = rotator._rhs(x, p, P, params)
+    x_mid = [u + h2 * r for u, r in zip(x, xdot)]
+    p_mid = [u + h2 * r for u, r in zip(p, pdot)]
+    rates = rotator._rhs(x_mid, p_mid, P, params)[:3]
+    return tuple(u + dt * r for y, rate in zip((X, x, p), rates) for u, r in zip(y, rate))
+
+
+MUTATIONS = [
+    # Both F3 shapes of lagrangian_pieces divide by the guarded value: the
+    # three-dimensional one by 2 (1 + xi.z), the covariant one through mu and
+    # d_mu, each over sqrt(2 (1 + xi.z)); the d_norm part of d_mu lies along
+    # nu = sqrt(2 (1 + xi.z)) mu and drops out of the eps4.  Both shapes scale
+    # by 1 / (1 + 1e-3), so spin-term-covariant-equivalence stays at roundoff
+    # (2.8e-14) and cannot see this defect.  The oracle
+    # f3_without_inner_factor computes its own 1 + xi.z.
+    pytest.param(covariant, "require_off_antipode", scaled_guard,
+                 {"kinetic-split-residual": "appendixA",
+                  "spin-term-regularization-invariance": "appendixB"},
+                 id="covariant-antipodal-guard-scaled"),
+    pytest.param(particle, "require_off_antipode", scaled_guard,
+                 {"spin-equation-z-independence": "appendixC",
+                  "lagrangian-covariant-equivalence-generic": "particle"},
+                 id="particle-antipodal-guard-scaled"),
+    pytest.param(rotator, "_rk4_step", midpoint_step,
+                 {"integrator-vs-closed-form": "rotator"},
+                 id="rotator-midpoint-step"),
+]
+
+
+@pytest.mark.parametrize("module, name, mutant, must_fail", MUTATIONS)
+def test_mutation_fails_its_checks(monkeypatch, module, name, mutant, must_fail):
+    monkeypatch.setattr(module, name, mutant)
+    records = {}
+    for suite in set(must_fail.values()):
+        records.update((r.check_id, r) for r in run_suite(suite, RunConfig(seed=42)).records)
+    for check_id in must_fail:
+        rec = records[check_id]
+        assert not rec.passed, f"{check_id} passed at {rec.residual!r} <= {rec.tolerance!r}"
