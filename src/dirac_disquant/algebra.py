@@ -394,7 +394,11 @@ def spin_from_xi(xi, j, rho) -> np.ndarray:
     jxi = _dot3(j[..., 1:], xi).T
     den = rho + j.T[0]
     if not (den > 0 if xi.ndim == 1 else (den > 0).all()):
-        raise LightlikeFluxError(f"spin_from_xi needs rho + j^0 > 0, got {den!r}")
+        if xi.ndim == 1:
+            raise LightlikeFluxError(f"spin_from_xi needs rho + j^0 > 0, got {float(den)!r}")
+        row = int(np.argmin(den > 0))
+        raise LightlikeFluxError(
+            f"spin_from_xi needs rho + j^0 > 0, got {float(den[row])!r} in row {row}")
     if xi.ndim == 1:
         # One point: the operations of the stacked rows below, on floats.
         _, j1, j2, j3 = j.tolist()

@@ -30,9 +30,10 @@ c1[:, :, None])`` for c1.x: numpy then calls the same BLAS ``ddot`` or
 ``gemv`` per point.  A flat ``X @ c1.T`` or an ``einsum`` picks another
 kernel and another summation order, and the last bits change.  The three
 covariant ``eps4`` sums of ``lagrangian_pieces`` fill one (3, 4, 4, 4) stack
-for a single ``det`` call, LAPACK factors each matrix on its own, and each
-sum keeps the Python ``sum`` order over numpy scalars.  Outer products are
-broadcast multiplies ``a[:, None] * b``, the products ``np.outer`` makes.
+for a single ``minkowski.det`` call, LAPACK factors each matrix on its own,
+and each sum keeps the Python ``sum`` order over numpy scalars.  Outer
+products are broadcast multiplies ``a[:, None] * b``, the products
+``np.outer`` makes.
 
 The one-point kernels behind ``lagrangian_pieces`` keep one more rule.
 Elementwise arithmetic on scalars and on 3- and 4-vectors may run on Python
@@ -40,7 +41,8 @@ floats (``.tolist()``): +, -, *, / and sqrt round the same there, a scalar
 ``**`` is libm ``pow`` on both sides, the ``mdot`` products against
 ``F_REST`` are the same products, and a sum adds in the order ``sum`` does
 over numpy scalars.  Every BLAS contraction (``@``, ``.dot``, ``matmul``)
-and every ``det`` stays a numpy call on the same operands, and ``cosh``,
+stays a numpy call on the same operands, every ``det`` is
+``minkowski.det``, the LAPACK gufunc behind ``np.linalg.det``, and ``cosh``,
 ``sinh`` and ``sin`` stay numpy ufuncs (numpy's SIMD ``cosh`` and ``sinh``
 differ from ``math``'s in the last bit).  For example, a hand-written
 three-term sum in place of ``cross3(grad, v).dot(xi)`` in F4 moves three
@@ -78,7 +80,7 @@ from .errors import (
     NumericConsistencyError,
     SingularDenominatorError,
 )
-from .minkowski import BASIS4, F_REST, cross3, eps4_stack, mdot
+from .minkowski import BASIS4, F_REST, cross3, det, eps4_stack, mdot
 
 
 def split_derivative(j, grad):
@@ -383,7 +385,7 @@ def lagrangian_pieces(fld: ParamField, x, m, hbar) -> LagrangianPieces:
     cols[:, :, 1] = d_xi
     cols[:, :, 2] = p.z
     j_list = j.tolist()
-    f3 = -hbar / (2.0 * one_plus) * _sum_of_products(j_list, np.linalg.det(cols).tolist())
+    f3 = -hbar / (2.0 * one_plus) * _sum_of_products(j_list, det(cols).tolist())
 
     # Covariant F3 through mu = nu / sqrt(2 (1 + xi.z)); d_nu = d_xi4 - (d_xi4.f) f.
     aux = CovariantAux.from_state(j, rho, xi, p.z)
@@ -431,7 +433,7 @@ def lagrangian_pieces(fld: ParamField, x, m, hbar) -> LagrangianPieces:
     cols[1:, :, :, 3] = aux.nu
     cols[2, :, :, 0] = aux.q
     cols[2, :, :, 2] = d_q
-    eps_mu, eps_w, eps_q = np.linalg.det(cols).tolist()
+    eps_mu, eps_w, eps_q = det(cols).tolist()
     f3_cov = hbar * _sum_of_products(j_list, eps_mu)
     f4_cov = -hbar / (2.0 * rho_jf) * _sum_of_products(_D_UP, eps_w)
     f4_cov_q = hbar * rho * _sum_of_products(_D_UP, eps_q)

@@ -2,9 +2,14 @@
 
 Arrays hold upper (contravariant) components unless a name says otherwise.
 Index 0 is time.
+
+Every determinant of the package goes through ``det``.  Its gufunc lives in
+a private numpy module; if a numpy release moves it, importing this module
+fails instead of falling back to another route.
 """
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 #: Coordinate basis vectors e_0..e_3 as rows.
 BASIS4 = np.eye(4)
@@ -25,6 +30,14 @@ def mdot(a, b):
     return r if isinstance(r, np.ndarray) else float(r)
 
 
+def det(m):
+    """Determinant of each float64 (..., n, n) matrix: the bits of
+    ``np.linalg.det``, whose LAPACK ``getrf`` gufunc this calls directly,
+    without that wrapper's per-call Python.  A numpy float for one matrix,
+    an array for a stack."""
+    return _umath_linalg.det(m, signature="d->d")
+
+
 def lower(v):
     """Flip spatial signs: upper components -> lower components (and back)."""
     out = np.array(v, dtype=float)
@@ -37,7 +50,7 @@ def eps4(a, b, c, d):
 
     Equals the determinant of the matrix whose columns are (a, b, c, d).
     """
-    return float(np.linalg.det(np.array([a, b, c, d], dtype=float).T))
+    return float(det(np.array([a, b, c, d], dtype=float).T))
 
 
 def eps4_stack(a, b, c, d):
@@ -51,7 +64,7 @@ def eps4_stack(a, b, c, d):
     m = np.empty(max((v.shape for v in cols), key=len) + (4,))
     for i, v in enumerate(cols):
         m[..., i] = v
-    return np.linalg.det(m)
+    return det(m)
 
 
 #: For each slot of the free index, the other three slots in order.
@@ -82,7 +95,7 @@ def eps4_free(slot, b, c, d):
     cols[:, :, i] = b
     cols[:, :, k] = c
     cols[:, :, l] = d
-    return np.linalg.det(cols)
+    return det(cols)
 
 
 def cross3(a, b):

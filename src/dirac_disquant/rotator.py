@@ -19,6 +19,7 @@ with the classical Dirac particle's helix.
 
 import math
 import numbers
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -368,9 +369,10 @@ def integrate_rotator(p: RotatorParams, initial: RotatorState, steps, dt) -> Rot
     once, and stage 1 of a step takes the nu of the state it starts from.
     The Minkowski products of the drift, _project and nu are written out on
     the floats, the products and order of ``mdot``, without its call.  Each
-    state is written into the rows of one stacked RotatorState, with one
-    zeta_vector call per state; the monitors come from one
-    constraint_monitors call at the end.
+    step appends its floats to one ``array('d')`` buffer, and the stacked
+    RotatorState holds column views of that buffer.  After the loop, one
+    zeta_vector call per state gives the zeta rows, and one
+    constraint_monitors call gives the monitors.
     """
     if not isinstance(steps, numbers.Integral) or steps < 0:
         raise DomainError(f"steps must be an integer >= 0, got {steps!r}")
@@ -384,17 +386,13 @@ def integrate_rotator(p: RotatorParams, initial: RotatorState, steps, dt) -> Rot
     if not np.isfinite([initial.tau, *initial.X]).all():
         raise DomainError("initial tau and X must be finite")
 
-    # Row 0 is the initial state; each diagnostic is reduced once with numpy
-    # at the end, so a NaN anywhere reaches the summary.
-    taus = np.empty(steps + 1)
-    Xs, xs, ps, zetas = (np.empty((steps + 1, 4)) for _ in range(4))
-    nus = np.empty(steps + 1)
-    pre_drift = np.empty(steps)
+    # One row of 15 floats per state: tau, X, x, p, nu and the step's
+    # pre-projection drift.  Row 0 is the initial state with drift 0.0, and
+    # each step appends its row with one extend.  Each diagnostic is reduced
+    # once with numpy at the end, so a NaN anywhere reaches the summary.
     P = initial.P.copy()
-    taus[0], nus[0] = initial.tau, initial.nu
-    Xs[0], xs[0], ps[0] = initial.X, initial.x, initial.p
-    zetas[0] = zeta0 = zeta_vector(xs[0], ps[0], P)
-
+    rows = array("d", [initial.tau, *initial.X.tolist(), *initial.x.tolist(),
+                       *initial.p.tolist(), initial.nu, 0.0])
     X0, X1, X2, X3 = initial.X.tolist()
     x0, x1, x2, x3 = initial.x.tolist()
     p0, p1, p2, p3 = initial.p.tolist()
@@ -408,21 +406,26 @@ def integrate_rotator(p: RotatorParams, initial: RotatorState, steps, dt) -> Rot
     # mdot written out here and for the drift below, as in _rk4_step.
     nu = (P0 * x0 - P1 * x1 - P2 * x2 - P3 * x3) / na2
 
-    for i in range(1, steps + 1):
+    for _ in range(steps):
         X0, X1, X2, X3, x0, x1, x2, x3, p0, p1, p2, p3 = _rk4_step(
             X0, X1, X2, X3, x0, x1, x2, x3, p0, p1, p2, p3, nu, k)
         tau += dt
-        raw_drift = pre_drift[i - 1] = abs((x0 * x0 - x1 * x1 - x2 * x2 - x3 * x3) + a2)
+        raw_drift = abs((x0 * x0 - x1 * x1 - x2 * x2 - x3 * x3) + a2)
         if not raw_drift <= drift_bound:
             raise StepSizeError(
                 f"constraint drift {raw_drift:.3e} before projection; reduce dt")
-        x, prel = _project((x0, x1, x2, x3), (p0, p1, p2, p3), Pf, a)
-        x0, x1, x2, x3 = x
-        p0, p1, p2, p3 = prel
+        (x0, x1, x2, x3), (p0, p1, p2, p3) = _project(
+            (x0, x1, x2, x3), (p0, p1, p2, p3), Pf, a)
         nu = (P0 * x0 - P1 * x1 - P2 * x2 - P3 * x3) / na2
+        rows.extend((tau, X0, X1, X2, X3, x0, x1, x2, x3, p0, p1, p2, p3, nu, raw_drift))
 
-        taus[i], Xs[i], xs[i], ps[i], nus[i] = tau, (X0, X1, X2, X3), x, prel, nu
-        zetas[i] = zeta_vector(xs[i], ps[i], P)
+    table = np.frombuffer(rows).reshape(steps + 1, 15)
+    taus, Xs, xs, ps = table[:, 0], table[:, 1:5], table[:, 5:9], table[:, 9:13]
+    nus, pre_drift = table[:, 13], table[:, 14]
+    zetas = np.empty((steps + 1, 4))
+    for i, (x, prel) in enumerate(zip(xs, ps)):
+        zetas[i] = zeta_vector(x, prel, P)
+    zeta0 = zetas[0]
 
     states = RotatorState(tau=taus, X=Xs, x=xs, p=ps, P=P, nu=nus)
     zeta_scale = max(np.abs(zeta0).max(), 1e-30)
@@ -431,7 +434,7 @@ def integrate_rotator(p: RotatorParams, initial: RotatorState, steps, dt) -> Rot
         monitors=np.column_stack(list(constraint_monitors(states, p).values())),
         zeta_drift=float(np.abs(zetas - zeta0).max() / zeta_scale),
         nu_max=float(np.abs(nus).max()),
-        pre_projection_drift=float(pre_drift.max(initial=0.0)),
+        pre_projection_drift=float(pre_drift.max()),
     )
 
 

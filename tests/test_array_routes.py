@@ -1040,6 +1040,41 @@ def test_eps4_free_templates_are_read_only_and_stay_clean():
         assert same(eps4_free(slot, b, c, d), eps_free_reference(slot, b, c, d))
 
 
+def det_inputs():
+    rng = np.random.default_rng(48)
+    yield rng.normal(size=(4, 4))
+    yield rng.normal(size=(7, 4, 4)) * 10.0 ** rng.uniform(-3, 3, size=(7, 1, 1))
+    yield rng.normal(size=(5, 4, 4, 4))
+    singular = rng.normal(size=(3, 4, 4))
+    singular[0, :, 3] = singular[0, :, 0]                  # two equal columns
+    singular[1, 2] = 0.0                                   # a zero row
+    singular[2, :, 1] = 2.0 * singular[2, :, 0] - singular[2, :, 2]
+    yield singular
+    yield np.zeros((4, 4))
+    for bad in (np.nan, np.inf, -np.inf):
+        for index in ((0, 0), (2, 1), (3, 3)):
+            m = rng.normal(size=(4, 4))
+            m[index] = bad
+            yield m
+    yield np.stack([np.full((4, 4), np.inf), np.eye(4), np.full((4, 4), np.nan)])
+    for template in minkowski._EPS4_TEMPLATES:
+        cols = template.copy()
+        for slot in range(4):
+            if not template[:, :, slot].any():
+                cols[:, :, slot] = rng.normal(size=4)
+        yield cols
+
+
+def test_det_matches_numpy_det_bit_for_bit():
+    # minkowski.det calls the gufunc behind np.linalg.det; it must give the
+    # same bits, NaN and inf included, on every shape the package uses.
+    with np.errstate(all="ignore"):
+        for m in det_inputs():
+            got, want = minkowski.det(m), np.linalg.det(m)
+            assert type(got) is type(want)
+            assert same(got, want), m
+
+
 def test_momentum_of_boosted_jets_matches_eps4_calls(monkeypatch):
     rng = np.random.default_rng(46)
     p = DcParams(m=1.3, hbar=0.7)

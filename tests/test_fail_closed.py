@@ -13,6 +13,7 @@ from dirac_disquant.algebra import SpinorParams, build_gamma_basis, spin_from_xi
 from dirac_disquant.cli import main
 from dirac_disquant.errors import (
     DomainError,
+    LightlikeFluxError,
     NumericConsistencyError,
     SingularDenominatorError,
     StabilityError,
@@ -232,6 +233,21 @@ def test_nan_axis_rejected_by_gamma_basis(z):
 def test_nan_argument_raises(call):
     with pytest.raises(DomainError):
         call()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: spin_from_xi([0.0, 0.0, 1.0], np.zeros(4), 0.0),
+     "spin_from_xi needs rho + j^0 > 0, got 0.0"),
+    (lambda: spin_from_xi([0.0, 0.0, 1.0], [NAN, 0.0, 0.0, 0.0], 1.0),
+     "spin_from_xi needs rho + j^0 > 0, got nan"),
+    (lambda: spin_from_xi(np.eye(3), [[2.0, 1.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0],
+                                      [0.0] * 4], [1.0, 0.5, 0.0]),
+     "spin_from_xi needs rho + j^0 > 0, got -0.5 in row 1"),
+], ids=["one-point", "one-point-nan", "stack"])
+def test_spin_from_xi_names_the_first_bad_row_as_a_float(call, message):
+    with pytest.raises(LightlikeFluxError) as info:
+        call()
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize("call", [

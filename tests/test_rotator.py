@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from dirac_disquant import rotator
 from dirac_disquant.errors import (
     DomainError,
     StabilityError,
@@ -152,9 +153,45 @@ class TestIntegrator:
         orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
         assert np.all(orders >= 3.8), orders
 
+    @pytest.mark.parametrize("steps", [0, 1, 2000])
+    def test_zeta_vector_called_once_per_state(self, monkeypatch, steps):
+        # The benchmark pins this count; integrate_rotator must look
+        # zeta_vector up as a module global, once per returned state.
+        calls = []
+
+        def counted(x, prel, P):
+            calls.append(None)
+            return zeta_vector(x, prel, P)
+
+        monkeypatch.setattr(rotator, "zeta_vector", counted)
+        cf = RotatorClosedForm(PR)
+        integrate_rotator(PR, cf.state(0.0), steps, cf.tau_period / 2000)
+        assert len(calls) == steps + 1
+
+    @pytest.mark.parametrize("steps", [0, 1, 2000])
+    def test_zeta_drift_is_the_drift_of_the_returned_rows(self, steps):
+        cf = RotatorClosedForm(PR)
+        traj = integrate_rotator(PR, cf.state(0.0), steps, cf.tau_period / 2000)
+        s = traj.states
+        zetas = np.array([zeta_vector(x, q, s.P) for x, q in zip(s.x, s.p)])
+        drift = np.abs(zetas - zetas[0]).max() / max(np.abs(zetas[0]).max(), 1e-30)
+        assert np.float64(traj.zeta_drift).tobytes() == np.float64(drift).tobytes()
+
+    def test_zero_steps_give_the_initial_row_only(self):
+        cf = RotatorClosedForm(PR)
+        initial = cf.state(0.0)
+        traj = integrate_rotator(PR, initial, 0, cf.tau_period / 2000)
+        s = traj.states
+        assert s.tau.shape == s.nu.shape == (1,) and traj.monitors.shape == (1, 5)
+        for got, want in ((s.X, initial.X), (s.x, initial.x), (s.p, initial.p)):
+            assert got.shape == (1, 4) and got[0].tobytes() == want.tobytes()
+        assert s.tau[0] == initial.tau and s.nu[0] == initial.nu
+        assert traj.pre_projection_drift == 0.0 and traj.zeta_drift == 0.0
+
     def test_memory_grows_by_the_preallocated_rows_only(self):
-        # The preallocated rows and the monitor arrays made at the end take
-        # 256 B per step; a list of per-step tuples would add more than 300 B.
+        # The 15-float state rows, the zeta rows and the monitor arrays made
+        # at the end take about 260 B per step; a list of per-step tuples
+        # would add more than 300 B.
         cf = RotatorClosedForm(PR)
 
         def peak(steps):

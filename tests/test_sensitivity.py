@@ -3,15 +3,18 @@
 Each row replaces one program function, as one module binds it, by a
 plausible defect, and names the checks that must then fail at seed 42.  The
 rows were fixed before they were first run; a row whose check still passes
-shows a check that cannot see the defect it guards against.
+shows a check that cannot see the defect it guards against.  Such rows are
+kept in ``UNSEEN``, with the reason no check sees them, until one does.
 """
 
 import math
 import types
 
+import numpy as np
 import pytest
 
-from dirac_disquant import algebra, covariant, particle, rotator
+from dirac_disquant import algebra, covariant, minkowski, particle, rotator
+from dirac_disquant.minkowski import mdot
 from dirac_disquant.report import RunConfig
 from dirac_disquant.verification import run_suite
 
@@ -31,6 +34,25 @@ def midpoint_step(X0, X1, X2, X3, x0, x1, x2, x3, p0, p1, p2, p3, nu, k):
     p_mid = [u + h2 * r for u, r in zip(p, pdot)]
     rates = rotator._rhs(x_mid, p_mid, P, params)[:3]
     return tuple(u + dt * r for y, rate in zip((X, x, p), rates) for u, r in zip(y, rate))
+
+
+def projection_without(part):
+    """``rotator._project`` in its array form with one part left out: the
+    rescale of x onto x.x = -a^2, or the x or the P part of the momentum
+    projection."""
+    def project(x, prel, P, a):
+        x, prel, P = np.array(x), np.array(prel), np.array(P)
+        if part != "rescale":
+            x = x * (a / math.sqrt(-mdot(x, x)))
+        cx = 0.0 if part == "x" else mdot(prel, x) / mdot(x, x)
+        cP = 0.0 if part == "P" else mdot(prel, P) / mdot(P, P)
+        return x.tolist(), (prel - x * cx - P * cP).tolist()
+    return project
+
+
+def zeta_with_p_and_P_swapped(x, prel, P):
+    """eps_iklm x^k P^l p^m: the conserved vector with its sign flipped."""
+    return minkowski.eps4_free(0, x, P, prel)
 
 
 MUTATIONS = [
@@ -55,6 +77,35 @@ MUTATIONS = [
 ]
 
 
+# Mutations that no check of their suite sees yet, each with the reason.
+# Each row is a strict xfail: once a check fails under the mutation, the
+# row passes, strict turns that into a failure, and the row moves to
+# MUTATIONS with the check that now sees it.
+UNSEEN = [
+    pytest.param(rotator, "_project", projection_without("rescale"), "rotator",
+                 id="rotator-projection-without-rescale",
+                 marks=pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+                     "RK4 at dt = period/2000 keeps x.x + a^2 near 1e-13 a^2 "
+                     "without the rescale, and the monitors allow 1e-8"))),
+    pytest.param(rotator, "_project", projection_without("x"), "rotator",
+                 id="rotator-projection-without-x-part",
+                 marks=pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+                     "RK4 keeps p.x near 1e-14 without the projection, and "
+                     "the monitors allow 1e-8"))),
+    pytest.param(rotator, "_project", projection_without("P"), "rotator",
+                 id="rotator-projection-without-P-part",
+                 marks=pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+                     "the suite starts in the rest frame of P with p^0 = 0, "
+                     "which RK4 keeps exactly, so the P part removes nothing"))),
+    pytest.param(rotator, "zeta_vector", zeta_with_p_and_P_swapped, "rotator",
+                 id="rotator-zeta-slots-swapped",
+                 marks=pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+                     "integrator-conserved-zeta compares zeta with its own "
+                     "start value, so a flipped sign cancels; no check "
+                     "compares zeta with the closed form"))),
+]
+
+
 @pytest.mark.parametrize("module, name, mutant, must_fail", MUTATIONS)
 def test_mutation_fails_its_checks(monkeypatch, module, name, mutant, must_fail):
     monkeypatch.setattr(module, name, mutant)
@@ -64,3 +115,11 @@ def test_mutation_fails_its_checks(monkeypatch, module, name, mutant, must_fail)
     for check_id in must_fail:
         rec = records[check_id]
         assert not rec.passed, f"{check_id} passed at {rec.residual!r} <= {rec.tolerance!r}"
+
+
+@pytest.mark.parametrize("module, name, mutant, suite", UNSEEN)
+def test_unseen_mutation_fails_a_check(monkeypatch, module, name, mutant, suite):
+    monkeypatch.setattr(module, name, mutant)
+    records = run_suite(suite, RunConfig(seed=42)).records
+    passed = [f"{r.check_id} {r.residual!r} <= {r.tolerance!r}" for r in records if r.passed]
+    assert len(passed) < len(records), "every check passed:\n" + "\n".join(passed)
