@@ -206,8 +206,7 @@ def cmd_rotator(args) -> int:
         "phase": float(args.phase),
         "omega": float(pr.omega), "omega0": float(pr.omega0), "units": "c=1",
     }
-    columns = ["t", "x1_1", "x1_2", "x2_1", "x2_2",
-               "res_xx", "res_px", "res_Pp", "res_pp", "res_Xdotx"]
+    columns = ["t", "x1_1", "x1_2", "x2_1", "x2_2", *rotator.MONITOR_COLUMNS]
 
     if args.mode == "closed":
         if pr.omega == 0.0:
@@ -220,7 +219,7 @@ def cmd_rotator(args) -> int:
             one, two = cf.worldlines_at_time(t)
             states = cf.state(-4.0 * pr.m0 * t / pr.P0)
             return np.column_stack((t, one[:, 1:3], two[:, 1:3],
-                                    *rotator.constraint_monitors(states, pr).values()))
+                                    rotator.constraint_monitors(states, pr).T))
     else:
         if pr.omega == 0.0:
             dt = 0.05

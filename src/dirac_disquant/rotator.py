@@ -93,9 +93,9 @@ class RotatorState:
                                np.asarray(getattr(self, name), dtype=float))
 
 
-def constraint_monitors(s: RotatorState, p: RotatorParams) -> dict:
-    """The five on-shell constraint residuals (absolute values): floats for
-    one state, (n,) arrays for a stack of n.
+def constraint_monitors(s: RotatorState, p: RotatorParams) -> np.ndarray:
+    """The five on-shell constraint residuals (absolute values), in the order
+    of ``MONITOR_COLUMNS``: shape (5,) for one state, (5, n) for a stack of n.
 
     ``mdot`` reads the transposed stack, so each component is a column;
     Xdot is the array form -(P - nu x) / (4 m0), one component at a time.
@@ -105,13 +105,13 @@ def constraint_monitors(s: RotatorState, p: RotatorParams) -> dict:
     xdot_center = [-(Pi - s.nu * xi) / m4 for Pi, xi in zip(P, x)]
     # float_power rounds as the libm pow behind a scalar ``** 2``.
     pp_target = -(mdot(P, P) - 4.0 * p.m0 ** 2) - p.a ** 2 * np.float_power(s.nu, 2.0)
-    return {
-        "x.x + a^2": abs(mdot(x, x) + p.a ** 2),
-        "p.x": abs(mdot(q, x)),
-        "P.p": abs(mdot(P, q)),
-        "p.p - target": abs(mdot(q, q) - pp_target),
-        "Xdot.x": abs(mdot(xdot_center, x)),
-    }
+    return np.array([abs(mdot(x, x) + p.a ** 2), abs(mdot(q, x)), abs(mdot(P, q)),
+                     abs(mdot(q, q) - pp_target), abs(mdot(xdot_center, x))])
+
+
+#: Table column names of the ``constraint_monitors`` rows, in their order:
+#: x.x + a^2, p.x, P.p, p.p - target and Xdot.x.
+MONITOR_COLUMNS = ("res_xx", "res_px", "res_Pp", "res_pp", "res_Xdotx")
 
 
 def monitor_scales(p: RotatorParams) -> np.ndarray:
@@ -379,8 +379,7 @@ def integrate_rotator(p: RotatorParams, initial: RotatorState, steps, dt) -> Rot
     if not p.omega * dt < 0.1:
         raise StabilityError(
             f"omega dt = {p.omega * dt:.3f} too large; reduce the step")
-    worst0 = np.max(np.array(list(constraint_monitors(initial, p).values()))
-                    / monitor_scales(p))
+    worst0 = np.max(constraint_monitors(initial, p) / monitor_scales(p))
     if not worst0 <= 1e-10:
         raise DomainError(f"initial state violates the constraints by {worst0:.3e}")
     if not np.isfinite([initial.tau, *initial.X]).all():
@@ -431,7 +430,7 @@ def integrate_rotator(p: RotatorParams, initial: RotatorState, steps, dt) -> Rot
     zeta_scale = max(np.abs(zeta0).max(), 1e-30)
     return RotatorTrajectory(
         states=states,
-        monitors=np.column_stack(list(constraint_monitors(states, p).values())),
+        monitors=constraint_monitors(states, p).T,
         zeta_drift=float(np.abs(zetas - zeta0).max() / zeta_scale),
         nu_max=float(np.abs(nus).max()),
         pre_projection_drift=float(pre_drift.max()),
@@ -474,8 +473,7 @@ def rigidity_domain_bound(m0, hbar=1.0, c=1.0) -> float:
     require_positive(m0=m0, hbar=hbar, c=c)
     scale = 4.0 * m0 * c
     bound = hbar / scale if scale > 0.0 else math.inf
-    if not 0.0 < bound < math.inf:
-        raise DomainError(f"hbar/(4 m0 c) = {bound!r} is not a positive finite number")
+    require_positive(**{"hbar/(4 m0 c)": bound})
     return bound
 
 

@@ -1,7 +1,7 @@
 """Verification suites: every closed form checked against an independent route.
 
-Each suite returns a VerificationReport whose records are deterministic
-functions of the seed.
+``run_suite`` builds the run's one VerificationReport, and each suite adds
+its records to it; the records are deterministic functions of the seed.
 """
 
 import time
@@ -44,7 +44,7 @@ def run_suite(name, cfg: RunConfig) -> VerificationReport:
     report = VerificationReport(suite=name, seed=cfg.seed, tol_scale=cfg.tol_scale)
     for sub in fns if name == "all" else (name,):
         t_sub = time.perf_counter()
-        report.records.extend(fns[sub](cfg).records)
+        fns[sub](cfg, report)
         report.suite_times[sub] = time.perf_counter() - t_sub
     report.wall_time = time.perf_counter() - t0
     return report
@@ -53,8 +53,7 @@ def run_suite(name, cfg: RunConfig) -> VerificationReport:
 # ---------------------------------------------------------------- algebra
 
 
-def suite_algebra(cfg: RunConfig) -> VerificationReport:
-    rep = VerificationReport(suite="algebra", seed=cfg.seed, tol_scale=cfg.tol_scale)
+def suite_algebra(cfg: RunConfig, rep: VerificationReport) -> None:
     rng = np.random.default_rng(cfg.seed)
     g = algebra.build_gamma_basis((0.0, 0.0, 1.0))
     gamma, gamma5, sigma = algebra.GAMMA, algebra.GAMMA5, algebra.SIGMA
@@ -176,15 +175,12 @@ def suite_algebra(cfg: RunConfig) -> VerificationReport:
             "n = (xi+z)/sqrt(2(1+xi.z)) reproduces xi = 2n(n.z)-z",
             _worst(inversion(i) for i in range(200)), 1e-10)
 
-    return rep
-
 
 # ------------------------------------------------------------ appendix A
 
 
-def suite_appendix_a(cfg: RunConfig) -> VerificationReport:
+def suite_appendix_a(cfg: RunConfig, rep: VerificationReport) -> None:
     n_points = 100
-    rep = VerificationReport(suite="appendixA", seed=cfg.seed, tol_scale=cfg.tol_scale)
     rng = np.random.default_rng(cfg.seed)
     fields = [covariant.random_param_field(np.random.default_rng(cfg.seed + 100 + k))
               for k in range(10)]
@@ -226,15 +222,12 @@ def suite_appendix_a(cfg: RunConfig) -> VerificationReport:
             "L_cl + L_q1 + L_q2 = -m rho cos kappa + (F1+F2+F3+F4)",
             _worst(decomposition(i) for i in range(n_points)), 1e-12)
 
-    return rep
-
 
 # ------------------------------------------------------------ appendix B
 
 
-def suite_appendix_b(cfg: RunConfig) -> VerificationReport:
+def suite_appendix_b(cfg: RunConfig, rep: VerificationReport) -> None:
     n_points = 500
-    rep = VerificationReport(suite="appendixB", seed=cfg.seed, tol_scale=cfg.tol_scale)
     rng = np.random.default_rng(cfg.seed)
     fields = [covariant.random_param_field(np.random.default_rng(cfg.seed + 200 + k))
               for k in range(10)]
@@ -306,15 +299,12 @@ def suite_appendix_b(cfg: RunConfig) -> VerificationReport:
             "parallel + transversal = gradient and j.transversal = 0",
             _worst(splitting(i) for i in range(200)), 1e-12)
 
-    return rep
-
 
 # ------------------------------------------------------------ appendix C
 
 
-def suite_appendix_c(cfg: RunConfig) -> VerificationReport:
+def suite_appendix_c(cfg: RunConfig, rep: VerificationReport) -> None:
     n_z = 100
-    rep = VerificationReport(suite="appendixC", seed=cfg.seed, tol_scale=cfg.tol_scale)
 
     def full_residual(i):
         rng_i = np.random.default_rng(cfg.seed + 400 + i)
@@ -349,8 +339,6 @@ def suite_appendix_c(cfg: RunConfig) -> VerificationReport:
             "residual of the full equation grows linearly in a xidot perturbation",
             abs(ratios[0] / ratios[1] - 1.0), 1e-3)
 
-    return rep
-
 
 def _random_worldline_jet(rng):
     """A timelike velocity in the proper gauge, an acceleration, a unit spin."""
@@ -366,8 +354,7 @@ def _random_worldline_jet(rng):
 # -------------------------------------------------------------- particle
 
 
-def suite_particle(cfg: RunConfig) -> VerificationReport:
-    rep = VerificationReport(suite="particle", seed=cfg.seed, tol_scale=cfg.tol_scale)
+def suite_particle(cfg: RunConfig, rep: VerificationReport) -> None:
     p = particle.DcParams(m=cfg.m, hbar=cfg.hbar)
 
     b_values = (0.1, 1.0, 10.0)
@@ -488,15 +475,11 @@ def suite_particle(cfg: RunConfig) -> VerificationReport:
             "momentum of the boosted helix is the boosted constant",
             _worst(boosted(i, b) for i, b in enumerate((0.5, 3.0))), 1e-10)
 
-    return rep
-
 
 # --------------------------------------------------------------- rotator
 
 
-def suite_rotator(cfg: RunConfig) -> VerificationReport:
-    rep = VerificationReport(suite="rotator", seed=cfg.seed, tol_scale=cfg.tol_scale)
-
+def suite_rotator(cfg: RunConfig, rep: VerificationReport) -> None:
     pr = rotator.RotatorParams(m0=cfg.m0, a=1.0, P0=2.0 * np.sqrt(2.0) * cfg.m0)
     cf = rotator.RotatorClosedForm(pr)
 
@@ -514,7 +497,7 @@ def suite_rotator(cfg: RunConfig) -> VerificationReport:
     # p.x scales like m0 a and the momentum monitors like m0^2; divided by
     # monitor_scales they are unit-free.
     scales = rotator.monitor_scales(pr)
-    mon = np.array(list(rotator.constraint_monitors(s, pr).values())) / scales[:, None]
+    mon = rotator.constraint_monitors(s, pr) / scales[:, None]
     steady = [cf.steady_state_residual(t) for t in -pr.P0 * taus / (4 * pr.m0)]
     rep.add("closed-form-constraints",
             "steady-state and constraint residuals of the closed form",
@@ -570,15 +553,11 @@ def suite_rotator(cfg: RunConfig) -> VerificationReport:
     rep.add("rigidity-monotone", "rigidity curve strictly increases on its domain",
             mono, 0.0)
 
-    return rep
-
 
 # ----------------------------------------------------------- consistency
 
 
-def suite_consistency(cfg: RunConfig) -> VerificationReport:
-    rep = VerificationReport(suite="consistency", seed=cfg.seed,
-                             tol_scale=cfg.tol_scale)
+def suite_consistency(cfg: RunConfig, rep: VerificationReport) -> None:
     p = particle.DcParams(m=cfg.m, hbar=cfg.hbar, c=cfg.c)
 
     def identification(b):
@@ -638,5 +617,3 @@ def suite_consistency(cfg: RunConfig) -> VerificationReport:
                 abs(back["moment_to_angular_momentum"] - 0.25)])
     rep.add("identification-spot-values",
             "rr->dcr at v = 0.5, m0 = 1 (m, m_dcr, omega_dcr, a, mu0/A)", r, 1e-12)
-
-    return rep

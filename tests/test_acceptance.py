@@ -11,11 +11,7 @@ from dirac_disquant import algebra, covariant, particle, rotator
 from dirac_disquant.cli import main
 from dirac_disquant.minkowski import mdot
 from dirac_disquant.report import RunConfig
-from dirac_disquant.verification import (
-    run_suite,
-    suite_appendix_a,
-    suite_appendix_b,
-)
+from dirac_disquant.verification import run_suite
 
 
 def _report(name, residual, tolerance):
@@ -55,7 +51,7 @@ def test_bilinear_equivalence():
 
 def test_kinetic_term_splitting():
     cfg = RunConfig(seed=42)
-    rep = suite_appendix_a(cfg)
+    rep = run_suite("appendixA", cfg)
     by_id = {r.check_id: r for r in rep.records}
     _report("kinetic-split-residual-h1e-4",
             by_id["kinetic-split-residual"].residual, 1e-6)
@@ -65,7 +61,7 @@ def test_kinetic_term_splitting():
 
 def test_orbit_term_covariant_equivalence():
     cfg = RunConfig(seed=42)
-    rep = suite_appendix_b(cfg)
+    rep = run_suite("appendixB", cfg)
     by_id = {r.check_id: r for r in rep.records}
     _report("orbit-term-3d-vs-covariant-500",
             by_id["orbit-term-covariant-equivalence"].residual, 1e-10)

@@ -466,9 +466,10 @@ def test_closed_form_states_and_monitors_match_per_state(params):
         assert same(one.P, stack.P)
         for name in ("X", "x", "p"):
             assert same(getattr(one, name), getattr(stack, name)[k])
-        for key, value in rotator.constraint_monitors(one, params).items():
-            assert isinstance(value, float)
-            assert np.float64(value).tobytes() == mon[key][k].tobytes()
+        one_mon = rotator.constraint_monitors(one, params)
+        assert one_mon.shape == (5,) and one_mon.dtype == np.float64
+        for row, value in enumerate(one_mon):
+            assert value.tobytes() == mon[row, k].tobytes()
 
 
 def test_stacked_monitors_match_per_state_off_shell():
@@ -483,8 +484,8 @@ def test_stacked_monitors_match_per_state_off_shell():
     for k in range(n):
         one = RotatorState(tau=0.0, X=stack.X[k], x=stack.x[k], p=stack.p[k],
                            P=stack.P, nu=float(stack.nu[k]))
-        for key, value in rotator.constraint_monitors(one, params).items():
-            assert np.float64(value).tobytes() == mon[key][k].tobytes()
+        for row, value in enumerate(rotator.constraint_monitors(one, params)):
+            assert value.tobytes() == mon[row, k].tobytes()
 
 
 @pytest.mark.parametrize("field", ["tau", "X", "x", "p", "P", "nu"])
@@ -962,7 +963,7 @@ def per_set_algebra_residuals(seed):
 
 @pytest.mark.parametrize("seed", [42, 7, 123])
 def test_batched_algebra_records_match_per_set_checks(seed):
-    rep = verification.suite_algebra(report.RunConfig(seed=seed))
+    rep = verification.run_suite("algebra", report.RunConfig(seed=seed))
     got = {r.check_id: r.residual for r in rep.records}
     for check_id, residual in per_set_algebra_residuals(seed).items():
         assert same(got[check_id], residual), check_id
@@ -978,7 +979,7 @@ def test_algebra_suite_builds_one_basis_per_set_and_check(monkeypatch):
             calls[_name] += 1
             return _fn(*args, **kwargs)
         monkeypatch.setattr(algebra, name, counted)
-    verification.suite_algebra(report.RunConfig(seed=42))
+    verification.run_suite("algebra", report.RunConfig(seed=42))
     assert calls == {"build_gamma_basis": 1 + 8 + 3 * 1000, "bilinears_matrix": 3,
                      "spinor_columns": 3}
 

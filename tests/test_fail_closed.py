@@ -133,19 +133,28 @@ def test_constructors_reject_non_finite(factory, kwargs):
         factory(**kwargs)
 
 
-@pytest.mark.parametrize("value", [0.0, -1.0, NAN, INF])
+POSITIVE_CONSTANTS = {
+    "RunConfig": lambda v: RunConfig(m=v),
+    "DcParams": lambda v: DcParams(m=1.0, hbar=v),
+    "RotatorParams": lambda v: RotatorParams(m0=1.0, a=v, P0=3.0),
+    "rigidity_domain_bound": lambda v: rotator.rigidity_domain_bound(1.0, 1.0, c=v),
+    "dcr_to_rr": lambda v: rotator.identify_dcr_rr("dcr_to_rr", m=v, zeta=1.0),
+    "rr_to_dcr": lambda v: rotator.identify_dcr_rr("rr_to_dcr", m0=v, v=0.5),
+}
+
+
 @pytest.mark.parametrize("call", [
-    lambda v: RunConfig(m=v),
-    lambda v: DcParams(m=1.0, hbar=v),
-    lambda v: RotatorParams(m0=1.0, a=v, P0=3.0),
-    lambda v: rotator.rigidity_domain_bound(1.0, 1.0, c=v),
-    lambda v: rotator.identify_dcr_rr("dcr_to_rr", m=v, zeta=1.0),
-    lambda v: rotator.identify_dcr_rr("rr_to_dcr", m0=v, v=0.5),
-], ids=["RunConfig", "DcParams", "RotatorParams", "rigidity_domain_bound", "dcr_to_rr",
-        "rr_to_dcr"])
-def test_positive_constants_share_one_guard(call, value):
+    *(pytest.param(lambda f=f, v=v: f(v), id=f"{name}-{v}")
+      for name, f in POSITIVE_CONSTANTS.items() for v in (0.0, -1.0, NAN, INF)),
+    # Positive inputs whose derived scale is not: hbar/(m c) overflows and
+    # 4 m0 c underflows.
+    pytest.param(lambda: DcParams(m=1e-320, hbar=1.0), id="DcParams-length-scale"),
+    pytest.param(lambda: rotator.rigidity_domain_bound(1e-200, 1.0, 1e-200),
+                 id="rigidity_domain_bound-bound"),
+])
+def test_positive_constants_share_one_guard(call):
     with pytest.raises(DomainError, match="must be finite and positive"):
-        call(value)
+        call()
 
 
 @pytest.mark.parametrize("cls, base", [(NumericConsistencyError, ArithmeticError),

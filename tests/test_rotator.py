@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dirac_disquant import rotator
+from dirac_disquant.cli import main
 from dirac_disquant.errors import (
     DomainError,
     StabilityError,
@@ -68,16 +69,32 @@ class TestClosedForm:
         # p.x scales like m0 a; every divisor is 1 at m0 = a = 1.
         pr = RotatorParams(m0=m0, a=a, P0=2.0 * np.sqrt(2.0) * m0)
         s = RotatorClosedForm(pr).state(np.linspace(0.0, 10.0, 32))
-        mon = np.array(list(constraint_monitors(s, pr).values()))
+        mon = constraint_monitors(s, pr)
         assert (mon / monitor_scales(pr)[:, None]).max() < 1e-12
         assert list(monitor_scales(PR)) == [1.0] * 5
+
+    @pytest.mark.parametrize("mode", ["closed", "integrate"])
+    def test_monitor_layout_has_one_owner(self, mode, tmp_path):
+        # One row per monitor, named by MONITOR_COLUMNS and scaled by
+        # monitor_scales in the same order; the rotator table uses the names.
+        cf = RotatorClosedForm(PR)
+        assert constraint_monitors(cf.state(0.3), PR).shape == (5,)
+        assert constraint_monitors(cf.state(np.linspace(0.0, 1.0, 7)), PR).shape == (5, 7)
+        assert len(rotator.MONITOR_COLUMNS) == len(monitor_scales(PR)) == 5
+        out = tmp_path / "rotator.csv"
+        assert main(["rotator", "--a", "1", "--P0", "3", "--mode", mode,
+                     "--steps", "100", "--out", str(out)]) == 0
+        header = next(line for line in out.read_text().splitlines()
+                      if not line.startswith("#"))
+        assert header == ",".join(["t", "x1_1", "x1_2", "x2_1", "x2_2",
+                                   *rotator.MONITOR_COLUMNS])
 
     def test_constraints_and_worldlines(self):
         cf = RotatorClosedForm(PR)
         for tau in np.linspace(0.0, cf.tau_period, 20):
             s = cf.state(tau)
             mon = constraint_monitors(s, PR)
-            assert max(mon.values()) < 1e-12
+            assert mon.max() < 1e-12
             one, two = s.X + s.x, s.X - s.x
             assert np.abs((one + two) / 2 - s.X).max() < 1e-14
             assert abs(np.linalg.norm(one[1:] - two[1:]) - 2 * PR.a) < 1e-12

@@ -1,12 +1,14 @@
 """Every check must be able to fail: a table of named mutations.
 
-Each row replaces one program function, as one module binds it, by a
-plausible defect, and names the checks that must then fail at seed 42.  The
-rows were fixed before they were first run; a row whose check still passes
-shows a check that cannot see the defect it guards against.  Such rows are
-kept in ``UNSEEN``, with the reason no check sees them, until one does.
+Each row replaces one program function, as one module or class binds it,
+by a plausible defect, and names the checks that must then fail at seed 42.
+The rows were fixed before they were first run; a row whose check still
+passes shows a check that cannot see the defect it guards against.  Such
+rows are kept in ``UNSEEN``, with the reason no check sees them, until one
+does.
 """
 
+import dataclasses
 import math
 import types
 
@@ -55,6 +57,55 @@ def zeta_with_p_and_P_swapped(x, prel, P):
     return minkowski.eps4_free(0, x, P, prel)
 
 
+def negated(fn):
+    """``fn`` with its result negated."""
+    return lambda *args: -fn(*args)
+
+
+def s0_negated(bilinears_closed_form):
+    """The closed-form bilinears with the time component of S negated."""
+    def mutant(p):
+        bc = bilinears_closed_form(p)
+        S = bc.S.copy()
+        S[..., 0] = -S[..., 0]
+        return dataclasses.replace(bc, S=S)
+    return mutant
+
+
+def at_half_radius(rigidity):
+    """The rigidity function evaluated at a / 2."""
+    return lambda a, m0, hbar=1.0, c=1.0: rigidity(0.5 * a, m0, hbar, c)
+
+
+def speed_without_root_plus_one(observables_from_zeta):
+    """The zeta-parametrized observables with v = c zeta / sqrt(1 + zeta^2)
+    in place of c zeta / (sqrt(1 + zeta^2) + 1)."""
+    def mutant(zeta, p):
+        ob = observables_from_zeta(zeta, p)
+        return ob._replace(v=p.c * zeta / math.sqrt(1.0 + zeta ** 2))
+    return mutant
+
+
+def split_without_parallel_part(j, grad):
+    """The derivative split with its parallel part dropped: zero parallel,
+    and the whole gradient as the transversal part."""
+    grad = np.asarray(grad, dtype=float)
+    return np.zeros_like(grad), grad
+
+
+def z_negated(n_from_xi):
+    """The rotation axis computed from -z."""
+    return lambda xi, z: n_from_xi(xi, -np.asarray(z, dtype=float))
+
+
+def p_negated(state):
+    """The closed-form rotator state with its relative momentum negated."""
+    def mutant(self, tau):
+        s = state(self, tau)
+        return dataclasses.replace(s, p=-s.p)
+    return mutant
+
+
 MUTATIONS = [
     # Both F3 shapes of lagrangian_pieces divide by the guarded value: the
     # three-dimensional one by 2 (1 + xi.z), the covariant one through mu and
@@ -74,6 +125,33 @@ MUTATIONS = [
     pytest.param(rotator, "_rk4_step", midpoint_step,
                  {"integrator-vs-closed-form": "rotator"},
                  id="rotator-midpoint-step"),
+    pytest.param(algebra, "bilinears_closed_form", s0_negated(algebra.bilinears_closed_form),
+                 {"bilinear-equivalence": "algebra"},
+                 id="algebra-closed-form-S0-negated"),
+    pytest.param(particle, "q_gradient", negated(particle.q_gradient),
+                 {"momentum-conservation": "particle",
+                  "boosted-momentum-covariance": "particle"},
+                 id="particle-q-gradient-negated"),
+    pytest.param(rotator, "rigidity", at_half_radius(rotator.rigidity),
+                 {"rigidity-grand-consistency": "consistency",
+                  "helix-rotator-identification": "consistency"},
+                 id="rotator-rigidity-at-half-radius"),
+    pytest.param(particle, "observables_from_zeta",
+                 speed_without_root_plus_one(particle.observables_from_zeta),
+                 {"observable-dual-forms": "particle"},
+                 id="particle-zeta-speed-without-root-plus-one"),
+    pytest.param(particle, "xi_rate", negated(particle.xi_rate),
+                 {"spin-equation-z-independence": "appendixC"},
+                 id="particle-xi-rate-negated"),
+    pytest.param(covariant, "split_derivative", split_without_parallel_part,
+                 {"derivative-splitting": "appendixB"},
+                 id="covariant-split-without-parallel-part"),
+    pytest.param(algebra, "n_from_xi", z_negated(algebra.n_from_xi),
+                 {"n-from-xi-inversion": "algebra"},
+                 id="algebra-n-from-xi-z-negated"),
+    pytest.param(rotator.RotatorClosedForm, "state", p_negated(rotator.RotatorClosedForm.state),
+                 {"closed-form-dynamics": "rotator"},
+                 id="rotator-closed-form-p-negated"),
 ]
 
 
