@@ -29,7 +29,6 @@ from .particle import (
     relativize,
 )
 from .rotator import (
-    RigidityCurve,
     RotatorClosedForm,
     RotatorParams,
     identify_dcr_rr,
@@ -56,7 +55,6 @@ __all__ = [
     "momentum",
     "observables",
     "relativize",
-    "RigidityCurve",
     "RotatorClosedForm",
     "RotatorParams",
     "identify_dcr_rr",

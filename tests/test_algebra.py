@@ -83,7 +83,7 @@ class TestGammaBasis:
     def test_shared_matrices_are_read_only(self, basis_z):
         # A basis holds only what depends on z; the Dirac matrices are the
         # module constants.
-        assert set(vars(basis_z)) == {"z", "pi_projector", "pi_column"}
+        assert set(vars(basis_z)) == {"pi_projector", "pi_column"}
         for m in (GAMMA, GAMMA5, SIGMA, METRIC):
             with pytest.raises(ValueError):
                 m[0, 0] = 2.0

@@ -174,6 +174,11 @@ class TestVerifyCommand:
     # finite input whose Python-float powers overflow
     ["rigidity", "--hbar", "1e200", "--a-max", "0.1"],
     ["identify", "--direction", "dcr_to_rr", "--m", "1", "--zeta", "1e200"],
+    # positive constants whose product underflows to 0 before a division
+    ["verify", "consistency", "--m", "1e-200", "--c", "1e-200"],
+    ["identify", "--direction", "dcr_to_rr", "--m", "1e-200", "--zeta", "1", "--c", "1e-200"],
+    ["identify", "--direction", "rr_to_dcr", "--m0", "1e-200", "--v", "1e-210",
+     "--c", "1e-200"],
 ])
 def test_bad_numeric_input_is_exit_2(argv, capsys):
     assert run_cli(argv) == 2
@@ -206,8 +211,12 @@ NAN_STATE = (np.nan,) * 12
     ["rotator", "--a", "1", "--P0", "3", "--steps", str(cli.MAX_ROWS)],
     ["rigidity", "--a-max", "0.1", "--n", str(cli.MAX_ROWS + 1)],
     ["rotator", "--a", "1", "--P0", "3", "--mode", "integrate", "--steps", "100"],
+    ["rigidity", "--a-max", repr(rotator.rigidity_domain_bound(1.0))],
+    ["rigidity", "--a-max", "0.1", "--n", "1"],
+    ["rigidity", "--a-min", "0.2", "--a-max", "0.1"],
 ], ids=["helix-nan-dt", "rigidity-overflow", "helix-rows", "rotator-rows",
-        "rigidity-rows", "integrate-step-size"])
+        "rigidity-rows", "integrate-step-size", "rigidity-at-bound",
+        "rigidity-one-sample", "rigidity-reversed-range"])
 def test_failing_generator_writes_no_output(argv, out_format, tmp_path, monkeypatch, capsys):
     """Every check runs before the output file is opened: a failing command
     leaves an existing file as it was and creates no new one."""
@@ -365,6 +374,18 @@ class TestRigidityCommand:
         a_mid = 0.15  # 4 a m0 c / hbar = 0.6
         match = [g for a, g in rows if abs(a - a_mid) < 1e-12]
         assert match and abs(match[0] - 0.25) < 1e-12
+
+    def test_curve_type_invariants(self, tmp_path):
+        bound = rotator.rigidity_domain_bound(1.0)
+        out = tmp_path / "g.json"
+        assert run_cli(["rigidity", "--a-max", repr(0.9999 * bound), "--n", "300",
+                        "--format", "json", "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        gamma = np.array(payload["rows"])[:, 1]
+        assert gamma[0] == 0.0
+        assert np.all(np.diff(gamma) > 0)
+        assert gamma[-1] > 20.0  # diverges toward the bound
+        assert payload["domain_bound"] == bound
 
     def test_bound_violation_cites_bound(self, capsys):
         assert run_cli(["rigidity", "--m0", "1", "--a-max", "0.25"]) == 2

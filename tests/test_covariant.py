@@ -140,7 +140,6 @@ class TestLagrangianPieces:
         aux = CovariantAux.from_state(b.j, b.rho, p.xi, p.z)
         assert abs(mdot(aux.nu, aux.nu) + 1.0) < 1e-10
         assert abs(mdot(aux.q, aux.q) - 1.0) < 1e-10
-        assert mdot(aux.f, aux.f) == 1.0
 
     def test_antipodal_xi_z_rejected(self):
         with pytest.raises(SingularDenominatorError):

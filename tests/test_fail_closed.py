@@ -110,10 +110,6 @@ NON_FINITE = [
     (RotatorParams, dict(m0=NAN, a=1.0, P0=3.0)),
     (RotatorParams, dict(m0=1.0, a=INF, P0=3.0)),
     (RotatorParams, dict(m0=1.0, a=1.0, P0=3.0, phase=NAN)),
-    (RotatorParams, dict(m0=1.0, a=1.0, P0=3.0, c=INF)),
-    (RotatorParams, dict(m0=1.0, a=1.0, P0=3.0, hbar=NAN)),
-    (RotatorParams, dict(m0=1.0, a=1.0, P0=3.0, c=-1.0)),
-    (RotatorParams, dict(m0=1.0, a=1.0, P0=3.0, hbar=0.0)),
     (RotatorParams, dict(m0=1e300, a=1e300, P0=3e300)),  # P0**2 overflows
     (RotatorParams, dict(m0=1e-320, a=1.0, P0=3.0)),     # omega overflows
     (RunConfig, dict(m=-3.0)),

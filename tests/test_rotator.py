@@ -12,7 +12,6 @@ from dirac_disquant.errors import (
 )
 from dirac_disquant.minkowski import mdot
 from dirac_disquant.rotator import (
-    RigidityCurve,
     RotatorClosedForm,
     RotatorParams,
     RotatorState,
@@ -275,18 +274,6 @@ class TestRigidity:
             rigidity(bound, 1.0)
         with pytest.raises(DomainError):
             rigidity(-0.1, 1.0)
-
-    def test_curve_type_invariants(self):
-        bound = rigidity_domain_bound(1.0)
-        curve = RigidityCurve.sample(1.0, 1.0, 1.0, 0.0, 0.9999 * bound, 300)
-        assert curve.gamma[0] == 0.0
-        assert np.all(np.diff(curve.gamma) > 0)
-        assert curve.gamma[-1] > 20.0  # diverges toward the bound
-        assert curve.domain_bound == bound
-        with pytest.raises(DomainError):
-            RigidityCurve.sample(1.0, 1.0, 1.0, 0.0, bound, 10)
-        with pytest.raises(DomainError):
-            RigidityCurve.sample(1.0, 1.0, 1.0, 0.0, 0.1, 1)
 
 
 class TestIdentification:

@@ -77,6 +77,26 @@ def at_half_radius(rigidity):
     return lambda a, m0, hbar=1.0, c=1.0: rigidity(0.5 * a, m0, hbar, c)
 
 
+def omega0_without_P0(params):
+    """The lab frequency -sqrt(P0^2 - 4 m0^2) / a, its division by P0 left out."""
+    return -np.sqrt(params.P0 ** 2 - 4.0 * params.m0 ** 2) / params.a
+
+
+def mass_increase_unsquared(v, c=1.0):
+    """The mass increase 1/sqrt(1 - v/c) - 1, with v/c not squared."""
+    return 1.0 / np.sqrt(1.0 - v / c) - 1.0
+
+
+def q_over_norm2(from_state):
+    """``CovariantAux.from_state`` with q divided by 2 rho (rho + j.f) in
+    place of its square root."""
+    def mutant(j, rho, xi, z):
+        aux = from_state(j, rho, xi, z)
+        norm2 = 2.0 * rho * (rho + mdot(j, minkowski.F_REST))
+        return dataclasses.replace(aux, q=aux.q / math.sqrt(norm2))
+    return mutant
+
+
 def speed_without_root_plus_one(observables_from_zeta):
     """The zeta-parametrized observables with v = c zeta / sqrt(1 + zeta^2)
     in place of c zeta / (sqrt(1 + zeta^2) + 1)."""
@@ -134,7 +154,8 @@ MUTATIONS = [
                  id="particle-q-gradient-negated"),
     pytest.param(rotator, "rigidity", at_half_radius(rotator.rigidity),
                  {"rigidity-grand-consistency": "consistency",
-                  "helix-rotator-identification": "consistency"},
+                  "helix-rotator-identification": "consistency",
+                  "rigidity-spot-values": "consistency"},
                  id="rotator-rigidity-at-half-radius"),
     pytest.param(particle, "observables_from_zeta",
                  speed_without_root_plus_one(particle.observables_from_zeta),
@@ -152,6 +173,19 @@ MUTATIONS = [
     pytest.param(rotator.RotatorClosedForm, "state", p_negated(rotator.RotatorClosedForm.state),
                  {"closed-form-dynamics": "rotator"},
                  id="rotator-closed-form-p-negated"),
+    pytest.param(rotator.RotatorParams, "omega0", property(omega0_without_P0),
+                 {"subluminal-speed": "rotator"},
+                 id="rotator-omega0-without-P0"),
+    pytest.param(rotator, "mass_increase", mass_increase_unsquared,
+                 {"mass-increase-values": "rotator"},
+                 id="rotator-mass-increase-unsquared"),
+    pytest.param(rotator, "rigidity", negated(rotator.rigidity),
+                 {"rigidity-monotone": "rotator"},
+                 id="rotator-rigidity-negated"),
+    pytest.param(covariant.CovariantAux, "from_state",
+                 q_over_norm2(covariant.CovariantAux.from_state),
+                 {"auxiliary-unit-vectors": "appendixB"},
+                 id="covariant-aux-q-over-norm2"),
 ]
 
 
