@@ -173,7 +173,6 @@ def cmd_helix(args) -> int:
     span = np.floor(tmax / dt)
     _check_rows(span + 1)
     n = int(span) + 1
-    times = np.arange(n) * dt
 
     meta = {
         "kind": "helix-trajectory",
@@ -186,7 +185,7 @@ def cmd_helix(args) -> int:
     columns = ["t", "x", "y_coord", "z_coord", "xi1", "xi2", "xi3"]
 
     def rows_of(block):
-        t = times[block]
+        t = np.arange(*block.indices(n)) * dt
         rows = np.empty((len(t), len(columns)))
         rows[:, 0] = t
         rows[:, 1:4] = sol.position_at_time(t)
@@ -229,11 +228,14 @@ def cmd_rotator(args) -> int:
         meta["zeta_drift"] = traj.zeta_drift
         meta["nu_max"] = traj.nu_max
         meta["pre_projection_drift"] = traj.pre_projection_drift
+        s = traj.states
 
         def rows_of(block):
-            X, x = traj.states.X[block], traj.states.x[block]
+            X, x = s.X[block], s.x[block]
+            states = rotator.RotatorState(tau=s.tau[block], X=X, x=x, p=s.p[block],
+                                          P=s.P, nu=s.nu[block])
             return np.column_stack((X[:, 0], X[:, 1:3] + x[:, 1:3], X[:, 1:3] - x[:, 1:3],
-                                    traj.monitors[block]))
+                                    rotator.constraint_monitors(states, pr).T))
     _emit_table(args, meta, columns, args.steps + 1, rows_of)
     return 0
 
@@ -245,16 +247,18 @@ def cmd_rigidity(args) -> int:
         raise DomainError("need 0 <= a_min < a_max")
     if args.a_max >= bound:
         raise DomainError(f"a_max must stay below hbar/(4 m0 c) = {bound!r}")
-    # gamma is made whole before the file opens, so a failing call writes nothing.
+    # Every a lies in [a_min, a_max], and hbar^2 - (4 a m0 c)^2 only falls as
+    # a grows: if the call at a_max passes, no block's call can raise, so
+    # gamma is made per block after this call and no failing call opens the file.
+    rotator.rigidity(args.a_max, args.m0, args.hbar, args.c)
     a = np.linspace(args.a_min, args.a_max, args.n)
-    gamma = rotator.rigidity(a, args.m0, args.hbar, args.c)
     meta = {
         "kind": "rigidity-curve",
         "m0": float(args.m0), "hbar": float(args.hbar), "c": float(args.c),
         "domain_bound": bound,
     }
-    _emit_table(args, meta, ["a", "gamma"], args.n,
-                lambda block: np.column_stack((a[block], gamma[block])))
+    _emit_table(args, meta, ["a", "gamma"], args.n, lambda block: np.column_stack(
+        (a[block], rotator.rigidity(a[block], args.m0, args.hbar, args.c))))
     return 0
 
 

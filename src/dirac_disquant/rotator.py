@@ -32,6 +32,7 @@ from .errors import (
     require_positive,
 )
 from .minkowski import eps4_free, mdot
+from .report import CSV_BLOCK_ROWS
 
 
 @dataclass(frozen=True)
@@ -182,10 +183,11 @@ class RotatorClosedForm:
 
 @dataclass
 class RotatorTrajectory:
-    """Integrated samples plus per-sample diagnostics and drift summary."""
+    """Integrated samples plus drift summaries.  The constraint monitors of
+    the states are one ``constraint_monitors`` call away, on the whole stack
+    or on any slice of it."""
 
     states: RotatorState          # the stack of steps + 1 states
-    monitors: np.ndarray          # (steps + 1, 5)
     zeta_drift: float             # max relative zeta_i drift
     nu_max: float
     pre_projection_drift: float
@@ -368,9 +370,12 @@ def integrate_rotator(p: RotatorParams, initial: RotatorState, steps, dt) -> Rot
     The Minkowski products of the drift, _project and nu are written out on
     the floats, the products and order of ``mdot``, without its call.  Each
     step appends its floats to one ``array('d')`` buffer, and the stacked
-    RotatorState holds column views of that buffer.  After the loop, one
-    zeta_vector call per state gives the zeta rows, and one
-    constraint_monitors call gives the monitors.
+    RotatorState holds column views of that buffer; those 120 B per step
+    are all the memory that grows with the steps.  After the loop, one
+    zeta_vector call per state fills the zeta rows of one
+    ``CSV_BLOCK_ROWS``-row block at a time, and each block's drift is
+    reduced before the next is made.  The monitors are left to the caller:
+    ``constraint_monitors`` of the states, whole or one block at a time.
     """
     if not isinstance(steps, numbers.Integral) or steps < 0:
         raise DomainError(f"steps must be an integer >= 0, got {steps!r}")
@@ -416,20 +421,27 @@ def integrate_rotator(p: RotatorParams, initial: RotatorState, steps, dt) -> Rot
         nu = (P0 * x0 - P1 * x1 - P2 * x2 - P3 * x3) / na2
         rows.extend((tau, X0, X1, X2, X3, x0, x1, x2, x3, p0, p1, p2, p3, nu, raw_drift))
 
-    table = np.frombuffer(rows).reshape(steps + 1, 15)
+    n = steps + 1
+    table = np.frombuffer(rows).reshape(n, 15)
     taus, Xs, xs, ps = table[:, 0], table[:, 1:5], table[:, 5:9], table[:, 9:13]
     nus, pre_drift = table[:, 13], table[:, 14]
-    zetas = np.empty((steps + 1, 4))
-    for i, (x, prel) in enumerate(zip(xs, ps)):
-        zetas[i] = zeta_vector(x, prel, P)
-    zeta0 = zetas[0]
+    # The zeta rows of one block at a time, in one reused buffer; zeta0 is
+    # the first row of the first block.  The block maxima are reduced with
+    # numpy, so a NaN zeta reaches the drift.
+    zetas = np.empty((min(CSV_BLOCK_ROWS, n), 4))
+    block_drifts = []
+    for start in range(0, n, CSV_BLOCK_ROWS):
+        stop = min(start + CSV_BLOCK_ROWS, n)
+        for i, (x, prel) in enumerate(zip(xs[start:stop], ps[start:stop])):
+            zetas[i] = zeta_vector(x, prel, P)
+        if start == 0:
+            zeta0 = zetas[0].copy()
+        block_drifts.append(np.abs(zetas[:stop - start] - zeta0).max())
 
-    states = RotatorState(tau=taus, X=Xs, x=xs, p=ps, P=P, nu=nus)
     zeta_scale = max(np.abs(zeta0).max(), 1e-30)
     return RotatorTrajectory(
-        states=states,
-        monitors=constraint_monitors(states, p).T,
-        zeta_drift=float(np.abs(zetas - zeta0).max() / zeta_scale),
+        states=RotatorState(tau=taus, X=Xs, x=xs, p=ps, P=P, nu=nus),
+        zeta_drift=float(np.max(block_drifts) / zeta_scale),
         nu_max=float(np.abs(nus).max()),
         pre_projection_drift=float(pre_drift.max()),
     )

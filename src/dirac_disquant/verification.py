@@ -513,7 +513,8 @@ def suite_rotator(cfg: RunConfig, rep: VerificationReport) -> None:
             _worst((np.abs(traj.states.x - ref.x), np.abs(traj.states.X - ref.X))), 1e-6)
     rep.add("integrator-constraint-monitors",
             "all five constraint monitors along the trajectory",
-            float((traj.monitors / scales).max()), 1e-8)
+            float((rotator.constraint_monitors(traj.states, pr) / scales[:, None]).max()),
+            1e-8)
     rep.add("integrator-conserved-zeta",
             "conserved eps_iklm x^k p^l P^m drift (relative)", traj.zeta_drift, 1e-8)
     rep.add("integrator-multiplier-nu",

@@ -138,7 +138,8 @@ def test_rotator_integration():
     dev = max(dev, max(np.abs(X - cf.state(k * dt).X).max()
                        for k, X in enumerate(traj.states.X)))
     _report("rotator-positional-deviation", dev, 1e-6)
-    _report("rotator-constraint-monitors", float(traj.monitors.max()), 1e-8)
+    _report("rotator-constraint-monitors",
+            float(rotator.constraint_monitors(traj.states, pr).max()), 1e-8)
     _report("rotator-zeta-conservation", traj.zeta_drift, 1e-8)
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -248,10 +249,8 @@ def test_file_and_stdout_get_the_same_bytes(argv, out_format, tmp_path, capsysbi
     assert capsysbinary.readouterr().out == out.read_bytes()
 
 
-def helix_traced_peak(rows, out_format, out):
-    """tracemalloc's peak over one helix command of ``rows`` rows."""
-    argv = ["helix", "--b", "1.7", "--dt", "0.01", "--tmax", repr(0.01 * (rows - 0.5)),
-            "--format", out_format, "--out", str(out)]
+def traced_peak(argv):
+    """tracemalloc's peak over one CLI command."""
     tracemalloc.start()
     try:
         assert run_cli(argv) == 0
@@ -262,11 +261,27 @@ def helix_traced_peak(rows, out_format, out):
 
 @pytest.mark.parametrize("out_format", ["csv", "json"])
 def test_helix_memory_does_not_grow_with_rows(out_format, tmp_path):
-    """Tables stream in blocks: only the abscissa, 8 B a row, grows with n."""
-    out = tmp_path / "helix.out"
-    small = helix_traced_peak(10 ** 4, out_format, out)
-    large = helix_traced_peak(10 ** 5, out_format, out)
-    assert large - small <= 8 * (10 ** 5 - 10 ** 4) + 2 * 2 ** 20
+    """Tables stream in blocks, and helix makes each block's times itself:
+    nothing grows with n.  One array of 8 B a row would add 1.5 MB."""
+    def peak(rows):
+        return traced_peak(["helix", "--b", "1.7", "--dt", "0.01",
+                            "--tmax", repr(0.01 * (rows - 0.5)),
+                            "--format", out_format, "--out", str(tmp_path / "helix.out")])
+
+    small, large = peak(10 ** 4), peak(2 * 10 ** 5)
+    assert large - small <= 2 ** 20
+
+
+@pytest.mark.parametrize("out_format", ["csv", "json"])
+def test_rigidity_memory_grows_by_the_abscissa_only(out_format, tmp_path):
+    """gamma is made per block, so only the 8 B a point of ``a`` grows with n;
+    a whole-array gamma call and its temporaries add 20 B a point or more."""
+    def peak(n):
+        return traced_peak(["rigidity", "--a-max", "0.2", "--n", str(n),
+                            "--format", out_format, "--out", str(tmp_path / "g.out")])
+
+    small, large = peak(10 ** 4), peak(2 * 10 ** 5)
+    assert large - small <= 8 * (2 * 10 ** 5 - 10 ** 4) + 2 * 2 ** 20
 
 
 class TestHelixCommand:
@@ -340,6 +355,19 @@ class TestRotatorCommand:
             assert max(vals[5:]) < 1e-8
             assert abs(np.hypot(vals[1], vals[2]) - 1.0) < 1e-6
 
+    def test_integrate_monitors_are_one_whole_stack_call(self, tmp_path):
+        # 4097 rows: a whole block and a one-row block.
+        pr = rotator.RotatorParams(m0=1.0, a=0.7, P0=3.1)
+        out = tmp_path / "i.json"
+        assert run_cli(["rotator", "--a", "0.7", "--P0", "3.1", "--mode", "integrate",
+                        "--steps", "4096", "--format", "json", "--out", str(out)]) == 0
+        cf = rotator.RotatorClosedForm(pr)
+        traj = rotator.integrate_rotator(pr, cf.state(0.0), 4096, cf.tau_period / 4096)
+        want = rotator.constraint_monitors(traj.states, pr).T
+        rows = np.array(json.loads(out.read_text())["rows"])
+        assert rows.shape == (4097, 10)
+        assert rows[:, 5:].tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("a", ["1e3", "1e4"])
     def test_integrate_guards_are_unit_free(self, a, tmp_path):
         # The drift guard holds |x.x + a^2| to 1e-6 a^2, and the initial-state
@@ -390,6 +418,40 @@ class TestRigidityCommand:
     def test_bound_violation_cites_bound(self, capsys):
         assert run_cli(["rigidity", "--m0", "1", "--a-max", "0.25"]) == 2
         assert "0.25" in capsys.readouterr().err
+
+    def test_blocks_hold_the_bytes_of_one_whole_array_call(self, tmp_path):
+        # 4097 points: a whole block and a one-point block.
+        m0, hbar, c, a_min, a_max, n = 1.7, 2.3, 0.9, 0.01, 0.3, 4097
+        out = tmp_path / "g.json"
+        assert run_cli(["rigidity", "--m0", repr(m0), "--hbar", repr(hbar), "--c", repr(c),
+                        "--a-min", repr(a_min), "--a-max", repr(a_max), "--n", str(n),
+                        "--format", "json", "--out", str(out)]) == 0
+        a = np.linspace(a_min, a_max, n)
+        want = np.column_stack((a, rotator.rigidity(a, m0, hbar, c)))
+        assert np.array(json.loads(out.read_text())["rows"]).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("m0, hbar, c, code", [
+        (1.0, 1.0, 1.0, 0),     # hbar^2 - (4 a m0 c)^2 = 2^-52 at a_max
+        (0.7, 1.0, 3.0, 2),     # 4 a_max m0 c rounds to hbar: 0 at a_max
+    ])
+    def test_one_ulp_below_the_bound(self, m0, hbar, c, code, tmp_path, capsys):
+        """Exit 2 exactly when one whole-array call over the curve raises,
+        and then no file is made; otherwise the whole-array bytes."""
+        a_max = math.nextafter(rotator.rigidity_domain_bound(m0, hbar, c), 0.0)
+        a = np.linspace(0.0, a_max, 64)
+        try:
+            want = np.column_stack((a, rotator.rigidity(a, m0, hbar, c)))
+        except DomainError:
+            want = None
+        assert (want is None) == (code == 2)
+        out = tmp_path / "g.json"
+        assert run_cli(["rigidity", "--m0", repr(m0), "--hbar", repr(hbar), "--c", repr(c),
+                        "--a-max", repr(a_max), "--format", "json", "--out", str(out)]) == code
+        if want is None:
+            assert not out.exists()
+            assert capsys.readouterr().out == ""
+        else:
+            assert np.array(json.loads(out.read_text())["rows"]).tobytes() == want.tobytes()
 
 
 class TestIdentifyCommand:

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -120,7 +121,7 @@ class TestIntegrator:
         dev = max(np.abs(x - cf.state(k * dt).x).max()
                   for k, x in enumerate(traj.states.x))
         assert dev < 1e-6
-        assert traj.monitors.max() < 1e-8
+        assert constraint_monitors(traj.states, PR).max() < 1e-8
         assert traj.zeta_drift < 1e-8
         assert traj.nu_max < 1e-9
 
@@ -169,7 +170,9 @@ class TestIntegrator:
         orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
         assert np.all(orders >= 3.8), orders
 
-    @pytest.mark.parametrize("steps", [0, 1, 2000])
+    # 4095, 4096 and 8192 steps end one state before, on and after a block
+    # edge of the zeta reduction (report.CSV_BLOCK_ROWS = 4096 states).
+    @pytest.mark.parametrize("steps", [0, 1, 2000, 4095, 4096, 8192])
     def test_zeta_vector_called_once_per_state(self, monkeypatch, steps):
         # The benchmark pins this count; integrate_rotator must look
         # zeta_vector up as a module global, once per returned state.
@@ -184,7 +187,7 @@ class TestIntegrator:
         integrate_rotator(PR, cf.state(0.0), steps, cf.tau_period / 2000)
         assert len(calls) == steps + 1
 
-    @pytest.mark.parametrize("steps", [0, 1, 2000])
+    @pytest.mark.parametrize("steps", [0, 1, 2000, 4095, 4096, 8192])
     def test_zeta_drift_is_the_drift_of_the_returned_rows(self, steps):
         cf = RotatorClosedForm(PR)
         traj = integrate_rotator(PR, cf.state(0.0), steps, cf.tau_period / 2000)
@@ -193,21 +196,49 @@ class TestIntegrator:
         drift = np.abs(zetas - zetas[0]).max() / max(np.abs(zetas[0]).max(), 1e-30)
         assert np.float64(traj.zeta_drift).tobytes() == np.float64(drift).tobytes()
 
+    @pytest.mark.parametrize("steps, state", [
+        (4100, 4096),   # the first state of the second block
+        (4100, 4100),   # the last state, inside a part block
+        (8192, 8192),   # the last state, alone in its block
+    ])
+    def test_one_bad_zeta_row_reaches_the_drift(self, monkeypatch, steps, state):
+        cf = RotatorClosedForm(PR)
+        dt = cf.tau_period / 2000
+        clean = integrate_rotator(PR, cf.state(0.0), steps, dt).zeta_drift
+
+        def drift_with(bad):
+            rows = []
+
+            def stub(x, prel, P):
+                rows.append(bad if len(rows) == state else zeta_vector(x, prel, P))
+                return rows[-1]
+
+            monkeypatch.setattr(rotator, "zeta_vector", stub)
+            drift = integrate_rotator(PR, cf.state(0.0), steps, dt).zeta_drift
+            assert len(rows) == steps + 1
+            return drift, np.array(rows)
+
+        drift, rows = drift_with(np.array([0.0, 0.0, 0.0, 1.0]))
+        want = np.abs(rows - rows[0]).max() / max(np.abs(rows[0]).max(), 1e-30)
+        assert drift > 1e3 * clean
+        assert np.float64(drift).tobytes() == np.float64(want).tobytes()
+        assert math.isnan(drift_with(np.full(4, np.nan))[0])
+
     def test_zero_steps_give_the_initial_row_only(self):
         cf = RotatorClosedForm(PR)
         initial = cf.state(0.0)
         traj = integrate_rotator(PR, initial, 0, cf.tau_period / 2000)
         s = traj.states
-        assert s.tau.shape == s.nu.shape == (1,) and traj.monitors.shape == (1, 5)
+        assert s.tau.shape == s.nu.shape == (1,)
+        assert constraint_monitors(s, PR).shape == (5, 1)
         for got, want in ((s.X, initial.X), (s.x, initial.x), (s.p, initial.p)):
             assert got.shape == (1, 4) and got[0].tobytes() == want.tobytes()
         assert s.tau[0] == initial.tau and s.nu[0] == initial.nu
         assert traj.pre_projection_drift == 0.0 and traj.zeta_drift == 0.0
 
     def test_memory_grows_by_the_preallocated_rows_only(self):
-        # The 15-float state rows, the zeta rows and the monitor arrays made
-        # at the end take about 260 B per step; a list of per-step tuples
-        # would add more than 300 B.
+        # The 15-float state rows take 120 B per step; a whole-trajectory
+        # zeta or monitor array would add 32 or 40 B more.
         cf = RotatorClosedForm(PR)
 
         def peak(steps):
@@ -219,7 +250,7 @@ class TestIntegrator:
                 tracemalloc.stop()
 
         small, large = peak(2000), peak(20000)
-        assert (large - small) / 18000 <= 320
+        assert (large - small) / 18000 <= 140
 
     def test_too_large_step_rejected(self):
         cf = RotatorClosedForm(PR)
