@@ -98,29 +98,6 @@ def split_derivative(j, grad):
     return parallel, grad - parallel
 
 
-def quasi_uniformity(j, grad_u, u, m, hbar, c=1.0):
-    """Local uniformity measure: (hbar/mc) |transversal gradient| / |u|.
-
-    The transversal gradient of u is spacelike for timelike j, so its
-    Minkowski square is negative; the returned value uses
-    sqrt((j.du)^2/(j.j) - du.du) which is +|d_perp u|.  Values much below 1
-    mean the state varies negligibly over a Compton wavelength transversally
-    to the flux.
-    """
-    if abs(u) < 1e-300:
-        raise DomainError("quantity u is zero; relative variation undefined")
-    j = np.asarray(j, dtype=float)
-    grad_u = np.asarray(grad_u, dtype=float)
-    jj = mdot(j, j)
-    if jj <= 0:
-        raise LightlikeFluxError(f"flux must be timelike, got j.j = {jj!r}")
-    radicand = mdot(j, grad_u) ** 2 / jj - mdot(grad_u, grad_u)
-    if radicand < -1e-12:
-        raise NumericConsistencyError(
-            f"transversal gradient norm came out imaginary (radicand {radicand:.3e})")
-    return (hbar / (m * c)) * np.sqrt(max(radicand, 0.0)) / abs(u)
-
-
 def _mdot_rows(rows, f):
     """``mdot(row, f)`` for each row of a 4-vector list, on floats: the row
     products that ``mdot`` of the transposed stack gives."""

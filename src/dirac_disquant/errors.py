@@ -23,10 +23,6 @@ class SubThresholdError(DomainError):
     """Rotator energy below the two-particle rest mass threshold."""
 
 
-class InsufficientJetError(DomainError):
-    """A trajectory jet is missing derivative orders an operation needs."""
-
-
 class NumericConsistencyError(DomainError, ArithmeticError):
     """A quantity that must be real (or a multiple of the projector) is not."""
 

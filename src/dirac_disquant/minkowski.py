@@ -111,7 +111,3 @@ def as4(t, spatial):
     v[0] = t
     v[1:] = spatial
     return v
-
-
-def spatial(v):
-    return np.asarray(v[1:], dtype=float)

@@ -25,14 +25,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import require_off_antipode
-from .errors import (
-    DomainError,
-    InsufficientJetError,
-    SingularDenominatorError,
-    require_positive,
-)
-from .minkowski import F_REST, as4, cross3, eps4, eps4_free, lower, mdot, spatial
+from .algebra import _check_unit3, require_off_antipode
+from .errors import DomainError, SingularDenominatorError, require_positive
+from .minkowski import F_REST, as4, cross3, eps4, eps4_free, lower, mdot
 
 #: The constant axis z of the spin term.
 Z_AXIS = np.array([0.0, 0.0, 1.0])
@@ -59,24 +54,29 @@ class DcParams:
 
 @dataclass(frozen=True)
 class WorldlineState:
-    """One point of a worldline jet: position, velocity, acceleration, spin axis."""
+    """One point of a worldline jet: velocity, acceleration, spin axis.
 
-    x: np.ndarray
+    The Lagrangian never reads the position, so the jet carries none.
+    xdot and xddot must be finite 4-vectors and xi a unit 3-vector, or
+    construction raises DomainError.
+    """
+
     xdot: np.ndarray
     xddot: np.ndarray
     xi: np.ndarray
 
     def __post_init__(self):
-        for name in ("x", "xdot", "xddot"):
-            v = getattr(self, name)
-            if v is not None:
-                object.__setattr__(self, name, np.asarray(v, dtype=float))
-        object.__setattr__(self, "xi", np.asarray(self.xi, dtype=float))
+        for name in ("xdot", "xddot"):
+            v = np.asarray(getattr(self, name), dtype=float)
+            if v.shape != (4,) or not np.isfinite(v).all():
+                raise DomainError(f"{name} must be a finite 4-vector, got {v!r}")
+            object.__setattr__(self, name, v)
+        object.__setattr__(self, "xi", _check_unit3(self.xi, "xi"))
 
     @property
     def y(self) -> np.ndarray:
         """Reduced velocity xdot_sp / sqrt(1 + xdot^0)."""
-        return spatial(self.xdot) / np.sqrt(1.0 + self.xdot[0])
+        return self.xdot[1:] / np.sqrt(1.0 + self.xdot[0])
 
 
 def q_factor(xdot, f=None):
@@ -115,7 +115,7 @@ def lagrangian_dc(s: WorldlineState, p: DcParams, xidot=None) -> float:
     xidot = np.zeros(3) if xidot is None else np.asarray(xidot, dtype=float)
     ss = mdot(s.xdot, s.xdot)
     q = q_factor(s.xdot)
-    orbit = 0.5 * q * float(np.dot(cross3(spatial(s.xdot), spatial(s.xddot)), s.xi))
+    orbit = 0.5 * q * float(np.dot(cross3(s.xdot[1:], s.xddot[1:]), s.xi))
     return (-p.m * np.sqrt(ss)
             + p.hbar * _spin_term(s.xi, xidot, Z_AXIS)
             + p.hbar * orbit)
@@ -174,13 +174,7 @@ def momentum_covariant(xdot, xddot, xi4, xidot4, p: DcParams, f=None) -> np.ndar
 
 
 def momentum(s: WorldlineState, xidot, p: DcParams) -> np.ndarray:
-    """Conserved momentum P_i (lower components) with f = F_REST.
-
-    The total derivative in the definition expands through the acceleration,
-    so the state must carry xddot.
-    """
-    if s.xddot is None:
-        raise InsufficientJetError("momentum needs the acceleration xddot")
+    """Conserved momentum P_i (lower components) with f = F_REST."""
     xidot = np.asarray(xidot, dtype=float)
     return momentum_covariant(s.xdot, s.xddot, as4(0.0, s.xi),
                               as4(0.0, xidot), p)
@@ -296,24 +290,18 @@ class HelixSolution:
         th = self.omega * tau + self.phase
         root = np.sqrt(b * (b + 2.0))
         cs, sn = np.cos(th), np.sin(th)
-        x = as4((b + 1.0) * tau, self._spatial_x(tau))
         xdot = as4(b + 1.0, root * np.array([cs, sn, 0.0]))
         xddot = as4(0.0, root * self.omega * np.array([-sn, cs, 0.0]))
-        return WorldlineState(x=x, xdot=xdot, xddot=xddot, xi=self.xi)
+        return WorldlineState(xdot=xdot, xddot=xddot, xi=self.xi)
 
     def position_at_time(self, t) -> np.ndarray:
         """Spatial position as a function of coordinate time x^0 = t.
 
-        Shape (3,) for one time, (n, 3) for an array of n times.
+        Shape (3,) for one time, (n, 3) for an array of n times.  The z
+        column is (root/omega) * 0.0 on every row, so its zero carries the
+        sign of root/omega.
         """
-        return self._spatial_x(np.asarray(t, dtype=float) / (self.b + 1.0))
-
-    def _spatial_x(self, tau):
-        """x^1..x^3 at proper time tau, elementwise over an array of times.
-
-        The z column is (root/omega) * 0.0 on every row, so its zero carries
-        the sign of root/omega.
-        """
+        tau = np.asarray(t, dtype=float) / (self.b + 1.0)
         out = np.zeros(np.shape(tau) + (3,))
         if self.omega != 0.0:
             th = self.omega * tau + self.phase
@@ -361,7 +349,7 @@ def xi_rate(xdot, xddot, xi):
     xdot = np.asarray(xdot, dtype=float)
     xddot = np.asarray(xddot, dtype=float)
     q = q_factor(xdot)
-    return -cross3(cross3(spatial(xdot), spatial(xddot)),
+    return -cross3(cross3(xdot[1:], xddot[1:]),
                    np.asarray(xi, dtype=float)) * q
 
 
@@ -375,14 +363,15 @@ def xi_equation_check(xi, xidot, xdot, xddot, z, hbar=1.0):
     """
     xi = np.asarray(xi, dtype=float)
     xidot = np.asarray(xidot, dtype=float)
+    xdot = np.asarray(xdot, dtype=float)
+    xddot = np.asarray(xddot, dtype=float)
     z = np.asarray(z, dtype=float)
     if abs(float(np.dot(xi, xidot))) > 1e-10:
         raise DomainError("xidot must be tangent to the unit sphere (xi.xidot = 0)")
     one_plus = require_off_antipode(1.0 + float(np.dot(z, xi)))
 
     q = q_factor(xdot)
-    w = q * cross3(spatial(np.asarray(xdot, float)),
-                   spatial(np.asarray(xddot, float)))
+    w = q * cross3(xdot[1:], xddot[1:])
     e_vec = 0.5 * hbar * (
         2.0 * cross3(z, xidot) / one_plus
         + (float(np.dot(xidot, z)) * cross3(xi, z)

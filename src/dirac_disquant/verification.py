@@ -447,7 +447,7 @@ def suite_particle(cfg: RunConfig, rep: VerificationReport) -> None:
     def generic_jet():
         xdot, xddot, xi = _random_worldline_jet(rng)
         xidot = particle.xi_rate(xdot, xddot, xi)
-        st = particle.WorldlineState(x=np.zeros(4), xdot=xdot, xddot=xddot, xi=xi)
+        st = particle.WorldlineState(xdot=xdot, xddot=xddot, xi=xi)
         # The mass term scales like m and the spin and orbit terms like
         # hbar; both divisors are exactly 1 at unit constants.
         return abs(particle.lagrangian_dc(st, p, xidot)

@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dirac_disquant import algebra
+from dirac_disquant import algebra, particle
 from dirac_disquant.covariant import (
     CovariantAux,
+    _derived_jet,
     f3_without_inner_factor,
     kinetic_term_matrix,
     lagrangian_pieces,
-    quasi_uniformity,
     random_param_field,
     split_derivative,
 )
@@ -44,26 +44,6 @@ class TestSplitDerivative:
     def test_spacelike_flux_rejected(self):
         with pytest.raises(DomainError):
             split_derivative([0.1, 1, 0, 0], [1, 0, 0, 0])
-
-
-class TestQuasiUniformity:
-    def test_longitudinal_gradient_is_uniform(self):
-        j = np.array([1.5, 0.3, 0.2, -0.1])
-        assert quasi_uniformity(j, 0.8 * j, u=2.0, m=1.0, hbar=1.0) < 1e-12
-
-    def test_transversal_hand_value(self):
-        val = quasi_uniformity([1, 0, 0, 0], [0.0, 0.7, 0, 0], u=1.0, m=1.0, hbar=1.0)
-        assert abs(val - 0.7) < 1e-14
-
-    def test_homogeneity_in_u(self):
-        j = np.array([1.2, 0.1, 0, 0])
-        g = np.array([0.3, 0.5, -0.2, 0.1])
-        assert abs(quasi_uniformity(j, g, 2.0, 1.0, 1.0)
-                   - 0.5 * quasi_uniformity(j, g, 1.0, 1.0, 1.0)) < 1e-14
-
-    def test_zero_u_rejected(self):
-        with pytest.raises(DomainError):
-            quasi_uniformity([1, 0, 0, 0], [0, 1, 0, 0], u=0.0, m=1.0, hbar=1.0)
 
 
 class TestParamField:
@@ -145,6 +125,25 @@ class TestLagrangianPieces:
         with pytest.raises(SingularDenominatorError):
             CovariantAux.from_state(np.array([1.0, 0, 0, 0]), 1.0,
                                     np.array([0.0, 0, -1]), np.array([0.0, 0, 1]))
+
+    @pytest.mark.parametrize("m, hbar", [(1.0, 1.0), (2.0, 0.5)])
+    def test_f3_per_density_is_the_worldline_spin_term(self, m, hbar):
+        # Along the flux lines, with velocity u = j/rho and spin rate
+        # xidot = u^l d_l xi, F3/rho is the spin term
+        # hbar (xidot x xi).z / (2 (1 + xi.z)) of the worldline Lagrangian,
+        # with the field's z.  j^l contracts the derivative index of F3, so
+        # no transversal derivative enters: the field layer and the particle
+        # layer compute the same number by separate code.
+        rng = np.random.default_rng(9)
+        for _ in range(10):
+            fld = random_param_field(rng)
+            for _ in range(10):
+                x = rng.uniform(-0.5, 0.5, size=4)
+                f3 = lagrangian_pieces(fld, x, m, hbar).f3
+                rho, _, j, _, _, _, _, _, xi, d_xi, _ = _derived_jet(fld.jet(x))
+                xidot = (j / rho) @ d_xi
+                spin = hbar * particle._spin_term(xi, xidot, fld.z)
+                assert abs(f3 / rho - spin) <= 1e-12 * abs(spin)
 
 
 class TestKineticTermMatrix:

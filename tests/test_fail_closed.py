@@ -129,6 +129,35 @@ def test_constructors_reject_non_finite(factory, kwargs):
         factory(**kwargs)
 
 
+# One change per row to a good worldline jet.  Unchecked, each would reach
+# the Lagrangians and the momentum in its own way: an IndexError, a
+# ValueError, a result for a non-unit xi, NaN, a finite Lagrangian from an
+# infinite acceleration, or no acceleration at all.
+GOOD_JET = dict(xdot=[1.0, 0.0, 0.0, 0.0], xddot=[0.0, 0.3, -0.2, 0.1], xi=[0.0, 0.6, 0.8])
+MALFORMED_JETS = {
+    "xdot-3-components": dict(xdot=[1.0, 0.0, 0.0]),
+    "xi-2-components": dict(xi=[0.6, 0.8]),
+    "xi-squared-4": dict(xi=[0.0, 0.0, 2.0]),
+    "xdot-nan": dict(xdot=[NAN, 0.0, 0.0, 0.0]),
+    "xddot-inf": dict(xddot=[0.0, INF, 0.0, 0.0]),
+    "xddot-None": dict(xddot=None),
+}
+
+
+@pytest.mark.parametrize("changes", MALFORMED_JETS.values(), ids=MALFORMED_JETS)
+def test_worldline_state_rejects_malformed_jets(changes):
+    with pytest.raises(DomainError):
+        particle.WorldlineState(**{**GOOD_JET, **changes})
+
+
+def test_worldline_state_holds_the_good_jet_as_float_arrays():
+    st = particle.WorldlineState(**GOOD_JET)
+    for name, value in GOOD_JET.items():
+        got = getattr(st, name)
+        assert got.dtype == float and got.tolist() == value
+    assert math.isfinite(particle.lagrangian_dc(st, DcParams(m=1.0, hbar=1.0)))
+
+
 POSITIVE_CONSTANTS = {
     "RunConfig": lambda v: RunConfig(m=v),
     "DcParams": lambda v: DcParams(m=1.0, hbar=v),
@@ -353,8 +382,7 @@ ANTIPODAL_SITES = [
     lambda xi, z: covariant.CovariantAux.from_state(np.array([1.0, 0.0, 0.0, 0.0]),
                                                     1.0, xi, z),
     lambda xi, z: particle.lagrangian_dc(
-        particle.WorldlineState(x=np.zeros(4), xdot=[1.0, 0.0, 0.0, 0.0],
-                                xddot=np.zeros(4), xi=xi),
+        particle.WorldlineState(xdot=[1.0, 0.0, 0.0, 0.0], xddot=np.zeros(4), xi=xi),
         DcParams(m=1.0, hbar=1.0), xidot=[0.0, 1.0, 0.0]),
     lambda xi, z: particle.xi_equation_check(xi, [0.0, 1.0, 0.0], [1.0, 0.0, 0.0, 0.0],
                                              np.zeros(4), z),

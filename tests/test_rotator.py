@@ -341,6 +341,37 @@ class TestIdentification:
             out = identify_dcr_rr("rr_to_dcr", m0=1.0, v=v)
             assert abs(rigidity(out["a"], 1.0) - mass_increase(v)) < 1e-12
 
+    @pytest.mark.parametrize("P0, expected", [(2.2, 0.274955), (2.0 * np.sqrt(2.0), 0.6),
+                                              (4.0, 1.03923), (10.0, 2.93939)])
+    def test_angular_momentum_by_three_routes(self, P0, expected):
+        m0, a = 1.0, 0.3
+        pr = RotatorParams(m0=m0, a=a, P0=P0)
+        cf = RotatorClosedForm(pr)
+
+        # Sum of m0 gamma r x v over the two particles, the velocities by
+        # central differences of the worldlines.  omega0 < 0, so the
+        # particles turn clockwise about z and this route points along -z.
+        t, h = 0.37, 1e-6
+        orbit = np.zeros(3)
+        for x, x_plus, x_minus in zip(cf.worldlines_at_time(t), cf.worldlines_at_time(t + h),
+                                      cf.worldlines_at_time(t - h)):
+            v = (x_plus[1:] - x_minus[1:]) / (2.0 * h)
+            orbit += m0 / np.sqrt(1.0 - v @ v) * np.cross(x[1:], v)
+        assert np.abs(orbit[:2]).max() < 1e-12
+        assert -orbit[2] == pytest.approx(expected, abs=5e-6)
+
+        # |zeta| / P0 of the conserved vector on closed-form states.
+        for tau in (0.0, 0.4, 2.5):
+            s = cf.state(tau)
+            zeta = zeta_vector(s.x, s.p, s.P)
+            assert np.linalg.norm(zeta) / P0 == pytest.approx(-orbit[2], rel=1e-9)
+
+        # The closed form of the identification, at hbar = 4 m0 a / v.
+        v = a * abs(pr.omega0)
+        ident = identify_dcr_rr("rr_to_dcr", m0=m0, v=v, hbar=4.0 * m0 * a / v)
+        assert ident["a"] == pytest.approx(a, rel=1e-15)
+        assert ident["angular_momentum"] == pytest.approx(-orbit[2], rel=1e-9)
+
     def test_bad_inputs(self):
         with pytest.raises(DomainError):
             identify_dcr_rr("rr_to_dcr", m0=1.0, v=1.0)
