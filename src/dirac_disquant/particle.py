@@ -83,12 +83,12 @@ def q_factor(xdot, f=None):
     """Q(xdot; f) = 1 / (sqrt(xdot.xdot) (xdot.f + sqrt(xdot.xdot)))."""
     xdot = np.asarray(xdot, dtype=float)
     ss = mdot(xdot, xdot)
-    if ss <= 0:
-        raise DomainError("worldline velocity must be timelike")
+    if not ss > 0:
+        raise DomainError(f"worldline velocity must be timelike, got xdot.xdot = {ss!r}")
     s = np.sqrt(ss)
     xf = xdot[0] if f is None else mdot(xdot, np.asarray(f, dtype=float))
     denom = s + xf
-    if denom < 1e-9:
+    if not denom >= 1e-9:
         raise SingularDenominatorError("sqrt(xdot.xdot) + xdot.f below tolerance")
     return 1.0 / (s * denom)
 
@@ -97,9 +97,9 @@ def q_gradient(xdot, f):
     """Lower-index gradient dQ/dxdot^i."""
     xdot = np.asarray(xdot, dtype=float)
     f = np.asarray(f, dtype=float)
+    q = q_factor(xdot, f)
     s = np.sqrt(mdot(xdot, xdot))
     xf = mdot(xdot, f)
-    q = 1.0 / (s * (s + xf))
     xlow = lower(xdot)
     flow = lower(f)
     return -q * q * (2.0 * xlow + xlow * (xf / s) + s * flow)
@@ -145,18 +145,19 @@ def lagrangian_dc_covariant(s: WorldlineState, p: DcParams, xidot=None) -> float
             - 0.5 * p.hbar * q * eps4(s.xdot, s.xddot, xi4, F_REST))
 
 
-def momentum_covariant(xdot, xddot, xi4, xidot4, p: DcParams, f=None) -> np.ndarray:
+def momentum_covariant(xdot, xddot, xi4, xidot4, p: DcParams, f) -> np.ndarray:
     """Momentum P_i (lower components) for an arbitrary frame vector f.
 
     P_i = dL/dxdot^i - d/dtau (dL/dxddot^i) of the covariant Lagrangian;
     the derivative of the orbit term expands through the acceleration and
-    the spin rate, nothing higher.
+    the spin rate, nothing higher.  Raw 4-vectors, not a WorldlineState: a
+    boosted spin axis xi4 has a time part.  DomainError unless all five are
+    finite.
     """
-    f = F_REST if f is None else np.asarray(f, dtype=float)
-    xdot = np.asarray(xdot, dtype=float)
-    xddot = np.asarray(xddot, dtype=float)
-    xi4 = np.asarray(xi4, dtype=float)
-    xidot4 = np.asarray(xidot4, dtype=float)
+    vecs = [np.asarray(v, dtype=float) for v in (xdot, xddot, xi4, xidot4, f)]
+    if not all(np.isfinite(v).all() for v in vecs):
+        raise DomainError(f"momentum_covariant needs finite 4-vectors, got {vecs!r}")
+    xdot, xddot, xi4, xidot4, f = vecs
 
     s_norm = np.sqrt(mdot(xdot, xdot))
     q = q_factor(xdot, f)
@@ -177,7 +178,7 @@ def momentum(s: WorldlineState, xidot, p: DcParams) -> np.ndarray:
     """Conserved momentum P_i (lower components) with f = F_REST."""
     xidot = np.asarray(xidot, dtype=float)
     return momentum_covariant(s.xdot, s.xddot, as4(0.0, s.xi),
-                              as4(0.0, xidot), p)
+                              as4(0.0, xidot), p, F_REST)
 
 
 def boost_matrix(velocity) -> np.ndarray:
@@ -312,10 +313,8 @@ class HelixSolution:
         return out
 
 
-def helix_solution(b, phase=0.0, p: DcParams = None) -> HelixSolution:
+def helix_solution(b, phase, p: DcParams) -> HelixSolution:
     """Closed-form solution of the reduced system with y^2 = b."""
-    if p is None:
-        p = DcParams(m=1.0, hbar=1.0)
     obs = observables(b, p)
     w0 = -1.0 / (b + 1.0)
     omega = (-(1.0 - w0) / (b + 2.0) + w0) / p.lam
@@ -325,35 +324,31 @@ def helix_solution(b, phase=0.0, p: DcParams = None) -> HelixSolution:
     )
 
 
-def reduced_residuals(y, ydot, xi, xdot0, w0, p: DcParams):
+def reduced_residuals(s: WorldlineState, ydot, w0, p: DcParams):
     """Residuals of the reduced first-order system at one jet point.
 
     Returns (r1, r2, r3): the vector equation residual, the scalar equation
     residual, and the time-gauge residual xdot^0 - (y^2 + 1).
     """
-    y = np.asarray(y, dtype=float)
+    y, xi = s.y, s.xi
     ydot = np.asarray(ydot, dtype=float)
-    xi = np.asarray(xi, dtype=float)
     lam = p.lam
     y2 = float(np.dot(y, y))
     r1 = lam * cross3(ydot, xi + 0.5 * y * float(np.dot(y, xi))) \
         + y * ((1.0 - w0) / (y2 + 2.0) - w0)
     r2 = lam * float(np.dot(ydot, cross3(y, xi))) \
         - 2.0 * (1.0 - (1.0 - w0) / (y2 + 2.0))
-    r3 = xdot0 - (y2 + 1.0)
+    r3 = s.xdot[0] - (y2 + 1.0)
     return r1, float(r2), float(r3)
 
 
-def xi_rate(xdot, xddot, xi):
+def xi_rate(s: WorldlineState):
     """The z-free spin equation: xidot = -(xdot_sp x xddot_sp) x xi Q."""
-    xdot = np.asarray(xdot, dtype=float)
-    xddot = np.asarray(xddot, dtype=float)
-    q = q_factor(xdot)
-    return -cross3(cross3(xdot[1:], xddot[1:]),
-                   np.asarray(xi, dtype=float)) * q
+    q = q_factor(s.xdot)
+    return -cross3(cross3(s.xdot[1:], s.xddot[1:]), s.xi) * q
 
 
-def xi_equation_check(xi, xidot, xdot, xddot, z, hbar=1.0):
+def xi_equation_check(s: WorldlineState, xidot, z, hbar=1.0):
     """Residuals of the full spin equation and of its z-free reduction.
 
     The full equation is the constrained variation of the Lagrangian in xi:
@@ -361,17 +356,15 @@ def xi_equation_check(xi, xidot, xdot, xddot, z, hbar=1.0):
     (|xi x E|_max, |xidot - xi_rate|_max).  When xidot solves the reduced
     equation the full residual vanishes for every unit z.
     """
-    xi = np.asarray(xi, dtype=float)
+    xi = s.xi
     xidot = np.asarray(xidot, dtype=float)
-    xdot = np.asarray(xdot, dtype=float)
-    xddot = np.asarray(xddot, dtype=float)
     z = np.asarray(z, dtype=float)
     if abs(float(np.dot(xi, xidot))) > 1e-10:
         raise DomainError("xidot must be tangent to the unit sphere (xi.xidot = 0)")
     one_plus = require_off_antipode(1.0 + float(np.dot(z, xi)))
 
-    q = q_factor(xdot)
-    w = q * cross3(xdot[1:], xddot[1:])
+    q = q_factor(s.xdot)
+    w = q * cross3(s.xdot[1:], s.xddot[1:])
     e_vec = 0.5 * hbar * (
         2.0 * cross3(z, xidot) / one_plus
         + (float(np.dot(xidot, z)) * cross3(xi, z)
@@ -379,7 +372,7 @@ def xi_equation_check(xi, xidot, xdot, xddot, z, hbar=1.0):
         + w
     )
     res_full = float(np.abs(cross3(xi, e_vec)).max())
-    res_reduced = float(np.abs(xidot - xi_rate(xdot, xddot, xi)).max())
+    res_reduced = float(np.abs(xidot - xi_rate(s)).max())
     return res_full, res_reduced
 
 

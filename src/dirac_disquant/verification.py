@@ -308,14 +308,14 @@ def suite_appendix_c(cfg: RunConfig, rep: VerificationReport) -> None:
 
     def full_residual(i):
         rng_i = np.random.default_rng(cfg.seed + 400 + i)
-        xdot, xddot, xi = _random_worldline_jet(rng_i)
-        xidot = particle.xi_rate(xdot, xddot, xi)
+        st = _random_worldline_jet(rng_i)
+        xidot = particle.xi_rate(st)
         z = random_unit(rng_i)
         # Near xi.z = -1 the formulas are genuinely singular and the check
         # would only measure roundoff amplification; keep clear of the wall.
-        if 1.0 + float(np.dot(xi, z)) < 1e-2:
+        if 1.0 + float(np.dot(st.xi, z)) < 1e-2:
             z = -z
-        return particle.xi_equation_check(xi, xidot, xdot, xddot, z, hbar=cfg.hbar)
+        return particle.xi_equation_check(st, xidot, z, hbar=cfg.hbar)
 
     rep.add("spin-equation-z-independence",
             f"full variational spin equation residual with the z-free rate, "
@@ -323,32 +323,31 @@ def suite_appendix_c(cfg: RunConfig, rep: VerificationReport) -> None:
             _worst(full_residual(i) for i in range(n_z)), 1e-10)
 
     rng = np.random.default_rng(cfg.seed + 450)
-    xdot, xddot, xi = _random_worldline_jet(rng)
+    st = _random_worldline_jet(rng)
     z = random_unit(rng)
-    if 1.0 + float(np.dot(xi, z)) < 1e-3:
+    if 1.0 + float(np.dot(st.xi, z)) < 1e-3:
         z = -z
-    xidot = particle.xi_rate(xdot, xddot, xi)
-    direction = cross3(xi, random_unit(rng))
+    xidot = particle.xi_rate(st)
+    direction = cross3(st.xi, random_unit(rng))
     direction /= np.linalg.norm(direction)
     ratios = []
     for delta in (1e-4, 1e-5):
-        res, _ = particle.xi_equation_check(xi, xidot + delta * direction,
-                                            xdot, xddot, z, hbar=cfg.hbar)
+        res, _ = particle.xi_equation_check(st, xidot + delta * direction, z,
+                                            hbar=cfg.hbar)
         ratios.append(res / delta)
     rep.add("spin-equation-linear-sensitivity",
             "residual of the full equation grows linearly in a xidot perturbation",
             abs(ratios[0] / ratios[1] - 1.0), 1e-3)
 
 
-def _random_worldline_jet(rng):
+def _random_worldline_jet(rng) -> particle.WorldlineState:
     """A timelike velocity in the proper gauge, an acceleration, a unit spin."""
     v = rng.normal(size=3)
     xdot = np.concatenate(([np.sqrt(1.0 + v @ v)], v))
     xddot = np.concatenate(([0.0], rng.normal(size=3)))
     # Proper-time gauge is preserved to first order when xdot.xddot = 0.
     xddot[0] = float(np.dot(v, xddot[1:])) / xdot[0]
-    xi = random_unit(rng)
-    return xdot, xddot, xi
+    return particle.WorldlineState(xdot=xdot, xddot=xddot, xi=random_unit(rng))
 
 
 # -------------------------------------------------------------- particle
@@ -372,8 +371,7 @@ def suite_particle(cfg: RunConfig, rep: VerificationReport) -> None:
         for tau in np.linspace(0.0, sol.tau_period, n_tau):
             st = sol.state(tau)
             ydot = particle._y_rate(sol, tau)
-            r1, r2, r3 = particle.reduced_residuals(
-                st.y, ydot, st.xi, st.xdot[0], sol.w0, p)
+            r1, r2, r3 = particle.reduced_residuals(st, ydot, sol.w0, p)
             reduced.append((np.abs(r1).max(), abs(r2), abs(r3)))
             gauge.append(abs(mdot(st.xdot, st.xdot) - 1.0))
             constraints.append((abs(float(np.dot(st.y, ydot))) * p.lam,
@@ -445,9 +443,8 @@ def suite_particle(cfg: RunConfig, rep: VerificationReport) -> None:
     rng = np.random.default_rng(cfg.seed + 600)
 
     def generic_jet():
-        xdot, xddot, xi = _random_worldline_jet(rng)
-        xidot = particle.xi_rate(xdot, xddot, xi)
-        st = particle.WorldlineState(xdot=xdot, xddot=xddot, xi=xi)
+        st = _random_worldline_jet(rng)
+        xidot = particle.xi_rate(st)
         # The mass term scales like m and the spin and orbit terms like
         # hbar; both divisors are exactly 1 at unit constants.
         return abs(particle.lagrangian_dc(st, p, xidot)

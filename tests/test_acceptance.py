@@ -81,8 +81,9 @@ def test_spin_equation_z_independence():
         z /= np.linalg.norm(z)
         if 1.0 + np.dot(xi, z) < 1e-2:
             z = -z
-        xidot = particle.xi_rate(xdot, xddot, xi)
-        full, reduced = particle.xi_equation_check(xi, xidot, xdot, xddot, z)
+        st = particle.WorldlineState(xdot, xddot, xi)
+        xidot = particle.xi_rate(st)
+        full, reduced = particle.xi_equation_check(st, xidot, z)
         worst = max(worst, full, reduced)
     _report("spin-equation-z-independence-100", worst, 1e-10)
 
@@ -99,8 +100,8 @@ def test_helix_verification():
         scale = np.abs(P0).max()
         for tau in np.linspace(0.0, sol.tau_period, 128):
             st = sol.state(tau)
-            r1, r2, r3 = particle.reduced_residuals(
-                st.y, particle._y_rate(sol, tau), st.xi, st.xdot[0], sol.w0, p)
+            r1, r2, r3 = particle.reduced_residuals(st, particle._y_rate(sol, tau),
+                                                    sol.w0, p)
             res_sys = max(res_sys, np.abs(r1).max(), abs(r2), abs(r3))
             P = particle.momentum(st, np.zeros(3), p)
             drift = max(drift, np.abs(P - P0).max() / scale)

@@ -19,6 +19,7 @@ from dirac_disquant.errors import (
     StabilityError,
     StepSizeError,
 )
+from dirac_disquant.minkowski import F_REST
 from dirac_disquant.particle import DcParams, helix_solution, observables_from_zeta
 from dirac_disquant.report import RunConfig
 from dirac_disquant.rotator import RotatorParams
@@ -26,6 +27,7 @@ from dirac_disquant.verification import _worst, run_suite
 
 NAN = float("nan")
 INF = float("inf")
+P_UNIT = DcParams(m=1.0, hbar=1.0)
 
 
 class TestWorst:
@@ -96,7 +98,7 @@ def test_integer_rotator_step_counts_accepted(steps):
 def test_bad_spin_step_count_rejected(b, steps):
     # Unchecked, 0 divided by zero and -1 gave a drift of 0.0 from no step.
     with pytest.raises(DomainError, match="steps must be an integer >= 1"):
-        particle.integrate_xi_along_helix(helix_solution(b), steps)
+        particle.integrate_xi_along_helix(helix_solution(b, 0.0, P_UNIT), steps)
 
 
 NON_FINITE = [
@@ -105,7 +107,7 @@ NON_FINITE = [
     (DcParams, dict(m=1.0, hbar=1.0, c=NAN)),
     (DcParams, dict(m=1e-320, hbar=1.0)),           # lam overflows
     (DcParams, dict(m=1e300, hbar=1e-300)),         # lam underflows to 0
-    (helix_solution, dict(b=1e200)),                # observables overflow
+    (helix_solution, dict(b=1e200, phase=0.0, p=P_UNIT)),  # observables overflow
     (RotatorParams, dict(m0=1.0, a=1.0, P0=NAN)),
     (RotatorParams, dict(m0=NAN, a=1.0, P0=3.0)),
     (RotatorParams, dict(m0=1.0, a=INF, P0=3.0)),
@@ -156,6 +158,33 @@ def test_worldline_state_holds_the_good_jet_as_float_arrays():
         got = getattr(st, name)
         assert got.dtype == float and got.tolist() == value
     assert math.isfinite(particle.lagrangian_dc(st, DcParams(m=1.0, hbar=1.0)))
+
+
+@pytest.mark.parametrize("f", [None, F_REST], ids=["xdot0", "F_REST"])
+def test_q_factor_rejects_nan_velocity(f):
+    # Unchecked, ss <= 0 and denom < 1e-9 were both false for NaN, and Q was nan.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError):
+            particle.q_factor([NAN, 0.0, 0.0, 0.0], f)
+
+
+# xdot, xddot, xi4, xidot4 and f of a finite momentum.  Unchecked, each row
+# below ran into a numpy RuntimeWarning, from det, a multiply or a division.
+GOOD_4VECTORS = ([1.0, 0.0, 0.0, 0.0], [0.0, 0.3, -0.2, 0.1], [0.0, 0.0, 0.6, 0.8],
+                 [0.0, 1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("value", [NAN, INF], ids=["nan", "inf"])
+@pytest.mark.parametrize("slot", range(5), ids=["xdot", "xddot", "xi4", "xidot4", "f"])
+def test_momentum_covariant_rejects_non_finite_vectors(slot, value):
+    vecs = [np.array(v) for v in GOOD_4VECTORS]
+    assert np.isfinite(particle.momentum_covariant(*vecs[:4], P_UNIT, vecs[4])).all()
+    vecs[slot][0] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError):
+            particle.momentum_covariant(*vecs[:4], P_UNIT, vecs[4])
 
 
 POSITIVE_CONSTANTS = {
@@ -384,8 +413,9 @@ ANTIPODAL_SITES = [
     lambda xi, z: particle.lagrangian_dc(
         particle.WorldlineState(xdot=[1.0, 0.0, 0.0, 0.0], xddot=np.zeros(4), xi=xi),
         DcParams(m=1.0, hbar=1.0), xidot=[0.0, 1.0, 0.0]),
-    lambda xi, z: particle.xi_equation_check(xi, [0.0, 1.0, 0.0], [1.0, 0.0, 0.0, 0.0],
-                                             np.zeros(4), z),
+    lambda xi, z: particle.xi_equation_check(
+        particle.WorldlineState(xdot=[1.0, 0.0, 0.0, 0.0], xddot=np.zeros(4), xi=xi),
+        [0.0, 1.0, 0.0], z),
 ]
 ANTIPODAL_IDS = ["n_from_xi", "CovariantAux.from_state", "lagrangian_dc",
                  "xi_equation_check"]

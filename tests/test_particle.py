@@ -35,7 +35,7 @@ def random_jet(rng):
     xdot = np.concatenate(([np.sqrt(1.0 + v @ v)], v))
     xddot = np.concatenate(([0.0], rng.normal(size=3)))
     xddot[0] = float(v @ xddot[1:]) / xdot[0]
-    return xdot, xddot, unit3(rng)
+    return WorldlineState(xdot, xddot, unit3(rng))
 
 
 class TestLagrangian:
@@ -60,9 +60,8 @@ class TestLagrangian:
     @pytest.mark.parametrize("seed", range(15))
     def test_covariant_equivalence_generic(self, seed):
         rng = np.random.default_rng(seed)
-        xdot, xddot, xi = random_jet(rng)
-        xidot = xi_rate(xdot, xddot, xi)
-        st = WorldlineState(xdot, xddot, xi)
+        st = random_jet(rng)
+        xidot = xi_rate(st)
         a = lagrangian_dc(st, P_UNIT, xidot)
         b = lagrangian_dc_covariant(st, P_UNIT, xidot)
         assert abs(a - b) < 1e-12 * max(1.0, abs(a))
@@ -170,8 +169,7 @@ class TestHelixSolution:
         sol = helix_solution(b, 0.7, P_UNIT)
         for tau in np.linspace(0.0, sol.tau_period, 50):
             st = sol.state(tau)
-            r1, r2, r3 = reduced_residuals(st.y, _y_rate(sol, tau), st.xi,
-                                           st.xdot[0], sol.w0, P_UNIT)
+            r1, r2, r3 = reduced_residuals(st, _y_rate(sol, tau), sol.w0, P_UNIT)
             assert np.abs(r1).max() < 1e-9
             assert abs(r2) < 1e-9
             assert abs(r3) < 1e-9
@@ -304,41 +302,39 @@ class TestXiEquation:
     @pytest.mark.parametrize("seed", range(20))
     def test_z_independence(self, seed):
         rng = np.random.default_rng(seed)
-        xdot, xddot, xi = random_jet(rng)
-        xidot = xi_rate(xdot, xddot, xi)
+        st = random_jet(rng)
+        xidot = xi_rate(st)
         for _ in range(5):
             z = unit3(rng)
-            if 1.0 + np.dot(xi, z) < 1e-3:
+            if 1.0 + np.dot(st.xi, z) < 1e-3:
                 z = -z
-            full, reduced = xi_equation_check(xi, xidot, xdot, xddot, z)
+            full, reduced = xi_equation_check(st, xidot, z)
             assert full < 1e-10
             assert reduced < 1e-14
 
     def test_trivial_case(self):
-        xdot = np.array([1.2, 0.3, 0.0, 0.0])
-        xddot = np.array([0.25, 1.0, 0.0, 0.0])  # spatially parallel to xdot
-        xi = np.array([0.0, 0.0, 1.0])
-        full, reduced = xi_equation_check(xi, np.zeros(3), xdot, xddot,
-                                          np.array([0.0, 1.0, 0.0]))
+        st = WorldlineState(np.array([1.2, 0.3, 0.0, 0.0]),
+                            np.array([0.25, 1.0, 0.0, 0.0]),  # spatially parallel to xdot
+                            np.array([0.0, 0.0, 1.0]))
+        full, reduced = xi_equation_check(st, np.zeros(3), np.array([0.0, 1.0, 0.0]))
         assert full < 1e-14
         assert reduced < 1e-14
 
     def test_linear_sensitivity(self):
         rng = np.random.default_rng(5)
-        xdot, xddot, xi = random_jet(rng)
-        xidot = xi_rate(xdot, xddot, xi)
+        st = random_jet(rng)
+        xidot = xi_rate(st)
         z = unit3(rng)
-        if 1.0 + np.dot(xi, z) < 1e-3:
+        if 1.0 + np.dot(st.xi, z) < 1e-3:
             z = -z
-        direction = np.cross(xi, unit3(rng))
+        direction = np.cross(st.xi, unit3(rng))
         direction /= np.linalg.norm(direction)
-        r1, _ = xi_equation_check(xi, xidot + 1e-4 * direction, xdot, xddot, z)
-        r2, _ = xi_equation_check(xi, xidot + 1e-5 * direction, xdot, xddot, z)
+        r1, _ = xi_equation_check(st, xidot + 1e-4 * direction, z)
+        r2, _ = xi_equation_check(st, xidot + 1e-5 * direction, z)
         assert abs(r1 / r2 - 10.0) < 1e-2
 
     def test_nontangent_xidot_rejected(self):
-        xdot = np.array([1.5, 0.5, 0.3, 0.0])
-        xddot = np.array([0.0, 0.1, -0.2, 0.3])
+        st = WorldlineState(np.array([1.5, 0.5, 0.3, 0.0]),
+                            np.array([0.0, 0.1, -0.2, 0.3]), np.array([0.0, 0, 1]))
         with pytest.raises(DomainError):
-            xi_equation_check(np.array([0.0, 0, 1]), np.array([0.0, 0, 0.5]),
-                              xdot, xddot, np.array([1.0, 0, 0]))
+            xi_equation_check(st, np.array([0.0, 0, 0.5]), np.array([1.0, 0, 0]))
