@@ -31,10 +31,11 @@ from .particle import (
 from .rotator import (
     RotatorClosedForm,
     RotatorParams,
-    identify_dcr_rr,
+    dcr_to_rr,
     integrate_rotator,
     mass_increase,
     rigidity,
+    rr_to_dcr,
 )
 
 __version__ = "0.1.0"
@@ -57,8 +58,9 @@ __all__ = [
     "relativize",
     "RotatorClosedForm",
     "RotatorParams",
-    "identify_dcr_rr",
+    "dcr_to_rr",
     "integrate_rotator",
     "mass_increase",
     "rigidity",
+    "rr_to_dcr",
 ]

@@ -232,8 +232,7 @@ def cmd_rotator(args) -> int:
 
         def rows_of(block):
             X, x = s.X[block], s.x[block]
-            states = rotator.RotatorState(tau=s.tau[block], X=X, x=x, p=s.p[block],
-                                          P=s.P, nu=s.nu[block])
+            states = rotator.RotatorState(X=X, x=x, p=s.p[block], P=s.P, nu=s.nu[block])
             return np.column_stack((X[:, 0], X[:, 1:3] + x[:, 1:3], X[:, 1:3] - x[:, 1:3],
                                     rotator.constraint_monitors(states, pr).T))
     _emit_table(args, meta, columns, args.steps + 1, rows_of)
@@ -263,9 +262,14 @@ def cmd_rigidity(args) -> int:
 
 
 def cmd_identify(args) -> int:
-    result = rotator.identify_dcr_rr(args.direction, m=args.m, zeta=args.zeta,
-                                     m0=args.m0, v=args.v, hbar=args.hbar,
-                                     c=args.c, e_charge=args.e_charge)
+    if args.direction == "dcr_to_rr":
+        if args.m is None or args.zeta is None:
+            raise DomainError("dcr_to_rr needs m and zeta")
+        result = rotator.dcr_to_rr(args.m, args.zeta, args.hbar, args.c)
+    else:
+        if args.m0 is None or args.v is None:
+            raise DomainError("rr_to_dcr needs m0 and v")
+        result = rotator.rr_to_dcr(args.m0, args.v, args.hbar, args.c, args.e_charge)
     residual = abs(rotator.rigidity(result["a"], result["m0"], args.hbar, args.c)
                    - rotator.mass_increase(result["v"], args.c))
 

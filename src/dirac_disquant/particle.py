@@ -83,8 +83,9 @@ def q_factor(xdot, f=None):
     """Q(xdot; f) = 1 / (sqrt(xdot.xdot) (xdot.f + sqrt(xdot.xdot)))."""
     xdot = np.asarray(xdot, dtype=float)
     ss = mdot(xdot, xdot)
-    if not ss > 0:
-        raise DomainError(f"worldline velocity must be timelike, got xdot.xdot = {ss!r}")
+    if not 0.0 < ss < math.inf:
+        raise DomainError(f"worldline velocity must be finite and timelike, "
+                          f"got xdot.xdot = {ss!r}")
     s = np.sqrt(ss)
     xf = xdot[0] if f is None else mdot(xdot, np.asarray(f, dtype=float))
     denom = s + xf
@@ -105,6 +106,14 @@ def q_gradient(xdot, f):
     return -q * q * (2.0 * xlow + xlow * (xf / s) + s * flow)
 
 
+def _finite3(v, name):
+    """v as a finite float 3-vector, or DomainError."""
+    v = np.asarray(v, dtype=float)
+    if v.shape != (3,) or not np.isfinite(v).all():
+        raise DomainError(f"{name} must be a finite 3-vector, got {v!r}")
+    return v
+
+
 def _spin_term(xi, xidot, z):
     one_plus = require_off_antipode(1.0 + float(np.dot(xi, z)))
     return float(np.dot(cross3(xidot, xi), z)) / (2.0 * one_plus)
@@ -112,7 +121,7 @@ def _spin_term(xi, xidot, z):
 
 def lagrangian_dc(s: WorldlineState, p: DcParams, xidot=None) -> float:
     """Worldline Lagrangian in the three-dimensional form."""
-    xidot = np.zeros(3) if xidot is None else np.asarray(xidot, dtype=float)
+    xidot = np.zeros(3) if xidot is None else _finite3(xidot, "xidot")
     ss = mdot(s.xdot, s.xdot)
     q = q_factor(s.xdot)
     orbit = 0.5 * q * float(np.dot(cross3(s.xdot[1:], s.xddot[1:]), s.xi))
@@ -128,7 +137,7 @@ def lagrangian_dc_covariant(s: WorldlineState, p: DcParams, xidot=None) -> float
     them reduce to the three-dimensional form at f = F_REST: the spin term
     contracts (xi, xidot, f, z) and the orbit term (xdot, xddot, xi, f).
     """
-    xidot = np.zeros(3) if xidot is None else np.asarray(xidot, dtype=float)
+    xidot = np.zeros(3) if xidot is None else _finite3(xidot, "xidot")
     xi4 = as4(0.0, s.xi)
     xidot4 = as4(0.0, xidot)
     z4 = as4(0.0, Z_AXIS)
@@ -186,8 +195,8 @@ def boost_matrix(velocity) -> np.ndarray:
     one moving with the given 3-velocity, |velocity| < 1."""
     v = np.asarray(velocity, dtype=float)
     v2 = float(v @ v)
-    if v2 >= 1.0:
-        raise DomainError("boost velocity must satisfy |v| < 1")
+    if not v2 < 1.0:
+        raise DomainError(f"boost velocity must satisfy |v| < 1, got v.v = {v2!r}")
     gamma = 1.0 / np.sqrt(1.0 - v2)
     lam = np.eye(4)
     lam[0, 0] = gamma
@@ -201,8 +210,8 @@ def relativize(P):
     """Unit 4-velocity and mass from a timelike momentum: u_i = -P_i / M."""
     P = np.asarray(P, dtype=float)
     pp = mdot(P, P)
-    if pp <= 0:
-        raise DomainError(f"momentum must be timelike, got P.P = {pp!r}")
+    if not 0.0 < pp < math.inf:
+        raise DomainError(f"momentum must be finite and timelike, got P.P = {pp!r}")
     M = np.sqrt(pp)
     return -P / M, float(M)
 
@@ -331,7 +340,7 @@ def reduced_residuals(s: WorldlineState, ydot, w0, p: DcParams):
     residual, and the time-gauge residual xdot^0 - (y^2 + 1).
     """
     y, xi = s.y, s.xi
-    ydot = np.asarray(ydot, dtype=float)
+    ydot = _finite3(ydot, "ydot")
     lam = p.lam
     y2 = float(np.dot(y, y))
     r1 = lam * cross3(ydot, xi + 0.5 * y * float(np.dot(y, xi))) \
@@ -358,8 +367,8 @@ def xi_equation_check(s: WorldlineState, xidot, z, hbar=1.0):
     """
     xi = s.xi
     xidot = np.asarray(xidot, dtype=float)
-    z = np.asarray(z, dtype=float)
-    if abs(float(np.dot(xi, xidot))) > 1e-10:
+    z = _check_unit3(z, "z")
+    if not abs(float(np.dot(xi, xidot))) <= 1e-10:
         raise DomainError("xidot must be tangent to the unit sphere (xi.xidot = 0)")
     one_plus = require_off_antipode(1.0 + float(np.dot(z, xi)))
 

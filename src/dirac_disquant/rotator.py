@@ -32,6 +32,7 @@ from .errors import (
     require_positive,
 )
 from .minkowski import eps4_free, mdot
+from .particle import DcParams, observables_from_zeta
 from .report import CSV_BLOCK_ROWS
 
 
@@ -74,12 +75,11 @@ class RotatorParams:
 class RotatorState:
     """Center and relative coordinates/momenta with the multiplier nu.
 
-    One state has X, x and p of shape (4,) and float tau and nu; a stack of
-    n states has them of shape (n, 4) and (n,).  P, the conserved total
+    One state has X, x and p of shape (4,) and a float nu; a stack of n
+    states has them of shape (n, 4) and (n,).  P, the conserved total
     momentum, is one 4-vector either way.
     """
 
-    tau: float
     X: np.ndarray
     x: np.ndarray
     p: np.ndarray
@@ -157,7 +157,7 @@ class RotatorClosedForm:
                          zero], axis=-1)
         X = np.stack([-p.P0 * tau / (4.0 * p.m0), zero, zero, zero], axis=-1)
         P = np.array([p.P0, 0.0, 0.0, 0.0])
-        return RotatorState(tau=tau if tau.ndim else float(tau), X=X, x=x, p=prel, P=P)
+        return RotatorState(X=X, x=x, p=prel, P=P)
 
     def worldlines_at_time(self, t):
         """Particle positions (4-vectors) as functions of coordinate time:
@@ -370,7 +370,7 @@ def integrate_rotator(p: RotatorParams, initial: RotatorState, steps, dt) -> Rot
     The Minkowski products of the drift, _project and nu are written out on
     the floats, the products and order of ``mdot``, without its call.  Each
     step appends its floats to one ``array('d')`` buffer, and the stacked
-    RotatorState holds column views of that buffer; those 120 B per step
+    RotatorState holds column views of that buffer; those 112 B per step
     are all the memory that grows with the steps.  After the loop, one
     zeta_vector call per state fills the zeta rows of one
     ``CSV_BLOCK_ROWS``-row block at a time, and each block's drift is
@@ -385,15 +385,15 @@ def integrate_rotator(p: RotatorParams, initial: RotatorState, steps, dt) -> Rot
     worst0 = np.max(constraint_monitors(initial, p) / monitor_scales(p))
     if not worst0 <= 1e-10:
         raise DomainError(f"initial state violates the constraints by {worst0:.3e}")
-    if not np.isfinite([initial.tau, *initial.X]).all():
-        raise DomainError("initial tau and X must be finite")
+    if not np.isfinite(initial.X).all():
+        raise DomainError("initial X must be finite")
 
-    # One row of 15 floats per state: tau, X, x, p, nu and the step's
+    # One row of 14 floats per state: X, x, p, nu and the step's
     # pre-projection drift.  Row 0 is the initial state with drift 0.0, and
     # each step appends its row with one extend.  Each diagnostic is reduced
     # once with numpy at the end, so a NaN anywhere reaches the summary.
     P = initial.P.copy()
-    rows = array("d", [initial.tau, *initial.X.tolist(), *initial.x.tolist(),
+    rows = array("d", [*initial.X.tolist(), *initial.x.tolist(),
                        *initial.p.tolist(), initial.nu, 0.0])
     X0, X1, X2, X3 = initial.X.tolist()
     x0, x1, x2, x3 = initial.x.tolist()
@@ -401,17 +401,15 @@ def integrate_rotator(p: RotatorParams, initial: RotatorState, steps, dt) -> Rot
     Pf = tuple(P.tolist())
     P0, P1, P2, P3 = Pf
     k = _rk4_constants(p, Pf, dt)
-    na2, dt = k[6], k[-1]
+    na2 = k[6]
     a, a2 = float(p.a), float(p.a ** 2)
     drift_bound = 1e-6 * a2
-    tau = float(initial.tau)
     # mdot written out here and for the drift below, as in _rk4_step.
     nu = (P0 * x0 - P1 * x1 - P2 * x2 - P3 * x3) / na2
 
     for _ in range(steps):
         X0, X1, X2, X3, x0, x1, x2, x3, p0, p1, p2, p3 = _rk4_step(
             X0, X1, X2, X3, x0, x1, x2, x3, p0, p1, p2, p3, nu, k)
-        tau += dt
         raw_drift = abs((x0 * x0 - x1 * x1 - x2 * x2 - x3 * x3) + a2)
         if not raw_drift <= drift_bound:
             raise StepSizeError(
@@ -419,12 +417,12 @@ def integrate_rotator(p: RotatorParams, initial: RotatorState, steps, dt) -> Rot
         (x0, x1, x2, x3), (p0, p1, p2, p3) = _project(
             (x0, x1, x2, x3), (p0, p1, p2, p3), Pf, a)
         nu = (P0 * x0 - P1 * x1 - P2 * x2 - P3 * x3) / na2
-        rows.extend((tau, X0, X1, X2, X3, x0, x1, x2, x3, p0, p1, p2, p3, nu, raw_drift))
+        rows.extend((X0, X1, X2, X3, x0, x1, x2, x3, p0, p1, p2, p3, nu, raw_drift))
 
     n = steps + 1
-    table = np.frombuffer(rows).reshape(n, 15)
-    taus, Xs, xs, ps = table[:, 0], table[:, 1:5], table[:, 5:9], table[:, 9:13]
-    nus, pre_drift = table[:, 13], table[:, 14]
+    table = np.frombuffer(rows).reshape(n, 14)
+    Xs, xs, ps = table[:, 0:4], table[:, 4:8], table[:, 8:12]
+    nus, pre_drift = table[:, 12], table[:, 13]
     # The zeta rows of one block at a time, in one reused buffer; zeta0 is
     # the first row of the first block.  The block maxima are reduced with
     # numpy, so a NaN zeta reaches the drift.
@@ -440,7 +438,7 @@ def integrate_rotator(p: RotatorParams, initial: RotatorState, steps, dt) -> Rot
 
     zeta_scale = max(np.abs(zeta0).max(), 1e-30)
     return RotatorTrajectory(
-        states=RotatorState(tau=taus, X=Xs, x=xs, p=ps, P=P, nu=nus),
+        states=RotatorState(X=Xs, x=xs, p=ps, P=P, nu=nus),
         zeta_drift=float(np.max(block_drifts) / zeta_scale),
         nu_max=float(np.abs(nus).max()),
         pre_projection_drift=float(pre_drift.max()),
@@ -487,68 +485,53 @@ def rigidity_domain_bound(m0, hbar=1.0, c=1.0) -> float:
     return bound
 
 
-def identify_dcr_rr(direction, *, m=None, zeta=None, m0=None, v=None,
-                    hbar=1.0, c=1.0, e_charge=1.0) -> dict:
-    """Map parameters between the helix particle and the rotator.
+def dcr_to_rr(m, zeta, hbar=1.0, c=1.0) -> dict:
+    """From the helix particle's (m, zeta) to the rotator's (M, m0, a, v).
 
-    dcr_to_rr: from (m, zeta) to the rotator's (M, m0, a, v).
-    rr_to_dcr: from (m0, v) to the particle's (m, m_dcr, omega_dcr, a, zeta),
-    plus the angular momentum and magnetic moment of the charged rotator.
+    M and a are the particle's m_dcr and a_dcr of ``observables_from_zeta``,
+    which also checks the constants and zeta; m0 and v are the rotator's own.
     """
-    require_positive(hbar=hbar, c=c)
-    if direction == "dcr_to_rr":
-        if m is None or zeta is None:
-            raise DomainError("dcr_to_rr needs m and zeta")
-        require_positive(m=m)
-        if not zeta >= 0:
-            raise DomainError(f"zeta must be nonnegative, got {zeta!r}")
-        try:
-            root = np.sqrt(1.0 + zeta ** 2)
-            M = m * np.sqrt(2.0) / np.sqrt(root + 1.0)
-            m0_out = m / (root + 1.0)
-            a = zeta * hbar / (4.0 * m * c)
-            v_out = 4.0 * a * m0_out * c ** 2 / hbar
-        except OverflowError:
-            raise DomainError(f"dcr_to_rr overflows at m = {m!r}, "
-                              f"zeta = {zeta!r}") from None
-        except ZeroDivisionError:
-            raise DomainError(f"4 m c underflows to 0 at m = {m!r}, c = {c!r}") from None
-        return _finite_values({
-            "direction": direction,
-            "m": m, "zeta": zeta,
-            "M": float(M), "m0": float(m0_out), "a": float(a), "v": float(v_out),
-            "P0": float(M),
-        })
-    if direction == "rr_to_dcr":
-        if m0 is None or v is None:
-            raise DomainError("rr_to_dcr needs m0 and v")
-        require_positive(m0=m0)
-        if not 0.0 <= v < c:
-            raise DomainError(f"speed must satisfy 0 <= v < c, got {v!r}")
-        try:
-            g2 = 1.0 - (v / c) ** 2
-            m_out = 2.0 * m0 / g2
-            m_dcr = 2.0 * m0 / np.sqrt(g2)
-            omega_dcr = 4.0 * m0 * c ** 2 / hbar
-            a = v * hbar / (4.0 * m0 * c ** 2)
-            zeta_out = 4.0 * a * m_out * c / hbar
-            ang_mom = 2.0 * m0 * a * v / np.sqrt(g2)
-            mag_moment = e_charge * a * v / (2.0 * np.sqrt(g2))
-        except OverflowError:
-            raise DomainError(f"rr_to_dcr overflows at m0 = {m0!r}, "
-                              f"v = {v!r}") from None
-        except ZeroDivisionError:
-            raise DomainError(f"4 m0 c^2 underflows to 0 at m0 = {m0!r}, c = {c!r}") from None
-        return _finite_values({
-            "direction": direction,
-            "m0": m0, "v": v,
-            "m": float(m_out), "m_dcr": float(m_dcr),
-            "omega_dcr": float(omega_dcr), "a": float(a), "zeta": float(zeta_out),
-            "angular_momentum": float(ang_mom),
-            "magnetic_moment": float(mag_moment),
-            "moment_to_angular_momentum": float(e_charge / (4.0 * m0)),
-        })
-    raise DomainError(f"unknown direction {direction!r}")
+    ob = observables_from_zeta(zeta, DcParams(m=m, hbar=hbar, c=c))
+    m0 = m / (np.sqrt(1.0 + zeta ** 2) + 1.0)
+    v = 4.0 * ob.a_dcr * m0 * c ** 2 / hbar
+    return _finite_values({
+        "direction": "dcr_to_rr",
+        "m": m, "zeta": zeta,
+        "M": ob.m_dcr, "m0": float(m0), "a": ob.a_dcr, "v": float(v),
+        "P0": ob.m_dcr,
+    })
+
+
+def rr_to_dcr(m0, v, hbar=1.0, c=1.0, e_charge=1.0) -> dict:
+    """From the rotator's (m0, v) to the particle's (m, m_dcr, omega_dcr, a,
+    zeta), plus the angular momentum and magnetic moment of the charged
+    rotator."""
+    require_positive(hbar=hbar, c=c, m0=m0)
+    if not 0.0 <= v < c:
+        raise DomainError(f"speed must satisfy 0 <= v < c, got {v!r}")
+    try:
+        g2 = 1.0 - (v / c) ** 2
+        m_out = 2.0 * m0 / g2
+        m_dcr = 2.0 * m0 / np.sqrt(g2)
+        omega_dcr = 4.0 * m0 * c ** 2 / hbar
+        a = v * hbar / (4.0 * m0 * c ** 2)
+        zeta_out = 4.0 * a * m_out * c / hbar
+        ang_mom = 2.0 * m0 * a * v / np.sqrt(g2)
+        mag_moment = e_charge * a * v / (2.0 * np.sqrt(g2))
+    except OverflowError:
+        raise DomainError(f"rr_to_dcr overflows at m0 = {m0!r}, "
+                          f"v = {v!r}") from None
+    except ZeroDivisionError:
+        raise DomainError(f"4 m0 c^2 underflows to 0 at m0 = {m0!r}, c = {c!r}") from None
+    return _finite_values({
+        "direction": "rr_to_dcr",
+        "m0": m0, "v": v,
+        "m": float(m_out), "m_dcr": float(m_dcr),
+        "omega_dcr": float(omega_dcr), "a": float(a), "zeta": float(zeta_out),
+        "angular_momentum": float(ang_mom),
+        "magnetic_moment": float(mag_moment),
+        "moment_to_angular_momentum": float(e_charge / (4.0 * m0)),
+    })
 
 
 def _finite_values(out: dict) -> dict:

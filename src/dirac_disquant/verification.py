@@ -560,8 +560,7 @@ def suite_consistency(cfg: RunConfig, rep: VerificationReport) -> None:
 
     def identification(b):
         ob = particle.observables(b, p)
-        ident = rotator.identify_dcr_rr("dcr_to_rr", m=cfg.m, zeta=ob.zeta,
-                                        hbar=cfg.hbar, c=cfg.c)
+        ident = rotator.dcr_to_rr(cfg.m, ob.zeta, cfg.hbar, cfg.c)
         gam_rig = rotator.rigidity(ob.a_dcr, ident["m0"], cfg.hbar, cfg.c)
         gam_kin = rotator.mass_increase(ident["v"], cfg.c)
         pr = rotator.RotatorParams(m0=ident["m0"], a=ob.a_dcr, P0=ident["M"])
@@ -580,8 +579,7 @@ def suite_consistency(cfg: RunConfig, rep: VerificationReport) -> None:
     def grand(beta):
         # The speeds are fractions of c, so every one is below c at any c.
         v = beta * cfg.c
-        back = rotator.identify_dcr_rr("rr_to_dcr", m0=cfg.m0, v=v,
-                                       hbar=cfg.hbar, c=cfg.c)
+        back = rotator.rr_to_dcr(cfg.m0, v, cfg.hbar, cfg.c)
         gam_rig = rotator.rigidity(back["a"], cfg.m0, cfg.hbar, cfg.c)
         return abs(gam_rig - rotator.mass_increase(v, cfg.c))
 
@@ -596,10 +594,8 @@ def suite_consistency(cfg: RunConfig, rep: VerificationReport) -> None:
             "equals 0.25", r, 1e-12)
 
     def roundtrip(zeta):
-        fwd = rotator.identify_dcr_rr("dcr_to_rr", m=cfg.m, zeta=zeta,
-                                      hbar=cfg.hbar, c=cfg.c)
-        back = rotator.identify_dcr_rr("rr_to_dcr", m0=fwd["m0"], v=fwd["v"],
-                                       hbar=cfg.hbar, c=cfg.c)
+        fwd = rotator.dcr_to_rr(cfg.m, zeta, cfg.hbar, cfg.c)
+        back = rotator.rr_to_dcr(fwd["m0"], fwd["v"], cfg.hbar, cfg.c)
         return (abs(back["m"] - cfg.m) / cfg.m, abs(back["zeta"] - zeta) / zeta,
                 abs(back["a"] - fwd["a"]) / max(fwd["a"], 1e-300),
                 abs(back["m_dcr"] - fwd["M"]) / fwd["M"])
@@ -608,7 +604,7 @@ def suite_consistency(cfg: RunConfig, rep: VerificationReport) -> None:
             "dcr->rr->dcr is the identity for zeta in {0.1, 1, 10} (relative)",
             _worst(roundtrip(zeta) for zeta in (0.1, 1.0, 10.0)), 1e-12)
 
-    back = rotator.identify_dcr_rr("rr_to_dcr", m0=1.0, v=0.5, hbar=1.0, c=1.0)
+    back = rotator.rr_to_dcr(1.0, 0.5, hbar=1.0, c=1.0)
     r = _worst([abs(back["m"] - 8.0 / 3.0), abs(back["m_dcr"] - 2.0 / np.sqrt(0.75)),
                 abs(back["omega_dcr"] - 4.0), abs(back["a"] - 0.125),
                 abs(back["moment_to_angular_momentum"] - 0.25)])

@@ -147,7 +147,7 @@ def test_rotator_integration():
 def test_rigidity_grand_consistency():
     worst = 0.0
     for v in (0.1, 0.5, 0.9):
-        out = rotator.identify_dcr_rr("rr_to_dcr", m0=1.0, v=v)
+        out = rotator.rr_to_dcr(1.0, v)
         worst = max(worst, abs(rotator.rigidity(out["a"], 1.0)
                                - rotator.mass_increase(v)))
     _report("rigidity-vs-mass-increase", worst, 1e-12)

@@ -325,22 +325,19 @@ def integrate_reference(p, initial, steps, dt):
                 abs(mdot(xdot_center, s.x))]
 
     X, x, prel, P = initial.X.copy(), initial.x.copy(), initial.p.copy(), initial.P.copy()
-    tau = initial.tau
     states, mons, pre = [initial], [monitors(initial)], []
     for _ in range(steps):
         X, x, prel = rk4_reference(p, X, x, prel, P, dt)
-        tau += dt
         pre.append(abs(mdot(x, x) + p.a ** 2))
         x = x * (p.a / np.sqrt(-mdot(x, x)))
         prel = prel - x * (mdot(prel, x) / mdot(x, x)) - P * (mdot(prel, P) / mdot(P, P))
         nu = -mdot(P, x) / p.a ** 2
-        states.append(RotatorState(tau=tau, X=X, x=x, p=prel, P=P, nu=nu))
+        states.append(RotatorState(X=X, x=x, p=prel, P=P, nu=nu))
         mons.append(monitors(states[-1]))
     zetas = np.array([rotator.zeta_vector(s.x, s.p, s.P) for s in states])
     zeta_drift = np.abs(zetas - zetas[0]).max() / max(np.abs(zetas[0]).max(), 1e-30)
     nu_max = max(abs(s.nu) for s in states)
-    stack = RotatorState(tau=np.array([s.tau for s in states]),
-                         X=np.array([s.X for s in states]),
+    stack = RotatorState(X=np.array([s.X for s in states]),
                          x=np.array([s.x for s in states]),
                          p=np.array([s.p for s in states]), P=P,
                          nu=np.array([s.nu for s in states]))
@@ -352,7 +349,7 @@ def boosted(s, u):
     constraint is a Minkowski product, so it still holds, and P gains
     spatial components."""
     lam = boost_matrix(u)
-    return RotatorState(tau=s.tau, X=lam @ s.X, x=lam @ s.x, p=lam @ s.p, P=lam @ s.P)
+    return RotatorState(X=lam @ s.X, x=lam @ s.x, p=lam @ s.p, P=lam @ s.P)
 
 
 @pytest.mark.parametrize("params, steps, dt, u", [
@@ -369,7 +366,7 @@ def test_integrate_rotator_matches_array_stepper(params, steps, dt, u):
     traj = rotator.integrate_rotator(params, start, steps, dt)
     ref, mons, summary = integrate_reference(params, start, steps, dt)
     assert traj.states.x.shape == ref.x.shape == (steps + 1, 4)
-    for name in ("tau", "X", "x", "p", "P", "nu"):
+    for name in ("X", "x", "p", "P", "nu"):
         assert same(getattr(traj.states, name), getattr(ref, name))
     assert rotator.constraint_monitors(traj.states, params).T.tobytes() == mons.tobytes()
     assert (traj.pre_projection_drift, traj.zeta_drift, traj.nu_max) == summary
@@ -463,10 +460,9 @@ def test_closed_form_states_and_monitors_match_per_state(params):
     stack = cf.state(taus)
     mon = rotator.constraint_monitors(stack, params)
     assert stack.x.shape == stack.p.shape == stack.X.shape == (len(taus), 4)
-    assert same(stack.tau, taus) and stack.P.shape == (4,)
+    assert stack.P.shape == (4,)
     for k, tau in enumerate(taus.tolist()):
         one = cf.state(tau)
-        assert isinstance(one.tau, float) and one.tau == tau
         assert same(one.P, stack.P)
         for name in ("X", "x", "p"):
             assert same(getattr(one, name), getattr(stack, name)[k])
@@ -481,18 +477,18 @@ def test_stacked_monitors_match_per_state_off_shell():
     rng = np.random.default_rng(9)
     params = RotatorParams(m0=0.9, a=1.2, P0=2.5)
     n = 300
-    stack = RotatorState(tau=np.zeros(n), X=rng.normal(size=(n, 4)),
+    stack = RotatorState(X=rng.normal(size=(n, 4)),
                          x=rng.normal(size=(n, 4)), p=rng.normal(size=(n, 4)),
                          P=rng.normal(size=4), nu=rng.normal(size=n))
     mon = rotator.constraint_monitors(stack, params)
     for k in range(n):
-        one = RotatorState(tau=0.0, X=stack.X[k], x=stack.x[k], p=stack.p[k],
+        one = RotatorState(X=stack.X[k], x=stack.x[k], p=stack.p[k],
                            P=stack.P, nu=float(stack.nu[k]))
         for row, value in enumerate(rotator.constraint_monitors(one, params)):
             assert value.tobytes() == mon[row, k].tobytes()
 
 
-@pytest.mark.parametrize("field", ["tau", "X", "x", "p", "P", "nu"])
+@pytest.mark.parametrize("field", ["X", "x", "p", "P", "nu"])
 def test_nan_initial_state_raises(field):
     params = RotatorParams(m0=1.0, a=1.0, P0=3.0)
     start = RotatorClosedForm(params).state(0.0)

@@ -168,6 +168,9 @@ class TestVerifyCommand:
     ["helix", "--b", "1", "--seed", "1"],
     ["rotator", "--a", "1", "--P0", "3", "--tol-scale", "2"],
     ["identify", "--direction", "rr_to_dcr", "--m0", "1", "--v", "0.5", "--format", "csv"],
+    # a direction without both of its parameters
+    ["identify", "--direction", "dcr_to_rr", "--m", "1"],
+    ["identify", "--direction", "rr_to_dcr", "--v", "0.5"],
     # physical constants that no suite-built parameter object would check
     ["verify", "appendixA", "--m", "-3"],
     ["verify", "algebra", "--m", "0"],

@@ -169,6 +169,43 @@ def test_q_factor_rejects_nan_velocity(f):
             particle.q_factor([NAN, 0.0, 0.0, 0.0], f)
 
 
+def _good_jet():
+    return particle.WorldlineState(**GOOD_JET)
+
+
+# Non-finite raw arguments of the particle layer, and a non-unit axis z.
+# Unchecked, each returned a number (Q = 0.0 for an infinite velocity, NaN,
+# a NaN boost matrix, a residual for a non-unit z) or ran into a numpy
+# RuntimeWarning.
+RAW_ARGUMENTS = {
+    "q_factor-inf": lambda: particle.q_factor([INF, 0.0, 0.0, 0.0]),
+    "q_gradient-inf": lambda: particle.q_gradient([INF, 0.0, 0.0, 0.0], F_REST),
+    "relativize-nan": lambda: particle.relativize([NAN, 0.0, 0.0, 0.0]),
+    "relativize-inf": lambda: particle.relativize([INF, 0.0, 0.0, 0.0]),
+    "boost_matrix-nan": lambda: particle.boost_matrix([NAN, 0.0, 0.0]),
+    "lagrangian_dc-xidot-nan":
+        lambda: particle.lagrangian_dc(_good_jet(), P_UNIT, xidot=[NAN, 0.0, 0.0]),
+    "lagrangian_dc_covariant-xidot-nan":
+        lambda: particle.lagrangian_dc_covariant(_good_jet(), P_UNIT, xidot=[NAN, 0.0, 0.0]),
+    "xi_equation_check-xidot-nan":
+        lambda: particle.xi_equation_check(_good_jet(), [NAN, 0.0, 0.0], [0.0, 0.0, 1.0]),
+    "xi_equation_check-z-nan":
+        lambda: particle.xi_equation_check(_good_jet(), np.zeros(3), [NAN, 0.0, 0.0]),
+    "xi_equation_check-z-norm-2":
+        lambda: particle.xi_equation_check(_good_jet(), np.zeros(3), [2.0, 0.0, 0.0]),
+    "reduced_residuals-ydot-nan":
+        lambda: particle.reduced_residuals(_good_jet(), [NAN, 0.0, 0.0], -0.5, P_UNIT),
+}
+
+
+@pytest.mark.parametrize("call", RAW_ARGUMENTS.values(), ids=RAW_ARGUMENTS)
+def test_particle_raw_arguments_fail_closed(call):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError):
+            call()
+
+
 # xdot, xddot, xi4, xidot4 and f of a finite momentum.  Unchecked, each row
 # below ran into a numpy RuntimeWarning, from det, a multiply or a division.
 GOOD_4VECTORS = ([1.0, 0.0, 0.0, 0.0], [0.0, 0.3, -0.2, 0.1], [0.0, 0.0, 0.6, 0.8],
@@ -192,8 +229,8 @@ POSITIVE_CONSTANTS = {
     "DcParams": lambda v: DcParams(m=1.0, hbar=v),
     "RotatorParams": lambda v: RotatorParams(m0=1.0, a=v, P0=3.0),
     "rigidity_domain_bound": lambda v: rotator.rigidity_domain_bound(1.0, 1.0, c=v),
-    "dcr_to_rr": lambda v: rotator.identify_dcr_rr("dcr_to_rr", m=v, zeta=1.0),
-    "rr_to_dcr": lambda v: rotator.identify_dcr_rr("rr_to_dcr", m0=v, v=0.5),
+    "dcr_to_rr": lambda v: rotator.dcr_to_rr(v, 1.0),
+    "rr_to_dcr": lambda v: rotator.rr_to_dcr(v, 0.5),
 }
 
 
@@ -286,12 +323,12 @@ def test_nan_axis_rejected_by_gamma_basis(z):
 
 @pytest.mark.parametrize("call", [
     lambda: rotator.rigidity(NAN, 1.0),
-    lambda: rotator.identify_dcr_rr("dcr_to_rr", m=1.0, zeta=NAN),
+    lambda: rotator.dcr_to_rr(1.0, NAN),
     lambda: observables_from_zeta(NAN, DcParams(m=1.0, hbar=1.0)),
     lambda: spin_from_xi([0.0, 0.0, 1.0], [NAN, 0.0, 0.0, 0.0], 1.0),
     lambda: spin_from_xi([0.0, 0.0, 1.0], np.zeros(4), 0.0),
     lambda: spin_from_xi(np.eye(3)[:2], [[2.0, 1.0, 0.0, 0.0], [0.0] * 4], [1.0, 0.0]),
-], ids=["rigidity", "identify_dcr_rr", "observables_from_zeta", "spin_from_xi-nan",
+], ids=["rigidity", "dcr_to_rr", "observables_from_zeta", "spin_from_xi-nan",
         "spin_from_xi-zero-flux", "spin_from_xi-zero-flux-row"])
 def test_nan_argument_raises(call):
     with pytest.raises(DomainError):
@@ -315,10 +352,10 @@ def test_spin_from_xi_names_the_first_bad_row_as_a_float(call, message):
 
 @pytest.mark.parametrize("call", [
     lambda: rotator.rigidity(0.1, 1.0, hbar=1e200),
-    lambda: rotator.identify_dcr_rr("dcr_to_rr", m=1.0, zeta=1e200),
-    lambda: rotator.identify_dcr_rr("rr_to_dcr", m0=1.0, v=0.5, c=1e200),
+    lambda: rotator.dcr_to_rr(1.0, 1e200),
+    lambda: rotator.rr_to_dcr(1.0, 0.5, c=1e200),
     lambda: observables_from_zeta(1e200, DcParams(m=1.0, hbar=1.0)),
-], ids=["rigidity", "identify_dcr_rr", "identify_rr_dcr", "observables_from_zeta"])
+], ids=["rigidity", "dcr_to_rr", "rr_to_dcr", "observables_from_zeta"])
 def test_overflowing_argument_raises(call):
     with pytest.raises(DomainError):
         call()

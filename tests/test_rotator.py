@@ -17,12 +17,13 @@ from dirac_disquant.rotator import (
     RotatorParams,
     RotatorState,
     constraint_monitors,
-    identify_dcr_rr,
+    dcr_to_rr,
     integrate_rotator,
     mass_increase,
     monitor_scales,
     rigidity,
     rigidity_domain_bound,
+    rr_to_dcr,
     zeta_vector,
 )
 
@@ -229,15 +230,15 @@ class TestIntegrator:
         initial = cf.state(0.0)
         traj = integrate_rotator(PR, initial, 0, cf.tau_period / 2000)
         s = traj.states
-        assert s.tau.shape == s.nu.shape == (1,)
+        assert s.nu.shape == (1,)
         assert constraint_monitors(s, PR).shape == (5, 1)
         for got, want in ((s.X, initial.X), (s.x, initial.x), (s.p, initial.p)):
             assert got.shape == (1, 4) and got[0].tobytes() == want.tobytes()
-        assert s.tau[0] == initial.tau and s.nu[0] == initial.nu
+        assert s.nu[0] == initial.nu
         assert traj.pre_projection_drift == 0.0 and traj.zeta_drift == 0.0
 
     def test_memory_grows_by_the_preallocated_rows_only(self):
-        # The 15-float state rows take 120 B per step; a whole-trajectory
+        # The 14-float state rows take 112 B per step; a whole-trajectory
         # zeta or monitor array would add 32 or 40 B more.
         cf = RotatorClosedForm(PR)
 
@@ -309,19 +310,19 @@ class TestRigidity:
 
 class TestIdentification:
     def test_zeta_zero(self):
-        out = identify_dcr_rr("dcr_to_rr", m=1.0, zeta=0.0)
+        out = dcr_to_rr(1.0, 0.0)
         assert abs(out["M"] - 1.0) < 1e-15
         assert abs(out["m0"] - 0.5) < 1e-15
         assert out["a"] == 0.0
 
     def test_v_zero(self):
-        out = identify_dcr_rr("rr_to_dcr", m0=1.0, v=0.0)
+        out = rr_to_dcr(1.0, 0.0)
         assert out["m"] == 2.0
         assert out["m_dcr"] == 2.0
         assert out["a"] == 0.0
 
     def test_half_speed_spot_values(self):
-        out = identify_dcr_rr("rr_to_dcr", m0=1.0, v=0.5)
+        out = rr_to_dcr(1.0, 0.5)
         assert abs(out["m"] - 8.0 / 3.0) < 1e-15
         assert abs(out["m_dcr"] - 2.0 / np.sqrt(0.75)) < 1e-12
         assert out["omega_dcr"] == 4.0
@@ -330,15 +331,15 @@ class TestIdentification:
 
     @pytest.mark.parametrize("zeta", [0.1, 1.0, 10.0])
     def test_roundtrip(self, zeta):
-        fwd = identify_dcr_rr("dcr_to_rr", m=1.0, zeta=zeta)
-        back = identify_dcr_rr("rr_to_dcr", m0=fwd["m0"], v=fwd["v"])
+        fwd = dcr_to_rr(1.0, zeta)
+        back = rr_to_dcr(fwd["m0"], fwd["v"])
         assert abs(back["m"] - 1.0) < 1e-12
         assert abs(back["zeta"] - zeta) < 1e-12 * max(1.0, zeta)
         assert abs(back["m_dcr"] - fwd["M"]) < 1e-12
 
     def test_rigidity_equals_mass_increase(self):
         for v in (0.1, 0.5, 0.9):
-            out = identify_dcr_rr("rr_to_dcr", m0=1.0, v=v)
+            out = rr_to_dcr(1.0, v)
             assert abs(rigidity(out["a"], 1.0) - mass_increase(v)) < 1e-12
 
     @pytest.mark.parametrize("P0, expected", [(2.2, 0.274955), (2.0 * np.sqrt(2.0), 0.6),
@@ -368,14 +369,10 @@ class TestIdentification:
 
         # The closed form of the identification, at hbar = 4 m0 a / v.
         v = a * abs(pr.omega0)
-        ident = identify_dcr_rr("rr_to_dcr", m0=m0, v=v, hbar=4.0 * m0 * a / v)
+        ident = rr_to_dcr(m0, v, hbar=4.0 * m0 * a / v)
         assert ident["a"] == pytest.approx(a, rel=1e-15)
         assert ident["angular_momentum"] == pytest.approx(-orbit[2], rel=1e-9)
 
     def test_bad_inputs(self):
         with pytest.raises(DomainError):
-            identify_dcr_rr("rr_to_dcr", m0=1.0, v=1.0)
-        with pytest.raises(DomainError):
-            identify_dcr_rr("dcr_to_rr", m=1.0)
-        with pytest.raises(DomainError):
-            identify_dcr_rr("sideways", m=1.0, zeta=1.0)
+            rr_to_dcr(1.0, 1.0)

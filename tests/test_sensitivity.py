@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from dirac_disquant import algebra, covariant, minkowski, particle, rotator
+from dirac_disquant.errors import SubThresholdError
 from dirac_disquant.minkowski import mdot
 from dirac_disquant.report import RunConfig
 from dirac_disquant.verification import run_suite
@@ -172,6 +173,25 @@ def monitors_at_nu_zero(constraint_monitors):
     return mutant
 
 
+def m0_without_plus_one(dcr_to_rr):
+    """The map to the rotator with m0 = m / sqrt(1 + zeta^2), the + 1 left
+    out; v = 4 a m0 c^2 / hbar follows it."""
+    def mutant(m, zeta, hbar=1.0, c=1.0):
+        out = dcr_to_rr(m, zeta, hbar, c)
+        m0 = m / math.sqrt(1.0 + zeta ** 2)
+        return {**out, "m0": m0, "v": 4.0 * out["a"] * m0 * c ** 2 / hbar}
+    return mutant
+
+
+def m_dcr_without_sqrt(rr_to_dcr):
+    """The map to the particle with m_dcr = 2 m0 / (1 - v^2/c^2), the square
+    root left out."""
+    def mutant(m0, v, hbar=1.0, c=1.0, e_charge=1.0):
+        out = rr_to_dcr(m0, v, hbar, c, e_charge)
+        return {**out, "m_dcr": 2.0 * m0 / (1.0 - (v / c) ** 2)}
+    return mutant
+
+
 MUTATIONS = [
     # Both F3 shapes of lagrangian_pieces divide by the guarded value: the
     # three-dimensional one by 2 (1 + xi.z), the covariant one through mu and
@@ -251,6 +271,21 @@ MUTATIONS = [
                  full_residual_squared(particle.xi_equation_check),
                  {"spin-equation-linear-sensitivity": "appendixC"},
                  id="particle-xi-full-residual-squared"),
+    pytest.param(rotator, "rr_to_dcr", m_dcr_without_sqrt(rotator.rr_to_dcr),
+                 {"identification-roundtrip": "consistency",
+                  "identification-spot-values": "consistency"},
+                 id="rotator-rr-to-dcr-m-dcr-without-sqrt"),
+]
+
+
+# Mutations that stop their suite with a DomainError before it records any
+# check: the suite fails closed, and ``verify`` exits 2.
+STOPS = [
+    # At b = 0.1, helix-rotator-identification builds the rotator with
+    # P0 = M = 0.909 m, below 2 m0 = 1.408 m.
+    pytest.param(rotator, "dcr_to_rr", m0_without_plus_one(rotator.dcr_to_rr),
+                 "consistency", SubThresholdError,
+                 id="rotator-dcr-to-rr-m0-without-plus-one"),
 ]
 
 
@@ -307,6 +342,13 @@ def test_mutation_fails_its_checks(monkeypatch, module, name, mutant, must_fail)
     for check_id in must_fail:
         rec = records[check_id]
         assert not rec.passed, f"{check_id} passed at {rec.residual!r} <= {rec.tolerance!r}"
+
+
+@pytest.mark.parametrize("module, name, mutant, suite, error", STOPS)
+def test_mutation_stops_its_suite(monkeypatch, module, name, mutant, suite, error):
+    monkeypatch.setattr(module, name, mutant)
+    with pytest.raises(error):
+        run_suite(suite, RunConfig(seed=42))
 
 
 @pytest.mark.parametrize("module, name, mutant, suite", UNSEEN)
