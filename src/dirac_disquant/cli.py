@@ -232,7 +232,7 @@ def cmd_rotator(args) -> int:
 
         def rows_of(block):
             X, x = s.X[block], s.x[block]
-            states = rotator.RotatorState(X=X, x=x, p=s.p[block], P=s.P, nu=s.nu[block])
+            states = rotator.RotatorState(X=X, x=x, p=s.p[block], P=s.P)
             return np.column_stack((X[:, 0], X[:, 1:3] + x[:, 1:3], X[:, 1:3] - x[:, 1:3],
                                     rotator.constraint_monitors(states, pr).T))
     _emit_table(args, meta, columns, args.steps + 1, rows_of)

@@ -82,7 +82,8 @@ class WorldlineState:
 def q_factor(xdot, f=None):
     """Q(xdot; f) = 1 / (sqrt(xdot.xdot) (xdot.f + sqrt(xdot.xdot)))."""
     xdot = np.asarray(xdot, dtype=float)
-    ss = mdot(xdot, xdot)
+    # On Python floats an overflow gives inf and inf - inf NaN, with no warning.
+    ss = mdot(xdot.tolist(), xdot.tolist())
     if not 0.0 < ss < math.inf:
         raise DomainError(f"worldline velocity must be finite and timelike, "
                           f"got xdot.xdot = {ss!r}")
@@ -209,7 +210,7 @@ def boost_matrix(velocity) -> np.ndarray:
 def relativize(P):
     """Unit 4-velocity and mass from a timelike momentum: u_i = -P_i / M."""
     P = np.asarray(P, dtype=float)
-    pp = mdot(P, P)
+    pp = mdot(P.tolist(), P.tolist())  # on Python floats, as in q_factor
     if not 0.0 < pp < math.inf:
         raise DomainError(f"momentum must be finite and timelike, got P.P = {pp!r}")
     M = np.sqrt(pp)

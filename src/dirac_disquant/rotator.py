@@ -73,18 +73,17 @@ class RotatorParams:
 
 @dataclass(frozen=True)
 class RotatorState:
-    """Center and relative coordinates/momenta with the multiplier nu.
+    """Center and relative coordinates and momenta.
 
-    One state has X, x and p of shape (4,) and a float nu; a stack of n
-    states has them of shape (n, 4) and (n,).  P, the conserved total
-    momentum, is one 4-vector either way.
+    One state has X, x and p of shape (4,); a stack of n states has them of
+    shape (n, 4).  P, the conserved total momentum, is one 4-vector either
+    way.  The multiplier nu = P.x / (-a^2) is derived, not stored.
     """
 
     X: np.ndarray
     x: np.ndarray
     p: np.ndarray
     P: np.ndarray
-    nu: float = 0.0
 
     def __post_init__(self):
         for name in ("X", "x", "p", "P"):
@@ -97,13 +96,15 @@ def constraint_monitors(s: RotatorState, p: RotatorParams) -> np.ndarray:
     of ``MONITOR_COLUMNS``: shape (5,) for one state, (5, n) for a stack of n.
 
     ``mdot`` reads the transposed stack, so each component is a column;
-    Xdot is the array form -(P - nu x) / (4 m0), one component at a time.
+    nu = P.x / (-a^2) has the operations of the integrator's nu, and Xdot
+    is the array form -(P - nu x) / (4 m0), one component at a time.
     """
     x, q, P = s.x.T, s.p.T, s.P
     m4 = 4.0 * p.m0
-    xdot_center = [-(Pi - s.nu * xi) / m4 for Pi, xi in zip(P, x)]
+    nu = mdot(P, x) / -(p.a ** 2)
+    xdot_center = [-(Pi - nu * xi) / m4 for Pi, xi in zip(P, x)]
     # float_power rounds as the libm pow behind a scalar ``** 2``.
-    pp_target = -(mdot(P, P) - 4.0 * p.m0 ** 2) - p.a ** 2 * np.float_power(s.nu, 2.0)
+    pp_target = -(mdot(P, P) - 4.0 * p.m0 ** 2) - p.a ** 2 * np.float_power(nu, 2.0)
     return np.array([abs(mdot(x, x) + p.a ** 2), abs(mdot(q, x)), abs(mdot(P, q)),
                      abs(mdot(q, q) - pp_target), abs(mdot(xdot_center, x))])
 
@@ -262,12 +263,12 @@ def _rk4_constants(p: RotatorParams, P, dt):
     return (P0, P1, P2, P3, m4, -m4, -a2, -s, m4 * a2, 0.5 * dt, dt / 6.0, dt)
 
 
-def _rk4_step(X0, X1, X2, X3, x0, x1, x2, x3, p0, p1, p2, p3, nu, k):
+def _rk4_step(X0, X1, X2, X3, x0, x1, x2, x3, p0, p1, p2, p3, k):
     """One RK4 step of the ``_rhs`` equations on floats, before projection.
 
-    Takes the 12 components of X, x and p, the state's nu = P.x / (-a^2)
-    and the ``_rk4_constants`` tuple k; returns the 12 stepped components.
-    Each stage is the ``_rhs`` of its (x, p) with every rate written out,
+    Takes the 12 components of X, x and p and the ``_rk4_constants`` tuple
+    k; returns the 12 stepped components.  Each stage is the ``_rhs`` of
+    its (x, p), nu = P.x / (-a^2) included, with every rate written out,
     and each update has the operations, in order, of the array form
     y + dt / 6 * (r1 + 2 r2 + 2 r3 + r4), so a step has the bits of the
     array-form RK4; the signs of -(u) / m4, -u s / d and -(P.u) / a^2 are
@@ -275,18 +276,19 @@ def _rk4_step(X0, X1, X2, X3, x0, x1, x2, x3, p0, p1, p2, p3, nu, k):
     """
     P0, P1, P2, P3, m4, nm4, na2, ns, d, h2, h6, dt = k
     # Stage 1 at (x, p); Xdot, xdot and pdot are A, B and C.
-    A10 = (P0 - nu * x0) / nm4
-    A11 = (P1 - nu * x1) / nm4
-    A12 = (P2 - nu * x2) / nm4
-    A13 = (P3 - nu * x3) / nm4
+    n = (P0 * x0 - P1 * x1 - P2 * x2 - P3 * x3) / na2
+    A10 = (P0 - n * x0) / nm4
+    A11 = (P1 - n * x1) / nm4
+    A12 = (P2 - n * x2) / nm4
+    A13 = (P3 - n * x3) / nm4
     B10 = p0 / nm4
     B11 = p1 / nm4
     B12 = p2 / nm4
     B13 = p3 / nm4
-    C10 = x0 * ns / d - nu * P0 / m4
-    C11 = x1 * ns / d - nu * P1 / m4
-    C12 = x2 * ns / d - nu * P2 / m4
-    C13 = x3 * ns / d - nu * P3 / m4
+    C10 = x0 * ns / d - n * P0 / m4
+    C11 = x1 * ns / d - n * P1 / m4
+    C12 = x2 * ns / d - n * P2 / m4
+    C13 = x3 * ns / d - n * P3 / m4
     # Stage 2 at (x, p) + dt/2 stage 1.
     u0 = x0 + h2 * B10
     u1 = x1 + h2 * B11
@@ -358,24 +360,23 @@ def _rk4_step(X0, X1, X2, X3, x0, x1, x2, x3, p0, p1, p2, p3, nu, k):
 def integrate_rotator(p: RotatorParams, initial: RotatorState, steps, dt) -> RotatorTrajectory:
     """RK4 on the established-motion branch with per-step projection.
 
-    beta is held at 0 and nu is computed algebraically from P.x each step
-    (it stays near 0 and is monitored, not trusted).  After each step x is
-    renormalized to the sphere x.x = -a^2 and p is orthogonalized against x
-    and P.  Raises StabilityError for omega dt >= 0.1 and StepSizeError if
-    the pre-projection constraint drift |x.x + a^2| exceeds 1e-6 a^2.
+    beta is held at 0 and nu is computed algebraically from P.x at each
+    stage (it stays near 0 and is monitored, not trusted).  After each step
+    x is renormalized to the sphere x.x = -a^2 and p is orthogonalized
+    against x and P.  Raises StabilityError for omega dt >= 0.1 and
+    StepSizeError if the pre-projection constraint drift |x.x + a^2|
+    exceeds 1e-6 a^2.
 
     Each step is one ``_rk4_step`` call on Python floats, whose bits are
-    those of the array-form RK4 of ``_rhs``.  The run constants are computed
-    once, and stage 1 of a step takes the nu of the state it starts from.
-    The Minkowski products of the drift, _project and nu are written out on
-    the floats, the products and order of ``mdot``, without its call.  Each
-    step appends its floats to one ``array('d')`` buffer, and the stacked
-    RotatorState holds column views of that buffer; those 112 B per step
-    are all the memory that grows with the steps.  After the loop, one
-    zeta_vector call per state fills the zeta rows of one
-    ``CSV_BLOCK_ROWS``-row block at a time, and each block's drift is
-    reduced before the next is made.  The monitors are left to the caller:
-    ``constraint_monitors`` of the states, whole or one block at a time.
+    those of the array-form RK4 of ``_rhs``; the run constants are computed
+    once.  The Minkowski products of the drift and _project are written out
+    on the floats, the products and order of ``mdot``, without its call.
+    Each step appends its 12 floats (X, x and p) to one ``array('d')``
+    buffer, and the stacked RotatorState holds column views of that buffer:
+    96 B per step, all the memory that grows with the steps.  After the
+    loop, one zeta_vector call per state fills the zeta rows of one
+    ``CSV_BLOCK_ROWS``-row block at a time, whose zeta drift and |nu| are
+    reduced before the next block.  The monitors are left to the caller.
     """
     if not isinstance(steps, numbers.Integral) or steps < 0:
         raise DomainError(f"steps must be an integer >= 0, got {steps!r}")
@@ -388,46 +389,42 @@ def integrate_rotator(p: RotatorParams, initial: RotatorState, steps, dt) -> Rot
     if not np.isfinite(initial.X).all():
         raise DomainError("initial X must be finite")
 
-    # One row of 14 floats per state: X, x, p, nu and the step's
-    # pre-projection drift.  Row 0 is the initial state with drift 0.0, and
-    # each step appends its row with one extend.  Each diagnostic is reduced
-    # once with numpy at the end, so a NaN anywhere reaches the summary.
+    # One row of 12 floats per state, X, x and p; row 0 is the initial
+    # state, and each step appends its row with one extend.  Every raw_drift
+    # that reaches the running max has passed its bound, so none is NaN.
     P = initial.P.copy()
-    rows = array("d", [*initial.X.tolist(), *initial.x.tolist(),
-                       *initial.p.tolist(), initial.nu, 0.0])
+    rows = array("d", [*initial.X.tolist(), *initial.x.tolist(), *initial.p.tolist()])
     X0, X1, X2, X3 = initial.X.tolist()
     x0, x1, x2, x3 = initial.x.tolist()
     p0, p1, p2, p3 = initial.p.tolist()
     Pf = tuple(P.tolist())
-    P0, P1, P2, P3 = Pf
     k = _rk4_constants(p, Pf, dt)
     na2 = k[6]
     a, a2 = float(p.a), float(p.a ** 2)
     drift_bound = 1e-6 * a2
-    # mdot written out here and for the drift below, as in _rk4_step.
-    nu = (P0 * x0 - P1 * x1 - P2 * x2 - P3 * x3) / na2
+    pre_drift = 0.0
 
     for _ in range(steps):
         X0, X1, X2, X3, x0, x1, x2, x3, p0, p1, p2, p3 = _rk4_step(
-            X0, X1, X2, X3, x0, x1, x2, x3, p0, p1, p2, p3, nu, k)
+            X0, X1, X2, X3, x0, x1, x2, x3, p0, p1, p2, p3, k)
         raw_drift = abs((x0 * x0 - x1 * x1 - x2 * x2 - x3 * x3) + a2)
         if not raw_drift <= drift_bound:
             raise StepSizeError(
                 f"constraint drift {raw_drift:.3e} before projection; reduce dt")
+        if raw_drift > pre_drift:
+            pre_drift = raw_drift
         (x0, x1, x2, x3), (p0, p1, p2, p3) = _project(
             (x0, x1, x2, x3), (p0, p1, p2, p3), Pf, a)
-        nu = (P0 * x0 - P1 * x1 - P2 * x2 - P3 * x3) / na2
-        rows.extend((X0, X1, X2, X3, x0, x1, x2, x3, p0, p1, p2, p3, nu, raw_drift))
+        rows.extend((X0, X1, X2, X3, x0, x1, x2, x3, p0, p1, p2, p3))
 
     n = steps + 1
-    table = np.frombuffer(rows).reshape(n, 14)
+    table = np.frombuffer(rows).reshape(n, 12)
     Xs, xs, ps = table[:, 0:4], table[:, 4:8], table[:, 8:12]
-    nus, pre_drift = table[:, 12], table[:, 13]
     # The zeta rows of one block at a time, in one reused buffer; zeta0 is
-    # the first row of the first block.  The block maxima are reduced with
-    # numpy, so a NaN zeta reaches the drift.
+    # the first row of the first block.  The block maxima of the zeta drift
+    # and of |nu| are reduced with numpy, so a NaN reaches the summary.
     zetas = np.empty((min(CSV_BLOCK_ROWS, n), 4))
-    block_drifts = []
+    block_drifts, block_nus = [], []
     for start in range(0, n, CSV_BLOCK_ROWS):
         stop = min(start + CSV_BLOCK_ROWS, n)
         for i, (x, prel) in enumerate(zip(xs[start:stop], ps[start:stop])):
@@ -435,13 +432,14 @@ def integrate_rotator(p: RotatorParams, initial: RotatorState, steps, dt) -> Rot
         if start == 0:
             zeta0 = zetas[0].copy()
         block_drifts.append(np.abs(zetas[:stop - start] - zeta0).max())
+        block_nus.append(np.abs(mdot(P, xs[start:stop].T) / na2).max())
 
     zeta_scale = max(np.abs(zeta0).max(), 1e-30)
     return RotatorTrajectory(
-        states=RotatorState(X=Xs, x=xs, p=ps, P=P, nu=nus),
+        states=RotatorState(X=Xs, x=xs, p=ps, P=P),
         zeta_drift=float(np.max(block_drifts) / zeta_scale),
-        nu_max=float(np.abs(nus).max()),
-        pre_projection_drift=float(pre_drift.max()),
+        nu_max=float(np.max(block_nus)),
+        pre_projection_drift=pre_drift,
     )
 
 

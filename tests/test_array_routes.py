@@ -317,31 +317,33 @@ def integrate_reference(p, initial, steps, dt):
     """RK4 with projection on numpy 4-vectors: the array form the float
     stepper follows, one state and one monitor row per step.  Returns the
     stacked states, the monitors and the drift summary."""
-    def monitors(s):
-        xdot_center = -(s.P - s.nu * s.x) / (4.0 * p.m0)
-        pp_target = -(mdot(s.P, s.P) - 4.0 * p.m0 ** 2) - p.a ** 2 * s.nu ** 2
-        return [abs(mdot(s.x, s.x) + p.a ** 2), abs(mdot(s.p, s.x)),
-                abs(mdot(s.P, s.p)), abs(mdot(s.p, s.p) - pp_target),
-                abs(mdot(xdot_center, s.x))]
-
     X, x, prel, P = initial.X.copy(), initial.x.copy(), initial.p.copy(), initial.P.copy()
-    states, mons, pre = [initial], [monitors(initial)], []
+    states, mons, pre = [initial], [monitors_reference(p, initial)], []
     for _ in range(steps):
         X, x, prel = rk4_reference(p, X, x, prel, P, dt)
         pre.append(abs(mdot(x, x) + p.a ** 2))
         x = x * (p.a / np.sqrt(-mdot(x, x)))
         prel = prel - x * (mdot(prel, x) / mdot(x, x)) - P * (mdot(prel, P) / mdot(P, P))
-        nu = -mdot(P, x) / p.a ** 2
-        states.append(RotatorState(X=X, x=x, p=prel, P=P, nu=nu))
-        mons.append(monitors(states[-1]))
+        states.append(RotatorState(X=X, x=x, p=prel, P=P))
+        mons.append(monitors_reference(p, states[-1]))
     zetas = np.array([rotator.zeta_vector(s.x, s.p, s.P) for s in states])
     zeta_drift = np.abs(zetas - zetas[0]).max() / max(np.abs(zetas[0]).max(), 1e-30)
-    nu_max = max(abs(s.nu) for s in states)
+    nu_max = max(abs(-mdot(P, s.x) / p.a ** 2) for s in states)
     stack = RotatorState(X=np.array([s.X for s in states]),
                          x=np.array([s.x for s in states]),
-                         p=np.array([s.p for s in states]), P=P,
-                         nu=np.array([s.nu for s in states]))
+                         p=np.array([s.p for s in states]), P=P)
     return stack, np.array(mons), (max(pre, default=0.0), zeta_drift, nu_max)
+
+
+def monitors_reference(p, s):
+    """The five constraint monitors of one state in array form, with nu
+    derived as ``_rhs`` derives it."""
+    nu = -mdot(s.P, s.x) / p.a ** 2
+    xdot_center = -(s.P - nu * s.x) / (4.0 * p.m0)
+    pp_target = -(mdot(s.P, s.P) - 4.0 * p.m0 ** 2) - p.a ** 2 * nu ** 2
+    return [abs(mdot(s.x, s.x) + p.a ** 2), abs(mdot(s.p, s.x)),
+            abs(mdot(s.P, s.p)), abs(mdot(s.p, s.p) - pp_target),
+            abs(mdot(xdot_center, s.x))]
 
 
 def boosted(s, u):
@@ -366,7 +368,7 @@ def test_integrate_rotator_matches_array_stepper(params, steps, dt, u):
     traj = rotator.integrate_rotator(params, start, steps, dt)
     ref, mons, summary = integrate_reference(params, start, steps, dt)
     assert traj.states.x.shape == ref.x.shape == (steps + 1, 4)
-    for name in ("X", "x", "p", "P", "nu"):
+    for name in ("X", "x", "p", "P"):
         assert same(getattr(traj.states, name), getattr(ref, name))
     assert rotator.constraint_monitors(traj.states, params).T.tobytes() == mons.tobytes()
     assert (traj.pre_projection_drift, traj.zeta_drift, traj.nu_max) == summary
@@ -400,9 +402,8 @@ def rk4_step_cases():
 def test_rk4_step_matches_array_form():
     zeros = 0
     for p, X, x, prel, P, dt in rk4_step_cases():
-        nu = -mdot(P, x) / p.a ** 2
         k = rotator._rk4_constants(p, P.tolist(), dt)
-        got = rotator._rk4_step(*X.tolist(), *x.tolist(), *prel.tolist(), nu, k)
+        got = rotator._rk4_step(*X.tolist(), *x.tolist(), *prel.tolist(), k)
         assert same(np.array(got), np.concatenate(rk4_reference(p, X, x, prel, P, dt)))
         zeros += np.count_nonzero(np.array(got) == 0.0)
     assert zeros > 0
@@ -473,28 +474,30 @@ def test_closed_form_states_and_monitors_match_per_state(params):
 
 
 def test_stacked_monitors_match_per_state_off_shell():
-    # Random stacks with nonzero nu: every monitor column is nonzero.
+    # Random stacks, whose random x and P give a nonzero nu: every monitor
+    # column is nonzero.
     rng = np.random.default_rng(9)
     params = RotatorParams(m0=0.9, a=1.2, P0=2.5)
     n = 300
     stack = RotatorState(X=rng.normal(size=(n, 4)),
                          x=rng.normal(size=(n, 4)), p=rng.normal(size=(n, 4)),
-                         P=rng.normal(size=4), nu=rng.normal(size=n))
+                         P=rng.normal(size=4))
     mon = rotator.constraint_monitors(stack, params)
+    assert np.all(mdot(stack.P, stack.x.T) != 0.0) and np.all(mon != 0.0)
     for k in range(n):
-        one = RotatorState(X=stack.X[k], x=stack.x[k], p=stack.p[k],
-                           P=stack.P, nu=float(stack.nu[k]))
+        one = RotatorState(X=stack.X[k], x=stack.x[k], p=stack.p[k], P=stack.P)
         for row, value in enumerate(rotator.constraint_monitors(one, params)):
             assert value.tobytes() == mon[row, k].tobytes()
+        assert np.array(monitors_reference(params, one)).tobytes() == mon[:, k].tobytes()
 
 
-@pytest.mark.parametrize("field", ["X", "x", "p", "P", "nu"])
+@pytest.mark.parametrize("field", ["X", "x", "p", "P"])
 def test_nan_initial_state_raises(field):
     params = RotatorParams(m0=1.0, a=1.0, P0=3.0)
     start = RotatorClosedForm(params).state(0.0)
     value = np.array(getattr(start, field), dtype=float)
     value.flat[0] = np.nan
-    bad = dataclasses.replace(start, **{field: value if value.ndim else float(value)})
+    bad = dataclasses.replace(start, **{field: value})
     with pytest.raises(DomainError):
         rotator.integrate_rotator(params, bad, 10, 0.01)
 

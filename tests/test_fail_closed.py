@@ -182,6 +182,12 @@ RAW_ARGUMENTS = {
     "q_gradient-inf": lambda: particle.q_gradient([INF, 0.0, 0.0, 0.0], F_REST),
     "relativize-nan": lambda: particle.relativize([NAN, 0.0, 0.0, 0.0]),
     "relativize-inf": lambda: particle.relativize([INF, 0.0, 0.0, 0.0]),
+    # inf^2 - inf^2 is NaN, and 1e200^2 overflows to inf before the same
+    # subtraction: a RuntimeWarning inside numpy's Minkowski product.
+    "q_factor-inf-inf": lambda: particle.q_factor([INF, INF, 0.0, 0.0]),
+    "q_factor-overflow": lambda: particle.q_factor([1e200, 1e200, 0.0, 0.0]),
+    "relativize-inf-inf": lambda: particle.relativize([INF, INF, 0.0, 0.0]),
+    "relativize-overflow": lambda: particle.relativize([1e200, 1e200, 0.0, 0.0]),
     "boost_matrix-nan": lambda: particle.boost_matrix([NAN, 0.0, 0.0]),
     "lagrangian_dc-xidot-nan":
         lambda: particle.lagrangian_dc(_good_jet(), P_UNIT, xidot=[NAN, 0.0, 0.0]),
