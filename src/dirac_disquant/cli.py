@@ -70,8 +70,6 @@ def build_parser():
     v.add_argument("--c", type=finite_float, default=1.0)
     v.add_argument("--seed", type=int_at_least(0), default=42,
                    help="random seed (default 42)")
-    v.add_argument("--tol-scale", type=finite_float, default=1.0,
-                   help="multiply every tolerance by this factor")
     _output_flags(v, cmd_verify, formats=("json", "csv"))
 
     h = subs.add_parser("helix", help="sample a helix worldline")
@@ -138,8 +136,7 @@ def _emit_table(args, meta, columns, n, rows_of):
 
 
 def cmd_verify(args) -> int:
-    cfg = RunConfig(seed=args.seed, tol_scale=args.tol_scale,
-                    m=args.m, m0=args.m0, hbar=args.hbar, c=args.c)
+    cfg = RunConfig(seed=args.seed, m=args.m, m0=args.m0, hbar=args.hbar, c=args.c)
     report = run_suite(args.suite, cfg)
     _emit([report.render(args.out_format)], args.out)
     for sub, seconds in report.suite_times.items():

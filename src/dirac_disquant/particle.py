@@ -88,10 +88,11 @@ def q_factor(xdot, f=None):
         raise DomainError(f"worldline velocity must be finite and timelike, "
                           f"got xdot.xdot = {ss!r}")
     s = np.sqrt(ss)
-    xf = xdot[0] if f is None else mdot(xdot, np.asarray(f, dtype=float))
+    xf = xdot[0] if f is None else mdot(xdot.tolist(), np.asarray(f, dtype=float).tolist())
     denom = s + xf
-    if not denom >= 1e-9:
-        raise SingularDenominatorError("sqrt(xdot.xdot) + xdot.f below tolerance")
+    if not 1e-9 <= denom < math.inf:
+        raise SingularDenominatorError(
+            f"sqrt(xdot.xdot) + xdot.f = {denom!r} is below tolerance or not finite")
     return 1.0 / (s * denom)
 
 
@@ -274,16 +275,15 @@ def observables_from_zeta(zeta, p: DcParams) -> HelixObservables:
 class HelixSolution:
     """Closed-form helix worldline and all derived observables.
 
-    Signs: omega = -2/(lam (b+1)) is the angular velocity of y in tau,
-    Omega = omega/(b+1) the signed lab angular velocity; observables report
-    |Omega|.  The spin axis xi is constant along the rotation axis.
+    Signs: omega = -2/(lam (b+1)) is the angular velocity of y in tau, and
+    omega/(b+1) the signed lab angular velocity, whose size the observables
+    report as omega_dcr.  The spin axis xi is constant along the rotation axis.
     """
 
     b: float
     phase: float
     w0: float
     omega: float
-    Omega: float
     obs: HelixObservables
 
     @property
@@ -330,7 +330,7 @@ def helix_solution(b, phase, p: DcParams) -> HelixSolution:
     omega = (-(1.0 - w0) / (b + 2.0) + w0) / p.lam
     return HelixSolution(
         b=float(b), phase=float(phase), w0=w0,
-        omega=float(omega), Omega=float(omega / (b + 1.0)), obs=obs,
+        omega=float(omega), obs=obs,
     )
 
 

@@ -8,7 +8,7 @@ import numpy as np
 
 from .errors import require_positive
 
-SCHEMA_TAG = "dirac-disquant/1"
+SCHEMA_TAG = "dirac-disquant/2"
 
 #: Rows per block of a data table.  The generators evaluate, and the writers
 #: format and write, this many rows at a time, so neither the whole row
@@ -18,18 +18,16 @@ CSV_BLOCK_ROWS = 4096
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Seed, tolerance scale, and physical parameters."""
+    """Seed and physical parameters."""
 
     seed: int = 42
-    tol_scale: float = 1.0
     m: float = 1.0
     m0: float = 1.0
     hbar: float = 1.0
     c: float = 1.0
 
     def __post_init__(self):
-        require_positive(**{"tol-scale": self.tol_scale}, m=self.m, m0=self.m0,
-                         hbar=self.hbar, c=self.c)
+        require_positive(m=self.m, m0=self.m0, hbar=self.hbar, c=self.c)
 
 
 @dataclass(frozen=True)
@@ -68,7 +66,6 @@ class VerificationReport:
 
     suite: str
     seed: int
-    tol_scale: float
     records: list = field(default_factory=list)
     wall_time: float = 0.0
     suite_times: dict = field(default_factory=dict)
@@ -78,7 +75,7 @@ class VerificationReport:
             check_id=check_id,
             description=description,
             residual=float(residual),
-            tolerance=float(tolerance) * self.tol_scale,
+            tolerance=float(tolerance),
             seed=self.seed,
         ))
 
@@ -101,7 +98,6 @@ class VerificationReport:
             "kind": "verification-report",
             "suite": self.suite,
             "seed": self.seed,
-            "tol_scale": self.tol_scale,
             "summary": {"passed": ok, "failed": total - ok, "total": total},
             "checks": [r.as_dict() for r in self.records],
         }
@@ -109,7 +105,7 @@ class VerificationReport:
 
     def to_csv(self) -> str:
         lines = [f"# schema={SCHEMA_TAG} kind=verification-report suite={self.suite} "
-                 f"seed={self.seed} tol_scale={fmt(self.tol_scale)}",
+                 f"seed={self.seed}",
                  "id,description,residual,tolerance,passed,seed"]
         for r in self.records:
             desc = r.description.replace(",", ";")

@@ -363,8 +363,9 @@ def integrate_rotator(p: RotatorParams, initial: RotatorState, steps, dt) -> Rot
     beta is held at 0 and nu is computed algebraically from P.x at each
     stage (it stays near 0 and is monitored, not trusted).  After each step
     x is renormalized to the sphere x.x = -a^2 and p is orthogonalized
-    against x and P.  Raises StabilityError for omega dt >= 0.1 and
-    StepSizeError if the pre-projection constraint drift |x.x + a^2|
+    against x and P.  Raises DomainError for a start off the constraints
+    or with |P.x| above 1e-12 a max|P^i|, StabilityError for omega dt >= 0.1
+    and StepSizeError if the pre-projection constraint drift |x.x + a^2|
     exceeds 1e-6 a^2.
 
     Each step is one ``_rk4_step`` call on Python floats, whose bits are
@@ -386,6 +387,11 @@ def integrate_rotator(p: RotatorParams, initial: RotatorState, steps, dt) -> Rot
     worst0 = np.max(constraint_monitors(initial, p) / monitor_scales(p))
     if not worst0 <= 1e-10:
         raise DomainError(f"initial state violates the constraints by {worst0:.3e}")
+    # The five monitors hold on starts with P.x != 0 too, where _rhs leaves
+    # the monitored surface; established motion has P.x = 0 up to roundoff.
+    px = mdot(initial.P, initial.x)
+    if not abs(px) <= 1e-12 * p.a * np.abs(initial.P).max():
+        raise DomainError(f"initial state has P.x = {px:.3e}, not 0")
     if not np.isfinite(initial.X).all():
         raise DomainError("initial X must be finite")
 

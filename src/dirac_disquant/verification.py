@@ -41,7 +41,7 @@ def run_suite(name, cfg: RunConfig) -> VerificationReport:
     if name != "all" and name not in fns:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
     t0 = time.perf_counter()
-    report = VerificationReport(suite=name, seed=cfg.seed, tol_scale=cfg.tol_scale)
+    report = VerificationReport(suite=name, seed=cfg.seed)
     for sub in fns if name == "all" else (name,):
         t_sub = time.perf_counter()
         fns[sub](cfg, report)
@@ -359,13 +359,11 @@ def suite_particle(cfg: RunConfig, rep: VerificationReport) -> None:
     b_values = (0.1, 1.0, 10.0)
     n_tau = 64
 
-    reduced, gauge, constraints, w0_rel, omega_rel = [], [], [], [], []
+    reduced, gauge, constraints, w0_rel = [], [], [], []
     drift, rest_frame, lag, mass = [], [], [], []
     for b in b_values:
         sol = particle.helix_solution(b, phase=0.3, p=p)
         w0_rel.append(abs(sol.w0 * (b + 1.0) + 1.0))
-        # Omega and ydot scale like 1/lam; lam is exactly 1 at unit constants.
-        omega_rel.append(abs(abs(sol.Omega) - 2.0 / (p.lam * (b + 1.0) ** 2)) * p.lam)
         P0_ref = particle.momentum(sol.state(0.0), np.zeros(3), p)
         scale = max(np.abs(P0_ref).max(), 1e-300)
         for tau in np.linspace(0.0, sol.tau_period, n_tau):
@@ -374,6 +372,7 @@ def suite_particle(cfg: RunConfig, rep: VerificationReport) -> None:
             r1, r2, r3 = particle.reduced_residuals(st, ydot, sol.w0, p)
             reduced.append((np.abs(r1).max(), abs(r2), abs(r3)))
             gauge.append(abs(mdot(st.xdot, st.xdot) - 1.0))
+            # ydot scales like 1/lam; lam is exactly 1 at unit constants.
             constraints.append((abs(float(np.dot(st.y, ydot))) * p.lam,
                                 abs(float(np.dot(st.y, st.xi))),
                                 abs(float(np.dot(st.y, st.y)) - b)))
@@ -394,8 +393,6 @@ def suite_particle(cfg: RunConfig, rep: VerificationReport) -> None:
     rep.add("helix-y-constraints", "y.ydot = 0, y.xi = 0, y^2 = b",
             _worst(constraints), 1e-10)
     rep.add("helix-w0-relation", "w0 (b+1) = -1", _worst(w0_rel), 1e-12)
-    rep.add("helix-lab-frequency", "|Omega| = 2 / (lam (b+1)^2)",
-            _worst(omega_rel), 1e-12)
     rep.add("momentum-conservation",
             "momentum drift over one period (relative)", _worst(drift), 1e-8)
     rep.add("momentum-rest-frame",
@@ -523,12 +520,6 @@ def suite_rotator(cfg: RunConfig, rep: VerificationReport) -> None:
     r = _worst((np.abs(straj.states.x - scf.state(0.0).x), np.abs(straj.states.p)))
     rep.add("static-threshold-motion",
             "P0 = 2 m0 start stays a static antipodal pair", r, 1e-12)
-
-    omega_check = abs(pr.omega - np.sqrt(pr.P0 ** 2 - 4 * pr.m0 ** 2) / (4 * pr.m0 * pr.a))
-    omega0_check = abs(pr.omega0 + np.sqrt(pr.P0 ** 2 - 4 * pr.m0 ** 2) / (pr.a * pr.P0))
-    rep.add("rotation-frequencies",
-            "omega and omega0 match their closed forms",
-            _worst([omega_check, omega0_check]), 1e-15)
 
     def speed(p0_factor):
         prx = rotator.RotatorParams(m0=cfg.m0, a=1.0, P0=2.0 * cfg.m0 * p0_factor)

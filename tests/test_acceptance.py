@@ -94,8 +94,9 @@ def test_helix_verification():
     for b in (0.1, 1.0, 10.0):
         sol = particle.helix_solution(b, phase=0.0, p=p)
         res_w0 = max(res_w0, abs(sol.w0 * (b + 1) + 1.0))
+        # The lab angular velocity is omega / (b+1).
         res_omega = max(res_omega,
-                        abs(abs(sol.Omega) - 2.0 / (p.lam * (b + 1) ** 2)))
+                        abs(abs(sol.omega / (b + 1)) - 2.0 / (p.lam * (b + 1) ** 2)))
         P0 = particle.momentum(sol.state(0.0), np.zeros(3), p)
         scale = np.abs(P0).max()
         for tau in np.linspace(0.0, sol.tau_period, 128):

@@ -19,7 +19,7 @@ from dirac_disquant.errors import (
     StabilityError,
     StepSizeError,
 )
-from dirac_disquant.minkowski import F_REST
+from dirac_disquant.minkowski import F_REST, mdot
 from dirac_disquant.particle import DcParams, helix_solution, observables_from_zeta
 from dirac_disquant.report import RunConfig
 from dirac_disquant.rotator import RotatorParams
@@ -73,6 +73,34 @@ def test_nan_rotator_step_trips_step_guard(monkeypatch):
     cf = rotator.RotatorClosedForm(pr)
     with pytest.raises(StepSizeError):
         rotator.integrate_rotator(pr, cf.state(0.0), 10, cf.tau_period / 100)
+
+
+def test_integrator_rejects_a_start_off_p_dot_x_zero():
+    # x = (s, sqrt(a^2 + s^2), 0, 0) and p = (0, 0, -sqrt(P0^2 - 4 m0^2 +
+    # a^2 nu^2), 0) at s = 0.1, so nu = P.x / (-a^2) = -0.283.  Unchecked,
+    # this start passed all five monitors (at most 2.2e-16) and ran off the
+    # monitored surface: after one period they read 8.4e-3.
+    pr = RotatorParams(m0=1.0, a=1.0, P0=2.0 * math.sqrt(2.0))
+    nu = -pr.P0 * 0.1
+    start = rotator.RotatorState(
+        X=np.zeros(4), x=[0.1, math.sqrt(1.01), 0.0, 0.0],
+        p=[0.0, 0.0, -math.sqrt(pr.P0 ** 2 - 4.0 + nu * nu), 0.0], P=[pr.P0, 0.0, 0.0, 0.0])
+    assert np.max(rotator.constraint_monitors(start, pr)) <= 1e-10
+    with pytest.raises(DomainError, match="P.x"):
+        rotator.integrate_rotator(pr, start, 10, 0.01)
+
+
+def test_integrator_accepts_a_boosted_start():
+    # The closed-form start seen from a moving frame.  P.x is
+    # Lorentz-invariant and 0 on this motion; the boost leaves roundoff,
+    # 1.1e-16 at a = 1.
+    pr = RotatorParams(m0=1.0, a=1.0, P0=2.0 * math.sqrt(2.0))
+    lam = particle.boost_matrix([0.3, -0.2, 0.1])
+    s = rotator.RotatorClosedForm(pr).state(0.0)
+    start = rotator.RotatorState(X=lam @ s.X, x=lam @ s.x, p=lam @ s.p, P=lam @ s.P)
+    assert 0.0 < abs(mdot(start.P, start.x)) < 1e-14
+    traj = rotator.integrate_rotator(pr, start, 10, 0.01)
+    assert np.isfinite(traj.states.x).all()
 
 
 @pytest.mark.parametrize("steps", [-1, 2.5, 2.0, "3", None])
@@ -169,6 +197,22 @@ def test_q_factor_rejects_nan_velocity(f):
             particle.q_factor([NAN, 0.0, 0.0, 0.0], f)
 
 
+def test_q_factor_keeps_the_bits_of_its_array_form():
+    # xdot.f on Python floats: the products and order of mdot on arrays.
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        v = rng.normal(size=3)
+        xdot = np.concatenate(([np.sqrt(1.0 + v @ v)], v))
+        u = 0.5 * rng.uniform(-1.0, 1.0, size=3) / np.sqrt(3.0)
+        f = particle.boost_matrix(u)[:, 0]
+        s = np.sqrt(xdot[0] * xdot[0] - xdot[1] * xdot[1] - xdot[2] * xdot[2]
+                    - xdot[3] * xdot[3])
+        xf = xdot[0] * f[0] - xdot[1] * f[1] - xdot[2] * f[2] - xdot[3] * f[3]
+        for frame, dot in ((None, xdot[0]), (f, xf)):
+            want = np.float64(1.0 / (s * (s + dot)))
+            assert np.float64(particle.q_factor(xdot, frame)).tobytes() == want.tobytes()
+
+
 def _good_jet():
     return particle.WorldlineState(**GOOD_JET)
 
@@ -201,6 +245,11 @@ RAW_ARGUMENTS = {
         lambda: particle.xi_equation_check(_good_jet(), np.zeros(3), [2.0, 0.0, 0.0]),
     "reduced_residuals-ydot-nan":
         lambda: particle.reduced_residuals(_good_jet(), [NAN, 0.0, 0.0], -0.5, P_UNIT),
+    # An infinite frame vector: xdot.f = inf gave Q = 0.0, and inf - 0.5 inf
+    # a RuntimeWarning inside numpy's Minkowski product.
+    "q_factor-f-inf": lambda: particle.q_factor([1.0, 0.0, 0.0, 0.0], [INF, 0.0, 0.0, 0.0]),
+    "q_factor-f-inf-inf":
+        lambda: particle.q_factor([1.0, 0.5, 0.0, 0.0], [INF, INF, 0.0, 0.0]),
 }
 
 

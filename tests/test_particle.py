@@ -156,7 +156,7 @@ class TestHelixSolution:
         sol = helix_solution(1.0, 0.0, P_UNIT)
         assert abs(sol.w0 + 0.5) < 1e-15
         assert abs(abs(sol.omega) - 1.0) < 1e-15
-        assert abs(abs(sol.Omega) - 0.5) < 1e-15
+        assert abs(abs(sol.omega / 2.0) - 0.5) < 1e-15
         assert abs(sol.obs.a_dcr - np.sqrt(3.0)) < 1e-15
         assert abs(sol.obs.v - np.sqrt(3.0) / 2.0) < 1e-15
 
@@ -182,7 +182,8 @@ class TestHelixSolution:
         for b in (0.1, 1.0, 10.0, 63.0):
             sol = helix_solution(b, 0.0, P_UNIT)
             assert abs(sol.w0 * (b + 1.0) + 1.0) < 1e-12
-            assert abs(abs(sol.Omega) - 2.0 / (P_UNIT.lam * (b + 1) ** 2)) < 1e-12
+            lab_rate = sol.omega / (b + 1.0)
+            assert abs(abs(lab_rate) - 2.0 / (P_UNIT.lam * (b + 1) ** 2)) < 1e-12
 
     def test_trajectory_radius_and_velocity(self):
         sol = helix_solution(1.0, 0.0, P_UNIT)

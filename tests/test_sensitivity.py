@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from dirac_disquant import algebra, covariant, minkowski, particle, rotator
-from dirac_disquant.errors import SubThresholdError
+from dirac_disquant.errors import DomainError, SubThresholdError
 from dirac_disquant.minkowski import mdot
 from dirac_disquant.report import RunConfig
 from dirac_disquant.verification import run_suite
@@ -146,6 +146,19 @@ def w0_sign_lost(helix_solution):
     return mutant
 
 
+def omega_off_by_1e9(helix_solution):
+    """The helix with its tau frequency omega off by a relative 1e-9."""
+    def mutant(b, phase, p):
+        sol = helix_solution(b, phase, p)
+        return dataclasses.replace(sol, omega=sol.omega * (1.0 + 1e-9))
+    return mutant
+
+
+def off_by_1e9(prop):
+    """The property ``prop`` with its value off by a relative 1e-9."""
+    return property(lambda self: prop.fget(self) * (1.0 + 1e-9))
+
+
 def mass_without_sqrt(P):
     """``relativize`` with M = P.P in place of its square root."""
     P = np.asarray(P, dtype=float)
@@ -244,6 +257,9 @@ MUTATIONS = [
     pytest.param(rotator.RotatorParams, "omega0", property(omega0_without_P0),
                  {"subluminal-speed": "rotator"},
                  id="rotator-omega0-without-P0"),
+    pytest.param(rotator.RotatorParams, "omega0", off_by_1e9(rotator.RotatorParams.omega0),
+                 {"helix-rotator-identification": "consistency"},
+                 id="rotator-omega0-off-by-1e-9"),
     pytest.param(rotator, "mass_increase", mass_increase_unsquared,
                  {"mass-increase-values": "rotator"},
                  id="rotator-mass-increase-unsquared"),
@@ -266,6 +282,15 @@ MUTATIONS = [
                   "helix-w0-relation": "particle",
                   "helix-reduced-system": "particle"},
                  id="particle-helix-w0-sign-lost"),
+    # The lab frequency omega / (b+1) has no check of its own: every check
+    # that reads the helix's motion sees its tau frequency.
+    pytest.param(particle, "helix_solution", omega_off_by_1e9(particle.helix_solution),
+                 {"helix-reduced-system": "particle",
+                  "momentum-conservation": "particle",
+                  "momentum-rest-frame": "particle",
+                  "relativized-mass": "particle",
+                  "boosted-momentum-covariance": "particle"},
+                 id="particle-helix-omega-off-by-1e-9"),
     pytest.param(particle, "relativize", mass_without_sqrt,
                  {"relativized-mass": "particle"},
                  id="particle-relativize-without-sqrt"),
@@ -288,6 +313,11 @@ STOPS = [
     pytest.param(rotator, "dcr_to_rr", m0_without_plus_one(rotator.dcr_to_rr),
                  "consistency", SubThresholdError,
                  id="rotator-dcr-to-rr-m0-without-plus-one"),
+    # The closed-form start then has p.p off its target by 8e-9 m0^2, which
+    # the integrator's initial-state guard refuses.
+    pytest.param(rotator.RotatorParams, "omega", off_by_1e9(rotator.RotatorParams.omega),
+                 "rotator", DomainError,
+                 id="rotator-omega-off-by-1e-9"),
 ]
 
 
