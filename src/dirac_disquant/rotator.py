@@ -12,9 +12,10 @@ the equations of motion reduce to
 whose closed-form solution is a pair of antipodal circular worldlines of
 radius a with tau-frequency omega = sqrt(P0^2 - 4 m0^2)/(4 m0 a) and lab
 frequency omega0 = -sqrt(P0^2 - 4 m0^2)/(a P0).  The module integrates the
-constrained system with RK4 plus per-step projection, evaluates the closed
-form, and implements the rigidity function and the parameter identification
-with the classical Dirac particle's helix.
+constrained system with RK4, rescaling x onto x.x = -a^2 after each step
+and leaving p as RK4 returns it, evaluates the closed form, and implements
+the rigidity function and the parameter identification with the classical
+Dirac particle's helix.
 """
 
 import math
@@ -222,25 +223,19 @@ def _rhs(x, prel, P, p: RotatorParams):
     return xdot_center, xdot, pdot, nu
 
 
-def _project(x, prel, P, a):
-    """Rescale x onto x.x = -a^2, then remove the x and P parts of prel.
+def _project(x, a):
+    """Rescale x onto x.x = -a^2.
 
-    Works on 4-tuples of floats with the operations of the array forms
-    x * (a / sqrt(-x.x)) and prel - x (prel.x / x.x) - P (prel.P / P.P).
+    Works on a 4-tuple of floats with the operations of the array form
+    x * (a / sqrt(-x.x)).
     """
     x0, x1, x2, x3 = x
-    p0, p1, p2, p3 = prel
-    P0, P1, P2, P3 = P
     # mdot written out, as in _rk4_step.
     xx = x0 * x0 - x1 * x1 - x2 * x2 - x3 * x3
     if xx >= 0:
         raise StepSizeError("relative coordinate left the spacelike sphere")
     scale = a / math.sqrt(-xx)
-    x0, x1, x2, x3 = x0 * scale, x1 * scale, x2 * scale, x3 * scale
-    cx = (p0 * x0 - p1 * x1 - p2 * x2 - p3 * x3) / (x0 * x0 - x1 * x1 - x2 * x2 - x3 * x3)
-    cP = (p0 * P0 - p1 * P1 - p2 * P2 - p3 * P3) / (P0 * P0 - P1 * P1 - P2 * P2 - P3 * P3)
-    return (x0, x1, x2, x3), (p0 - x0 * cx - P0 * cP, p1 - x1 * cx - P1 * cP,
-                              p2 - x2 * cx - P2 * cP, p3 - x3 * cx - P3 * cP)
+    return x0 * scale, x1 * scale, x2 * scale, x3 * scale
 
 
 def _rk4_constants(p: RotatorParams, P, dt):
@@ -358,15 +353,16 @@ def _rk4_step(X0, X1, X2, X3, x0, x1, x2, x3, p0, p1, p2, p3, k):
 
 
 def integrate_rotator(p: RotatorParams, initial: RotatorState, steps, dt) -> RotatorTrajectory:
-    """RK4 on the established-motion branch with per-step projection.
+    """RK4 on the established-motion branch with a per-step rescale of x.
 
     beta is held at 0 and nu is computed algebraically from P.x at each
     stage (it stays near 0 and is monitored, not trusted).  After each step
-    x is renormalized to the sphere x.x = -a^2 and p is orthogonalized
-    against x and P.  Raises DomainError for a start off the constraints
-    or with |P.x| above 1e-12 a max|P^i|, StabilityError for omega dt >= 0.1
-    and StepSizeError if the pre-projection constraint drift |x.x + a^2|
-    exceeds 1e-6 a^2.
+    x is rescaled onto the sphere x.x = -a^2 and p is left as RK4 returns
+    it: (P.x, P.p) is a stable linear subsystem that the start guard puts at
+    roundoff, and removing the x part of p makes coarse runs worse.  Raises
+    DomainError for a start off the constraints or with |P.x| above 1e-12 a
+    max|P^i|, StabilityError for omega dt >= 0.1 and StepSizeError if the
+    pre-projection constraint drift |x.x + a^2| exceeds 1e-6 a^2.
 
     Each step is one ``_rk4_step`` call on Python floats, whose bits are
     those of the array-form RK4 of ``_rhs``; the run constants are computed
@@ -403,8 +399,7 @@ def integrate_rotator(p: RotatorParams, initial: RotatorState, steps, dt) -> Rot
     X0, X1, X2, X3 = initial.X.tolist()
     x0, x1, x2, x3 = initial.x.tolist()
     p0, p1, p2, p3 = initial.p.tolist()
-    Pf = tuple(P.tolist())
-    k = _rk4_constants(p, Pf, dt)
+    k = _rk4_constants(p, P.tolist(), dt)
     na2 = k[6]
     a, a2 = float(p.a), float(p.a ** 2)
     drift_bound = 1e-6 * a2
@@ -419,8 +414,7 @@ def integrate_rotator(p: RotatorParams, initial: RotatorState, steps, dt) -> Rot
                 f"constraint drift {raw_drift:.3e} before projection; reduce dt")
         if raw_drift > pre_drift:
             pre_drift = raw_drift
-        (x0, x1, x2, x3), (p0, p1, p2, p3) = _project(
-            (x0, x1, x2, x3), (p0, p1, p2, p3), Pf, a)
+        x0, x1, x2, x3 = _project((x0, x1, x2, x3), a)
         rows.extend((X0, X1, X2, X3, x0, x1, x2, x3, p0, p1, p2, p3))
 
     n = steps + 1

@@ -13,7 +13,9 @@ from dirac_disquant.errors import (
     SubThresholdError,
 )
 from dirac_disquant.minkowski import mdot
+from dirac_disquant.particle import boost_matrix
 from dirac_disquant.rotator import (
+    MONITOR_COLUMNS,
     RotatorClosedForm,
     RotatorParams,
     RotatorState,
@@ -254,10 +256,10 @@ class TestIntegrator:
         assert (large - small) / 18000 <= 120
 
     def test_coarse_long_run_needs_the_rescale(self, monkeypatch):
-        # 100 steps a period over 100 periods.  With the whole projection the
-        # run stays within 1.5e-4 of the closed form, its worst monitor at
-        # 8.7e-7 and its zeta drift at 1.1e-7; without the rescale of x onto
-        # x.x = -a^2 the drift before projection passes its bound.
+        # 100 steps a period over 100 periods.  With the rescale of x onto
+        # x.x = -a^2 the run stays within 8.2e-5 of the closed form, its
+        # worst monitor at 4.1e-8 and its zeta drift at 5.1e-9; without it
+        # the drift before projection passes its bound.
         cf = RotatorClosedForm(PR)
         dt = cf.tau_period / 100
         steps = 100 * 100
@@ -268,16 +270,28 @@ class TestIntegrator:
         assert (constraint_monitors(traj.states, PR) / monitor_scales(PR)[:, None]).max() < 1e-5
         assert traj.zeta_drift < 1e-6
 
-        project = rotator._project
-
-        def without_rescale(x, prel, P, a):
-            # At a = sqrt(-x.x) the rescale factor is exactly 1.
-            x0, x1, x2, x3 = x
-            return project(x, prel, P, math.sqrt(-(x0 * x0 - x1 * x1 - x2 * x2 - x3 * x3)))
-
-        monkeypatch.setattr(rotator, "_project", without_rescale)
+        monkeypatch.setattr(rotator, "_project", lambda x, a: x)
         with pytest.raises(StepSizeError):
             integrate_rotator(PR, cf.state(0.0), steps, dt)
+
+    def test_boosted_coarse_long_run_keeps_p_unprojected(self):
+        # 200 steps a period over 50 periods from the closed-form start seen
+        # from a moving frame, where P has spatial components.  p is never
+        # projected, yet P.p and nu = P.x / (-a^2) stay at roundoff: (P.x,
+        # P.p) is a stable linear subsystem that starts there.
+        lam = boost_matrix([0.3, -0.2, 0.1])
+        cf = RotatorClosedForm(PR)
+        s = cf.state(0.0)
+        start = RotatorState(X=lam @ s.X, x=lam @ s.x, p=lam @ s.p, P=lam @ s.P)
+        dt = cf.tau_period / 200
+        steps = 200 * 50
+        traj = integrate_rotator(PR, start, steps, dt)
+        ref = cf.state(np.arange(steps + 1) * dt)
+        scaled = constraint_monitors(traj.states, PR) / monitor_scales(PR)[:, None]
+        assert scaled[MONITOR_COLUMNS.index("res_Pp")].max() <= 1e-12
+        assert traj.nu_max <= 1e-12
+        assert np.abs(traj.states.x - ref.x @ lam.T).max() < 1e-5
+        assert np.abs(traj.states.X - ref.X @ lam.T).max() < 1e-5
 
     def test_too_large_step_rejected(self):
         cf = RotatorClosedForm(PR)
