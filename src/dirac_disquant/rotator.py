@@ -2,20 +2,21 @@
 
 Center/relative variables X = (x1 + x2)/2, x = (x1 - x2)/2 with constraints
 x.x = -a^2, p.x = 0, P.p = 0 and the synchronization condition Xdot.x = 0.
-On established motion the gauge scalar beta and the multiplier nu vanish and
-the equations of motion reduce to
+Established motion has P.x = 0, so the gauge scalar beta and the multiplier
+nu = P.x / (-a^2) vanish and the equations of motion reduce to
 
-    Xdot = -(P - nu x) / (4 m0)
+    Xdot = -P / (4 m0)
     xdot = -p / (4 m0)
-    pdot = -x (4 m0^2 - P.P) / (4 m0 a^2) - nu P / (4 m0)
+    pdot = -x (4 m0^2 - P.P) / (4 m0 a^2)
 
-whose closed-form solution is a pair of antipodal circular worldlines of
-radius a with tau-frequency omega = sqrt(P0^2 - 4 m0^2)/(4 m0 a) and lab
-frequency omega0 = -sqrt(P0^2 - 4 m0^2)/(a P0).  The module integrates the
-constrained system with RK4, rescaling x onto x.x = -a^2 after each step
-and leaving p as RK4 returns it, evaluates the closed form, and implements
-the rigidity function and the parameter identification with the classical
-Dirac particle's helix.
+whose (x, p) part is linear and whose closed-form solution is a pair of
+antipodal circular worldlines of radius a with tau-frequency
+omega = sqrt(P0^2 - 4 m0^2)/(4 m0 a) and lab frequency
+omega0 = -sqrt(P0^2 - 4 m0^2)/(a P0).  The module integrates these
+equations with RK4 from starts with P.x = 0, rescaling x onto x.x = -a^2
+after each step and leaving p as RK4 returns it, evaluates the closed form,
+and implements the rigidity function and the parameter identification with
+the classical Dirac particle's helix.
 """
 
 import math
@@ -78,7 +79,8 @@ class RotatorState:
 
     One state has X, x and p of shape (4,); a stack of n states has them of
     shape (n, 4).  P, the conserved total momentum, is one 4-vector either
-    way.  The multiplier nu = P.x / (-a^2) is derived, not stored.
+    way.  On established motion P.x = 0; the monitors and ``nu_max`` read
+    P.x from x and P, so nothing more is stored.
     """
 
     X: np.ndarray
@@ -96,16 +98,13 @@ def constraint_monitors(s: RotatorState, p: RotatorParams) -> np.ndarray:
     """The five on-shell constraint residuals (absolute values), in the order
     of ``MONITOR_COLUMNS``: shape (5,) for one state, (5, n) for a stack of n.
 
-    ``mdot`` reads the transposed stack, so each component is a column;
-    nu = P.x / (-a^2) has the operations of the integrator's nu, and Xdot
-    is the array form -(P - nu x) / (4 m0), one component at a time.
+    ``mdot`` reads the transposed stack, so each component is a column.
+    Xdot is the established-motion rate -P / (4 m0), so Xdot.x is
+    |P.x| / (4 m0), a P.x monitor, and the p.p target is 4 m0^2 - P.P.
     """
     x, q, P = s.x.T, s.p.T, s.P
-    m4 = 4.0 * p.m0
-    nu = mdot(P, x) / -(p.a ** 2)
-    xdot_center = [-(Pi - nu * xi) / m4 for Pi, xi in zip(P, x)]
-    # float_power rounds as the libm pow behind a scalar ``** 2``.
-    pp_target = -(mdot(P, P) - 4.0 * p.m0 ** 2) - p.a ** 2 * np.float_power(nu, 2.0)
+    xdot_center = [-Pi / (4.0 * p.m0) for Pi in P]
+    pp_target = -(mdot(P, P) - 4.0 * p.m0 ** 2)
     return np.array([abs(mdot(x, x) + p.a ** 2), abs(mdot(q, x)), abs(mdot(P, q)),
                      abs(mdot(q, q) - pp_target), abs(mdot(xdot_center, x))])
 
@@ -191,36 +190,32 @@ class RotatorTrajectory:
 
     states: RotatorState          # the stack of steps + 1 states
     zeta_drift: float             # max relative zeta_i drift
-    nu_max: float
+    nu_max: float                 # max |P.x| / a^2
     pre_projection_drift: float
 
 
 def _rhs(x, prel, P, p: RotatorParams):
-    """(Xdot, xdot, pdot, nu) of the established-motion equations.
+    """(Xdot, xdot, pdot) of the established-motion equations.
 
     The equation of motion the ``closed-form-dynamics`` check holds the
     closed form to.  x, prel and P are 4-sequences, of floats or of arrays
     (transposed stacks, one component per entry); the rates come back as
     4-tuples, each component computed with the operations, in order, of
-    the array forms Xdot = -(P - nu x) / (4 m0), xdot = -p / (4 m0) and
-    pdot = -x (4 m0^2 - P.P) / (4 m0 a^2) - nu P / (4 m0).  The integrator
-    does not call it: ``_rk4_step`` writes the same rates out for each RK4
-    stage, with the run constants computed once.
+    the array forms Xdot = -P / (4 m0), xdot = -p / (4 m0) and
+    pdot = -x (4 m0^2 - P.P) / (4 m0 a^2).  The integrator does not call
+    it: ``_rk4_step`` writes the same rates out for each RK4 stage, with
+    the run constants computed once.
     """
     x0, x1, x2, x3 = x
     p0, p1, p2, p3 = prel
     P0, P1, P2, P3 = P
     m4 = 4.0 * p.m0
-    a2 = p.a ** 2
-    nu = -(P0 * x0 - P1 * x1 - P2 * x2 - P3 * x3) / a2
     s = 4.0 * p.m0 ** 2 - (P0 * P0 - P1 * P1 - P2 * P2 - P3 * P3)
-    d = m4 * a2
-    xdot_center = (-(P0 - nu * x0) / m4, -(P1 - nu * x1) / m4,
-                   -(P2 - nu * x2) / m4, -(P3 - nu * x3) / m4)
+    d = m4 * p.a ** 2
+    xdot_center = (-P0 / m4, -P1 / m4, -P2 / m4, -P3 / m4)
     xdot = (-p0 / m4, -p1 / m4, -p2 / m4, -p3 / m4)
-    pdot = (-x0 * s / d - nu * P0 / m4, -x1 * s / d - nu * P1 / m4,
-            -x2 * s / d - nu * P2 / m4, -x3 * s / d - nu * P3 / m4)
-    return xdot_center, xdot, pdot, nu
+    pdot = (-x0 * s / d, -x1 * s / d, -x2 * s / d, -x3 * s / d)
+    return xdot_center, xdot, pdot
 
 
 def _project(x, a):
@@ -240,50 +235,48 @@ def _project(x, a):
 
 def _rk4_constants(p: RotatorParams, P, dt):
     """The run constants of ``_rk4_step``, computed once per integration:
-    P0..P3, m4 = 4 m0, -m4, -a^2, -s with s = 4 m0^2 - P.P, d = m4 a^2,
-    dt / 2, dt / 6 and dt.
+    the four components of the X step, -m4 with m4 = 4 m0, -s with
+    s = 4 m0^2 - P.P, d = m4 a^2, dt / 2, dt / 6 and dt.
 
-    P is a 4-sequence of floats.  The negated constants let each rate carry
-    its sign in the divisor or factor: -(u) / m4 and u / (-m4) round to the
-    same float, as do -u * s / d and u * (-s) / d, because negation is exact
-    and * and / treat signs symmetrically.  Every constant is a Python float
-    (a numpy scalar dt, as ``tau_period / steps`` is, would make every stage
-    value a numpy scalar, with the same bits at several times the cost).
+    P is a 4-sequence of floats.  Xdot = -P / m4 is constant, so the X step
+    dt / 6 (A + 2 A + 2 A + A) with A = P / (-m4) is the same every step.
+    The negated constants let each rate carry its sign in the divisor or
+    factor: -(u) / m4 and u / (-m4) round to the same float, as do
+    -u * s / d and u * (-s) / d, because negation is exact and * and /
+    treat signs symmetrically.  Every constant is a Python float (a numpy
+    scalar dt, as ``tau_period / steps`` is, would make every stage value a
+    numpy scalar, with the same bits at several times the cost).
     """
     P0, P1, P2, P3 = P
     m4 = float(4.0 * p.m0)
-    a2 = float(p.a ** 2)
     s = float(4.0 * p.m0 ** 2 - (P0 * P0 - P1 * P1 - P2 * P2 - P3 * P3))
     dt = float(dt)
-    return (P0, P1, P2, P3, m4, -m4, -a2, -s, m4 * a2, 0.5 * dt, dt / 6.0, dt)
+    h6 = dt / 6.0
+    X_step = [h6 * (A + 2.0 * A + 2.0 * A + A) for A in (Pi / -m4 for Pi in P)]
+    return (*X_step, -m4, -s, m4 * float(p.a ** 2), 0.5 * dt, h6, dt)
 
 
 def _rk4_step(X0, X1, X2, X3, x0, x1, x2, x3, p0, p1, p2, p3, k):
     """One RK4 step of the ``_rhs`` equations on floats, before projection.
 
     Takes the 12 components of X, x and p and the ``_rk4_constants`` tuple
-    k; returns the 12 stepped components.  Each stage is the ``_rhs`` of
-    its (x, p), nu = P.x / (-a^2) included, with every rate written out,
-    and each update has the operations, in order, of the array form
+    k; returns the 12 stepped components.  X takes its constant step; each
+    stage is the ``_rhs`` of its (x, p), with every rate written out, and
+    each update has the operations, in order, of the array form
     y + dt / 6 * (r1 + 2 r2 + 2 r3 + r4), so a step has the bits of the
-    array-form RK4; the signs of -(u) / m4, -u s / d and -(P.u) / a^2 are
-    carried by the constants -m4, -s and -a^2.
+    array-form RK4; the signs of -(u) / m4 and -u s / d are carried by the
+    constants -m4 and -s.
     """
-    P0, P1, P2, P3, m4, nm4, na2, ns, d, h2, h6, dt = k
-    # Stage 1 at (x, p); Xdot, xdot and pdot are A, B and C.
-    n = (P0 * x0 - P1 * x1 - P2 * x2 - P3 * x3) / na2
-    A10 = (P0 - n * x0) / nm4
-    A11 = (P1 - n * x1) / nm4
-    A12 = (P2 - n * x2) / nm4
-    A13 = (P3 - n * x3) / nm4
+    c0, c1, c2, c3, nm4, ns, d, h2, h6, dt = k
+    # Stage 1 at (x, p); xdot and pdot are B and C.
     B10 = p0 / nm4
     B11 = p1 / nm4
     B12 = p2 / nm4
     B13 = p3 / nm4
-    C10 = x0 * ns / d - n * P0 / m4
-    C11 = x1 * ns / d - n * P1 / m4
-    C12 = x2 * ns / d - n * P2 / m4
-    C13 = x3 * ns / d - n * P3 / m4
+    C10 = x0 * ns / d
+    C11 = x1 * ns / d
+    C12 = x2 * ns / d
+    C13 = x3 * ns / d
     # Stage 2 at (x, p) + dt/2 stage 1.
     u0 = x0 + h2 * B10
     u1 = x1 + h2 * B11
@@ -293,19 +286,14 @@ def _rk4_step(X0, X1, X2, X3, x0, x1, x2, x3, p0, p1, p2, p3, k):
     q1 = p1 + h2 * C11
     q2 = p2 + h2 * C12
     q3 = p3 + h2 * C13
-    n = (P0 * u0 - P1 * u1 - P2 * u2 - P3 * u3) / na2
-    A20 = (P0 - n * u0) / nm4
-    A21 = (P1 - n * u1) / nm4
-    A22 = (P2 - n * u2) / nm4
-    A23 = (P3 - n * u3) / nm4
     B20 = q0 / nm4
     B21 = q1 / nm4
     B22 = q2 / nm4
     B23 = q3 / nm4
-    C20 = u0 * ns / d - n * P0 / m4
-    C21 = u1 * ns / d - n * P1 / m4
-    C22 = u2 * ns / d - n * P2 / m4
-    C23 = u3 * ns / d - n * P3 / m4
+    C20 = u0 * ns / d
+    C21 = u1 * ns / d
+    C22 = u2 * ns / d
+    C23 = u3 * ns / d
     # Stage 3 at (x, p) + dt/2 stage 2.
     u0 = x0 + h2 * B20
     u1 = x1 + h2 * B21
@@ -315,19 +303,14 @@ def _rk4_step(X0, X1, X2, X3, x0, x1, x2, x3, p0, p1, p2, p3, k):
     q1 = p1 + h2 * C21
     q2 = p2 + h2 * C22
     q3 = p3 + h2 * C23
-    n = (P0 * u0 - P1 * u1 - P2 * u2 - P3 * u3) / na2
-    A30 = (P0 - n * u0) / nm4
-    A31 = (P1 - n * u1) / nm4
-    A32 = (P2 - n * u2) / nm4
-    A33 = (P3 - n * u3) / nm4
     B30 = q0 / nm4
     B31 = q1 / nm4
     B32 = q2 / nm4
     B33 = q3 / nm4
-    C30 = u0 * ns / d - n * P0 / m4
-    C31 = u1 * ns / d - n * P1 / m4
-    C32 = u2 * ns / d - n * P2 / m4
-    C33 = u3 * ns / d - n * P3 / m4
+    C30 = u0 * ns / d
+    C31 = u1 * ns / d
+    C32 = u2 * ns / d
+    C33 = u3 * ns / d
     # Stage 4 at (x, p) + dt stage 3.
     u0 = x0 + dt * B30
     u1 = x1 + dt * B31
@@ -337,29 +320,26 @@ def _rk4_step(X0, X1, X2, X3, x0, x1, x2, x3, p0, p1, p2, p3, k):
     q1 = p1 + dt * C31
     q2 = p2 + dt * C32
     q3 = p3 + dt * C33
-    n = (P0 * u0 - P1 * u1 - P2 * u2 - P3 * u3) / na2
-    return (X0 + h6 * (A10 + 2.0 * A20 + 2.0 * A30 + (P0 - n * u0) / nm4),
-            X1 + h6 * (A11 + 2.0 * A21 + 2.0 * A31 + (P1 - n * u1) / nm4),
-            X2 + h6 * (A12 + 2.0 * A22 + 2.0 * A32 + (P2 - n * u2) / nm4),
-            X3 + h6 * (A13 + 2.0 * A23 + 2.0 * A33 + (P3 - n * u3) / nm4),
+    return (X0 + c0, X1 + c1, X2 + c2, X3 + c3,
             x0 + h6 * (B10 + 2.0 * B20 + 2.0 * B30 + q0 / nm4),
             x1 + h6 * (B11 + 2.0 * B21 + 2.0 * B31 + q1 / nm4),
             x2 + h6 * (B12 + 2.0 * B22 + 2.0 * B32 + q2 / nm4),
             x3 + h6 * (B13 + 2.0 * B23 + 2.0 * B33 + q3 / nm4),
-            p0 + h6 * (C10 + 2.0 * C20 + 2.0 * C30 + (u0 * ns / d - n * P0 / m4)),
-            p1 + h6 * (C11 + 2.0 * C21 + 2.0 * C31 + (u1 * ns / d - n * P1 / m4)),
-            p2 + h6 * (C12 + 2.0 * C22 + 2.0 * C32 + (u2 * ns / d - n * P2 / m4)),
-            p3 + h6 * (C13 + 2.0 * C23 + 2.0 * C33 + (u3 * ns / d - n * P3 / m4)))
+            p0 + h6 * (C10 + 2.0 * C20 + 2.0 * C30 + u0 * ns / d),
+            p1 + h6 * (C11 + 2.0 * C21 + 2.0 * C31 + u1 * ns / d),
+            p2 + h6 * (C12 + 2.0 * C22 + 2.0 * C32 + u2 * ns / d),
+            p3 + h6 * (C13 + 2.0 * C23 + 2.0 * C33 + u3 * ns / d))
 
 
 def integrate_rotator(p: RotatorParams, initial: RotatorState, steps, dt) -> RotatorTrajectory:
     """RK4 on the established-motion branch with a per-step rescale of x.
 
-    beta is held at 0 and nu is computed algebraically from P.x at each
-    stage (it stays near 0 and is monitored, not trusted).  After each step
+    The equations hold beta and nu at 0, as established motion does; that
+    needs P.x = 0, which the start guard holds to roundoff.  After each step
     x is rescaled onto the sphere x.x = -a^2 and p is left as RK4 returns
-    it: (P.x, P.p) is a stable linear subsystem that the start guard puts at
-    roundoff, and removing the x part of p makes coarse runs worse.  Raises
+    it: (P.x, P.p) is a stable linear subsystem that starts at roundoff, and
+    removing the x part of p makes coarse runs worse.  ``nu_max`` is
+    max|P.x| / a^2, the multiplier that Xdot.x = 0 would need.  Raises
     DomainError for a start off the constraints or with |P.x| above 1e-12 a
     max|P^i|, StabilityError for omega dt >= 0.1 and StepSizeError if the
     pre-projection constraint drift |x.x + a^2| exceeds 1e-6 a^2.
@@ -372,8 +352,8 @@ def integrate_rotator(p: RotatorParams, initial: RotatorState, steps, dt) -> Rot
     buffer, and the stacked RotatorState holds column views of that buffer:
     96 B per step, all the memory that grows with the steps.  After the
     loop, one zeta_vector call per state fills the zeta rows of one
-    ``CSV_BLOCK_ROWS``-row block at a time, whose zeta drift and |nu| are
-    reduced before the next block.  The monitors are left to the caller.
+    ``CSV_BLOCK_ROWS``-row block at a time, whose zeta drift and |P.x| / a^2
+    are reduced before the next block.  The monitors are left to the caller.
     """
     if not isinstance(steps, numbers.Integral) or steps < 0:
         raise DomainError(f"steps must be an integer >= 0, got {steps!r}")
@@ -383,8 +363,8 @@ def integrate_rotator(p: RotatorParams, initial: RotatorState, steps, dt) -> Rot
     worst0 = np.max(constraint_monitors(initial, p) / monitor_scales(p))
     if not worst0 <= 1e-10:
         raise DomainError(f"initial state violates the constraints by {worst0:.3e}")
-    # The five monitors hold on starts with P.x != 0 too, where _rhs leaves
-    # the monitored surface; established motion has P.x = 0 up to roundoff.
+    # Tighter than the Xdot.x monitor, |P.x| / (4 m0) <= 1e-10: the
+    # equations hold nu at 0, which needs P.x = 0 up to roundoff.
     px = mdot(initial.P, initial.x)
     if not abs(px) <= 1e-12 * p.a * np.abs(initial.P).max():
         raise DomainError(f"initial state has P.x = {px:.3e}, not 0")
@@ -400,7 +380,6 @@ def integrate_rotator(p: RotatorParams, initial: RotatorState, steps, dt) -> Rot
     x0, x1, x2, x3 = initial.x.tolist()
     p0, p1, p2, p3 = initial.p.tolist()
     k = _rk4_constants(p, P.tolist(), dt)
-    na2 = k[6]
     a, a2 = float(p.a), float(p.a ** 2)
     drift_bound = 1e-6 * a2
     pre_drift = 0.0
@@ -422,7 +401,7 @@ def integrate_rotator(p: RotatorParams, initial: RotatorState, steps, dt) -> Rot
     Xs, xs, ps = table[:, 0:4], table[:, 4:8], table[:, 8:12]
     # The zeta rows of one block at a time, in one reused buffer; zeta0 is
     # the first row of the first block.  The block maxima of the zeta drift
-    # and of |nu| are reduced with numpy, so a NaN reaches the summary.
+    # and of |P.x| / a^2 are reduced with numpy, so a NaN reaches the summary.
     zetas = np.empty((min(CSV_BLOCK_ROWS, n), 4))
     block_drifts, block_nus = [], []
     for start in range(0, n, CSV_BLOCK_ROWS):
@@ -432,7 +411,7 @@ def integrate_rotator(p: RotatorParams, initial: RotatorState, steps, dt) -> Rot
         if start == 0:
             zeta0 = zetas[0].copy()
         block_drifts.append(np.abs(zetas[:stop - start] - zeta0).max())
-        block_nus.append(np.abs(mdot(P, xs[start:stop].T) / na2).max())
+        block_nus.append(np.abs(mdot(P, xs[start:stop].T) / -a2).max())
 
     zeta_scale = max(np.abs(zeta0).max(), 1e-30)
     return RotatorTrajectory(

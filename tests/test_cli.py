@@ -232,7 +232,7 @@ def test_failing_generator_writes_no_output(argv, out_format, tmp_path, monkeypa
     """Every check runs before the output file is opened: a failing command
     leaves an existing file as it was and creates no new one."""
     # A NaN RK4 step trips the integrator's pre-projection drift guard.
-    monkeypatch.setattr(rotator, "_rk4_step", lambda *state_nu_k: NAN_STATE)
+    monkeypatch.setattr(rotator, "_rk4_step", lambda *state_k: NAN_STATE)
     existing, fresh = tmp_path / "existing.out", tmp_path / "fresh.out"
     existing.write_bytes(b"old bytes\n")
     for out in (existing, fresh):

@@ -68,7 +68,7 @@ def test_nan_oracle_call_fails_regularization_check(monkeypatch):
 
 
 def test_nan_rotator_step_trips_step_guard(monkeypatch):
-    monkeypatch.setattr(rotator, "_rk4_step", lambda *state_nu_k: (NAN,) * 12)
+    monkeypatch.setattr(rotator, "_rk4_step", lambda *state_k: (NAN,) * 12)
     pr = RotatorParams(m0=1.0, a=1.0, P0=3.0)
     cf = rotator.RotatorClosedForm(pr)
     with pytest.raises(StepSizeError):
@@ -77,14 +77,30 @@ def test_nan_rotator_step_trips_step_guard(monkeypatch):
 
 def test_integrator_rejects_a_start_off_p_dot_x_zero():
     # x = (s, sqrt(a^2 + s^2), 0, 0) and p = (0, 0, -sqrt(P0^2 - 4 m0^2 +
-    # a^2 nu^2), 0) at s = 0.1, so nu = P.x / (-a^2) = -0.283.  Unchecked,
-    # this start passed all five monitors (at most 2.2e-16) and ran off the
-    # monitored surface: after one period they read 8.4e-3.
+    # a^2 nu^2), 0) at s = 0.1, so nu = P.x / (-a^2) = -0.283.  Its p.p
+    # meets the target 4 m0^2 - P.P - a^2 nu^2 of a nonzero nu, so the
+    # monitors refuse it: p.p by 8.0e-2 and Xdot.x = P.x / (4 m0) by 7.07e-2.
     pr = RotatorParams(m0=1.0, a=1.0, P0=2.0 * math.sqrt(2.0))
     nu = -pr.P0 * 0.1
     start = rotator.RotatorState(
         X=np.zeros(4), x=[0.1, math.sqrt(1.01), 0.0, 0.0],
         p=[0.0, 0.0, -math.sqrt(pr.P0 ** 2 - 4.0 + nu * nu), 0.0], P=[pr.P0, 0.0, 0.0, 0.0])
+    mon = dict(zip(rotator.MONITOR_COLUMNS, rotator.constraint_monitors(start, pr)))
+    assert mon["res_pp"] == pytest.approx(0.08, rel=1e-12)
+    assert mon["res_Xdotx"] == pytest.approx(pr.P0 * 0.1 / 4.0, rel=1e-12)
+    with pytest.raises(DomainError, match="violates the constraints"):
+        rotator.integrate_rotator(pr, start, 10, 0.01)
+
+
+def test_integrator_guard_rejects_a_small_p_dot_x():
+    # P.x = 1e-11 passes the monitors (Xdot.x = P.x / (4 m0) = 2.5e-12
+    # against 1e-10) but not the start guard, 1e-12 a max|P^i| = 2.8e-12.
+    pr = RotatorParams(m0=1.0, a=1.0, P0=2.0 * math.sqrt(2.0))
+    s = 1e-11 / pr.P0
+    start = rotator.RotatorState(
+        X=np.zeros(4), x=[s, math.sqrt(1.0 + s * s), 0.0, 0.0],
+        p=[0.0, 0.0, -math.sqrt(pr.P0 ** 2 - 4.0), 0.0], P=[pr.P0, 0.0, 0.0, 0.0])
+    assert mdot(start.P, start.x) == pytest.approx(1e-11, rel=1e-12)
     assert np.max(rotator.constraint_monitors(start, pr)) <= 1e-10
     with pytest.raises(DomainError, match="P.x"):
         rotator.integrate_rotator(pr, start, 10, 0.01)

@@ -103,14 +103,26 @@ class TestClosedForm:
             assert np.abs((one + two) / 2 - s.X).max() < 1e-14
             assert abs(np.linalg.norm(one[1:] - two[1:]) - 2 * PR.a) < 1e-12
 
+    def test_xdot_x_monitor_sees_p_dot_x_on_the_sphere(self):
+        # x on the sphere, P.x = -0.36: Xdot.x = -P.x / (4 m0) fails on its
+        # own, where a monitor that only rescaled res_xx would read 0.
+        params = RotatorParams(m0=0.9, a=1.2, P0=2.5)
+        s = RotatorState(X=np.zeros(4), x=[0.0, 1.2, 0.0, 0.0],
+                         p=np.zeros(4), P=[2.5, 0.3, 0.0, 0.0])
+        mon = dict(zip(MONITOR_COLUMNS, constraint_monitors(s, params)))
+        assert mon["res_xx"] == 0.0
+        px = abs(mdot(s.P, s.x))
+        assert px > 0.0
+        assert mon["res_Xdotx"] == pytest.approx(px / (4.0 * params.m0), rel=1e-15)
+
     def test_equations_of_motion_by_finite_differences(self):
         from dirac_disquant.rotator import _rhs
         cf = RotatorClosedForm(PR)
         h = 1e-6
         for tau in np.linspace(0.0, cf.tau_period, 12):
             s, sp, sm = cf.state(tau), cf.state(tau + h), cf.state(tau - h)
-            dX, dx, dp, nu = _rhs(s.x, s.p, s.P, PR)
-            assert abs(nu) < 1e-14
+            dX, dx, dp = _rhs(s.x, s.p, s.P, PR)
+            assert mdot(s.P, s.x) == 0.0
             assert np.abs((sp.x - sm.x) / (2 * h) - dx).max() < 1e-8
             assert np.abs((sp.p - sm.p) / (2 * h) - dp).max() < 1e-7
             assert np.abs((sp.X - sm.X) / (2 * h) - dX).max() < 1e-8

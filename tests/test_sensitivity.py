@@ -10,7 +10,6 @@ does.
 
 import dataclasses
 import math
-import types
 
 import numpy as np
 import pytest
@@ -28,15 +27,15 @@ def scaled_guard(one_plus):
 
 
 def midpoint_step(X0, X1, X2, X3, x0, x1, x2, x3, p0, p1, p2, p3, k):
-    """A midpoint (RK2) step of the ``_rhs`` equations in place of RK4."""
-    P, h2, dt = k[:4], k[9], k[11]
-    params = types.SimpleNamespace(m0=k[4] / 4.0, a=math.sqrt(-k[6]))
-    X, x, p = (X0, X1, X2, X3), (x0, x1, x2, x3), (p0, p1, p2, p3)
-    _, xdot, pdot, _ = rotator._rhs(x, p, P, params)
-    x_mid = [u + h2 * r for u, r in zip(x, xdot)]
-    p_mid = [u + h2 * r for u, r in zip(p, pdot)]
-    rates = rotator._rhs(x_mid, p_mid, P, params)[:3]
-    return tuple(u + dt * r for y, rate in zip((X, x, p), rates) for u, r in zip(y, rate))
+    """A midpoint (RK2) step of the ``_rhs`` equations in place of RK4,
+    with the rates written from the ``_rk4_constants`` tuple k."""
+    *X_step, nm4, ns, d, h2, _, dt = k
+    x, p = (x0, x1, x2, x3), (p0, p1, p2, p3)
+    x_mid = [u + h2 * q / nm4 for u, q in zip(x, p)]
+    p_mid = [q + h2 * u * ns / d for u, q in zip(x, p)]
+    return (*(u + c for u, c in zip((X0, X1, X2, X3), X_step)),
+            *(u + dt * q / nm4 for u, q in zip(x, p_mid)),
+            *(q + dt * u * ns / d for u, q in zip(x_mid, p)))
 
 
 def radius_off_by_1e11(project):
@@ -168,15 +167,6 @@ def full_residual_squared(xi_equation_check):
 def raised_index(momentum):
     """The momentum with upper components P^i in place of P_i."""
     return lambda s, xidot, p: minkowski.lower(momentum(s, xidot, p))
-
-
-def monitors_at_nu_zero(s, p):
-    """The constraint monitors with the multiplier nu taken as 0."""
-    x, q, P = s.x.T, s.p.T, s.P
-    xdot_center = [-Pi / (4.0 * p.m0) for Pi in P]
-    pp_target = -(mdot(P, P) - 4.0 * p.m0 ** 2)
-    return np.array([abs(mdot(x, x) + p.a ** 2), abs(mdot(q, x)), abs(mdot(P, q)),
-                     abs(mdot(q, q) - pp_target), abs(mdot(xdot_center, x))])
 
 
 def m0_without_plus_one(dcr_to_rr):
@@ -338,12 +328,6 @@ UNSEEN = [
                      "integrator-conserved-zeta compares zeta with its own "
                      "start value, so a flipped sign cancels; no check "
                      "compares zeta with the closed form"))),
-    pytest.param(rotator, "constraint_monitors", monitors_at_nu_zero, "rotator",
-                 id="rotator-monitors-at-nu-zero",
-                 marks=pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-                     "the suite starts in the rest frame of P, where "
-                     "nu = P.x / (-a^2) is exactly 0.0 at every step, so "
-                     "taking nu as 0 changes no monitor"))),
     pytest.param(particle, "momentum", raised_index(particle.momentum), "particle",
                  id="particle-momentum-raised-index",
                  marks=pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
