@@ -61,7 +61,8 @@ at ``_derived_jet``, and a vanishing or overflowing raw n field at
 """
 
 import math
-from dataclasses import dataclass
+import struct
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -170,8 +171,9 @@ class ParamField:
     construction.  n comes from normalizing the affine raw field
     n0 + n_lin x, which keeps |n| = 1 and n.d_l n = 0 by construction.
     Derivatives are analytic.  The arrays are read-only copies;
-    ``dataclasses.replace`` builds a changed field.  Every array must be
-    finite and z a unit vector, or construction raises DomainError.
+    ``dataclasses.replace`` builds a changed field, with an empty ``memo``
+    of ``lagrangian_pieces`` results.  Every array must be finite and z a
+    unit vector, or construction raises DomainError.
     """
 
     c0: np.ndarray
@@ -180,6 +182,7 @@ class ParamField:
     n0: np.ndarray
     n_lin: np.ndarray
     z: np.ndarray
+    memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name, shape in _SHAPES.items():
@@ -344,7 +347,22 @@ def _sum_of_products(a, b):
 
 
 def lagrangian_pieces(fld: ParamField, x, m, hbar) -> LagrangianPieces:
-    """Evaluate F1..F4 (both shapes each where two exist) and the L split."""
+    """Evaluate F1..F4 (both shapes each where two exist) and the L split.
+
+    Memoized on ``fld`` by the exact bits of x, m and hbar: a repeated call
+    returns the stored (frozen, all-float) result, and a call that raises
+    stores nothing.  The oracles ``f3_without_inner_factor`` and
+    ``kinetic_term_matrix`` do not read the memo.
+    """
+    x = np.asarray(x, dtype=float)
+    key = (x.shape, x.tobytes(), struct.pack("<2d", m, hbar))
+    pieces = fld.memo.get(key)
+    if pieces is None:
+        pieces = fld.memo[key] = _lagrangian_pieces(fld, x, m, hbar)
+    return pieces
+
+
+def _lagrangian_pieces(fld: ParamField, x, m, hbar) -> LagrangianPieces:
     f = F_REST
     f_list = f.tolist()
     jet = fld.jet(x)

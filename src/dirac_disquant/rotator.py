@@ -117,12 +117,12 @@ MONITOR_COLUMNS = ("res_xx", "res_px", "res_Pp", "res_pp", "res_Xdotx")
 def monitor_scales(p: RotatorParams) -> np.ndarray:
     """Divisors that make the ``constraint_monitors`` unit-free, in its order.
 
-    x.x + a^2 scales like a^2, p.x like m0 a and the momentum products P.p
-    and p.p - target like m0^2; Xdot.x is left as it is.  Every divisor is
-    exactly 1 at m0 = a = 1.
+    x.x + a^2 scales like a^2, p.x like m0 a, the momentum products P.p
+    and p.p - target like m0^2, and Xdot.x = |P.x| / (4 m0) like a.  Every
+    divisor is exactly 1 at m0 = a = 1.
     """
     m2 = p.m0 ** 2
-    return np.array([p.a ** 2, p.m0 * p.a, m2, m2, 1.0])
+    return np.array([p.a ** 2, p.m0 * p.a, m2, m2, p.a])
 
 
 def zeta_vector(x, prel, P) -> np.ndarray:
@@ -363,7 +363,7 @@ def integrate_rotator(p: RotatorParams, initial: RotatorState, steps, dt) -> Rot
     worst0 = np.max(constraint_monitors(initial, p) / monitor_scales(p))
     if not worst0 <= 1e-10:
         raise DomainError(f"initial state violates the constraints by {worst0:.3e}")
-    # Tighter than the Xdot.x monitor, |P.x| / (4 m0) <= 1e-10: the
+    # Tighter than the Xdot.x monitor, |P.x| / (4 m0 a) <= 1e-10: the
     # equations hold nu at 0, which needs P.x = 0 up to roundoff.
     px = mdot(initial.P, initial.x)
     if not abs(px) <= 1e-12 * p.a * np.abs(initial.P).max():

@@ -1,13 +1,14 @@
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dirac_disquant import algebra, particle
+from dirac_disquant import algebra, covariant, particle
 from dirac_disquant.covariant import (
     CovariantAux,
+    LagrangianPieces,
     _derived_jet,
     f3_without_inner_factor,
     kinetic_term_matrix,
@@ -17,6 +18,8 @@ from dirac_disquant.covariant import (
 )
 from dirac_disquant.errors import DomainError, SingularDenominatorError
 from dirac_disquant.minkowski import BASIS4, eps4, mdot
+from dirac_disquant.report import RunConfig
+from dirac_disquant.verification import run_suite
 
 
 class TestSplitDerivative:
@@ -144,6 +147,94 @@ class TestLagrangianPieces:
                 xidot = (j / rho) @ d_xi
                 spin = hbar * particle._spin_term(xi, xidot, fld.z)
                 assert abs(f3 / rho - spin) <= 1e-12 * abs(spin)
+
+
+def bits(pieces):
+    return np.array(astuple(pieces)).tobytes()
+
+
+class TestLagrangianPiecesMemo:
+    X = np.array([0.2, 0.0, -0.3, 0.4])
+
+    def test_repeated_call_returns_the_stored_object(self):
+        fld = random_param_field(np.random.default_rng(4))
+        first = lagrangian_pieces(fld, self.X, 1.1, 0.8)
+        assert lagrangian_pieces(fld, self.X.copy(), 1.1, 0.8) is first
+        assert lagrangian_pieces(fld, self.X.tolist(), 1.1, 0.8) is first
+        assert len(fld.memo) == 1
+
+    def test_changed_bits_miss_and_match_the_body(self):
+        fld = random_param_field(np.random.default_rng(4))
+        first = lagrangian_pieces(fld, self.X, 1.1, 0.8)
+        ulp = self.X.copy()
+        ulp[2] = np.nextafter(ulp[2], np.inf)
+        signed_zero = self.X.copy()
+        signed_zero[1] = -0.0
+        variants = [(ulp, 1.1, 0.8), (signed_zero, 1.1, 0.8), (self.X, 1.2, 0.8),
+                    (self.X, 1.1, 0.9)]
+        for k, args in enumerate(variants, 2):
+            got = lagrangian_pieces(fld, *args)
+            assert got is not first
+            assert len(fld.memo) == k
+            assert bits(got) == bits(covariant._lagrangian_pieces(fld, *args))
+
+    def test_a_raising_call_stores_nothing(self):
+        fld = random_param_field(np.random.default_rng(3))
+        c0, c1, c2 = fld.c0.copy(), fld.c1.copy(), fld.c2.copy()
+        # The amplitude=0 wall of test_fail_closed: rho + j^0 = 0.
+        c0[0], c1[0], c2[0] = 0.0, 0.0, 0.0
+        fld = replace(fld, c0=c0, c1=c1, c2=c2)
+        for _ in range(2):
+            with pytest.raises(DomainError):
+                lagrangian_pieces(fld, self.X, 1.0, 1.0)
+        assert fld.memo == {}
+
+    def test_replace_starts_with_an_empty_memo(self):
+        fld = random_param_field(np.random.default_rng(4))
+        lagrangian_pieces(fld, self.X, 1.1, 0.8)
+        changed = replace(fld, z=fld.z)
+        assert changed.memo == {} and len(fld.memo) == 1
+
+    @pytest.mark.parametrize("seed", (0, 7, 31))    # test_array_routes.FIELD_SEEDS
+    def test_hits_keep_the_bits_of_the_body(self, seed):
+        fld = random_param_field(np.random.default_rng(seed))
+        for x in np.random.default_rng(seed + 1000).uniform(-0.5, 0.5, size=(5, 4)):
+            want = bits(covariant._lagrangian_pieces(fld, x, 1.1, 0.8))
+            assert bits(lagrangian_pieces(fld, x, 1.1, 0.8)) == want
+            assert bits(lagrangian_pieces(fld, x, 1.1, 0.8)) == want
+
+    def test_oracles_do_not_read_the_memo(self):
+        fld = random_param_field(np.random.default_rng(4))
+        g = algebra.build_gamma_basis(fld.z)
+        f3_alt = f3_without_inner_factor(fld, self.X, 0.8)
+        fd = kinetic_term_matrix(fld, self.X, g, 0.8)
+        lagrangian_pieces(fld, self.X, 1.1, 0.8)
+        (key,) = fld.memo
+        nan = fld.memo[key] = LagrangianPieces(*[float("nan")] * 10)
+        assert lagrangian_pieces(fld, self.X, 1.1, 0.8) is nan
+        assert f3_without_inner_factor(fld, self.X, 0.8).hex() == f3_alt.hex()
+        assert kinetic_term_matrix(fld, self.X, g, 0.8).hex() == fd.hex()
+
+    @pytest.mark.parametrize("suite, calls, computed", [("appendixA", 500, 100),
+                                                        ("appendixB", 2100, 500)])
+    def test_no_memo_outlives_a_suite_run(self, suite, calls, computed, monkeypatch):
+        # Each run builds its own fields, so each computes every distinct
+        # point again: the counts of the second run equal the first's.
+        counts = {"calls": 0, "computed": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+        monkeypatch.setattr(covariant, "lagrangian_pieces",
+                            counting("calls", covariant.lagrangian_pieces))
+        monkeypatch.setattr(covariant, "_lagrangian_pieces",
+                            counting("computed", covariant._lagrangian_pieces))
+        for _ in range(2):
+            counts.update(calls=0, computed=0)
+            assert run_suite(suite, RunConfig(seed=42)).passed
+            assert counts == {"calls": calls, "computed": computed}
 
 
 class TestKineticTermMatrix:

@@ -115,6 +115,21 @@ class TestClosedForm:
         assert px > 0.0
         assert mon["res_Xdotx"] == pytest.approx(px / (4.0 * params.m0), rel=1e-15)
 
+    @pytest.mark.parametrize("length, mass", [(10.0, 1.0), (0.1, 1.0), (10.0, 10.0),
+                                              (0.1, 0.1)])
+    def test_scaled_xdot_x_monitor_is_unit_free(self, length, mass):
+        # The sphere state above with its lengths (a, x) times lambda = 10 or
+        # 0.1 and its masses (m0, P) times 1 or lambda: |P.x| / (4 m0) scales
+        # like a, so divided by monitor_scales it reads the same.
+        def scaled_xdotx(length, mass):
+            params = RotatorParams(m0=0.9 * mass, a=1.2 * length, P0=2.5 * mass)
+            s = RotatorState(X=np.zeros(4), x=[0.0, 1.2 * length, 0.0, 0.0],
+                             p=np.zeros(4), P=[2.5 * mass, 0.3 * mass, 0.0, 0.0])
+            mon = constraint_monitors(s, params) / monitor_scales(params)
+            return dict(zip(MONITOR_COLUMNS, mon))["res_Xdotx"]
+
+        assert scaled_xdotx(length, mass) == pytest.approx(scaled_xdotx(1.0, 1.0), rel=1e-14)
+
     def test_equations_of_motion_by_finite_differences(self):
         from dirac_disquant.rotator import _rhs
         cf = RotatorClosedForm(PR)
