@@ -13,10 +13,11 @@ whose (x, p) part is linear and whose closed-form solution is a pair of
 antipodal circular worldlines of radius a with tau-frequency
 omega = sqrt(P0^2 - 4 m0^2)/(4 m0 a) and lab frequency
 omega0 = -sqrt(P0^2 - 4 m0^2)/(a P0).  The module integrates these
-equations with RK4 from starts with P.x = 0, rescaling x onto x.x = -a^2
-after each step and leaving p as RK4 returns it, evaluates the closed form,
-and implements the rigidity function and the parameter identification with
-the classical Dirac particle's helix.
+equations with RK4 from starts with P.x = 0, as the map that RK4 is on a
+linear system, rescaling x onto x.x = -a^2 after each step and leaving p as
+RK4 returns it; it evaluates the closed form, and implements the rigidity
+function and the parameter identification with the classical Dirac
+particle's helix.
 """
 
 import math
@@ -203,8 +204,8 @@ def _rhs(x, prel, P, p: RotatorParams):
     4-tuples, each component computed with the operations, in order, of
     the array forms Xdot = -P / (4 m0), xdot = -p / (4 m0) and
     pdot = -x (4 m0^2 - P.P) / (4 m0 a^2).  The integrator does not call
-    it: ``_rk4_step`` writes the same rates out for each RK4 stage, with
-    the run constants computed once.
+    it: ``_rk4_step`` applies the RK4 map of these linear equations, whose
+    coefficients ``_rk4_constants`` computes once a run.
     """
     x0, x1, x2, x3 = x
     p0, p1, p2, p3 = prel
@@ -225,7 +226,7 @@ def _project(x, a):
     x * (a / sqrt(-x.x)).
     """
     x0, x1, x2, x3 = x
-    # mdot written out, as in _rk4_step.
+    # mdot written out, as in the drift of integrate_rotator.
     xx = x0 * x0 - x1 * x1 - x2 * x2 - x3 * x3
     if xx >= 0:
         raise StepSizeError("relative coordinate left the spacelike sphere")
@@ -235,100 +236,39 @@ def _project(x, a):
 
 def _rk4_constants(p: RotatorParams, P, dt):
     """The run constants of ``_rk4_step``, computed once per integration:
-    the four components of the X step, -m4 with m4 = 4 m0, -s with
-    s = 4 m0^2 - P.P, d = m4 a^2, dt / 2, dt / 6 and dt.
+    the four components of the X step dt (P / -m4), then c, g / -m4 and
+    g (-s) / d, with m4 = 4 m0, s = 4 m0^2 - P.P and d = m4 a^2.
 
-    P is a 4-sequence of floats.  Xdot = -P / m4 is constant, so the X step
-    dt / 6 (A + 2 A + 2 A + A) with A = P / (-m4) is the same every step.
-    The negated constants let each rate carry its sign in the divisor or
-    factor: -(u) / m4 and u / (-m4) round to the same float, as do
-    -u * s / d and u * (-s) / d, because negation is exact and * and /
-    treat signs symmetrically.  Every constant is a Python float (a numpy
-    scalar dt, as ``tau_period / steps`` is, would make every stage value a
-    numpy scalar, with the same bits at several times the cost).
+    The (x, p) system y' = L y has xdot = p / -m4 and pdot = x (-s) / d, so
+    L^2 = s / (m4 d) on each component, and RK4 on it is exactly
+    sum_{k<=4} (dt L)^k / k! = c I + g L, with q = dt^2 s / (m4 d),
+    c = 1 + q/2 + q^2/24 and g = dt (1 + q/6).  P is a 4-sequence of floats,
+    and every constant is a Python float (a numpy scalar dt, as
+    ``tau_period / steps`` is, would make every step's values numpy
+    scalars, with the same bits at several times the cost).
     """
     P0, P1, P2, P3 = P
     m4 = float(4.0 * p.m0)
     s = float(4.0 * p.m0 ** 2 - (P0 * P0 - P1 * P1 - P2 * P2 - P3 * P3))
+    d = m4 * float(p.a ** 2)
     dt = float(dt)
-    h6 = dt / 6.0
-    X_step = [h6 * (A + 2.0 * A + 2.0 * A + A) for A in (Pi / -m4 for Pi in P)]
-    return (*X_step, -m4, -s, m4 * float(p.a ** 2), 0.5 * dt, h6, dt)
+    q = dt * dt * s / (m4 * d)
+    c = 1.0 + q / 2.0 + q * q / 24.0
+    g = dt * (1.0 + q / 6.0)
+    return (*(dt * (Pi / -m4) for Pi in P), c, g / -m4, g * -s / d)
 
 
 def _rk4_step(X0, X1, X2, X3, x0, x1, x2, x3, p0, p1, p2, p3, k):
     """One RK4 step of the ``_rhs`` equations on floats, before projection.
 
     Takes the 12 components of X, x and p and the ``_rk4_constants`` tuple
-    k; returns the 12 stepped components.  X takes its constant step; each
-    stage is the ``_rhs`` of its (x, p), with every rate written out, and
-    each update has the operations, in order, of the array form
-    y + dt / 6 * (r1 + 2 r2 + 2 r3 + r4), so a step has the bits of the
-    array-form RK4; the signs of -(u) / m4 and -u s / d are carried by the
-    constants -m4 and -s.
+    k; returns the 12 stepped components: X + its constant step, and the
+    RK4 map x' = c x + (g / -m4) p, p' = c p + (g (-s) / d) x.
     """
-    c0, c1, c2, c3, nm4, ns, d, h2, h6, dt = k
-    # Stage 1 at (x, p); xdot and pdot are B and C.
-    B10 = p0 / nm4
-    B11 = p1 / nm4
-    B12 = p2 / nm4
-    B13 = p3 / nm4
-    C10 = x0 * ns / d
-    C11 = x1 * ns / d
-    C12 = x2 * ns / d
-    C13 = x3 * ns / d
-    # Stage 2 at (x, p) + dt/2 stage 1.
-    u0 = x0 + h2 * B10
-    u1 = x1 + h2 * B11
-    u2 = x2 + h2 * B12
-    u3 = x3 + h2 * B13
-    q0 = p0 + h2 * C10
-    q1 = p1 + h2 * C11
-    q2 = p2 + h2 * C12
-    q3 = p3 + h2 * C13
-    B20 = q0 / nm4
-    B21 = q1 / nm4
-    B22 = q2 / nm4
-    B23 = q3 / nm4
-    C20 = u0 * ns / d
-    C21 = u1 * ns / d
-    C22 = u2 * ns / d
-    C23 = u3 * ns / d
-    # Stage 3 at (x, p) + dt/2 stage 2.
-    u0 = x0 + h2 * B20
-    u1 = x1 + h2 * B21
-    u2 = x2 + h2 * B22
-    u3 = x3 + h2 * B23
-    q0 = p0 + h2 * C20
-    q1 = p1 + h2 * C21
-    q2 = p2 + h2 * C22
-    q3 = p3 + h2 * C23
-    B30 = q0 / nm4
-    B31 = q1 / nm4
-    B32 = q2 / nm4
-    B33 = q3 / nm4
-    C30 = u0 * ns / d
-    C31 = u1 * ns / d
-    C32 = u2 * ns / d
-    C33 = u3 * ns / d
-    # Stage 4 at (x, p) + dt stage 3.
-    u0 = x0 + dt * B30
-    u1 = x1 + dt * B31
-    u2 = x2 + dt * B32
-    u3 = x3 + dt * B33
-    q0 = p0 + dt * C30
-    q1 = p1 + dt * C31
-    q2 = p2 + dt * C32
-    q3 = p3 + dt * C33
-    return (X0 + c0, X1 + c1, X2 + c2, X3 + c3,
-            x0 + h6 * (B10 + 2.0 * B20 + 2.0 * B30 + q0 / nm4),
-            x1 + h6 * (B11 + 2.0 * B21 + 2.0 * B31 + q1 / nm4),
-            x2 + h6 * (B12 + 2.0 * B22 + 2.0 * B32 + q2 / nm4),
-            x3 + h6 * (B13 + 2.0 * B23 + 2.0 * B33 + q3 / nm4),
-            p0 + h6 * (C10 + 2.0 * C20 + 2.0 * C30 + u0 * ns / d),
-            p1 + h6 * (C11 + 2.0 * C21 + 2.0 * C31 + u1 * ns / d),
-            p2 + h6 * (C12 + 2.0 * C22 + 2.0 * C32 + u2 * ns / d),
-            p3 + h6 * (C13 + 2.0 * C23 + 2.0 * C33 + u3 * ns / d))
+    dX0, dX1, dX2, dX3, c, bx, bp = k
+    return (X0 + dX0, X1 + dX1, X2 + dX2, X3 + dX3,
+            c * x0 + bx * p0, c * x1 + bx * p1, c * x2 + bx * p2, c * x3 + bx * p3,
+            c * p0 + bp * x0, c * p1 + bp * x1, c * p2 + bp * x2, c * p3 + bp * x3)
 
 
 def integrate_rotator(p: RotatorParams, initial: RotatorState, steps, dt) -> RotatorTrajectory:
@@ -344,9 +284,10 @@ def integrate_rotator(p: RotatorParams, initial: RotatorState, steps, dt) -> Rot
     max|P^i|, StabilityError for omega dt >= 0.1 and StepSizeError if the
     pre-projection constraint drift |x.x + a^2| exceeds 1e-6 a^2.
 
-    Each step is one ``_rk4_step`` call on Python floats, whose bits are
-    those of the array-form RK4 of ``_rhs``; the run constants are computed
-    once.  The Minkowski products of the drift and _project are written out
+    Each step is one ``_rk4_step`` call on Python floats: the RK4 map
+    c I + g L of the linear (x, p) equations of ``_rhs``, the same step as
+    the staged RK4 up to rounding, with c, g and the X step computed once a
+    run.  The Minkowski products of the drift and _project are written out
     on the floats, the products and order of ``mdot``, without its call.
     Each step appends its 12 floats (X, x and p) to one ``array('d')``
     buffer, and the stacked RotatorState holds column views of that buffer:
