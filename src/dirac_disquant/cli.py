@@ -223,7 +223,6 @@ def cmd_rotator(args) -> int:
             dt = cf.tau_period / args.steps
         traj = rotator.integrate_rotator(pr, cf.state(0.0), args.steps, dt)
         meta["zeta_drift"] = traj.zeta_drift
-        meta["nu_max"] = traj.nu_max
         meta["pre_projection_drift"] = traj.pre_projection_drift
         s = traj.states
 

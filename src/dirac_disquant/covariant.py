@@ -492,10 +492,10 @@ def kinetic_term_matrix(fld: ParamField, x, g: GammaBasis, hbar, h=1e-4) -> floa
 
     a = np.trace(total)
     off = np.abs(total - a * g.pi_projector).max()
-    if not off <= 1e-6:
+    if not off <= 1e-6 * hbar:
         raise NumericConsistencyError(
             f"kinetic term is not a multiple of the projector (off residual {off:.3e})")
-    if not abs(a.imag) <= 1e-6:
+    if not abs(a.imag) <= 1e-6 * hbar:
         raise NumericConsistencyError(
             f"kinetic term scalar has imaginary part {a.imag:.3e}")
     return float(a.real)

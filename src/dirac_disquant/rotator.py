@@ -80,8 +80,8 @@ class RotatorState:
 
     One state has X, x and p of shape (4,); a stack of n states has them of
     shape (n, 4).  P, the conserved total momentum, is one 4-vector either
-    way.  On established motion P.x = 0; the monitors and ``nu_max`` read
-    P.x from x and P, so nothing more is stored.
+    way.  On established motion P.x = 0; the monitors read P.x from x and
+    P, so nothing more is stored.
     """
 
     X: np.ndarray
@@ -191,7 +191,6 @@ class RotatorTrajectory:
 
     states: RotatorState          # the stack of steps + 1 states
     zeta_drift: float             # max relative zeta_i drift
-    nu_max: float                 # max |P.x| / a^2
     pre_projection_drift: float
 
 
@@ -278,8 +277,7 @@ def integrate_rotator(p: RotatorParams, initial: RotatorState, steps, dt) -> Rot
     needs P.x = 0, which the start guard holds to roundoff.  After each step
     x is rescaled onto the sphere x.x = -a^2 and p is left as RK4 returns
     it: (P.x, P.p) is a stable linear subsystem that starts at roundoff, and
-    removing the x part of p makes coarse runs worse.  ``nu_max`` is
-    max|P.x| / a^2, the multiplier that Xdot.x = 0 would need.  Raises
+    removing the x part of p makes coarse runs worse.  Raises
     DomainError for a start off the constraints or with |P.x| above 1e-12 a
     max|P^i|, StabilityError for omega dt >= 0.1 and StepSizeError if the
     pre-projection constraint drift |x.x + a^2| exceeds 1e-6 a^2.
@@ -293,8 +291,9 @@ def integrate_rotator(p: RotatorParams, initial: RotatorState, steps, dt) -> Rot
     buffer, and the stacked RotatorState holds column views of that buffer:
     96 B per step, all the memory that grows with the steps.  After the
     loop, one zeta_vector call per state fills the zeta rows of one
-    ``CSV_BLOCK_ROWS``-row block at a time, whose zeta drift and |P.x| / a^2
-    are reduced before the next block.  The monitors are left to the caller.
+    ``CSV_BLOCK_ROWS``-row block at a time, whose zeta drift is reduced
+    before the next block.  The monitors, whose Xdot.x column bounds P.x
+    along the run, are left to the caller.
     """
     if not isinstance(steps, numbers.Integral) or steps < 0:
         raise DomainError(f"steps must be an integer >= 0, got {steps!r}")
@@ -342,9 +341,9 @@ def integrate_rotator(p: RotatorParams, initial: RotatorState, steps, dt) -> Rot
     Xs, xs, ps = table[:, 0:4], table[:, 4:8], table[:, 8:12]
     # The zeta rows of one block at a time, in one reused buffer; zeta0 is
     # the first row of the first block.  The block maxima of the zeta drift
-    # and of |P.x| / a^2 are reduced with numpy, so a NaN reaches the summary.
+    # are reduced with numpy, so a NaN reaches the summary.
     zetas = np.empty((min(CSV_BLOCK_ROWS, n), 4))
-    block_drifts, block_nus = [], []
+    block_drifts = []
     for start in range(0, n, CSV_BLOCK_ROWS):
         stop = min(start + CSV_BLOCK_ROWS, n)
         for i, (x, prel) in enumerate(zip(xs[start:stop], ps[start:stop])):
@@ -352,13 +351,11 @@ def integrate_rotator(p: RotatorParams, initial: RotatorState, steps, dt) -> Rot
         if start == 0:
             zeta0 = zetas[0].copy()
         block_drifts.append(np.abs(zetas[:stop - start] - zeta0).max())
-        block_nus.append(np.abs(mdot(P, xs[start:stop].T) / -a2).max())
 
     zeta_scale = max(np.abs(zeta0).max(), 1e-30)
     return RotatorTrajectory(
         states=RotatorState(X=Xs, x=xs, p=ps, P=P),
         zeta_drift=float(np.max(block_drifts) / zeta_scale),
-        nu_max=float(np.max(block_nus)),
         pre_projection_drift=pre_drift,
     )
 

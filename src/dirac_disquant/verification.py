@@ -315,7 +315,10 @@ def suite_appendix_c(cfg: RunConfig, rep: VerificationReport) -> None:
         # would only measure roundoff amplification; keep clear of the wall.
         if 1.0 + float(np.dot(st.xi, z)) < 1e-2:
             z = -z
-        return particle.xi_equation_check(st, xidot, z, hbar=cfg.hbar)
+        # The full residual scales like hbar, exactly 1 at unit constants, so
+        # divided by it the check is unit-free.
+        full, reduced = particle.xi_equation_check(st, xidot, z, hbar=cfg.hbar)
+        return full / cfg.hbar, reduced
 
     rep.add("spin-equation-z-independence",
             f"full variational spin equation residual with the z-free rate, "
@@ -378,9 +381,10 @@ def suite_particle(cfg: RunConfig, rep: VerificationReport) -> None:
                                 abs(float(np.dot(st.y, st.y)) - b)))
             P = particle.momentum(st, np.zeros(3), p)
             drift.append(np.abs(P - P0_ref).max() / scale)
-            rest_frame.append((np.abs(P[1:]).max(), abs(P[0] - p.m * sol.w0)))
-            # The Lagrangian, the mass and the momentum scale like m; divided
+            # The momentum, the Lagrangian and the mass scale like m; divided
             # by it they are unit-free (m is exactly 1 at unit constants).
+            rest_frame.append((np.abs(P[1:]).max() / p.m,
+                               abs(P[0] - p.m * sol.w0) / p.m))
             lag.append(abs(particle.lagrangian_dc(st, p)
                            - particle.lagrangian_dc_covariant(st, p)) / p.m)
         u, m_rel = particle.relativize(particle.momentum(sol.state(0.1), np.zeros(3), p))
@@ -425,8 +429,8 @@ def suite_particle(cfg: RunConfig, rep: VerificationReport) -> None:
                 abs(ob.omega_dcr - oz.omega_dcr) / scale,
                 abs(ob.a_dcr - oz.a_dcr) / scale,
                 abs(ob.zeta - np.sinh(2.0 * ob.beta)) / max(ob.zeta, 1.0),
-                abs(ob.v - p.c * np.tanh(ob.beta)),
-                abs(ob.m_dcr - p.m / np.cosh(ob.beta)))
+                abs(ob.v - p.c * np.tanh(ob.beta)) / p.c,
+                abs(ob.m_dcr - p.m / np.cosh(ob.beta)) / p.m)
 
     rep.add("observable-dual-forms",
             "b-parametrized vs rapidity-parametrized observables, b in [0, 100]",
@@ -513,8 +517,6 @@ def suite_rotator(cfg: RunConfig, rep: VerificationReport) -> None:
             1e-8)
     rep.add("integrator-conserved-zeta",
             "conserved eps_iklm x^k p^l P^m drift (relative)", traj.zeta_drift, 1e-8)
-    rep.add("integrator-multiplier-nu",
-            "multiplier nu stays at zero on established motion", traj.nu_max, 1e-9)
 
     static = rotator.RotatorParams(m0=cfg.m0, a=1.0, P0=2.0 * cfg.m0)
     scf = rotator.RotatorClosedForm(static)

@@ -340,11 +340,10 @@ def integrate_reference(p, initial, steps, dt, step=map_reference):
         mons.append(monitors_reference(p, states[-1]))
     zetas = np.array([rotator.zeta_vector(s.x, s.p, s.P) for s in states])
     zeta_drift = np.abs(zetas - zetas[0]).max() / max(np.abs(zetas[0]).max(), 1e-30)
-    nu_max = max(abs(-mdot(P, s.x) / p.a ** 2) for s in states)
     stack = RotatorState(X=np.array([s.X for s in states]),
                          x=np.array([s.x for s in states]),
                          p=np.array([s.p for s in states]), P=P)
-    return stack, np.array(mons), (max(pre, default=0.0), zeta_drift, nu_max)
+    return stack, np.array(mons), (max(pre, default=0.0), zeta_drift)
 
 
 def monitors_reference(p, s):
@@ -391,7 +390,7 @@ def test_integrate_rotator_matches_array_stepper(params, steps, dt, u):
     for name in ("X", "x", "p", "P"):
         assert same(getattr(traj.states, name), getattr(ref, name))
     assert rotator.constraint_monitors(traj.states, params).T.tobytes() == mons.tobytes()
-    assert (traj.pre_projection_drift, traj.zeta_drift, traj.nu_max) == summary
+    assert (traj.pre_projection_drift, traj.zeta_drift) == summary
 
 
 @RUNS

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dirac_disquant import cli, rotator
+from dirac_disquant import algebra, cli, rotator
 from dirac_disquant.cli import main
 from dirac_disquant.errors import DomainError
 from dirac_disquant.report import RunConfig, VerificationReport
@@ -63,9 +63,14 @@ class TestVerifyCommand:
         checks = json.loads(out.read_text())["checks"]
         assert [c["id"] for c in checks if not c["passed"]] == ["pauli-relation"]
 
-    def test_numeric_consistency_error_is_exit_2(self, capsys):
-        assert run_cli(["verify", "appendixA", "--hbar", "1e12"]) == 2
-        assert "error:" in capsys.readouterr().err
+    def test_numeric_consistency_error_is_exit_2(self, monkeypatch, capsys):
+        # A non-Hermitian gamma^0 leaks imaginary parts into the bilinears,
+        # and the guard of algebra.bilinears_matrix raises.
+        gamma = algebra.GAMMA
+        monkeypatch.setattr(algebra, "GAMMA",
+                            np.array([gamma[0] + 0.1j * np.eye(4), *gamma[1:]]))
+        assert run_cli(["verify", "algebra"]) == 2
+        assert "error: bilinears acquired imaginary parts" in capsys.readouterr().err
 
     def test_suite_times_go_to_stderr_and_not_to_the_report(self, tmp_path, capsys):
         out = tmp_path / "report.json"
@@ -75,7 +80,7 @@ class TestVerifyCommand:
                  "rotator", "consistency")
         assert [line.split(":")[0].strip() for line in lines[:7]] == list(names)
         assert all(line.endswith(" s") for line in lines[:7])
-        assert lines[7].startswith("suite all: 49/49 checks passed")
+        assert lines[7].startswith("suite all: 48/48 checks passed")
         # The report has the bytes of one rendered without its times.
         rep = run_suite("all", RunConfig(seed=42))
         assert list(rep.suite_times) == list(names)
@@ -123,13 +128,21 @@ class TestVerifyCommand:
         ["verify", "all", "--hbar", "1e-8", "--c", "3e8", "--m", "1e3", "--m0", "50"],
         ["verify", "all", "--m0", "1e4"],
         ["verify", "all", "--c", "0.5"],
+        # One constant at each end of [1e-6, 1e6], a range fixed before the
+        # first run, the others at 1.
+        *(["verify", "all", flag, value] for flag in ("--m", "--hbar", "--c", "--m0")
+          for value in ("1e-6", "1e6")),
     ])
     def test_unit_free_residuals_at_nonunit_constants(self, argv, tmp_path):
         # The Lagrangian, mass and momentum residuals are divided by m, the
-        # kinetic split residual by hbar, and the generic dual-Lagrangian
-        # residual by max(m, hbar).  The rotator's p.x monitor is divided by
-        # m0 a, and the grand-consistency speeds are fractions of c, so any
-        # c > 0 admits them.
+        # kinetic split residual and the full spin-equation residual by
+        # hbar, the tanh part of the dual observables by c, and the generic
+        # dual-Lagrangian residual by max(m, hbar); the projector guards of
+        # kinetic_term_matrix scale with hbar.  Without the m divisors
+        # --m 1e6 fails, and without the hbar divisor --hbar 1e6.  The
+        # rotator's p.x monitor is divided by m0 a, and the
+        # grand-consistency speeds are fractions of c, so any c > 0 admits
+        # them.
         out = tmp_path / "report.json"
         assert run_cli([*argv, "--out", str(out)]) == 0
         assert json.loads(out.read_text())["summary"]["failed"] == 0

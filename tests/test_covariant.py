@@ -275,6 +275,18 @@ class TestKineticTermMatrix:
         pc = lagrangian_pieces(fld, x, m=0.8, hbar=0.7)
         assert abs(fd - pc.kinetic_total) < 1e-6
 
+    @pytest.mark.parametrize("hbar", [1e-12, 1e9, 1e12])
+    def test_projector_guards_scale_with_hbar(self, hbar):
+        # The whole 4x4 sum scales like hbar, and so do both guards.  With
+        # absolute 1e-6 guards this point raised at hbar = 1e9 (off-projector
+        # residual 2.2e-5); the scaled value keeps to 7e-16 relative.
+        fld = random_param_field(np.random.default_rng(77))
+        g = algebra.build_gamma_basis(fld.z)
+        x = np.array([0.05, -0.1, 0.2, 0.15])
+        at_one = kinetic_term_matrix(fld, x, g, hbar=1.0)
+        scaled = kinetic_term_matrix(fld, x, g, hbar=hbar) / hbar
+        assert abs(scaled - at_one) <= 1e-14 * abs(at_one)
+
     def test_step_out_of_range_rejected(self):
         fld = random_param_field(np.random.default_rng(1))
         g = algebra.build_gamma_basis(fld.z)

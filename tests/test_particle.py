@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from dirac_disquant.particle import (
 from conftest import unit3
 
 P_UNIT = DcParams(m=1.0, hbar=1.0)
+EPS = np.finfo(float).eps
 
 
 def random_jet(rng):
@@ -215,22 +217,48 @@ class TestHelixSolution:
             sol = helix_solution(b, 0.0, P_UNIT)
             assert integrate_xi_along_helix(sol) < 1e-9
 
-    @pytest.mark.parametrize("xi", [(0.6, 0.0, 0.8), (0.0, 0.6, 0.8)])
+    @pytest.mark.parametrize("xi", [(0.6, 0.0, 0.8), (0.0, 0.6, 0.8),
+                                    (math.sin(0.7), 0.0, math.cos(0.7))])
     @pytest.mark.parametrize("b, phase", [(0.1, 0.0), (1.0, 0.3), (10.0, 0.0)])
-    def test_integrator_matches_reference_stepper_exactly(self, b, phase, xi):
+    def test_integrator_matches_reference_stepper(self, b, phase, xi):
         # From a tilted start the rate (y x ydot) x xi is not zero: xi
-        # precesses about z, and the drift is set by the rounding of every
-        # step in the component that starts off the axis.
+        # precesses about z.  The map with one w and the staged stages with
+        # w at every stage time round differently; the bound allows 4 eps a
+        # step, 4.4e-13 over 500 steps (measured: at most 1.1e-15).
         sol = tilted(helix_solution(b, phase, P_UNIT), xi)
         drift = integrate_xi_along_helix(sol, steps=500)
         assert drift > 0.1
-        assert drift == reference_xi_drift(sol, steps=500)
+        assert abs(drift - reference_xi_drift(sol, steps=500)) <= 4 * EPS * 500
+
+    @pytest.mark.parametrize("b, phase", [(0.1, 0.0), (1.0, 0.3), (10.0, 0.0)])
+    def test_spin_map_local_error_is_fifth_order(self, b, phase):
+        # One step of size dt from xi = (s, 0, c) against the exact rotation
+        # about z by theta = b omega dt, the angle w = y x ydot = (0, 0, b
+        # omega) turns xi by.  That rotation moves xi by s |sin theta| in y
+        # and by s (1 - cos theta) in x, so its drift is s |sin theta|; the
+        # map's is s |theta (1 - theta^2 / 6)|.  Halving theta from 0.2 cuts
+        # the difference by 2^5 (measured 31.98 and 31.99).
+        sol = helix_solution(b, phase, P_UNIT)
+        s, c = math.sin(0.7), math.cos(0.7)
+
+        def step_error(theta):
+            dt = theta / abs(sol.b * sol.omega)
+            one_step = tilted(sol, (s, 0.0, c), tau_period=dt)
+            exact = max(s * math.sin(theta), s * (1.0 - math.cos(theta)))
+            return abs(integrate_xi_along_helix(one_step, steps=1) - exact)
+
+        errors = np.array([step_error(theta) for theta in (0.2, 0.1, 0.05)])
+        ratios = errors[:-1] / errors[1:]
+        assert np.all((30.0 <= ratios) & (ratios <= 34.0)), ratios
 
 
-def tilted(sol, xi):
-    """``sol`` on a test-only subclass whose spin axis starts at ``xi``."""
-    cls = type("TiltedHelix", (HelixSolution,),
-               {"xi": property(lambda self: np.array(xi))})
+def tilted(sol, xi, tau_period=None):
+    """``sol`` on a test-only subclass whose spin axis starts at ``xi`` and,
+    if ``tau_period`` is given, whose period is that proper time."""
+    attrs = {"xi": property(lambda self: np.array(xi))}
+    if tau_period is not None:
+        attrs["tau_period"] = property(lambda self: tau_period)
+    cls = type("TiltedHelix", (HelixSolution,), attrs)
     return cls(**{f.name: getattr(sol, f.name) for f in dataclasses.fields(sol)})
 
 

@@ -31,6 +31,7 @@ from dirac_disquant.rotator import (
 )
 
 PR = RotatorParams(m0=1.0, a=1.0, P0=2.0 * np.sqrt(2.0))
+XDOTX = MONITOR_COLUMNS.index("res_Xdotx")
 
 
 class TestClosedForm:
@@ -152,9 +153,11 @@ class TestIntegrator:
         dev = max(np.abs(x - cf.state(k * dt).x).max()
                   for k, x in enumerate(traj.states.x))
         assert dev < 1e-6
-        assert constraint_monitors(traj.states, PR).max() < 1e-8
+        mons = constraint_monitors(traj.states, PR)
+        assert mons.max() < 1e-8
         assert traj.zeta_drift < 1e-8
-        assert traj.nu_max < 1e-9
+        # |P.x| / (4 m0) below 2.5e-10 a is |P.x| below 1e-9 a^2 at m0 = 1.
+        assert mons[XDOTX].max() / PR.a < 2.5e-10
 
     def test_zeta_vector_spacelike_conserved(self):
         cf = RotatorClosedForm(PR)
@@ -281,7 +284,8 @@ class TestIntegrator:
         assert constraint_monitors(s, PR).shape == (5, 1)
         for got, want in ((s.X, initial.X), (s.x, initial.x), (s.p, initial.p)):
             assert got.shape == (1, 4) and got[0].tobytes() == want.tobytes()
-        assert traj.nu_max == abs(mdot(initial.P, initial.x) / -(PR.a ** 2))
+        want = constraint_monitors(initial, PR)[XDOTX]
+        assert constraint_monitors(s, PR)[XDOTX, 0] == want
         assert traj.pre_projection_drift == 0.0 and traj.zeta_drift == 0.0
 
     def test_memory_grows_by_the_preallocated_rows_only(self):
@@ -322,8 +326,9 @@ class TestIntegrator:
     def test_boosted_coarse_long_run_keeps_p_unprojected(self):
         # 200 steps a period over 50 periods from the closed-form start seen
         # from a moving frame, where P has spatial components.  p is never
-        # projected, yet P.p and nu = P.x / (-a^2) stay at roundoff: (P.x,
-        # P.p) is a stable linear subsystem that starts there.
+        # projected, yet P.p and P.x stay at roundoff: (P.x, P.p) is a
+        # stable linear subsystem that starts there.  The Xdot.x bound,
+        # |P.x| / (4 m0 a) <= 2.5e-13, is |P.x| <= 1e-12 a^2 at m0 = a = 1.
         lam = boost_matrix([0.3, -0.2, 0.1])
         cf = RotatorClosedForm(PR)
         s = cf.state(0.0)
@@ -334,7 +339,7 @@ class TestIntegrator:
         ref = cf.state(np.arange(steps + 1) * dt)
         scaled = constraint_monitors(traj.states, PR) / monitor_scales(PR)[:, None]
         assert scaled[MONITOR_COLUMNS.index("res_Pp")].max() <= 1e-12
-        assert traj.nu_max <= 1e-12
+        assert scaled[XDOTX].max() <= 2.5e-13
         assert np.abs(traj.states.x - ref.x @ lam.T).max() < 1e-5
         assert np.abs(traj.states.X - ref.X @ lam.T).max() < 1e-5
 
