@@ -468,7 +468,9 @@ def kinetic_term_matrix(fld: ParamField, x, g: GammaBasis, hbar, h=1e-4) -> floa
     of each spinor column with the conjugated projector column of ``g``; the
     product is an exact multiple of Pi, so the scalar is its trace.  Central
     differences of step h give an O(h^2) truncation error against the closed
-    forms.
+    forms.  Both guards, the off-projector residual and the imaginary part,
+    are relative to the largest entry of the summed terms, which scales
+    like hbar A^2.
     """
     if not (1e-6 <= h <= 1e-3):
         raise DomainError(f"step h must lie in [1e-6, 1e-3], got {h!r}")
@@ -491,11 +493,12 @@ def kinetic_term_matrix(fld: ParamField, x, g: GammaBasis, hbar, h=1e-4) -> floa
         total += term
 
     a = np.trace(total)
+    bound = 1e-6 * np.abs(terms).max()
     off = np.abs(total - a * g.pi_projector).max()
-    if not off <= 1e-6 * hbar:
+    if not off <= bound:
         raise NumericConsistencyError(
             f"kinetic term is not a multiple of the projector (off residual {off:.3e})")
-    if not abs(a.imag) <= 1e-6 * hbar:
+    if not abs(a.imag) <= bound:
         raise NumericConsistencyError(
             f"kinetic term scalar has imaginary part {a.imag:.3e}")
     return float(a.real)

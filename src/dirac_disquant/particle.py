@@ -393,9 +393,10 @@ def integrate_xi_along_helix(sol: HelixSolution, steps=2000):
     from xi(0) = (0,0,1) and reports the largest deviation, an independent
     confirmation rather than an assumption.
 
-    One w = y x ydot serves every step: y and ydot turn together in the
-    xy-plane at fixed lengths and at a right angle, so w lies on z with a
-    size that does not depend on tau.  RK4 on the constant-rate system
+    One w = y x ydot, with y of ``sol.state(0.0)`` and ydot of ``_y_rate``,
+    serves every step: y and ydot turn together in the xy-plane at fixed
+    lengths and at a right angle, so w lies on z with a size that does not
+    depend on tau.  RK4 on the constant-rate system
     xidot = W xi, W = (w x), is then exactly sum_{k<=4} (h W)^k / k!, and
     W^3 = -|w|^2 W collapses it to the map I + g W + e W^2 with
     q = -h^2 |w|^2, g = h (1 + q/6) and e = h^2 (1/2 + q/24).  The map
@@ -407,7 +408,7 @@ def integrate_xi_along_helix(sol: HelixSolution, steps=2000):
     if sol.b == 0.0:
         return 0.0
     h = float(sol.tau_period / steps)
-    w0, w1, w2 = _helix_w(sol, 0.0).tolist()
+    w0, w1, w2 = cross3(sol.state(0.0).y, _y_rate(sol, 0.0)).tolist()
     q = -(h * h) * (w0 * w0 + w1 * w1 + w2 * w2)
     g = h * (1.0 + q / 6.0)
     e = h * h * (0.5 + q / 24.0)
@@ -421,17 +422,6 @@ def integrate_xi_along_helix(sol: HelixSolution, steps=2000):
         x0, x1, x2 = x0 + g * u0 + e * v0, x1 + g * u1 + e * v1, x2 + g * u2 + e * v2
         rows.append((x0, x1, x2))
     return float(np.abs(np.array(rows) - sol.xi).max())
-
-
-def _helix_w(sol: HelixSolution, tau):
-    """w = y x ydot at a proper time tau: y as in ``sol.state(tau).y`` and
-    ydot from ``_y_rate``, with the same operations."""
-    b = sol.b
-    th = sol.omega * tau + sol.phase
-    root = np.sqrt(b * (b + 2.0))
-    d = np.sqrt(1.0 + (b + 1.0))
-    y = (root * np.cos(th) / d, root * np.sin(th) / d, root * 0.0 / d)
-    return cross3(y, _y_rate(sol, tau))
 
 
 def _y_rate(sol: HelixSolution, tau):

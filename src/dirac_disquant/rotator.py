@@ -194,28 +194,26 @@ class RotatorTrajectory:
     pre_projection_drift: float
 
 
-def _rhs(x, prel, P, p: RotatorParams):
-    """(Xdot, xdot, pdot) of the established-motion equations.
+def _motion_constants(p: RotatorParams, P):
+    """(m4, s, d) = (4 m0, 4 m0^2 - P.P, m4 a^2), the coefficients of the
+    established-motion equations, as Python floats; P is a 4-sequence."""
+    m4 = float(4.0 * p.m0)
+    return m4, float(4.0 * p.m0 ** 2 - mdot(P, P)), m4 * float(p.a ** 2)
+
+
+def _rhs(state: RotatorState, p: RotatorParams):
+    """(Xdot, xdot, pdot) = (-P / m4, -p / m4, -x s / d) of the
+    established-motion equations, at one state or at each of a stack, in
+    the state's own layout.
 
     The equation of motion the ``closed-form-dynamics`` check holds the
-    closed form to.  x, prel and P are 4-sequences, of floats or of arrays
-    (transposed stacks, one component per entry); the rates come back as
-    4-tuples, each component computed with the operations, in order, of
-    the array forms Xdot = -P / (4 m0), xdot = -p / (4 m0) and
-    pdot = -x (4 m0^2 - P.P) / (4 m0 a^2).  The integrator does not call
-    it: ``_rk4_step`` applies the RK4 map of these linear equations, whose
-    coefficients ``_rk4_constants`` computes once a run.
+    closed form to.  The integrator does not call it: ``_rk4_step`` applies
+    the RK4 map of these linear equations, whose coefficients
+    ``_rk4_constants`` computes once a run from the same
+    ``_motion_constants``.
     """
-    x0, x1, x2, x3 = x
-    p0, p1, p2, p3 = prel
-    P0, P1, P2, P3 = P
-    m4 = 4.0 * p.m0
-    s = 4.0 * p.m0 ** 2 - (P0 * P0 - P1 * P1 - P2 * P2 - P3 * P3)
-    d = m4 * p.a ** 2
-    xdot_center = (-P0 / m4, -P1 / m4, -P2 / m4, -P3 / m4)
-    xdot = (-p0 / m4, -p1 / m4, -p2 / m4, -p3 / m4)
-    pdot = (-x0 * s / d, -x1 * s / d, -x2 * s / d, -x3 * s / d)
-    return xdot_center, xdot, pdot
+    m4, s, d = _motion_constants(p, state.P)
+    return -state.P / m4, -state.p / m4, -state.x * s / d
 
 
 def _project(x, a):
@@ -236,7 +234,7 @@ def _project(x, a):
 def _rk4_constants(p: RotatorParams, P, dt):
     """The run constants of ``_rk4_step``, computed once per integration:
     the four components of the X step dt (P / -m4), then c, g / -m4 and
-    g (-s) / d, with m4 = 4 m0, s = 4 m0^2 - P.P and d = m4 a^2.
+    g (-s) / d, with (m4, s, d) from ``_motion_constants``.
 
     The (x, p) system y' = L y has xdot = p / -m4 and pdot = x (-s) / d, so
     L^2 = s / (m4 d) on each component, and RK4 on it is exactly
@@ -246,10 +244,7 @@ def _rk4_constants(p: RotatorParams, P, dt):
     ``tau_period / steps`` is, would make every step's values numpy
     scalars, with the same bits at several times the cost).
     """
-    P0, P1, P2, P3 = P
-    m4 = float(4.0 * p.m0)
-    s = float(4.0 * p.m0 ** 2 - (P0 * P0 - P1 * P1 - P2 * P2 - P3 * P3))
-    d = m4 * float(p.a ** 2)
+    m4, s, d = _motion_constants(p, P)
     dt = float(dt)
     q = dt * dt * s / (m4 * d)
     c = 1.0 + q / 2.0 + q * q / 24.0

@@ -484,7 +484,7 @@ def suite_rotator(cfg: RunConfig, rep: VerificationReport) -> None:
     h = 1e-6
     taus = np.linspace(0.0, cf.tau_period, 32)
     s, sp, sm = cf.state(taus), cf.state(taus + h), cf.state(taus - h)
-    xdot_c, xdot, pdot = (np.transpose(r) for r in rotator._rhs(s.x.T, s.p.T, s.P, pr))
+    xdot_c, xdot, pdot = rotator._rhs(s, pr)
     pdot_scale = np.maximum(np.abs(pdot).max(axis=1), 1.0)[:, None]
     dyn = (np.abs((sp.x - sm.x) / (2 * h) - xdot),
            np.abs((sp.p - sm.p) / (2 * h) - pdot) / pdot_scale,

@@ -445,19 +445,28 @@ def test_rk4_step_matches_array_form():
     assert zeros > 0
 
 
-def test_rhs_float_form_matches_array_form():
-    cf = RotatorClosedForm(RotatorParams(m0=1.1, a=0.8, P0=3.0, phase=0.2))
+def test_rhs_matches_array_form_on_single_and_stacked_states():
+    # One state or a stack of n, each in its own layout, with the bits of
+    # the array formula; a stack's rows are its one-state rates.
     rng = np.random.default_rng(2)
-    p = cf.params
-    for _ in range(200):
-        x, prel = rng.normal(size=4), rng.normal(size=4)
-        P = cf.state(0.0).P + rng.normal(size=4) * 1e-3
+    for n in (None, *rng.integers(1, 50, size=199)):
+        m0, a = rng.uniform(0.5, 2.0, size=2)
+        p = RotatorParams(m0=m0, a=a, P0=2.0 * m0 + rng.uniform(0.0, 2.0))
+        shape = (4,) if n is None else (n, 4)
+        X, x, prel = (rng.normal(size=shape) for _ in range(3))
+        P = np.array([p.P0, 0.0, 0.0, 0.0]) + rng.normal(size=4) * 1e-3
         ref = (-P / (4.0 * p.m0), -prel / (4.0 * p.m0),
                -x * (4.0 * p.m0 ** 2 - mdot(P, P)) / (4.0 * p.m0 * p.a ** 2))
-        got = rotator._rhs(x.tolist(), prel.tolist(), P.tolist(), p)
+        got = rotator._rhs(RotatorState(X=X, x=x, p=prel, P=P), p)
         assert len(got) == 3
         for g, r in zip(got, ref):
-            assert np.array(g).tobytes() == r.tobytes()
+            assert g.shape == r.shape and g.tobytes() == r.tobytes()
+        if n is not None:
+            for i in range(n):
+                one = rotator._rhs(RotatorState(X=X[i], x=x[i], p=prel[i], P=P), p)
+                assert one[0].tobytes() == got[0].tobytes()
+                assert one[1].tobytes() == got[1][i].tobytes()
+                assert one[2].tobytes() == got[2][i].tobytes()
 
 
 def test_project_float_form_matches_array_form():

@@ -16,7 +16,11 @@ from dirac_disquant.covariant import (
     random_param_field,
     split_derivative,
 )
-from dirac_disquant.errors import DomainError, SingularDenominatorError
+from dirac_disquant.errors import (
+    DomainError,
+    NumericConsistencyError,
+    SingularDenominatorError,
+)
 from dirac_disquant.minkowski import BASIS4, eps4, mdot
 from dirac_disquant.report import RunConfig
 from dirac_disquant.verification import run_suite
@@ -286,6 +290,32 @@ class TestKineticTermMatrix:
         at_one = kinetic_term_matrix(fld, x, g, hbar=1.0)
         scaled = kinetic_term_matrix(fld, x, g, hbar=hbar) / hbar
         assert abs(scaled - at_one) <= 1e-14 * abs(at_one)
+
+    @pytest.mark.parametrize("k", [-4, 3, 4, 6])
+    def test_projector_guards_scale_with_amplitude(self, k):
+        # The sum scales like hbar A^2, and so do both guards.  With guards
+        # of 1e-6 hbar this point raised from k = 4 (off-projector residual
+        # 1.6e-5).
+        fld = random_param_field(np.random.default_rng(77))
+        g = algebra.build_gamma_basis(fld.z)
+        x = np.array([0.05, -0.1, 0.2, 0.15])
+        amp = np.ones(6)
+        amp[0] = 10.0 ** k
+        scaled = replace(fld, c0=fld.c0 * amp, c1=fld.c1 * amp[:, None],
+                         c2=fld.c2 * amp[:, None, None])
+        at_one = kinetic_term_matrix(fld, x, g, hbar=1.0)
+        got = kinetic_term_matrix(scaled, x, g, hbar=1.0) / 10.0 ** (2 * k)
+        assert abs(got - at_one) <= 1e-10 * abs(at_one)
+
+    def test_projector_of_another_z_raises(self):
+        # The spinors span the column of fld.z, so the sum is a multiple of
+        # that projector and not of the one of -z.
+        fld = random_param_field(np.random.default_rng(77))
+        g = algebra.GammaBasis(
+            pi_projector=algebra.build_gamma_basis(-fld.z).pi_projector,
+            pi_column=algebra.build_gamma_basis(fld.z).pi_column)
+        with pytest.raises(NumericConsistencyError, match="not a multiple of the projector"):
+            kinetic_term_matrix(fld, np.array([0.05, -0.1, 0.2, 0.15]), g, hbar=1.0)
 
     def test_step_out_of_range_rejected(self):
         fld = random_param_field(np.random.default_rng(1))

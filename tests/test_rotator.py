@@ -137,7 +137,7 @@ class TestClosedForm:
         h = 1e-6
         for tau in np.linspace(0.0, cf.tau_period, 12):
             s, sp, sm = cf.state(tau), cf.state(tau + h), cf.state(tau - h)
-            dX, dx, dp = _rhs(s.x, s.p, s.P, PR)
+            dX, dx, dp = _rhs(s, PR)
             assert mdot(s.P, s.x) == 0.0
             assert np.abs((sp.x - sm.x) / (2 * h) - dx).max() < 1e-8
             assert np.abs((sp.p - sm.p) / (2 * h) - dp).max() < 1e-7

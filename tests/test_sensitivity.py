@@ -1,11 +1,11 @@
 """Every check must be able to fail: a table of named mutations.
 
-Each row replaces one program function, as one module or class binds it,
-by a plausible defect, and names the checks that must then fail at seed 42.
-The rows were fixed before they were first run; a row whose check still
-passes shows a check that cannot see the defect it guards against.  Such
-rows are kept in ``UNSEEN``, with the reason no check sees them, until one
-does.
+Each row replaces one program function or constant, as one module or class
+binds it, by a plausible defect, and names the checks that must then fail
+at seed 42.  The rows were fixed before they were first run; a row whose
+check still passes shows a check that cannot see the defect it guards
+against.  Such rows are kept in ``UNSEEN``, with the reason no check sees
+them, until one does.
 """
 
 import dataclasses
@@ -33,13 +33,19 @@ def map_constants(c_of, g_of):
 
     def mutant(p, P, dt):
         *X_step, _, _, _ = rk4_constants(p, P, dt)
-        m4 = 4.0 * p.m0
-        s = 4.0 * p.m0 ** 2 - mdot(P, P)
-        d = m4 * p.a ** 2
+        m4, s, d = rotator._motion_constants(p, P)
         q = dt * dt * s / (m4 * d)
         g = g_of(q, dt)
         return (*X_step, c_of(q), g / -m4, g * -s / d)
     return mutant
+
+
+def gamma3_of_sigma1():
+    """The Dirac matrices with gamma^3 built from sigma_1 in place of
+    sigma_3, a Pauli index off by two."""
+    gamma = algebra.GAMMA.copy()
+    gamma[3] = gamma[1]
+    return gamma
 
 
 def radius_off_by_1e11(project):
@@ -311,6 +317,32 @@ MUTATIONS = [
                  {"identification-roundtrip": "consistency",
                   "identification-spot-values": "consistency"},
                  id="rotator-rr-to-dcr-m-dcr-without-sqrt"),
+    # The four algebra identities on exact matrices read 0.0 at seed 42;
+    # each row replaces one constant that the algebra suite and the
+    # algebra functions read at call time.  A sign flip of one block of a
+    # gamma^k would make gamma^0 gamma^k anti-Hermitian, so bilinears_matrix
+    # would raise on imaginary parts and stop the suite; a gamma^3 built
+    # from sigma_1 keeps every bilinear real.
+    pytest.param(algebra, "GAMMA", gamma3_of_sigma1(),
+                 {"gamma-anticommutation": "algebra",
+                  "gamma5-spin-relations": "algebra",
+                  "bilinear-equivalence": "algebra"},
+                 id="algebra-gamma3-of-sigma1"),
+    pytest.param(algebra, "SIGMA", -algebra.SIGMA,
+                 {"pauli-relation": "algebra",
+                  "gamma5-spin-relations": "algebra",
+                  "projector-proper-form": "algebra",
+                  "bilinear-equivalence": "algebra"},
+                 id="algebra-sigma-negated"),
+    pytest.param(algebra, "GAMMA5", -algebra.GAMMA5,
+                 {"gamma5-spin-relations": "algebra",
+                  "bilinear-equivalence": "algebra"},
+                 id="algebra-gamma5-negated"),
+    pytest.param(algebra, "_PI_LEFT", 0.25 * (np.eye(4) - algebra.GAMMA[0]),
+                 {"projector-proper-form": "algebra",
+                  "projector-relations": "algebra",
+                  "bilinear-equivalence": "algebra"},
+                 id="algebra-projector-of-lower-components"),
 ]
 
 
