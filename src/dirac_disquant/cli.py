@@ -3,7 +3,8 @@
 Subcommands: verify, helix, rotator, rigidity, identify.  All numeric output
 goes through deterministic serializers (17 significant digits, LF endings);
 progress and timing go to stderr so files and stdout stay byte-reproducible.
-Exit codes: 0 success, 1 verification failure, 2 usage or domain error.
+Exit codes: 0 success, 1 verification failure, 2 usage or domain error or
+an output that cannot be written (OSError: a missing directory, a closed pipe).
 """
 
 import argparse
@@ -193,7 +194,8 @@ def cmd_helix(args) -> int:
 
 
 def cmd_rotator(args) -> int:
-    _check_rows(args.steps + 1)
+    n = args.steps + 1
+    _check_rows(n)
     pr = rotator.RotatorParams(m0=args.m0, a=args.a, P0=args.P0, phase=args.phase)
     cf = rotator.RotatorClosedForm(pr)
     meta = {
@@ -204,34 +206,27 @@ def cmd_rotator(args) -> int:
     }
     columns = ["t", "x1_1", "x1_2", "x2_1", "x2_2", *rotator.MONITOR_COLUMNS]
 
+    # Both modes sample tau_k = -k dtau, on which t = X^0 = -P0 tau / (4 m0)
+    # grows; one period of tau in `steps` steps, or 0.05 a step when static.
+    dtau = 0.05 if pr.omega == 0.0 else cf.tau_period / args.steps
     if args.mode == "closed":
-        if pr.omega == 0.0:
-            times = np.linspace(0.0, 1.0, args.steps + 1)
-        else:
-            times = np.linspace(0.0, 2.0 * np.pi / abs(pr.omega0), args.steps + 1)
-
-        def rows_of(block):
-            t = times[block]
-            one, two = cf.worldlines_at_time(t)
-            states = cf.state(-4.0 * pr.m0 * t / pr.P0)
-            return np.column_stack((t, one[:, 1:3], two[:, 1:3],
-                                    rotator.constraint_monitors(states, pr).T))
+        def states_of(block):
+            return cf.state(np.arange(*block.indices(n)) * -dtau)
     else:
-        if pr.omega == 0.0:
-            dt = 0.05
-        else:
-            dt = cf.tau_period / args.steps
-        traj = rotator.integrate_rotator(pr, cf.state(0.0), args.steps, dt)
+        traj = rotator.integrate_rotator(pr, cf.state(0.0), args.steps, -dtau)
         meta["zeta_drift"] = traj.zeta_drift
         meta["pre_projection_drift"] = traj.pre_projection_drift
         s = traj.states
 
-        def rows_of(block):
-            X, x = s.X[block], s.x[block]
-            states = rotator.RotatorState(X=X, x=x, p=s.p[block], P=s.P)
-            return np.column_stack((X[:, 0], X[:, 1:3] + x[:, 1:3], X[:, 1:3] - x[:, 1:3],
-                                    rotator.constraint_monitors(states, pr).T))
-    _emit_table(args, meta, columns, args.steps + 1, rows_of)
+        def states_of(block):
+            return rotator.RotatorState(X=s.X[block], x=s.x[block], p=s.p[block], P=s.P)
+
+    def rows_of(block):
+        states = states_of(block)
+        X, x = states.X, states.x
+        return np.column_stack((X[:, 0], X[:, 1:3] + x[:, 1:3], X[:, 1:3] - x[:, 1:3],
+                                rotator.constraint_monitors(states, pr).T))
+    _emit_table(args, meta, columns, n, rows_of)
     return 0
 
 
@@ -281,7 +276,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.run(args)
-    except DomainError as exc:
+    except (DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -154,10 +154,15 @@ _N_NORM_MAX = float(np.finfo(float).max) ** (1.0 / 3.0)
 
 
 def _unit_n(raw):
-    """Rows of the raw n field (N, 3) normalized, with their norms (N, 1)."""
+    """Rows of the raw n field (N, 3) normalized, with their norms (N, 1).
+
+    DomainError unless every norm lies in [1e-9, ``_N_NORM_MAX``).
+    """
     r = np.sqrt(np.matmul(raw[:, None, :], raw[:, :, None]))[:, 0]
-    if not (r >= 1e-9).all():
+    if not r.min() >= 1e-9:
         raise DomainError("raw n field vanished at the evaluation point")
+    if not r.max() < _N_NORM_MAX:
+        raise DomainError(f"raw n field norm {float(r.max())!r} overflows its cube")
     return raw / r, r
 
 
@@ -215,13 +220,8 @@ class ParamField:
     def jet(self, x) -> ParamJet:
         x = np.asarray(x, dtype=float)
         s, raw = self.values(x[None])
-        # _unit_n of the one point, its norm r a numpy scalar.
-        r = np.sqrt(np.matmul(raw[:, None, :], raw[:, :, None])[0, 0, 0])
-        if not r >= 1e-9:
-            raise DomainError("raw n field vanished at the evaluation point")
-        if not r < _N_NORM_MAX:
-            raise DomainError(f"raw n field norm {float(r)!r} overflows its cube")
-        s, raw = s[0], raw[0]
+        n, r = _unit_n(raw)
+        s, raw, n, r = s[0], raw[0], n[0], r[0, 0]
         dr = self.n_lin.T
         d_n = dr / r - raw * np.matmul(raw, dr[:, :, None]) / r ** 3
         grad = self.c1 + 2.0 * np.matmul(self.c2, x[:, None])[..., 0]
@@ -231,7 +231,7 @@ class ParamField:
             kappa=kappa,
             phi=phi,
             eta=s[3:],
-            n=raw / r,
+            n=n,
             z=self.z,
         )
         return ParamJet(

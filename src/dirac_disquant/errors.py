@@ -1,7 +1,8 @@
 """Exception types shared across the package, and the positivity guard.
 
-Every one is a DomainError, the one class the CLI turns into exit code 2;
-the integrator and consistency errors also keep their builtin bases.
+Every one is a DomainError, which the CLI turns into exit code 2, as it
+does an OSError of its output; the integrator and consistency errors also
+keep their builtin bases.
 """
 
 import math

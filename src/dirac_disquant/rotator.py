@@ -274,7 +274,7 @@ def integrate_rotator(p: RotatorParams, initial: RotatorState, steps, dt) -> Rot
     it: (P.x, P.p) is a stable linear subsystem that starts at roundoff, and
     removing the x part of p makes coarse runs worse.  Raises
     DomainError for a start off the constraints or with |P.x| above 1e-12 a
-    max|P^i|, StabilityError for omega dt >= 0.1 and StepSizeError if the
+    max|P^i|, StabilityError for |omega dt| >= 0.1 and StepSizeError if the
     pre-projection constraint drift |x.x + a^2| exceeds 1e-6 a^2.
 
     Each step is one ``_rk4_step`` call on Python floats: the RK4 map
@@ -292,9 +292,9 @@ def integrate_rotator(p: RotatorParams, initial: RotatorState, steps, dt) -> Rot
     """
     if not isinstance(steps, numbers.Integral) or steps < 0:
         raise DomainError(f"steps must be an integer >= 0, got {steps!r}")
-    if not p.omega * dt < 0.1:
+    if not abs(p.omega * dt) < 0.1:
         raise StabilityError(
-            f"omega dt = {p.omega * dt:.3f} too large; reduce the step")
+            f"|omega dt| = {abs(p.omega * dt):.3f} too large; reduce the step")
     worst0 = np.max(constraint_monitors(initial, p) / monitor_scales(p))
     if not worst0 <= 1e-10:
         raise DomainError(f"initial state violates the constraints by {worst0:.3e}")

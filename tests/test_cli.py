@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -272,6 +276,37 @@ def test_file_and_stdout_get_the_same_bytes(argv, out_format, tmp_path, capsysbi
     assert capsysbinary.readouterr().out == out.read_bytes()
 
 
+@pytest.mark.parametrize("argv", [
+    ["helix", "--b", "1", "--out", "{tmp}/missing/x.csv"],
+    ["verify", "consistency", "--out", "{tmp}"],
+], ids=["missing-directory", "directory"])
+def test_unwritable_output_is_exit_2(argv, tmp_path, capsys):
+    """An output that cannot be opened is an OSError: exit 2, not 1, the
+    code of a failed check, and no traceback."""
+    assert run_cli([a.format(tmp=tmp_path) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: [Errno")
+
+
+def test_stdout_closed_after_one_line_is_exit_2():
+    """A reader that stops after one line, as ``| head -1`` does, gives the
+    writer a BrokenPipeError: exit 2 with one error line, no traceback.
+    The table is far larger than a pipe buffer, so the writer is still
+    writing when the reader closes."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "dirac_disquant.cli", "helix", "--b", "1",
+         "--tmax", "10000", "--dt", "1"],
+        stdin=subprocess.DEVNULL, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"# kind=helix-trajectory\n"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait() == 2
+    assert "Traceback" not in err and err.startswith("error: [Errno 32]")
+
+
 def traced_peak(argv):
     """tracemalloc's peak over one CLI command."""
     tracemalloc.start()
@@ -282,14 +317,20 @@ def traced_peak(argv):
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("out_format", ["csv", "json"])
-def test_helix_memory_does_not_grow_with_rows(out_format, tmp_path):
-    """Tables stream in blocks, and helix makes each block's times itself:
-    nothing grows with n.  One array of 8 B a row would add 1.5 MB."""
+@pytest.mark.parametrize("table, out_format", [
+    ("helix", "csv"), ("helix", "json"), ("rotator-closed", "csv")])
+def test_closed_form_memory_does_not_grow_with_rows(table, out_format, tmp_path):
+    """Tables stream in blocks, and helix and the closed rotator make each
+    block's times or taus themselves: nothing grows with n.  One array of
+    8 B a row would add 1.5 MB."""
+    def argv(rows):
+        if table == "helix":
+            return ["helix", "--b", "1.7", "--dt", "0.01", "--tmax", repr(0.01 * (rows - 0.5))]
+        return ["rotator", "--a", "0.7", "--P0", "3.1", "--steps", str(rows - 1)]
+
     def peak(rows):
-        return traced_peak(["helix", "--b", "1.7", "--dt", "0.01",
-                            "--tmax", repr(0.01 * (rows - 0.5)),
-                            "--format", out_format, "--out", str(tmp_path / "helix.out")])
+        return traced_peak([*argv(rows), "--format", out_format,
+                            "--out", str(tmp_path / "table.out")])
 
     small, large = peak(10 ** 4), peak(2 * 10 ** 5)
     assert large - small <= 2 ** 20
@@ -363,20 +404,24 @@ class TestRotatorCommand:
             assert vals[1:5] == first[1:5]
 
     def test_integrate_matches_closed(self, tmp_path):
-        closed, integ = tmp_path / "c.csv", tmp_path / "i.csv"
-        assert run_cli(["rotator", "--m0", "1", "--a", "1", "--P0", self.P0,
-                        "--mode", "closed", "--steps", "400",
-                        "--out", str(closed)]) == 0
-        assert run_cli(["rotator", "--m0", "1", "--a", "1", "--P0", self.P0,
-                        "--mode", "integrate", "--steps", "400",
-                        "--out", str(integ)]) == 0
-        text = integ.read_text()
-        for line in text.splitlines():
-            if line.startswith("#") or line.startswith("t,"):
-                continue
-            vals = [float(v) for v in line.split(",")]
-            assert max(vals[5:]) < 1e-8
-            assert abs(np.hypot(vals[1], vals[2]) - 1.0) < 1e-6
+        # Both modes step the same tau grid, on which t = X^0 grows: the
+        # same t column and the same positions, row for row.
+        tables = {}
+        for mode in ("closed", "integrate"):
+            out = tmp_path / f"{mode}.csv"
+            assert run_cli(["rotator", "--m0", "1", "--a", "1", "--P0", self.P0,
+                            "--mode", mode, "--steps", "400", "--out", str(out)]) == 0
+            tables[mode] = np.array([[float(v) for v in line.split(",")]
+                                     for line in out.read_text().splitlines()
+                                     if not line.startswith(("#", "t,"))])
+        closed, integ = tables["closed"], tables["integrate"]
+        assert closed.shape == integ.shape == (401, 10)
+        for table in (closed, integ):
+            assert (np.diff(table[:, 0]) > 0).all()
+        assert (np.abs(integ[:, 0] - closed[:, 0]) <= 1e-12 * closed[:, 0]).all()
+        assert np.abs(integ[:, 1:5] - closed[:, 1:5]).max() <= 1e-6
+        assert integ[:, 5:].max() < 1e-8
+        assert np.abs(np.hypot(integ[:, 1], integ[:, 2]) - 1.0).max() < 1e-6
 
     def test_integrate_monitors_are_one_whole_stack_call(self, tmp_path):
         # 4097 rows: a whole block and a one-row block.
@@ -385,7 +430,7 @@ class TestRotatorCommand:
         assert run_cli(["rotator", "--a", "0.7", "--P0", "3.1", "--mode", "integrate",
                         "--steps", "4096", "--format", "json", "--out", str(out)]) == 0
         cf = rotator.RotatorClosedForm(pr)
-        traj = rotator.integrate_rotator(pr, cf.state(0.0), 4096, cf.tau_period / 4096)
+        traj = rotator.integrate_rotator(pr, cf.state(0.0), 4096, -cf.tau_period / 4096)
         want = rotator.constraint_monitors(traj.states, pr).T
         rows = np.array(json.loads(out.read_text())["rows"])
         assert rows.shape == (4097, 10)

@@ -64,6 +64,20 @@ class TestParamField:
             for l in range(4):
                 assert abs(np.dot(jet.params.n, jet.d_n[l])) < 1e-12
 
+    def test_huge_raw_n_norm_is_refused_by_both_routes(self):
+        # n does not depend on the scale of the raw field, but at 1e155 its
+        # squared norm overflows.  kinetic_term_matrix normalized without
+        # the bound of jet and returned 0.0 here, against -0.0997.
+        fld = random_param_field(np.random.default_rng(77))
+        big = replace(fld, n0=fld.n0 * 1e155, n_lin=fld.n_lin * 1e155)
+        x = np.array([0.05, -0.1, 0.2, 0.15])
+        g = algebra.build_gamma_basis(fld.z)
+        with np.errstate(over="ignore"):
+            with pytest.raises(DomainError, match="overflows its cube"):
+                lagrangian_pieces(big, x, m=1.0, hbar=1.0)
+            with pytest.raises(DomainError, match="overflows its cube"):
+                kinetic_term_matrix(big, x, g, hbar=1.0)
+
     def test_derivatives_match_finite_differences(self):
         fld = random_param_field(np.random.default_rng(3))
         x = np.array([0.1, -0.2, 0.3, 0.05])

@@ -323,7 +323,7 @@ def test_positive_constants_share_one_guard(call):
                                        (StepSizeError, RuntimeError),
                                        (StabilityError, RuntimeError)])
 def test_errors_share_the_domain_error_root(cls, base):
-    # The CLI catches DomainError only and exits 2 for every one of them.
+    # The CLI catches DomainError and exits 2 for every one of them.
     assert issubclass(cls, DomainError) and issubclass(cls, base)
 
 

@@ -348,6 +348,30 @@ class TestIntegrator:
         with pytest.raises(StabilityError):
             integrate_rotator(PR, cf.state(0.0), 10, cf.tau_period / 10)
 
+    @pytest.mark.parametrize("dt", [-0.25, -0.3])
+    def test_too_large_negative_step_rejected(self, dt):
+        # |omega dt| = 0.14 and 0.17 at m0 = a = 1, P0 = 3, against the wall
+        # at 0.1.  Tested as omega dt < 0.1, they ran 1000 steps with zeta
+        # drifts of 2.9e-7 and 7.4e-7, above the suite's 1e-8.
+        pr = RotatorParams(m0=1.0, a=1.0, P0=3.0)
+        with pytest.raises(StabilityError):
+            integrate_rotator(pr, RotatorClosedForm(pr).state(0.0), 1000, dt)
+
+    def test_negative_step_keeps_the_suite_bounds(self):
+        # The rotator suite's run, 200 steps a period over 10 periods,
+        # stepped backward in tau as the rotator command steps: the bounds
+        # the suite holds the forward run to.
+        cf = RotatorClosedForm(PR)
+        steps = 2000
+        dt = -cf.tau_period / 200
+        traj = integrate_rotator(PR, cf.state(0.0), steps, dt)
+        ref = cf.state(np.arange(steps + 1) * dt)
+        assert np.abs(traj.states.x - ref.x).max() < 1e-6
+        assert np.abs(traj.states.X - ref.X).max() < 1e-6
+        assert constraint_monitors(traj.states, PR).max() < 1e-8
+        assert traj.zeta_drift < 1e-8
+        assert traj.pre_projection_drift <= 1e-6
+
     def test_bad_initial_state_rejected(self):
         cf = RotatorClosedForm(PR)
         import dataclasses
