@@ -235,11 +235,9 @@ def cmd_rigidity(args) -> int:
     bound = rotator.rigidity_domain_bound(args.m0, args.hbar, args.c)
     if not 0.0 <= args.a_min < args.a_max:
         raise DomainError("need 0 <= a_min < a_max")
-    if args.a_max >= bound:
-        raise DomainError(f"a_max must stay below hbar/(4 m0 c) = {bound!r}")
-    # Every a lies in [a_min, a_max], and hbar^2 - (4 a m0 c)^2 only falls as
-    # a grows: if the call at a_max passes, no block's call can raise, so
-    # gamma is made per block after this call and no failing call opens the file.
+    # Every a lies in [a_min, a_max], and u = 4 a m0 c / hbar only grows with
+    # a: if the call at a_max passes, no block's call can raise, so gamma is
+    # made per block after this call and no failing call opens the file.
     rotator.rigidity(args.a_max, args.m0, args.hbar, args.c)
     a = np.linspace(args.a_min, args.a_max, args.n)
     meta = {

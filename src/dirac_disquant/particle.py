@@ -398,20 +398,21 @@ def integrate_xi_along_helix(sol: HelixSolution, steps=2000):
     lengths and at a right angle, so w lies on z with a size that does not
     depend on tau.  RK4 on the constant-rate system
     xidot = W xi, W = (w x), is then exactly sum_{k<=4} (h W)^k / k!, and
-    W^3 = -|w|^2 W collapses it to the map I + g W + e W^2 with
-    q = -h^2 |w|^2, g = h (1 + q/6) and e = h^2 (1/2 + q/24).  The map
-    runs on Python floats and has no cos or sin, so it stays a route
-    separate from the closed form.
+    (h W)^3 = -|h w|^2 h W collapses it to the map I + g h W + e (h W)^2 with
+    q = -|h w|^2, g = 1 + q/6 and e = 1/2 + q/24.  w is multiplied by h
+    once, so neither h^2 nor |w|^2 is formed: h |w| = 2 pi b / steps is
+    unit-free.  The map runs on Python floats and has no cos or sin, so it
+    stays a route separate from the closed form.
     """
     if not isinstance(steps, numbers.Integral) or steps < 1:
         raise DomainError(f"steps must be an integer >= 1, got {steps!r}")
     if sol.b == 0.0:
         return 0.0
     h = float(sol.tau_period / steps)
-    w0, w1, w2 = cross3(sol.state(0.0).y, _y_rate(sol, 0.0)).tolist()
-    q = -(h * h) * (w0 * w0 + w1 * w1 + w2 * w2)
-    g = h * (1.0 + q / 6.0)
-    e = h * h * (0.5 + q / 24.0)
+    w0, w1, w2 = (h * cross3(sol.state(0.0).y, _y_rate(sol, 0.0))).tolist()
+    q = -(w0 * w0 + w1 * w1 + w2 * w2)
+    g = 1.0 + q / 6.0
+    e = 0.5 + q / 24.0
     x0, x1, x2 = sol.xi.tolist()
     # Row 0 is the initial axis; the drift is reduced once at the end, so
     # a NaN from any step reaches it.

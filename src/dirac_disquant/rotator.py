@@ -363,26 +363,22 @@ def mass_increase(v, c=1.0) -> float:
 
 
 def rigidity(a, m0, hbar=1.0, c=1.0):
-    """Rigidity function gamma = hbar / sqrt(hbar^2 - (4 a m0 c)^2) - 1.
+    """Rigidity function gamma = 1 / sqrt(1 - u^2) - 1 with u = 4 a m0 c / hbar.
 
-    Defined for 0 <= a < hbar / (4 m0 c); the bound is where the particle
-    speed reaches c.  A float for a scalar ``a``, elementwise for an array.
-    The squares go through ``float_power``, which rounds as the libm
-    ``pow`` behind a scalar ``** 2``; an array ``** 2`` multiplies instead.
+    Defined for 0 <= u < 1, that is 0 <= a < hbar / (4 m0 c); the bound is
+    where the particle speed u c reaches c.  gamma depends on the unit-free
+    u alone, so no square of hbar or of 4 a m0 c is formed, and u < 1 leaves
+    1 - u^2 >= 2^-52.  A float for a scalar ``a``, elementwise for an array.
     """
-    bound = rigidity_domain_bound(m0, hbar, c)
+    require_positive(m0=m0, hbar=hbar, c=c)
     a_arr = np.asarray(a, dtype=float)
-    inside = (0.0 <= a_arr) & (a_arr < bound)
+    with np.errstate(over="ignore"):    # an overflowing 4 a m0 c gives u = inf
+        u = 4.0 * a_arr * m0 * c / hbar
+    inside = (0.0 <= u) & (u < 1.0)
     if not inside.all():
-        raise DomainError(f"radius must satisfy 0 <= a < hbar/(4 m0 c) = {bound!r}, "
+        raise DomainError(f"radius must satisfy 0 <= 4 a m0 c / hbar < 1, "
                           f"got {float(a_arr[~inside].flat[0])!r}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        den = np.float_power(hbar, 2.0) - np.float_power(4.0 * a_arr * m0 * c, 2.0)
-    positive = (0.0 < den) & (den < math.inf)
-    if not positive.all():
-        raise DomainError(f"hbar^2 - (4 a m0 c)^2 = {float(den[~positive].flat[0])!r} "
-                          "is not a positive finite number")
-    gamma = hbar / np.sqrt(den) - 1.0
+    gamma = 1.0 / np.sqrt(1.0 - u * u) - 1.0
     return gamma if gamma.ndim else float(gamma)
 
 

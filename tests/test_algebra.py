@@ -72,6 +72,8 @@ class TestGammaBasis:
         z = unit3(np.random.default_rng(seed))
         g = build_gamma_basis(z)
         pi = g.pi_projector
+        # The kinetic oracle's column form rests on Pi = pi pi^dagger.
+        assert np.abs(np.outer(g.pi_column, g.pi_column.conj()) - pi).max() < 1e-14
         assert np.abs(pi @ pi - pi).max() < 1e-14
         assert np.abs(GAMMA[0] @ pi - pi).max() < 1e-14
         assert np.abs(sigma_dot(z) @ pi - pi).max() < 1e-14

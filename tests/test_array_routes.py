@@ -9,6 +9,7 @@ sign of zero or a last-bit difference fails.
 
 import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -262,7 +263,13 @@ def test_chunk_writers_yield_whole_lines():
 
 
 def rigidity_reference(a, m0, hbar, c):
-    """The Python-float formula, with its libm pow squares."""
+    """The Python-float formula in u = 4 a m0 c / hbar."""
+    u = 4.0 * a * m0 * c / hbar
+    return 1.0 / np.sqrt(1.0 - u * u) - 1.0
+
+
+def squares_reference(a, m0, hbar, c):
+    """The formula in hbar^2 - (4 a m0 c)^2, with its libm pow squares."""
     return hbar / np.sqrt(hbar ** 2 - (4.0 * a * m0 * c) ** 2) - 1.0
 
 
@@ -278,6 +285,12 @@ def test_rigidity_array_matches_scalar_per_point(m0, hbar, c):
         scalar = rotator.rigidity(v, m0, hbar, c)
         assert isinstance(scalar, float)
         assert scalar == g == rigidity_reference(v, m0, hbar, c)
+        # The squares form loses what the rounding of its two squares does
+        # to their difference, 1 - u^2 of it relative, so its distance from
+        # gamma is bounded after scaling by 1 - u^2.
+        u = 4.0 * v * m0 * c / hbar
+        old = squares_reference(v, m0, hbar, c)
+        assert abs(g - old) / max(g, 1.0) * (1.0 - u * u) <= 1e-15
 
 
 def test_rigidity_array_fails_closed():
@@ -286,8 +299,17 @@ def test_rigidity_array_fails_closed():
         rotator.rigidity(np.array([0.0, 0.1, bound]), 1.0)
     with pytest.raises(DomainError):
         rotator.rigidity(np.array([0.1, np.nan]), 1.0)
-    with pytest.raises(DomainError, match="= inf is not a positive finite number"):
-        rotator.rigidity(np.array([0.0, 0.1]), 1.0, hbar=1e200)
+    # 4 a m0 c overflows to inf, which u < 1 refuses without a warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="got 1e"):
+            rotator.rigidity(np.array([0.0, 1e300]), 1e10)
+
+
+def test_rigidity_array_serves_a_large_hbar():
+    # hbar^2 overflows at hbar = 1e200, but u = 4 a m0 c / hbar does not;
+    # gamma is u^2/2 to double precision, 8e-402, which rounds to 0.0.
+    assert rotator.rigidity(np.array([0.0, 0.1]), 1.0, hbar=1e200).tolist() == [0.0, 0.0]
 
 
 # ------------------------------------------------------------ integrator
@@ -604,7 +626,25 @@ def scalar_column(p, g):
 
 
 def scalar_kinetic(fld, x, g, hbar, h):
-    """The nine-call stencil: one jet and one spinor per stencil point."""
+    """The nine-call stencil: one jet and one spinor column per stencil
+    point, and -hbar Im sum_l c-bar gamma^l d_l c."""
+    gamma = algebra.GAMMA
+    c0 = scalar_column(scalar_params(fld, x), g)
+    d_c = np.empty((4, 4), dtype=complex)
+    for l in range(4):
+        step = np.zeros(4)
+        step[l] = h
+        c_p = scalar_column(scalar_params(fld, x + step), g)
+        c_m = scalar_column(scalar_params(fld, x - step), g)
+        d_c[l] = (c_p - c_m) / (2.0 * h)
+    bar0 = c0.conj() @ gamma[0]
+    return float(-hbar * np.sum((bar0 @ gamma) * d_c).imag)
+
+
+def matrix_spinor_kinetic(fld, x, g, hbar, h):
+    """The oracle of the column form: the trace of the 4x4 sum
+    i/2 hbar sum_l (psi-bar gamma^l d_l psi - d_l psi-bar gamma^l psi) over
+    the matrix spinors psi = c pi^dagger, one per stencil point."""
     def psi_matrix(pt):
         return np.outer(scalar_column(scalar_params(fld, pt), g), g.pi_column.conj())
 
@@ -657,6 +697,19 @@ def test_kinetic_oracle_matches_nine_call_stencil(seed, h):
     g = build_gamma_basis(fld.z)
     for x in random_points(seed, 3):
         assert kinetic_term_matrix(fld, x, g, 0.9, h=h) == scalar_kinetic(fld, x, g, 0.9, h)
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("h", [1e-3, 5e-4, 2.5e-4, 1e-4])
+def test_kinetic_columns_match_matrix_spinor_trace(seed, h):
+    # The trace of c pi^dagger products is the column bilinear times
+    # |pi|^2 = 1; the two forms differ only in rounding, which the central
+    # difference divides by 2 h.
+    fld = random_param_field(np.random.default_rng(seed))
+    g = build_gamma_basis(fld.z)
+    for x in random_points(seed, 20):
+        old = matrix_spinor_kinetic(fld, x, g, 0.9, h)
+        assert abs(kinetic_term_matrix(fld, x, g, 0.9, h=h) - old) <= 1e-9 * max(abs(old), 1.0)
 
 
 def test_stacked_det_equals_eps4_sum():

@@ -136,13 +136,16 @@ class TestVerifyCommand:
         # first run, the others at 1.
         *(["verify", "all", flag, value] for flag in ("--m", "--hbar", "--c", "--m0")
           for value in ("1e-6", "1e6")),
+        # hbar where hbar^2 and the spin map's h^2 |w|^2 leave the float
+        # range; the rigidity and the spin map form neither.
+        ["verify", "all", "--hbar", "1e-160"],
+        ["verify", "all", "--hbar", "1e160"],
     ])
     def test_unit_free_residuals_at_nonunit_constants(self, argv, tmp_path):
         # The Lagrangian, mass and momentum residuals are divided by m, the
         # kinetic split residual and the full spin-equation residual by
         # hbar, the tanh part of the dual observables by c, and the generic
-        # dual-Lagrangian residual by max(m, hbar); the projector guards of
-        # kinetic_term_matrix scale with hbar.  Without the m divisors
+        # dual-Lagrangian residual by max(m, hbar).  Without the m divisors
         # --m 1e6 fails, and without the hbar divisor --hbar 1e6.  The
         # rotator's p.x monitor is divided by m0 a, and the
         # grand-consistency speeds are fractions of c, so any c > 0 admits
@@ -199,8 +202,9 @@ class TestVerifyCommand:
     ["verify", "appendixA", "--m", "-3"],
     ["verify", "algebra", "--m", "0"],
     ["verify", "appendixC", "--c", "0"],
+    # a radius above the bound hbar/(4 m0 c) at a large hbar
+    ["rigidity", "--hbar", "1e200", "--a-max", "1e200"],
     # finite input whose Python-float powers overflow
-    ["rigidity", "--hbar", "1e200", "--a-max", "0.1"],
     ["identify", "--direction", "dcr_to_rr", "--m", "1", "--zeta", "1e200"],
     # positive constants whose product underflows to 0 before a division
     ["verify", "consistency", "--m", "1e-200", "--c", "1e-200"],
@@ -234,7 +238,7 @@ NAN_STATE = (np.nan,) * 12
 @pytest.mark.parametrize("out_format", ["csv", "json"])
 @pytest.mark.parametrize("argv", [
     ["helix", "--b", "1", "--dt", "nan"],
-    ["rigidity", "--hbar", "1e200", "--a-max", "0.1"],
+    ["rigidity", "--hbar", "1e200", "--a-max", "1e200"],
     ["helix", "--b", "1", "--tmax", str(cli.MAX_ROWS), "--dt", "1"],
     ["rotator", "--a", "1", "--P0", "3", "--steps", str(cli.MAX_ROWS)],
     ["rigidity", "--a-max", "0.1", "--n", str(cli.MAX_ROWS + 1)],
@@ -483,6 +487,16 @@ class TestRigidityCommand:
         assert gamma[-1] > 20.0  # diverges toward the bound
         assert payload["domain_bound"] == bound
 
+    def test_large_hbar_is_served(self, tmp_path):
+        # hbar^2 overflows, but u = 4 a m0 c / hbar <= 4e-201, and gamma =
+        # u^2/2 rounds to 0.0 on the whole curve.
+        out = tmp_path / "g.json"
+        assert run_cli(["rigidity", "--hbar", "1e200", "--a-max", "0.1",
+                        "--format", "json", "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert payload["domain_bound"] == 1e200 / 4.0
+        assert np.array(payload["rows"])[:, 1].tolist() == [0.0] * 64
+
     def test_bound_violation_cites_bound(self, capsys):
         assert run_cli(["rigidity", "--m0", "1", "--a-max", "0.25"]) == 2
         assert "0.25" in capsys.readouterr().err
@@ -499,8 +513,8 @@ class TestRigidityCommand:
         assert np.array(json.loads(out.read_text())["rows"]).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("m0, hbar, c, code", [
-        (1.0, 1.0, 1.0, 0),     # hbar^2 - (4 a m0 c)^2 = 2^-52 at a_max
-        (0.7, 1.0, 3.0, 2),     # 4 a_max m0 c rounds to hbar: 0 at a_max
+        (1.0, 1.0, 1.0, 0),     # 1 - u^2 = 2^-52 at a_max
+        (0.7, 1.0, 3.0, 2),     # u = 4 a_max m0 c / hbar rounds to 1
     ])
     def test_one_ulp_below_the_bound(self, m0, hbar, c, code, tmp_path, capsys):
         """Exit 2 exactly when one whole-array call over the curve raises,

@@ -18,7 +18,6 @@ from dirac_disquant.covariant import (
 )
 from dirac_disquant.errors import (
     DomainError,
-    NumericConsistencyError,
     SingularDenominatorError,
 )
 from dirac_disquant.minkowski import BASIS4, eps4, mdot
@@ -295,9 +294,9 @@ class TestKineticTermMatrix:
 
     @pytest.mark.parametrize("hbar", [1e-12, 1e9, 1e12])
     def test_projector_guards_scale_with_hbar(self, hbar):
-        # The whole 4x4 sum scales like hbar, and so do both guards.  With
-        # absolute 1e-6 guards this point raised at hbar = 1e9 (off-projector
-        # residual 2.2e-5); the scaled value keeps to 7e-16 relative.
+        # The value scales like hbar.  With the absolute 1e-6 projector
+        # guards of the matrix-spinor form this point raised at hbar = 1e9;
+        # the scaled value keeps to 7e-16 relative.
         fld = random_param_field(np.random.default_rng(77))
         g = algebra.build_gamma_basis(fld.z)
         x = np.array([0.05, -0.1, 0.2, 0.15])
@@ -307,9 +306,8 @@ class TestKineticTermMatrix:
 
     @pytest.mark.parametrize("k", [-4, 3, 4, 6])
     def test_projector_guards_scale_with_amplitude(self, k):
-        # The sum scales like hbar A^2, and so do both guards.  With guards
-        # of 1e-6 hbar this point raised from k = 4 (off-projector residual
-        # 1.6e-5).
+        # The value scales like hbar A^2.  With projector guards of 1e-6
+        # hbar the matrix-spinor form raised here from k = 4.
         fld = random_param_field(np.random.default_rng(77))
         g = algebra.build_gamma_basis(fld.z)
         x = np.array([0.05, -0.1, 0.2, 0.15])
@@ -320,16 +318,6 @@ class TestKineticTermMatrix:
         at_one = kinetic_term_matrix(fld, x, g, hbar=1.0)
         got = kinetic_term_matrix(scaled, x, g, hbar=1.0) / 10.0 ** (2 * k)
         assert abs(got - at_one) <= 1e-10 * abs(at_one)
-
-    def test_projector_of_another_z_raises(self):
-        # The spinors span the column of fld.z, so the sum is a multiple of
-        # that projector and not of the one of -z.
-        fld = random_param_field(np.random.default_rng(77))
-        g = algebra.GammaBasis(
-            pi_projector=algebra.build_gamma_basis(-fld.z).pi_projector,
-            pi_column=algebra.build_gamma_basis(fld.z).pi_column)
-        with pytest.raises(NumericConsistencyError, match="not a multiple of the projector"):
-            kinetic_term_matrix(fld, np.array([0.05, -0.1, 0.2, 0.15]), g, hbar=1.0)
 
     def test_step_out_of_range_rejected(self):
         fld = random_param_field(np.random.default_rng(1))

@@ -217,6 +217,14 @@ class TestHelixSolution:
             sol = helix_solution(b, 0.0, P_UNIT)
             assert integrate_xi_along_helix(sol) < 1e-9
 
+    @pytest.mark.parametrize("s", [1e-170, 1e170])
+    @pytest.mark.parametrize("b", [0.1, 1.0, 10.0])
+    def test_xi_constancy_at_extreme_hbar(self, b, s):
+        # h^2 and |w|^2 leave the float range at hbar = 1e-170 and 1e170
+        # (their product was 0 inf = NaN); h |w| = 2 pi b / steps does not.
+        sol = helix_solution(b, 0.0, DcParams(m=1.0, hbar=s))
+        assert integrate_xi_along_helix(sol) == 0.0
+
     @pytest.mark.parametrize("xi", [(0.6, 0.0, 0.8), (0.0, 0.6, 0.8),
                                     (math.sin(0.7), 0.0, math.cos(0.7))])
     @pytest.mark.parametrize("b, phase", [(0.1, 0.0), (1.0, 0.3), (10.0, 0.0)])

@@ -414,6 +414,15 @@ class TestRigidity:
         vals = [rigidity(a, 2.0, hbar=1.5) for a in grid]
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
+    @pytest.mark.parametrize("s", [1e-170, 1e170])
+    def test_depends_on_a_over_hbar_alone(self, s):
+        # hbar^2 underflows or overflows at hbar = 1e-170 and 1e170, and
+        # u = 4 a m0 c / hbar does not; scaling a and hbar together keeps
+        # gamma to a few ulps.
+        for a in (0.05, 0.1, 0.15, 0.2):
+            want = rigidity(a, 1.0)
+            assert abs(rigidity(a * s, 1.0, hbar=s) - want) <= 4 * math.ulp(want)
+
     def test_domain_bound_enforced(self):
         bound = rigidity_domain_bound(1.0)
         with pytest.raises(DomainError):
