@@ -23,17 +23,22 @@ and hold plain lower-index derivatives; raising flips spatial signs.
 
 Array routes and bits.  ``ParamField.values`` evaluates a stack of points,
 and the finite-difference oracle makes one such call for its whole stencil.
-Each point must keep the bits of a one-point evaluation, so every
-contraction is a stacked ``np.matmul`` that keeps the one-row and one-column
-shapes of the one-point product, e.g. ``matmul(X[:, None, None, :],
-c1[:, :, None])`` for c1.x: numpy then calls the same BLAS ``ddot`` or
+The F3 oracle ``f3_without_inner_factor`` takes one point (4,), giving a
+float, or a stack (N, 4), giving an (N,) array; one point is the N = 1 row
+of the same body.  Each point must keep the bits of a one-point evaluation,
+so every contraction is a stacked ``np.matmul`` that keeps the one-row and
+one-column shapes of the one-point product, e.g. ``matmul(X[:, None, None,
+:], c1[:, :, None])`` for c1.x: numpy then calls the same BLAS ``ddot`` or
 ``gemv`` per point.  A flat ``X @ c1.T`` or an ``einsum`` picks another
 kernel and another summation order, and the last bits change.  The three
 covariant ``eps4`` sums of ``lagrangian_pieces`` fill one (3, 4, 4, 4) stack
 for a single ``minkowski.det`` call, LAPACK factors each matrix on its own,
 and each sum keeps the Python ``sum`` order over numpy scalars.  Outer
 products are broadcast multiplies ``a[:, None] * b``, the products
-``np.outer`` makes.
+``np.outer`` makes.  An array cube or square is ``np.float_power(r, 3.0)``
+or ``np.float_power(A, 2.0)``, the libm ``pow`` of a scalar ``**``: an array
+``r ** 3`` or ``A ** 2`` takes another kernel and rounds some rows
+differently.
 
 The one-point kernels behind ``lagrangian_pieces`` keep one more rule.
 Elementwise arithmetic on scalars and on 3- and 4-vectors may run on Python
@@ -57,7 +62,9 @@ Each such wall is decided in one place.  The antipodal wall 1 + xi.z below
 ``algebra.spin_from_xi`` (rho + j^0 = 0) or, when small but not zero, at
 the rho (rho + j.f) check of ``CovariantAux.from_state``; |eta| near 0 stops
 at ``_derived_jet``, and a vanishing or overflowing raw n field at
-``ParamField.jet``.
+``_unit_n``.  ``f3_without_inner_factor`` reads none of these one-point
+routes: it checks the same walls over every row of its stack, with the
+antipodal one through ``require_off_antipode`` of its smallest 1 + xi.z.
 """
 
 import math
@@ -71,6 +78,8 @@ from .algebra import (
     GammaBasis,
     SpinorParams,
     _check_unit3,
+    _dot3,
+    bilinears_closed_form,
     require_off_antipode,
     spin_from_xi,
     spinor_columns,
@@ -340,8 +349,9 @@ _D_UP = (1.0, -1.0, -1.0, -1.0)
 
 def _sum_of_products(a, b):
     """``sum(a * b)`` of two 4-vectors held as floats, with the products and
-    additions of ``sum`` over numpy scalars, from its start value 0.  (From
-    Python 3.12 on, ``sum`` of floats compensates its additions.)"""
+    additions of ``sum`` over numpy scalars, from its start value 0, or of
+    each column of two (4, N) arrays.  (From Python 3.12 on, ``sum`` of
+    floats compensates its additions.)"""
     return 0.0 + a[0] * b[0] + a[1] * b[1] + a[2] * b[2] + a[3] * b[3]
 
 
@@ -440,24 +450,49 @@ def _lagrangian_pieces(fld: ParamField, x, m, hbar) -> LagrangianPieces:
                             l_cl=l_cl, l_q1=l_q1, l_q2=l_q2)
 
 
-def f3_without_inner_factor(fld: ParamField, x, hbar) -> float:
-    """F3 with the normalization kept outside the derivative.
+def f3_without_inner_factor(fld: ParamField, x, hbar):
+    """F3 with the normalization kept outside the derivative: a float at one
+    point x (4,), or the (N,) array of its values at the rows of a stack
+    x (N, 4).
 
     Moving [2(1 + xi.z)]^(-1/2) in or out of d_s mu cannot change the value
     because the leftover term contracts xi with itself inside the epsilon.
-    Used as a regularization-invariance oracle.
+    Used as a regularization-invariance oracle.  It reads the field through
+    ``ParamField.values``, a ``SpinorParams`` stack and
+    ``bilinears_closed_form``, not through ``jet``, ``_derived_jet`` or
+    ``CovariantAux``; one point is the one-row stack, and each row has the
+    bits of a one-point call, so the cube r^3 of the raw n norm is
+    ``np.float_power``, not an array ``**``.  The walls are those of
+    ``lagrangian_pieces``: DomainError if any row meets one.
     """
-    f = F_REST
-    jet = fld.jet(x)
-    p = jet.params
-    rho, d_rho, j, d_j, eta, d_eta_norm, v, d_v, xi, d_xi, S = _derived_jet(jet)
-    aux = CovariantAux.from_state(j, rho, xi, p.z)
-    d_nu = np.zeros((4, 4))
-    d_nu[:, 1:] = d_xi
-    d_nu -= np.array(_mdot_rows(d_nu.tolist(), f.tolist()))[:, None] * f
-    one_plus = 1.0 + float(xi.dot(p.z))
-    eps = eps4_stack(aux.nu, d_nu, aux.z4, f).tolist()
-    return hbar / (2.0 * one_plus) * _sum_of_products(j.tolist(), eps)
+    x = np.asarray(x, dtype=float)
+    s, raw = fld.values(np.atleast_2d(x))
+    n, r = _unit_n(raw)
+    # d_l n = d_l raw / r - raw (raw . d_l raw) / r^3, with d_l raw = n_lin[:, l].
+    dr = fld.n_lin.T
+    raw_dr = np.matmul(raw[:, None, None, :], dr[:, :, None])[..., 0]
+    d_n = dr / r[:, :, None] - raw[:, None, :] * raw_dr / np.float_power(r, 3.0)[:, :, None]
+    p = SpinorParams(amplitude=s[:, 0], kappa=s[:, 1], phi=s[:, 2], eta=s[:, 3:], n=n,
+                     z=np.broadcast_to(fld.z, n.shape))
+    if not p.eta_norm.min() >= 1e-6:
+        raise DomainError("field evaluation needs |eta| bounded away from 0")
+    bc = bilinears_closed_form(p)
+    xi, nz = p.xi, _dot3(n, p.z)
+    d_xi = 2.0 * d_n * nz[:, :, None] + 2.0 * ((d_n @ fld.z)[..., None] * n[:, None, :])
+    one_plus = 1.0 + _dot3(xi, p.z)[:, 0]
+    require_off_antipode(one_plus.min())
+    if not (2.0 * bc.rho * (bc.rho + mdot(bc.j.T, F_REST))).min() >= 1e-9:
+        raise SingularDenominatorError("rho (rho + j.f) below tolerance")
+    # nu = xi4 - (xi4.f) f and d_nu = d_xi4 - (d_xi4.f) f, row by row.
+    nu = np.zeros((len(xi), 4))
+    nu[:, 1:] = xi
+    nu -= mdot(nu.T, F_REST)[:, None] * F_REST
+    d_nu = np.zeros((len(xi), 4, 4))
+    d_nu[..., 1:] = d_xi
+    d_nu -= mdot(np.moveaxis(d_nu, -1, 0), F_REST)[..., None] * F_REST
+    eps = eps4_stack(nu[:, None, :], d_nu, np.array([0.0, *fld.z.tolist()]), F_REST)
+    f3 = hbar / (2.0 * one_plus) * _sum_of_products(bc.j.T, eps.T)
+    return float(f3[0]) if x.ndim == 1 else f3
 
 
 def kinetic_term_matrix(fld: ParamField, x, g: GammaBasis, hbar, h=1e-4) -> float:

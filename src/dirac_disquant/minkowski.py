@@ -54,14 +54,15 @@ def eps4(a, b, c, d):
 
 
 def eps4_stack(a, b, c, d):
-    """``eps4`` row by row for (K, 4) array stacks, single 4-vectors broadcast.
+    """``eps4`` row by row for (..., 4) array stacks, broadcast against each
+    other, so a single 4-vector serves every row.
 
-    One ``det`` call over the (K, 4, 4) stack of column matrices.  LAPACK
+    One ``det`` call over the (..., 4, 4) stack of column matrices.  LAPACK
     factors each matrix on its own, so each entry has the bits of the
     matching ``eps4`` call.
     """
     cols = (a, b, c, d)
-    m = np.empty(max((v.shape for v in cols), key=len) + (4,))
+    m = np.empty(np.broadcast_shapes(*(np.shape(v) for v in cols)) + (4,))
     for i, v in enumerate(cols):
         m[..., i] = v
     return det(m)

@@ -399,7 +399,7 @@ def dcr_to_rr(m, zeta, hbar=1.0, c=1.0) -> dict:
     """
     ob = observables_from_zeta(zeta, DcParams(m=m, hbar=hbar, c=c))
     m0 = m / (np.sqrt(1.0 + zeta ** 2) + 1.0)
-    v = 4.0 * ob.a_dcr * m0 * c ** 2 / hbar
+    v = c * (4.0 * ob.a_dcr * m0 * c / hbar)
     return _finite_values({
         "direction": "dcr_to_rr",
         "m": m, "zeta": zeta,
@@ -419,8 +419,8 @@ def rr_to_dcr(m0, v, hbar=1.0, c=1.0, e_charge=1.0) -> dict:
         g2 = 1.0 - (v / c) ** 2
         m_out = 2.0 * m0 / g2
         m_dcr = 2.0 * m0 / np.sqrt(g2)
-        omega_dcr = 4.0 * m0 * c ** 2 / hbar
-        a = v * hbar / (4.0 * m0 * c ** 2)
+        omega_dcr = c * (4.0 * m0 * c / hbar)
+        a = (v / c) * hbar / (4.0 * m0 * c)
         zeta_out = 4.0 * a * m_out * c / hbar
         ang_mom = 2.0 * m0 * a * v / np.sqrt(g2)
         mag_moment = e_charge * a * v / (2.0 * np.sqrt(g2))
@@ -428,7 +428,7 @@ def rr_to_dcr(m0, v, hbar=1.0, c=1.0, e_charge=1.0) -> dict:
         raise DomainError(f"rr_to_dcr overflows at m0 = {m0!r}, "
                           f"v = {v!r}") from None
     except ZeroDivisionError:
-        raise DomainError(f"4 m0 c^2 underflows to 0 at m0 = {m0!r}, c = {c!r}") from None
+        raise DomainError(f"4 m0 c underflows to 0 at m0 = {m0!r}, c = {c!r}") from None
     return _finite_values({
         "direction": "rr_to_dcr",
         "m0": m0, "v": v,

@@ -730,21 +730,47 @@ def test_stacked_det_equals_eps4_sum():
 
 def eps4_calls(a, b, c, d):
     """``eps4_stack`` as one ``eps4`` call per matrix."""
-    return np.array([eps4(*cols) for cols in zip(*np.broadcast_arrays(a, b, c, d))])
+    cols = np.broadcast_arrays(a, b, c, d)
+    return np.array([eps4(*m) for m in zip(*(v.reshape(-1, 4) for v in cols))]
+                    ).reshape(cols[0].shape[:-1])
 
 
 @pytest.mark.parametrize("seed", FIELD_SEEDS)
 def test_lagrangian_pieces_match_eps4_sums(seed, monkeypatch):
     fld = random_param_field(np.random.default_rng(seed))
     X = random_points(seed, 5)
-    stacked = [f3_without_inner_factor(fld, x, 0.8) for x in X]
+    stacked = f3_without_inner_factor(fld, X, 0.8)
     for x in X:
         pieces, _ = covariant_reference(fld, x, 1.1, 0.8, eps=eps4_calls)
         assert dataclasses.astuple(lagrangian_pieces(fld, x, 1.1, 0.8)) == pieces
 
-    monkeypatch.setattr(covariant, "eps4_stack", eps4_calls)
+    shapes = []
+
+    def counted(*cols):
+        shapes.append(np.broadcast_shapes(*(np.shape(v) for v in cols)))
+        return eps4_calls(*cols)
+    monkeypatch.setattr(covariant, "eps4_stack", counted)
+    assert same(f3_without_inner_factor(fld, X, 0.8), stacked)
     for x, f3_alt in zip(X, stacked):
-        assert f3_alt == f3_without_inner_factor(fld, x, 0.8)
+        assert same(f3_without_inner_factor(fld, x, 0.8), f3_alt)
+    # One eps4_stack call per oracle call, over all its rows.
+    assert shapes == [(5, 4, 4)] + [(1, 4, 4)] * 5
+
+
+@pytest.mark.parametrize("seed", FIELD_SEEDS)
+def test_stacked_oracle_rows_match_one_point_calls(seed):
+    # Each row of a stack of 1, 50 or 500 points has the bits of the
+    # one-point call and of the reference's F3.
+    fld = random_param_field(np.random.default_rng(seed))
+    X = random_points(seed, 500)
+    rows = f3_without_inner_factor(fld, X, 0.8)
+    assert rows.shape == (500,)
+    for n in (1, 50):
+        assert same(f3_without_inner_factor(fld, X[:n], 0.8), rows[:n])
+    for x, row in zip(X, rows):
+        one = f3_without_inner_factor(fld, x, 0.8)
+        assert type(one) is float and same(one, row)
+        assert same(covariant_reference(fld, x, 1.1, 0.8)[1], row)
 
 
 def test_spinor_batch_size_invariance():

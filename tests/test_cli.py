@@ -140,6 +140,8 @@ class TestVerifyCommand:
         # range; the rigidity and the spin map form neither.
         ["verify", "all", "--hbar", "1e-160"],
         ["verify", "all", "--hbar", "1e160"],
+        # c where c^2 is subnormal; the identification forms v/c and 4 m0 c.
+        ["verify", "all", "--c", "1e-160"],
     ])
     def test_unit_free_residuals_at_nonunit_constants(self, argv, tmp_path):
         # The Lagrangian, mass and momentum residuals are divided by m, the

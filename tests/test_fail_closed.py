@@ -52,17 +52,23 @@ def test_nan_mass_increase_fails_consistency(monkeypatch, tmp_path):
 
 
 def test_nan_oracle_call_fails_regularization_check(monkeypatch):
+    # The suite calls the oracle once per field; one row of the seventh
+    # field's stack comes back NaN.
     original = covariant.f3_without_inner_factor
     calls = []
 
-    def seventh_call_nan(*args, **kwargs):
-        calls.append(None)
-        return NAN if len(calls) == 7 else original(*args, **kwargs)
+    def seventh_stack_one_nan_row(*args, **kwargs):
+        out = original(*args, **kwargs)
+        calls.append(out.shape)
+        if len(calls) == 7:
+            out[3] = NAN
+        return out
 
-    monkeypatch.setattr(covariant, "f3_without_inner_factor", seventh_call_nan)
+    monkeypatch.setattr(covariant, "f3_without_inner_factor", seventh_stack_one_nan_row)
     report = run_suite("appendixB", RunConfig(seed=42))
     rec = next(r for r in report.records
                if r.check_id == "spin-term-regularization-invariance")
+    assert calls == [(50,)] * 10
     assert math.isnan(rec.residual)
     assert not rec.passed
 
@@ -502,14 +508,37 @@ WALLS = [_antipodal(0.0), _antipodal(1e-8), _antipodal(2e-5),
          _n_scaled(1e110), _n_scaled(1e150)]
 
 
-@pytest.mark.parametrize("changes", WALLS, ids=[
+def _sloped(changes, name, index, slope):
+    """``changes`` with entry ``index`` of the field array ``name`` set to
+    ``slope``: a slope in x0 that keeps the wall at x = 0."""
+    arr = np.array(changes.get(name, getattr(_field(), name)), dtype=float)
+    arr[index] = slope
+    return {**changes, name: arr}
+
+
+def _n_scaled_sloped(scale):
+    # raw n = (scale (1 - 2 x0), 2 x0 z1, 2 x0 z2): norm scale at x = 0,
+    # and exactly (0, z1, z2) at x0 = 0.5.
+    n_lin = np.zeros((3, 4))
+    n_lin[:, 0] = (-2.0 * scale, *(2.0 * _field().z[1:]))
+    return {"n0": [scale, 0.0, 0.0], "n_lin": n_lin}
+
+
+# Each wall of WALLS at x = 0 only: x = (0.5, 0, 0, 0) is off it.
+SLOPED_WALLS = [*(_sloped(_antipodal(nz), "n_lin", (2, 0), 2.0) for nz in (0.0, 1e-8, 2e-5)),
+                *(_sloped(_rapidity(eta), "c1", (3, 0), 2.0) for eta in (0.0, 1e-300, 9e-7)),
+                *(_sloped(_amplitude(a), "c1", (0, 0), 2.0) for a in (0.0, 1e-300, 1e-5)),
+                _n_scaled_sloped(1e110), _n_scaled_sloped(1e150)]
+
+
+@pytest.mark.parametrize("changes, sloped", list(zip(WALLS, SLOPED_WALLS)), ids=[
     "xi=-z", "xi.z+1=2e-16", "xi.z+1=8e-10", "eta=0", "eta=1e-300", "eta=9e-7",
     "amplitude=0", "amplitude=1e-300", "amplitude=1e-5", "n*1e110", "n*1e150"])
-@pytest.mark.parametrize("call", [
-    lambda fld, x: covariant.lagrangian_pieces(fld, x, 1.0, 1.0),
-    lambda fld, x: covariant.f3_without_inner_factor(fld, x, 1.0),
+@pytest.mark.parametrize("call, stacks", [
+    (lambda fld, x: covariant.lagrangian_pieces(fld, x, 1.0, 1.0), False),
+    (lambda fld, x: covariant.f3_without_inner_factor(fld, x, 1.0), True),
 ], ids=["lagrangian_pieces", "f3_without_inner_factor"])
-def test_one_point_kernels_raise_domain_error_at_the_walls(changes, call):
+def test_one_point_kernels_raise_domain_error_at_the_walls(changes, sloped, call, stacks):
     # Only a DomainError subclass: no ValueError from math.sqrt, no
     # ZeroDivisionError from a float division, no numpy warning.
     fld = _field(**changes)
@@ -518,6 +547,14 @@ def test_one_point_kernels_raise_domain_error_at_the_walls(changes, call):
         for x in (np.zeros(4), np.array([0.3, -0.2, 0.1, 0.4])):
             with pytest.raises(DomainError):
                 call(fld, x)
+        if stacks:
+            # A stack fails as a whole when any row meets a wall: here its
+            # second, while its first row alone is finite.
+            fld = _field(**sloped)
+            X = np.array([[0.5, 0.0, 0.0, 0.0], np.zeros(4)])
+            assert np.isfinite(call(fld, X[:1])).all()
+            with pytest.raises(DomainError):
+                call(fld, X)
 
 
 # Each route computes 1 + xi.z itself and hands it to the one guard.

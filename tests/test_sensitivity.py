@@ -98,6 +98,20 @@ def q_over_norm2(from_state):
     return mutant
 
 
+def d_xi_off_by_1e6(derived_jet):
+    """``_derived_jet`` with d_xi off by a relative 1e-6."""
+    def mutant(jet):
+        *head, d_xi, S = derived_jet(jet)
+        return (*head, d_xi * (1.0 + 1e-6), S)
+    return mutant
+
+
+def rows_rolled(oracle):
+    """The F3 oracle with its rows rolled by one: each point gets the value
+    of the point before it in the stack."""
+    return lambda fld, x, hbar: np.roll(oracle(fld, x, hbar), 1)
+
+
 def speed_without_root_plus_one(observables_from_zeta):
     """The zeta-parametrized observables with v = c zeta / sqrt(1 + zeta^2)
     in place of c zeta / (sqrt(1 + zeta^2) + 1)."""
@@ -285,6 +299,17 @@ MUTATIONS = [
                  q_over_norm2(covariant.CovariantAux.from_state),
                  {"auxiliary-unit-vectors": "appendixB"},
                  id="covariant-aux-q-over-norm2"),
+    # lagrangian_pieces reads d_xi from _derived_jet; the oracle
+    # f3_without_inner_factor differentiates the n field itself.
+    pytest.param(covariant, "_derived_jet", d_xi_off_by_1e6(covariant._derived_jet),
+                 {"kinetic-split-convergence": "appendixA",
+                  "spin-term-regularization-invariance": "appendixB"},
+                 id="covariant-derived-jet-d-xi-off-by-1e-6"),
+    # The suite slices each field's points out of the oracle's stack.
+    pytest.param(covariant, "f3_without_inner_factor",
+                 rows_rolled(covariant.f3_without_inner_factor),
+                 {"spin-term-regularization-invariance": "appendixB"},
+                 id="covariant-oracle-rows-rolled"),
     pytest.param(particle, "_y_rate", y_rate_of_spatial_velocity(particle._y_rate),
                  {"helix-reduced-system": "particle"},
                  id="particle-y-rate-of-spatial-velocity"),
