@@ -252,9 +252,6 @@ class ParamField:
             d_n=d_n,
         )
 
-    def params(self, x) -> SpinorParams:
-        return self.jet(x).params
-
 
 def random_param_field(rng: np.random.Generator) -> ParamField:
     """Seeded generic field, unit scale, bounded away from the singular sets.

@@ -4,6 +4,7 @@
 its records to it; the records are deterministic functions of the seed.
 """
 
+import functools
 import time
 
 import numpy as np
@@ -151,7 +152,6 @@ def suite_algebra(cfg: RunConfig, rep: VerificationReport) -> None:
     rep.add("rho-equals-amplitude-squared", "sqrt(j.j) = A^2 (relative)",
             _worst([np.abs(bm.rho - a2) / a2]), 1e-12)
 
-    bc = algebra.bilinears_closed_form(ps)
     xi = algebra.xi_from_bilinears(bc)
     s_back = algebra.spin_from_xi(xi, bc.j, bc.rho)
     rep.add("xi-extraction-roundtrip",
@@ -179,23 +179,36 @@ def suite_algebra(cfg: RunConfig, rep: VerificationReport) -> None:
 # ------------------------------------------------------------ appendix A
 
 
+def _field_points(cfg: RunConfig, offset, n_points):
+    """The ten seeded parameter fields of a field suite and its n_points
+    points in the box |x_l| <= 0.5; point i lies on field i % 10."""
+    fields = [covariant.random_param_field(np.random.default_rng(cfg.seed + offset + k))
+              for k in range(10)]
+    return fields, np.random.default_rng(cfg.seed).uniform(-0.5, 0.5, size=(n_points, 4))
+
+
+def _worst_over_points(cfg: RunConfig, fields, points, residual, count=None):
+    """``_worst`` of residual(i, fld, x, pieces) over the first count points.
+
+    Each call gets point i's field and x and makes its own
+    ``lagrangian_pieces`` call, so every check reads the pieces itself.
+    """
+    def at(i, x):
+        fld = fields[i % len(fields)]
+        return residual(i, fld, x, covariant.lagrangian_pieces(fld, x, cfg.m, cfg.hbar))
+    return _worst(at(i, x) for i, x in enumerate(points[:count]))
+
+
 def suite_appendix_a(cfg: RunConfig, rep: VerificationReport) -> None:
     n_points = 100
-    rng = np.random.default_rng(cfg.seed)
-    fields = [covariant.random_param_field(np.random.default_rng(cfg.seed + 100 + k))
-              for k in range(10)]
-    points = rng.uniform(-0.5, 0.5, size=(n_points, 4))
+    fields, points = _field_points(cfg, 100, n_points)
+    worst = functools.partial(_worst_over_points, cfg, fields, points)
 
-    def residual_at(i, h):
-        fld = fields[i % len(fields)]
-        g = algebra.build_gamma_basis(fld.z)
-        x = points[i]
-        pieces = covariant.lagrangian_pieces(fld, x, cfg.m, cfg.hbar)
-        fd = covariant.kinetic_term_matrix(fld, x, g, cfg.hbar, h=h)
-        return abs(fd - pieces.kinetic_total)
+    def kinetic_error(h):
+        return worst(lambda i, fld, x, pc: abs(covariant.kinetic_term_matrix(
+            fld, x, algebra.build_gamma_basis(fld.z), cfg.hbar, h=h) - pc.kinetic_total))
 
-    errors = {h: _worst(residual_at(i, h) for i in range(n_points))
-              for h in (1e-3, 5e-4, 2.5e-4, 1e-4)}
+    errors = {h: kinetic_error(h) for h in (1e-3, 5e-4, 2.5e-4, 1e-4)}
 
     # The kinetic term is linear in hbar; divided by it the residual is unit-free.
     rep.add("kinetic-split-residual",
@@ -208,19 +221,21 @@ def suite_appendix_a(cfg: RunConfig, rep: VerificationReport) -> None:
             "observed finite-difference order across h = 1e-3, 5e-4, 2.5e-4 "
             "(record = 1.9 - min order)", _worst([1.9 - order1, 1.9 - order2]), 0.0)
 
-    def decomposition(i):
-        fld = fields[i % len(fields)]
-        x = points[i]
-        pieces = covariant.lagrangian_pieces(fld, x, cfg.m, cfg.hbar)
-        p = fld.params(x)
-        rho = p.amplitude ** 2
-        total = pieces.l_cl + pieces.l_q1 + pieces.l_q2
-        expect = -cfg.m * rho * np.cos(p.kappa) + pieces.kinetic_total
+    # The amplitude and kappa of each field's points i = k (mod 10).
+    s = np.empty((n_points, 6))
+    for k, fld in enumerate(fields):
+        s[k::len(fields)] = fld.values(points[k::len(fields)])[0]
+    amplitude, kappa = s[:, 0].tolist(), s[:, 1].tolist()
+
+    def decomposition(i, fld, x, pc):
+        rho = amplitude[i] ** 2
+        total = pc.l_cl + pc.l_q1 + pc.l_q2
+        expect = -cfg.m * rho * np.cos(kappa[i]) + pc.kinetic_total
         return abs(total - expect) / max(abs(expect), 1.0)
 
     rep.add("lagrangian-decomposition",
             "L_cl + L_q1 + L_q2 = -m rho cos kappa + (F1+F2+F3+F4)",
-            _worst(decomposition(i) for i in range(n_points)), 1e-12)
+            worst(decomposition), 1e-12)
 
 
 # ------------------------------------------------------------ appendix B
@@ -228,41 +243,23 @@ def suite_appendix_a(cfg: RunConfig, rep: VerificationReport) -> None:
 
 def suite_appendix_b(cfg: RunConfig, rep: VerificationReport) -> None:
     n_points = 500
-    rng = np.random.default_rng(cfg.seed)
-    fields = [covariant.random_param_field(np.random.default_rng(cfg.seed + 200 + k))
-              for k in range(10)]
-    points = rng.uniform(-0.5, 0.5, size=(n_points, 4))
-
-    def pieces_at(i):
-        fld = fields[i % len(fields)]
-        return fld, points[i], covariant.lagrangian_pieces(fld, points[i], cfg.m, cfg.hbar)
-
-    def f4_equiv(i):
-        _, _, pc = pieces_at(i)
-        scale = max(abs(pc.f4), 1e-3)
-        return abs(pc.f4 - pc.f4_cov) / scale
+    fields, points = _field_points(cfg, 200, n_points)
+    worst = functools.partial(_worst_over_points, cfg, fields, points)
 
     rep.add("orbit-term-covariant-equivalence",
             f"F4 three-dimensional vs covariant form, {n_points} points (relative)",
-            _worst(f4_equiv(i) for i in range(n_points)), 1e-10)
-
-    def f4_q_equiv(i):
-        _, _, pc = pieces_at(i)
-        scale = max(abs(pc.f4), 1e-3)
-        return abs(pc.f4_cov - pc.f4_cov_q) / scale
+            worst(lambda i, fld, x, pc: abs(pc.f4 - pc.f4_cov) / max(abs(pc.f4), 1e-3)),
+            1e-10)
 
     rep.add("orbit-term-unit-vector-form",
             "covariant F4 through (j + f rho) vs through the unit vector q",
-            _worst(f4_q_equiv(i) for i in range(n_points)), 1e-10)
-
-    def f3_equiv(i):
-        _, _, pc = pieces_at(i)
-        scale = max(abs(pc.f3), 1e-3)
-        return abs(pc.f3 - pc.f3_cov) / scale
+            worst(lambda i, fld, x, pc: abs(pc.f4_cov - pc.f4_cov_q) / max(abs(pc.f4), 1e-3)),
+            1e-10)
 
     rep.add("spin-term-covariant-equivalence",
             "F3 three-dimensional vs covariant form through mu (relative)",
-            _worst(f3_equiv(i) for i in range(n_points)), 1e-10)
+            worst(lambda i, fld, x, pc: abs(pc.f3 - pc.f3_cov) / max(abs(pc.f3), 1e-3)),
+            1e-10)
 
     # The oracle once per field, over that field's points i = k (mod 10).
     alt = np.empty(n_points)
@@ -270,25 +267,20 @@ def suite_appendix_b(cfg: RunConfig, rep: VerificationReport) -> None:
         alt[k::len(fields)] = covariant.f3_without_inner_factor(
             fld, points[k::len(fields)], cfg.hbar)
 
-    def f3_regularization(i):
-        _, _, pc = pieces_at(i)
-        return abs(pc.f3_cov - alt[i]) / max(abs(pc.f3), 1e-3)
-
     rep.add("spin-term-regularization-invariance",
             "normalization factor inside vs outside the derivative leaves F3 unchanged",
-            _worst(f3_regularization(i) for i in range(n_points)), 1e-10)
+            worst(lambda i, fld, x, pc: abs(pc.f3_cov - alt[i]) / max(abs(pc.f3), 1e-3)),
+            1e-10)
 
-    def aux_units(i):
-        fld, x, _ = pieces_at(i)
-        jet = fld.jet(x)
-        p = jet.params
+    def aux_units(i, fld, x, pc):
+        p = fld.jet(x).params
         bc = algebra.bilinears_closed_form(p)
         aux = covariant.CovariantAux.from_state(bc.j, bc.rho, p.xi, p.z)
         return (abs(mdot(aux.nu, aux.nu) + 1.0), abs(mdot(aux.q, aux.q) - 1.0),
                 abs(mdot(F_REST, F_REST) - 1.0))
 
     rep.add("auxiliary-unit-vectors", "nu.nu = -1, q.q = 1, f.f = 1",
-            _worst(aux_units(i) for i in range(min(n_points, 100))), 1e-10)
+            worst(aux_units, 100), 1e-10)
 
     def splitting(i):
         rng_i = np.random.default_rng(cfg.seed + 300 + i)
@@ -413,17 +405,6 @@ def suite_particle(cfg: RunConfig, rep: VerificationReport) -> None:
     rep.add("relativized-mass", "sqrt(P.P) = m/(b+1) and u.u = 1", _worst(mass), 1e-12)
 
     b_grid = np.concatenate(([0.0], np.logspace(-2, 2, 41)))
-
-    # Substituting w0 = -1/(b+1) must zero the frequency-matching relation
-    # -(lam omega) b = 2 (1 - (1 - w0)/(b + 2)) identically.
-    def matching(b):
-        w0 = -1.0 / (b + 1.0)
-        lam_omega = -(1.0 - w0) / (b + 2.0) + w0
-        return abs(-lam_omega * b - 2.0 * (1.0 - (1.0 - w0) / (b + 2.0)))
-
-    rep.add("frequency-matching-chain",
-            "w0 = -1/(b+1) zeroes the scalar reduced equation for b in [0, 100]",
-            _worst(matching(b) for b in b_grid), 1e-12)
 
     def dual_forms(b):
         ob = particle.observables(b, p)

@@ -805,8 +805,8 @@ def test_param_field_is_immutable_and_rebuilt_by_replace():
     c0[0] = 2.0
     moved = dataclasses.replace(fld, c0=c0)
     x = np.zeros(4)
-    assert moved.params(x).amplitude == 2.0
-    assert fld.params(x).amplitude == float(fld.c0[0])
+    assert moved.jet(x).params.amplitude == 2.0
+    assert fld.jet(x).params.amplitude == float(fld.c0[0])
     assert np.array_equal(moved.c2, np.swapaxes(moved.c2, 1, 2))
     with pytest.raises(DomainError):
         ParamField(c0=c0[:5], c1=fld.c1, c2=fld.c2, n0=fld.n0, n_lin=fld.n_lin, z=fld.z)

@@ -85,8 +85,8 @@ class TestParamField:
         for l in range(4):
             step = np.zeros(4)
             step[l] = h
-            pp = fld.params(x + step)
-            pm = fld.params(x - step)
+            pp = fld.jet(x + step).params
+            pm = fld.jet(x - step).params
             assert abs((pp.amplitude - pm.amplitude) / (2 * h) - jet.d_amp[l]) < 1e-8
             assert abs((pp.kappa - pm.kappa) / (2 * h) - jet.d_kappa[l]) < 1e-8
             assert np.abs((pp.eta - pm.eta) / (2 * h) - jet.d_eta[l]).max() < 1e-8
@@ -128,14 +128,14 @@ class TestLagrangianPieces:
         fld = random_param_field(np.random.default_rng(11))
         x = np.array([0.2, 0.1, -0.3, 0.4])
         pc = lagrangian_pieces(fld, x, m=0.9, hbar=1.2)
-        p = fld.params(x)
+        p = fld.jet(x).params
         rho = p.amplitude ** 2
         total = pc.l_cl + pc.l_q1 + pc.l_q2
         assert abs(total - (-0.9 * rho * np.cos(p.kappa) + pc.kinetic_total)) < 1e-12
 
     def test_auxiliary_vectors_unit(self):
         fld = random_param_field(np.random.default_rng(7))
-        p = fld.params(np.array([0.1, 0.2, -0.1, 0.3]))
+        p = fld.jet(np.array([0.1, 0.2, -0.1, 0.3])).params
         b = algebra.bilinears_closed_form(p)
         aux = CovariantAux.from_state(b.j, b.rho, p.xi, p.z)
         assert abs(mdot(aux.nu, aux.nu) + 1.0) < 1e-10
@@ -271,7 +271,7 @@ class TestKineticTermMatrix:
         g = algebra.build_gamma_basis(fld.z)
         fd = kinetic_term_matrix(fld, x, g, hbar=1.0)
         pc = lagrangian_pieces(fld, x, m=1.0, hbar=1.0)
-        b = algebra.bilinears_closed_form(fld.params(x))
+        b = algebra.bilinears_closed_form(fld.jet(x).params)
         assert abs(pc.f1 + float(b.j @ k)) < 1e-14
         assert abs(fd - pc.kinetic_total) < 1e-6
 

@@ -98,6 +98,22 @@ def q_over_norm2(from_state):
     return mutant
 
 
+def q_off_by_1e9(from_state):
+    """``CovariantAux.from_state`` with q off by a relative 1e-9."""
+    def mutant(j, rho, xi, z):
+        aux = from_state(j, rho, xi, z)
+        return dataclasses.replace(aux, q=aux.q * (1.0 + 1e-9))
+    return mutant
+
+
+def l_q1_off_by_1e9(pieces):
+    """The unmemoized ``lagrangian_pieces`` with L_q1 off by a relative 1e-9."""
+    def mutant(fld, x, m, hbar):
+        pc = pieces(fld, x, m, hbar)
+        return dataclasses.replace(pc, l_q1=pc.l_q1 * (1.0 + 1e-9))
+    return mutant
+
+
 def d_xi_off_by_1e6(derived_jet):
     """``_derived_jet`` with d_xi off by a relative 1e-6."""
     def mutant(jet):
@@ -299,6 +315,17 @@ MUTATIONS = [
                  q_over_norm2(covariant.CovariantAux.from_state),
                  {"auxiliary-unit-vectors": "appendixB"},
                  id="covariant-aux-q-over-norm2"),
+    # The eps4 sum of f4_cov_q is linear in its q column, and d_q is built
+    # from w, not from aux.q, so F4 through q scales by 1 + 1e-9.
+    pytest.param(covariant.CovariantAux, "from_state",
+                 q_off_by_1e9(covariant.CovariantAux.from_state),
+                 {"orbit-term-unit-vector-form": "appendixB",
+                  "auxiliary-unit-vectors": "appendixB"},
+                 id="covariant-aux-q-off-by-1e-9"),
+    # The kinetic terms F1..F4 are untouched, so only the split's sum moves.
+    pytest.param(covariant, "_lagrangian_pieces", l_q1_off_by_1e9(covariant._lagrangian_pieces),
+                 {"lagrangian-decomposition": "appendixA"},
+                 id="covariant-l-q1-off-by-1e-9"),
     # lagrangian_pieces reads d_xi from _derived_jet; the oracle
     # f3_without_inner_factor differentiates the n field itself.
     pytest.param(covariant, "_derived_jet", d_xi_off_by_1e6(covariant._derived_jet),
