@@ -72,7 +72,8 @@ def _check_unit3(v, name, rows=None):
 
 def _dot3(a, b):
     """a.b over the last axis, kept: a scalar for two 3-vectors, an (N, 1)
-    column for two (N, 3) stacks; each row keeps the ``dot`` of one pair."""
+    column for two (N, 3) stacks (or (N, 4)); each row keeps the ``ddot`` of
+    the one-pair ``a.dot(b)`` or ``a @ b``."""
     if a.ndim == 1:
         return a.dot(b)
     return np.matmul(a[:, None, :], b[:, :, None])[:, 0]
@@ -416,12 +417,14 @@ XI_Z_TOL = 1e-9
 
 
 def require_off_antipode(one_plus):
-    """The caller's own 1 + xi.z, returned as given; SingularDenominatorError
-    below XI_Z_TOL, where xi is antipodal to z and every formula that divides
-    by it is singular."""
-    if one_plus < XI_Z_TOL:
+    """The caller's own 1 + xi.z, a float or an array of rows, returned as
+    given; SingularDenominatorError where a value lies below XI_Z_TOL, where
+    xi is antipodal to z and every formula that divides by it is singular."""
+    below = np.less(one_plus, XI_Z_TOL)
+    if below.any():
+        low = float(np.min(one_plus, where=below, initial=XI_Z_TOL))
         raise SingularDenominatorError(
-            f"1 + xi.z = {one_plus!r} below tolerance (antipodal xi, z)")
+            f"1 + xi.z = {low!r} below tolerance (antipodal xi, z)")
     return one_plus
 
 

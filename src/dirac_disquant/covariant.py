@@ -23,51 +23,46 @@ and hold plain lower-index derivatives; raising flips spatial signs.
 
 Array routes and bits.  ``ParamField.values`` evaluates a stack of points,
 and the finite-difference oracle makes one such call for its whole stencil.
-The F3 oracle ``f3_without_inner_factor`` takes one point (4,), giving a
-float, or a stack (N, 4), giving an (N,) array; one point is the N = 1 row
-of the same body.  Each point must keep the bits of a one-point evaluation,
+``ParamField.jet``, ``CovariantAux.from_state`` and the F3 oracle
+``f3_without_inner_factor`` take one point or a stack of N; one point is the
+N = 1 row of the same body.  ``_derived_jet`` and the body of
+``lagrangian_pieces`` take stacks only: ``prefill_pieces`` makes one body
+call per stack of points, and a ``lagrangian_pieces`` call at one point is
+the one-row stack.  Each row must keep the bits of a one-point evaluation,
 so every contraction is a stacked ``np.matmul`` that keeps the one-row and
 one-column shapes of the one-point product, e.g. ``matmul(X[:, None, None,
-:], c1[:, :, None])`` for c1.x: numpy then calls the same BLAS ``ddot`` or
-``gemv`` per point.  A flat ``X @ c1.T`` or an ``einsum`` picks another
-kernel and another summation order, and the last bits change.  The three
-covariant ``eps4`` sums of ``lagrangian_pieces`` fill one (3, 4, 4, 4) stack
-for a single ``minkowski.det`` call, LAPACK factors each matrix on its own,
-and each sum keeps the Python ``sum`` order over numpy scalars.  Outer
-products are broadcast multiplies ``a[:, None] * b``, the products
-``np.outer`` makes.  An array cube or square is ``np.float_power(r, 3.0)``
-or ``np.float_power(A, 2.0)``, the libm ``pow`` of a scalar ``**``: an array
-``r ** 3`` or ``A ** 2`` takes another kernel and rounds some rows
-differently.
+:], c1[:, :, None])`` for c1.x or ``algebra._dot3`` for j.d(phi): numpy
+then calls the same BLAS ``ddot`` or ``gemv`` per row, on C-contiguous rows
+as the one-point product did.  A flat ``X @ c1.T`` or an ``einsum`` picks another
+kernel and another summation order, and the last bits change; a hand-written
+three-term sum in place of the ``ddot`` of ``cross3(grad, v).dot(xi)`` in F4
+moved three appendixB residuals of the ``verify all --seed 123`` report.
+Each ``det`` is one ``minkowski.det`` call over the stacked blocks (the
+three covariant ``eps4`` sums share one (N, 3, 4, 4, 4) stack), LAPACK
+factors each matrix on its own, and each sum keeps the Python ``sum`` order
+over numpy scalars (``_sum_of_products``).  Outer products are broadcast
+multiplies ``a[:, None] * b``, the products ``np.outer`` makes.  An array
+cube or square is ``np.float_power(r, 3.0)`` or ``np.float_power(A, 2.0)``,
+the libm ``pow`` of a scalar ``**``: an array ``r ** 3`` or ``A ** 2`` takes
+another kernel and rounds some rows differently.  ``cosh``, ``sinh`` and
+``sin`` stay numpy ufuncs (numpy's SIMD ``cosh`` and ``sinh`` differ from
+``math``'s in the last bit).
 
-The one-point kernels behind ``lagrangian_pieces`` keep one more rule.
-Elementwise arithmetic on scalars and on 3- and 4-vectors may run on Python
-floats (``.tolist()``): +, -, *, / and sqrt round the same there, a scalar
-``**`` is libm ``pow`` on both sides, the ``mdot`` products against
-``F_REST`` are the same products, and a sum adds in the order ``sum`` does
-over numpy scalars.  Every BLAS contraction (``@``, ``.dot``, ``matmul``)
-stays a numpy call on the same operands, every ``det`` is
-``minkowski.det``, the LAPACK gufunc behind ``np.linalg.det``, and ``cosh``,
-``sinh`` and ``sin`` stay numpy ufuncs (numpy's SIMD ``cosh`` and ``sinh``
-differ from ``math``'s in the last bit).  For example, a hand-written
-three-term sum in place of ``cross3(grad, v).dot(xi)`` in F4 moves three
-appendixB residuals of the ``verify all --seed 123`` report, because BLAS
-``ddot`` rounds differently.  A float division by zero or ``math.sqrt`` of a
-negative raises ZeroDivisionError or ValueError where numpy gave inf or nan,
-so each one sits behind a check that raises a DomainError subclass first.
-Each such wall is decided in one place.  The antipodal wall 1 + xi.z below
-``algebra.XI_Z_TOL`` is ``algebra.require_off_antipode``, which
-``lagrangian_pieces`` and ``CovariantAux.from_state`` each call with the
-1 + xi.z they compute themselves.  A vanishing amplitude stops at
-``algebra.spin_from_xi`` (rho + j^0 = 0) or, when small but not zero, at
-the rho (rho + j.f) check of ``CovariantAux.from_state``; |eta| near 0 stops
-at ``_derived_jet``, and a vanishing or overflowing raw n field at
-``_unit_n``.  ``f3_without_inner_factor`` reads none of these one-point
+A stack fails as a whole: if any row meets a wall, the call raises that
+wall's DomainError subclass before it divides by anything the wall makes
+zero, and ``prefill_pieces`` stores nothing.  Each wall is decided in one
+place.  The antipodal wall 1 + xi.z below ``algebra.XI_Z_TOL`` is
+``algebra.require_off_antipode``, which the body of ``lagrangian_pieces``
+and ``CovariantAux.from_state`` each call with the 1 + xi.z rows they
+compute themselves, and whose return value they divide by.  A vanishing
+amplitude stops at ``algebra.spin_from_xi`` (rho + j^0 = 0) or, when small
+but not zero, at the rho (rho + j.f) check of ``CovariantAux.from_state``;
+|eta| near 0 stops at ``_derived_jet``, and a vanishing or overflowing raw n
+field at ``_unit_n``.  ``f3_without_inner_factor`` reads none of these
 routes: it checks the same walls over every row of its stack, with the
 antipodal one through ``require_off_antipode`` of its smallest 1 + xi.z.
 """
 
-import math
 import struct
 from dataclasses import dataclass, field
 
@@ -107,16 +102,12 @@ def split_derivative(j, grad):
     return parallel, grad - parallel
 
 
-def _mdot_rows(rows, f):
-    """``mdot(row, f)`` for each row of a 4-vector list, on floats: the row
-    products that ``mdot`` of the transposed stack gives."""
-    f0, f1, f2, f3 = f
-    return [a * f0 - b * f1 - c * f2 - d * f3 for a, b, c, d in rows]
-
-
 @dataclass(frozen=True)
 class CovariantAux:
-    """Auxiliary unit vectors entering the covariant F3/F4 shapes; f is ``F_REST``."""
+    """Auxiliary unit vectors entering the covariant F3/F4 shapes; f is ``F_REST``.
+
+    Each is a 4-vector for one state and an (N, 4) stack for N states.
+    """
 
     z4: np.ndarray     # (0, z)
     nu: np.ndarray     # xi4 - (xi4.f) f, unit spacelike
@@ -125,25 +116,31 @@ class CovariantAux:
 
     @classmethod
     def from_state(cls, j, rho, xi, z):
-        f = F_REST.tolist()
-        xi, z = np.asarray(xi, dtype=float), np.asarray(z, dtype=float)
-        xi4 = [0.0, *xi.tolist()]
-        j = np.asarray(j, dtype=float).tolist()
-        xf, jf = _mdot_rows((xi4, j), f)
-        nu = [a - xf * b for a, b in zip(xi4, f)]
-        norm = math.sqrt(2.0 * require_off_antipode(1.0 + float(xi.dot(z))))
-        norm2 = 2.0 * rho * (rho + jf)
-        if norm2 < 1e-9:
+        """The vectors of one state, j (4,), rho, xi (3,) and z (3,), or of
+        each row of j (N, 4), rho (N,) and xi (N, 3), with z (3,) or (N, 3);
+        one state is the one-row stack."""
+        j = np.asarray(j, dtype=float)
+        rows = j.reshape(-1, 4)
+        rho = np.asarray(rho, dtype=float).reshape(-1)
+        xi = np.asarray(xi, dtype=float).reshape(-1, 3)
+        z = np.broadcast_to(np.asarray(z, dtype=float), xi.shape)
+        xi4, z4 = np.zeros((2, len(xi), 4))
+        xi4[:, 1:], z4[:, 1:] = xi, z
+        nu = xi4 - mdot(xi4.T, F_REST)[:, None] * F_REST
+        norm = np.sqrt(2.0 * require_off_antipode(1.0 + _dot3(xi, z)[:, 0]))
+        norm2 = 2.0 * rho * (rho + mdot(rows.T, F_REST))
+        if not norm2.min() >= 1e-9:
             raise SingularDenominatorError("rho (rho + j.f) below tolerance")
-        nq = math.sqrt(norm2)
-        return cls(z4=np.array([0.0, *z.tolist()]),
-                   nu=np.array(nu), mu=np.array([a / norm for a in nu]),
-                   q=np.array([(a + b * rho) / nq for a, b in zip(j, f)]))
+        q = (rows + F_REST * rho[:, None]) / np.sqrt(norm2)[:, None]
+        aux = (z4, nu, nu / norm[:, None], q)
+        return cls(*(a[0] for a in aux) if j.ndim == 1 else aux)
 
 
 @dataclass(frozen=True)
 class ParamJet:
-    """Parameter values and their first coordinate derivatives at a point."""
+    """Parameter values and their first coordinate derivatives at a point,
+    or at each of N points: then ``params`` is a stack and each array below
+    gains a leading axis of N rows."""
 
     params: SpinorParams
     d_amp: np.ndarray     # (4,)
@@ -226,29 +223,32 @@ class ParamField:
         return self.c0 + lin + quad, raw
 
     def jet(self, x) -> ParamJet:
+        """The jet at one point x (4,), or at each row of a stack x (N, 4);
+        one point is the one-row stack, and each row has the bits of a
+        one-point evaluation, so the cube r^3 of the raw n norm is
+        ``np.float_power``, not an array ``**``."""
         x = np.asarray(x, dtype=float)
-        s, raw = self.values(x[None])
+        X = np.atleast_2d(x)
+        s, raw = self.values(X)
         n, r = _unit_n(raw)
-        s, raw, n, r = s[0], raw[0], n[0], r[0, 0]
+        # d_l n = d_l raw / r - raw (raw . d_l raw) / r^3, with d_l raw = n_lin[:, l].
         dr = self.n_lin.T
-        d_n = dr / r - raw * np.matmul(raw, dr[:, :, None]) / r ** 3
-        grad = self.c1 + 2.0 * np.matmul(self.c2, x[:, None])[..., 0]
-        amplitude, kappa, phi = s[:3].tolist()
-        params = SpinorParams(
-            amplitude=amplitude,
-            kappa=kappa,
-            phi=phi,
-            eta=s[3:],
-            n=n,
-            z=self.z,
-        )
+        raw_dr = np.matmul(raw[:, None, None, :], dr[:, :, None])[..., 0]
+        d_n = dr / r[:, :, None] - raw[:, None, :] * raw_dr / np.float_power(r, 3.0)[:, :, None]
+        grad = self.c1 + 2.0 * np.matmul(self.c2, X[:, None, :, None])[..., 0]
+        if x.ndim == 1:
+            (amplitude, kappa, phi), z = s[0, :3].tolist(), self.z
+            s, n, d_n, grad = s[0], n[0], d_n[0], grad[0]
+        else:
+            amplitude, kappa, phi, z = s[:, 0], s[:, 1], s[:, 2], np.broadcast_to(self.z, n.shape)
         return ParamJet(
-            params=params,
-            d_amp=grad[0],
-            d_kappa=grad[1],
-            d_phi=grad[2],
+            params=SpinorParams(amplitude=amplitude, kappa=kappa, phi=phi, eta=s[..., 3:],
+                                n=n, z=z),
+            d_amp=grad[..., 0, :],
+            d_kappa=grad[..., 1, :],
+            d_phi=grad[..., 2, :],
             # C order keeps the BLAS kernel of d_eta @ v in _derived_jet.
-            d_eta=np.ascontiguousarray(grad[3:].T),
+            d_eta=np.ascontiguousarray(np.swapaxes(grad[..., 3:, :], -1, -2)),
             d_n=d_n,
         )
 
@@ -305,36 +305,39 @@ class LagrangianPieces:
 
 
 def _derived_jet(jet: ParamJet):
-    """Chain rule from parameter derivatives to (rho, j, v, xi, S) and theirs."""
+    """Chain rule from parameter derivatives to (rho, j, v, xi, S) and theirs,
+    row by row for the jet of a stack of N points."""
     p = jet.params
     eta_vec = p.eta
     eta = p.eta_norm
-    if eta < 1e-6:
+    if not eta.min() >= 1e-6:
         raise DomainError("field evaluation needs |eta| bounded away from 0")
-    v = eta_vec / eta
-    d_eta_norm = jet.d_eta @ v                       # (4,)
-    d_v = jet.d_eta / eta - d_eta_norm[:, None] * eta_vec / eta ** 2
+    v = eta_vec / eta[:, None]
+    d_eta_norm = np.matmul(jet.d_eta, v[:, :, None])[..., 0]       # (N, 4)
+    d_v = (jet.d_eta / eta[:, None, None]
+           - d_eta_norm[:, :, None] * eta_vec[:, None, :]
+           / np.float_power(eta, 2.0)[:, None, None])
 
     # SpinorParams.xi, from the one n.z dot.
-    nz = float(p.n.dot(p.z))
+    nz = _dot3(p.n, p.z)
     xi = 2.0 * p.n * nz - p.z
-    d_xi = 2.0 * jet.d_n * nz + 2.0 * ((jet.d_n @ p.z)[:, None] * p.n)
+    d_xi = 2.0 * jet.d_n * nz[:, :, None] + 2.0 * (np.matmul(jet.d_n, p.z[:, :, None])
+                                                   * p.n[:, None, :])
 
-    rho = p.amplitude ** 2
-    d_rho = 2.0 * p.amplitude * jet.d_amp
+    rho = np.float_power(p.amplitude, 2.0)
+    d_rho = (2.0 * p.amplitude)[:, None] * jet.d_amp
 
-    ch, sh = float(np.cosh(eta)), float(np.sinh(eta))
+    ch, sh = np.cosh(eta), np.sinh(eta)
     rho_ch, rho_sh = rho * ch, rho * sh
-    v1, v2, v3 = v.tolist()
-    j = np.array([rho_ch, rho_sh * v1, rho_sh * v2, rho_sh * v3])
+    j = np.empty((len(rho), 4))
+    j[:, 0] = rho_ch
+    j[:, 1:] = rho_sh[:, None] * v
     # Row l of d_j: d_rho ch + rho sh d_eta_norm, then
     # (d_rho sh + rho ch d_eta_norm) v + rho sh d_v.
-    d_j = []
-    for dr, de, (dv1, dv2, dv3) in zip(d_rho.tolist(), d_eta_norm.tolist(), d_v.tolist()):
-        c = dr * sh + rho_ch * de
-        d_j.append((dr * ch + rho_sh * de, c * v1 + rho_sh * dv1, c * v2 + rho_sh * dv2,
-                    c * v3 + rho_sh * dv3))
-    d_j = np.array(d_j)
+    c = d_rho * sh[:, None] + rho_ch[:, None] * d_eta_norm
+    d_j = np.empty((len(rho), 4, 4))
+    d_j[..., 0] = d_rho * ch[:, None] + rho_sh[:, None] * d_eta_norm
+    d_j[..., 1:] = c[..., None] * v[:, None, :] + rho_sh[:, None, None] * d_v
 
     S = spin_from_xi(xi, j, rho)
     return rho, d_rho, j, d_j, eta, d_eta_norm, v, d_v, xi, d_xi, S
@@ -345,106 +348,129 @@ _D_UP = (1.0, -1.0, -1.0, -1.0)
 
 
 def _sum_of_products(a, b):
-    """``sum(a * b)`` of two 4-vectors held as floats, with the products and
-    additions of ``sum`` over numpy scalars, from its start value 0, or of
-    each column of two (4, N) arrays.  (From Python 3.12 on, ``sum`` of
-    floats compensates its additions.)"""
+    """``sum(a * b)`` of two 4-vectors, with the products and additions of
+    ``sum`` over numpy scalars, from its start value 0, or of each column of
+    two (4, N) arrays.  (From Python 3.12 on, ``sum`` of floats compensates
+    its additions.)"""
     return 0.0 + a[0] * b[0] + a[1] * b[1] + a[2] * b[2] + a[3] * b[3]
 
 
+def _cross_rows(a, b):
+    """``cross3`` of each row pair of two (N, 3) stacks, C-contiguous."""
+    return np.ascontiguousarray(cross3(a.T, b.T).T)
+
+
+def _memo_key(x, m, hbar):
+    """The ``lagrangian_pieces`` memo key of one point x: the exact bits of
+    x, m and hbar."""
+    return (x.shape, x.tobytes(), struct.pack("<2d", m, hbar))
+
+
 def lagrangian_pieces(fld: ParamField, x, m, hbar) -> LagrangianPieces:
-    """Evaluate F1..F4 (both shapes each where two exist) and the L split.
+    """Evaluate F1..F4 (both shapes each where two exist) and the L split at
+    one point x (4,).
 
     Memoized on ``fld`` by the exact bits of x, m and hbar: a repeated call
     returns the stored (frozen, all-float) result, and a call that raises
-    stores nothing.  The oracles ``f3_without_inner_factor`` and
-    ``kinetic_term_matrix`` do not read the memo.
+    stores nothing.  ``prefill_pieces`` stores the pieces of a whole stack
+    of points from one body call, and a call at one of its rows reads them.
+    The oracles ``f3_without_inner_factor`` and ``kinetic_term_matrix`` do
+    not read the memo.
     """
     x = np.asarray(x, dtype=float)
-    key = (x.shape, x.tobytes(), struct.pack("<2d", m, hbar))
+    key = _memo_key(x, m, hbar)
     pieces = fld.memo.get(key)
     if pieces is None:
-        pieces = fld.memo[key] = _lagrangian_pieces(fld, x, m, hbar)
+        (pieces,) = _lagrangian_pieces(fld, x[None], m, hbar)
+        fld.memo[key] = pieces
     return pieces
 
 
-def _lagrangian_pieces(fld: ParamField, x, m, hbar) -> LagrangianPieces:
+def prefill_pieces(fld: ParamField, X, m, hbar) -> None:
+    """Store the pieces of each row of X (N, 4) in ``fld.memo``, under the key
+    of a ``lagrangian_pieces`` call at that row, from one body call; if any
+    row meets a wall, raise its DomainError and store nothing."""
+    X = np.asarray(X, dtype=float)
+    for x, pieces in zip(X, _lagrangian_pieces(fld, X, m, hbar)):
+        fld.memo[_memo_key(x, m, hbar)] = pieces
+
+
+def _lagrangian_pieces(fld: ParamField, X, m, hbar) -> list:
+    """The body of ``lagrangian_pieces``: one ``LagrangianPieces`` for each
+    row of X (N, 4), each with the bits of the one-row stack."""
     f = F_REST
-    f_list = f.tolist()
-    jet = fld.jet(x)
+    jet = fld.jet(X)
     p = jet.params
     rho, d_rho, j, d_j, eta, d_eta_norm, v, d_v, xi, d_xi, S = _derived_jet(jet)
 
-    f1 = -hbar * float(j @ jet.d_phi)
-    f2 = -0.5 * hbar * float(S @ jet.d_kappa)
+    f1 = -hbar * _dot3(j, jet.d_phi)[:, 0]
+    f2 = -0.5 * hbar * _dot3(S, jet.d_kappa)[:, 0]
 
-    one_plus = require_off_antipode(1.0 + float(xi.dot(p.z)))
-    # det of the matrix with columns (xi, d_xi[l], z), for each l at once.
-    cols = np.empty((4, 3, 3))
-    cols[:, :, 0] = xi
-    cols[:, :, 1] = d_xi
-    cols[:, :, 2] = p.z
-    j_list = j.tolist()
-    f3 = -hbar / (2.0 * one_plus) * _sum_of_products(j_list, det(cols).tolist())
+    one_plus = require_off_antipode(1.0 + _dot3(xi, p.z)[:, 0])
+    # det of the matrix with columns (xi, d_xi[l], z), for each row and l at once.
+    cols = np.empty((len(rho), 4, 3, 3))
+    cols[..., 0] = xi[:, None, :]
+    cols[..., 1] = d_xi
+    cols[..., 2] = p.z[:, None, :]
+    f3 = -hbar / (2.0 * one_plus) * _sum_of_products(j.T, det(cols).T)
 
     # Covariant F3 through mu = nu / sqrt(2 (1 + xi.z)); d_nu = d_xi4 - (d_xi4.f) f.
     aux = CovariantAux.from_state(j, rho, xi, p.z)
-    d_nu = np.zeros((4, 4))
-    d_nu[:, 1:] = d_xi
-    d_nu -= np.array(_mdot_rows(d_nu.tolist(), f_list))[:, None] * f
-    norm = math.sqrt(2.0 * one_plus)
-    d_norm = (d_xi @ p.z) / norm
-    d_mu = d_nu / norm - d_norm[:, None] * aux.nu / norm ** 2
+    d_nu = np.zeros((len(rho), 4, 4))
+    d_nu[..., 1:] = d_xi
+    d_nu -= mdot(np.moveaxis(d_nu, -1, 0), f)[..., None] * f
+    norm = np.sqrt(2.0 * one_plus)
+    d_norm = np.matmul(d_xi, p.z[:, :, None])[..., 0] / norm[:, None]
+    d_mu = (d_nu / norm[:, None, None]
+            - d_norm[:, :, None] * aux.nu[:, None, :] / np.float_power(norm, 2.0)[:, None, None])
 
-    v_list, dv = v.tolist(), d_v.tolist()
-    curl_v = np.array([
-        dv[2][2] - dv[3][1],
-        dv[3][0] - dv[1][2],
-        dv[1][1] - dv[2][0],
-    ])
+    curl_v = np.stack([d_v[:, 2, 2] - d_v[:, 3, 1],
+                       d_v[:, 3, 0] - d_v[:, 1, 2],
+                       d_v[:, 1, 1] - d_v[:, 2, 0]], axis=1)
     f4 = -0.5 * hbar * rho * (
-        float(cross3(d_eta_norm[1:].tolist(), v_list).dot(xi))
-        + float(np.sinh(eta)) * float(curl_v.dot(xi))
-        + 2.0 * float(np.sinh(eta / 2) ** 2) * float(cross3(v_list, dv[0]).dot(xi))
-    )
+        _dot3(_cross_rows(d_eta_norm[:, 1:], v), xi)
+        + np.sinh(eta)[:, None] * _dot3(curl_v, xi)
+        + 2.0 * np.float_power(np.sinh(eta / 2), 2.0)[:, None]
+        * _dot3(_cross_rows(v, d_v[:, 0]), xi)
+    )[:, 0]
 
     # Covariant F4, first from W = j + f rho with upper-index derivatives,
     # then through the unit vector q.
-    w = j + f * rho
-    d_w = d_j + d_rho[:, None] * f
-    rho_jf = rho + mdot(j_list, f_list)
+    w = j + f * rho[:, None]
+    d_w = d_j + d_rho[..., None] * f
+    rho_jf = rho + mdot(j.T, f)
     n2 = 2.0 * rho * rho_jf
-    nq = math.sqrt(n2)
-    d_nq = np.array([(2.0 * a * rho_jf + 2.0 * rho * (a + b)) / (2.0 * nq)
-                     for a, b in zip(d_rho.tolist(), _mdot_rows(d_j.tolist(), f_list))])
-    d_q = d_w / nq - d_nq[:, None] * w / n2
+    nq = np.sqrt(n2)
+    d_nq = ((2.0 * d_rho * rho_jf[:, None]
+             + 2.0 * rho[:, None] * (d_rho + mdot(np.moveaxis(d_j, -1, 0), f)))
+            / (2.0 * nq)[:, None])
+    d_q = d_w / nq[:, None, None] - d_nq[..., None] * w[:, None, :] / n2[:, None, None]
 
-    # The three covariant eps4 sums share one det call: block k, derivative
-    # l, column i of the (3, 4, 4, 4) stack, with the columns that two blocks
-    # share written once.
-    cols = np.empty((3, 4, 4, 4))
-    cols[0, :, :, 0] = aux.mu
-    cols[0, :, :, 1] = d_mu
-    cols[0, :, :, 2] = aux.z4
-    cols[0, :, :, 3] = f
-    cols[1, :, :, 0] = d_w
-    cols[1:, :, :, 1] = BASIS4
-    cols[1, :, :, 2] = w
-    cols[1:, :, :, 3] = aux.nu
-    cols[2, :, :, 0] = aux.q
-    cols[2, :, :, 2] = d_q
-    eps_mu, eps_w, eps_q = det(cols).tolist()
-    f3_cov = hbar * _sum_of_products(j_list, eps_mu)
-    f4_cov = -hbar / (2.0 * rho_jf) * _sum_of_products(_D_UP, eps_w)
-    f4_cov_q = hbar * rho * _sum_of_products(_D_UP, eps_q)
+    # The three covariant eps4 sums share one det call: row, block k,
+    # derivative l, column i of the (N, 3, 4, 4, 4) stack, with the columns
+    # that two blocks share written once.
+    cols = np.empty((len(rho), 3, 4, 4, 4))
+    cols[:, 0, ..., 0] = aux.mu[:, None, :]
+    cols[:, 0, ..., 1] = d_mu
+    cols[:, 0, ..., 2] = aux.z4[:, None, :]
+    cols[:, 0, ..., 3] = f
+    cols[:, 1, ..., 0] = d_w
+    cols[:, 1:, ..., 1] = BASIS4
+    cols[:, 1, ..., 2] = w[:, None, :]
+    cols[:, 1:, ..., 3] = aux.nu[:, None, None, :]
+    cols[:, 2, ..., 0] = aux.q[:, None, :]
+    cols[:, 2, ..., 2] = d_q
+    eps_mu, eps_w, eps_q = np.moveaxis(det(cols), 1, 0)
+    f3_cov = hbar * _sum_of_products(j.T, eps_mu.T)
+    f4_cov = -hbar / (2.0 * rho_jf) * _sum_of_products(_D_UP, eps_w.T)
+    f4_cov_q = hbar * rho * _sum_of_products(_D_UP, eps_q.T)
 
     l_cl = -m * rho + f1 + f3
-    l_q1 = 2.0 * m * rho * float(np.sin(p.kappa / 2)) ** 2 + f2
+    l_q1 = 2.0 * m * rho * np.float_power(np.sin(p.kappa / 2), 2.0) + f2
     l_q2 = f4
 
-    return LagrangianPieces(f1=f1, f2=f2, f3=f3, f4=f4,
-                            f3_cov=f3_cov, f4_cov=f4_cov, f4_cov_q=f4_cov_q,
-                            l_cl=l_cl, l_q1=l_q1, l_q2=l_q2)
+    columns = (f1, f2, f3, f4, f3_cov, f4_cov, f4_cov_q, l_cl, l_q1, l_q2)
+    return [LagrangianPieces(*row) for row in zip(*(c.tolist() for c in columns))]
 
 
 def f3_without_inner_factor(fld: ParamField, x, hbar):

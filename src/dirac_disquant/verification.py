@@ -181,17 +181,25 @@ def suite_algebra(cfg: RunConfig, rep: VerificationReport) -> None:
 
 def _field_points(cfg: RunConfig, offset, n_points):
     """The ten seeded parameter fields of a field suite and its n_points
-    points in the box |x_l| <= 0.5; point i lies on field i % 10."""
+    points in the box |x_l| <= 0.5; point i lies on field i % 10.
+
+    Each field's memo then holds the Lagrangian pieces of its points at
+    cfg.m and cfg.hbar, from one stacked body call per field.
+    """
     fields = [covariant.random_param_field(np.random.default_rng(cfg.seed + offset + k))
               for k in range(10)]
-    return fields, np.random.default_rng(cfg.seed).uniform(-0.5, 0.5, size=(n_points, 4))
+    points = np.random.default_rng(cfg.seed).uniform(-0.5, 0.5, size=(n_points, 4))
+    for k, fld in enumerate(fields):
+        covariant.prefill_pieces(fld, points[k::len(fields)], cfg.m, cfg.hbar)
+    return fields, points
 
 
 def _worst_over_points(cfg: RunConfig, fields, points, residual, count=None):
     """``_worst`` of residual(i, fld, x, pieces) over the first count points.
 
     Each call gets point i's field and x and makes its own
-    ``lagrangian_pieces`` call, so every check reads the pieces itself.
+    ``lagrangian_pieces`` call, so every check reads the pieces itself,
+    from the memo that ``_field_points`` filled.
     """
     def at(i, x):
         fld = fields[i % len(fields)]
@@ -272,15 +280,20 @@ def suite_appendix_b(cfg: RunConfig, rep: VerificationReport) -> None:
             worst(lambda i, fld, x, pc: abs(pc.f3_cov - alt[i]) / max(abs(pc.f3), 1e-3)),
             1e-10)
 
-    def aux_units(i, fld, x, pc):
-        p = fld.jet(x).params
+    # nu.nu + 1 and q.q - 1 at the first n_aux points, from one stacked jet
+    # per field over its points i = k (mod 10).
+    n_aux = 100
+    units = np.empty((n_aux, 2))
+    for k, fld in enumerate(fields):
+        p = fld.jet(points[k:n_aux:len(fields)]).params
         bc = algebra.bilinears_closed_form(p)
         aux = covariant.CovariantAux.from_state(bc.j, bc.rho, p.xi, p.z)
-        return (abs(mdot(aux.nu, aux.nu) + 1.0), abs(mdot(aux.q, aux.q) - 1.0),
-                abs(mdot(F_REST, F_REST) - 1.0))
+        units[k::len(fields)] = np.stack([mdot(aux.nu.T, aux.nu.T) + 1.0,
+                                          mdot(aux.q.T, aux.q.T) - 1.0], axis=1)
 
     rep.add("auxiliary-unit-vectors", "nu.nu = -1, q.q = 1, f.f = 1",
-            worst(aux_units, 100), 1e-10)
+            worst(lambda i, fld, x, pc: (*np.abs(units[i]), abs(mdot(F_REST, F_REST) - 1.0)),
+                  n_aux), 1e-10)
 
     def splitting(i):
         rng_i = np.random.default_rng(cfg.seed + 300 + i)

@@ -9,6 +9,7 @@ sign of zero or a last-bit difference fails.
 
 import dataclasses
 import json
+import math
 import warnings
 
 import numpy as np
@@ -27,6 +28,7 @@ from dirac_disquant.errors import DomainError, StepSizeError
 from dirac_disquant.minkowski import (
     BASIS4,
     F_REST,
+    cross3,
     eps4,
     eps4_free,
     eps4_stack,
@@ -948,6 +950,69 @@ def covariant_reference(fld, x, m, hbar, eps=eps4_stack):
     return (f1, f2, f3, f4, f3_cov, f4_cov, f4_cov_q, l_cl, l_q1, f4), f3_alt
 
 
+def one_point_pieces_reference(fld, x, m, hbar):
+    """The one-point body that the stacked ``_lagrangian_pieces`` replaced:
+    elementwise arithmetic on Python floats, numpy for every BLAS
+    contraction, det, cosh, sinh and sin, and one det call for the three
+    covariant eps4 sums."""
+    def products(a, b):
+        # The additions of ``sum`` over numpy scalars, from its start value 0.
+        return 0.0 + a[0] * b[0] + a[1] * b[1] + a[2] * b[2] + a[3] * b[3]
+
+    f, f_list = F_REST, F_REST.tolist()
+    jet = fld.jet(x)
+    p = jet.params
+    rho, d_rho, j, d_j, eta, d_eta_norm, v, d_v, xi, d_xi, S = derived_jet_reference(jet)
+    f1 = -hbar * float(j @ jet.d_phi)
+    f2 = -0.5 * hbar * float(S @ jet.d_kappa)
+    one_plus = 1.0 + float(xi.dot(p.z))
+    cols = np.empty((4, 3, 3))
+    cols[:, :, 0] = xi
+    cols[:, :, 1] = d_xi
+    cols[:, :, 2] = p.z
+    j_list = j.tolist()
+    f3 = -hbar / (2.0 * one_plus) * products(j_list, minkowski.det(cols).tolist())
+    z4, nu, mu, q = aux_reference(j, rho, xi, p.z)
+    d_nu = np.zeros((4, 4))
+    d_nu[:, 1:] = d_xi
+    d_nu -= np.array([mdot(row, f_list) for row in d_nu.tolist()])[:, None] * f
+    norm = math.sqrt(2.0 * one_plus)
+    d_mu = d_nu / norm - ((d_xi @ p.z) / norm)[:, None] * nu / norm ** 2
+    v_list, dv = v.tolist(), d_v.tolist()
+    curl_v = np.array([dv[2][2] - dv[3][1], dv[3][0] - dv[1][2], dv[1][1] - dv[2][0]])
+    f4 = -0.5 * hbar * rho * (
+        float(cross3(d_eta_norm[1:].tolist(), v_list).dot(xi))
+        + float(np.sinh(eta)) * float(curl_v.dot(xi))
+        + 2.0 * float(np.sinh(eta / 2) ** 2) * float(cross3(v_list, dv[0]).dot(xi)))
+    w = j + f * rho
+    d_w = d_j + d_rho[:, None] * f
+    rho_jf = rho + mdot(j_list, f_list)
+    n2 = 2.0 * rho * rho_jf
+    nq = math.sqrt(n2)
+    d_nq = np.array([(2.0 * a * rho_jf + 2.0 * rho * (a + mdot(b, f_list))) / (2.0 * nq)
+                     for a, b in zip(d_rho.tolist(), d_j.tolist())])
+    d_q = d_w / nq - d_nq[:, None] * w / n2
+    cols = np.empty((3, 4, 4, 4))
+    cols[0, :, :, 0] = mu
+    cols[0, :, :, 1] = d_mu
+    cols[0, :, :, 2] = z4
+    cols[0, :, :, 3] = f
+    cols[1, :, :, 0] = d_w
+    cols[1:, :, :, 1] = BASIS4
+    cols[1, :, :, 2] = w
+    cols[1:, :, :, 3] = nu
+    cols[2, :, :, 0] = q
+    cols[2, :, :, 2] = d_q
+    eps_mu, eps_w, eps_q = minkowski.det(cols).tolist()
+    d_up = [1.0, -1.0, -1.0, -1.0]
+    f3_cov = hbar * products(j_list, eps_mu)
+    f4_cov = -hbar / (2.0 * rho_jf) * products(d_up, eps_w)
+    f4_cov_q = hbar * rho * products(d_up, eps_q)
+    l_cl = -m * rho + f1 + f3
+    l_q1 = 2.0 * m * rho * float(np.sin(p.kappa / 2)) ** 2 + f2
+    return f1, f2, f3, f4, f3_cov, f4_cov, f4_cov_q, l_cl, l_q1, f4
+
+
 def random_parameter_sets(n, seed):
     """n generic parameter sets; every tenth has eta = 0, one has tiny eta."""
     rng = np.random.default_rng(seed)
@@ -1118,8 +1183,9 @@ def test_covariant_kernels_match_references():
         fld = random_param_field(np.random.default_rng(500 + k))
         for x in random_points(500 + k, 10):
             jet = fld.jet(x)
-            for got, want in zip(covariant._derived_jet(jet), derived_jet_reference(jet)):
-                assert same(got, want)
+            for got, want in zip(covariant._derived_jet(fld.jet(x[None])),
+                                 derived_jet_reference(jet)):
+                assert same(got[0], want)
             rho, _, j, _, _, _, _, _, xi, _, _ = derived_jet_reference(jet)
             aux = covariant.CovariantAux.from_state(j, rho, xi, fld.z)
             for got, want in zip((aux.z4, aux.nu, aux.mu, aux.q),
@@ -1128,9 +1194,99 @@ def test_covariant_kernels_match_references():
             pieces = dataclasses.astuple(lagrangian_pieces(fld, x, 1.1, 0.8))
             want, f3_alt = covariant_reference(fld, x, 1.1, 0.8)
             assert len(pieces) == len(want) == 10
-            for got, ref in zip(pieces, want):
-                assert same(got, ref)
+            for got, ref, old in zip(pieces, want, one_point_pieces_reference(fld, x, 1.1, 0.8)):
+                assert same(got, ref) and same(got, old)
             assert same(f3_without_inner_factor(fld, x, 0.8), f3_alt)
+
+
+@pytest.mark.parametrize("seed", FIELD_SEEDS)
+@pytest.mark.parametrize("m, hbar", [(1.0, 1.0), (1.1, 0.8)])
+@pytest.mark.parametrize("n", [1, 10, 50])
+def test_stacked_covariant_rows_match_one_point_references(seed, m, hbar, n):
+    # Each row of the stacked jet, _derived_jet, CovariantAux and body has
+    # the bits of the per-point references, whatever the stack's size.
+    fld = random_param_field(np.random.default_rng(seed))
+    X = random_points(seed, n)
+    jet = fld.jet(X)
+    p = jet.params
+    derived = covariant._derived_jet(jet)
+    rho, _, j, _, _, _, _, _, xi, _, _ = derived
+    aux = covariant.CovariantAux.from_state(j, rho, xi, fld.z)
+    rows = covariant._lagrangian_pieces(fld, X, m, hbar)
+    assert len(rows) == n and p.amplitude.shape == rho.shape == (n,)
+    for i, x in enumerate(X):
+        vals, grads, n_vec, d_n = scalar_jet(fld, x)
+        assert [p.amplitude[i], p.kappa[i], p.phi[i], *p.eta[i]] == vals
+        assert same(p.n[i], n_vec) and same(jet.d_n[i], d_n)
+        for got, want in zip((jet.d_amp[i], jet.d_kappa[i], jet.d_phi[i]), grads):
+            assert same(got, want)
+        assert same(jet.d_eta[i], np.stack(grads[3:], axis=1))
+        ref = derived_jet_reference(fld.jet(x))
+        for got, want in zip(derived, ref):
+            assert same(got[i], want)
+        for got, want in zip((aux.z4, aux.nu, aux.mu, aux.q),
+                             aux_reference(ref[2], ref[0], ref[8], fld.z)):
+            assert same(got[i], want)
+        want, _ = covariant_reference(fld, x, m, hbar)
+        old = one_point_pieces_reference(fld, x, m, hbar)
+        for got, ref_value, old_value in zip(dataclasses.astuple(rows[i]), want, old):
+            assert type(got) is float and same(got, ref_value) and same(got, old_value)
+
+
+def _wall_field(wall):
+    """A seeded field whose only wall in x0 >= 0 is the plane x0 = 0."""
+    fld = random_param_field(np.random.default_rng(3))
+    c0, c1, c2 = fld.c0.copy(), fld.c1.copy(), fld.c2.copy()
+    n0, n_lin, z = fld.n0, fld.n_lin, fld.z
+    if wall in ("amplitude=0", "amplitude=1e-5"):
+        # A = A0 + 2 x0: rho + j^0 = 0, or rho (rho + j.f) below 1e-9.
+        c0[0], c1[0], c2[0] = (0.0 if wall == "amplitude=0" else 1e-5), 0.0, 0.0
+        c1[0, 0] = 2.0
+    elif wall == "eta=0":
+        c0[3:], c1[3:], c2[3:] = 0.0, 0.0, 0.0
+        c1[3, 0] = 2.0
+    elif wall == "xi=-z":
+        # raw n = (1, 0, 2 x0) and z = (0, 0, 1): n.z = 0 at x0 = 0.
+        n0, n_lin, z = [1.0, 0.0, 0.0], np.zeros((3, 4)), [0.0, 0.0, 1.0]
+        n_lin[2, 0] = 2.0
+    else:
+        # raw n = (x0, 0, 0) vanishes at x0 = 0; n = z elsewhere.
+        n0, n_lin, z = np.zeros(3), np.zeros((3, 4)), [1.0, 0.0, 0.0]
+        n_lin[0, 0] = 1.0
+    return dataclasses.replace(fld, c0=c0, c1=c1, c2=c2, n0=n0, n_lin=n_lin, z=z)
+
+
+@pytest.mark.parametrize("wall", ["amplitude=0", "amplitude=1e-5", "eta=0", "xi=-z", "n=0"])
+def test_a_stack_with_one_wall_row_raises_and_stores_nothing(wall):
+    fld = _wall_field(wall)
+    X = random_points(3, 10)
+    X[:, 0] = np.abs(X[:, 0]) + 0.1
+    off = X.copy()
+    X[6, 0] = 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError):
+            covariant.prefill_pieces(fld, X, 1.0, 1.0)
+        assert fld.memo == {}
+        # With row 6 off the wall, the stack fills one entry per row.
+        covariant.prefill_pieces(fld, off, 1.0, 1.0)
+    assert len(fld.memo) == 10
+
+
+@pytest.mark.parametrize("seed", [42, 7])
+def test_field_suites_fill_the_memo_with_one_body_call_per_field(seed, monkeypatch):
+    # Every one of the 2600 per-point calls of appendixA and appendixB reads
+    # the memo that one body call per field filled: 10 fields per suite.
+    calls = {"lagrangian_pieces": 0, "_lagrangian_pieces": 0}
+    for name in calls:
+        fn = getattr(covariant, name)
+
+        def counted(*args, _fn=fn, _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(covariant, name, counted)
+    assert verification.run_suite("all", report.RunConfig(seed=seed)).passed
+    assert calls == {"lagrangian_pieces": 2600, "_lagrangian_pieces": 20}
 
 
 def eps_free_reference(slot, b, c, d):

@@ -90,11 +90,11 @@ def mass_increase_unsquared(v, c=1.0):
 
 def q_over_norm2(from_state):
     """``CovariantAux.from_state`` with q divided by 2 rho (rho + j.f) in
-    place of its square root."""
+    place of its square root, for one state or row by row for a stack."""
     def mutant(j, rho, xi, z):
         aux = from_state(j, rho, xi, z)
-        norm2 = 2.0 * rho * (rho + mdot(j, minkowski.F_REST))
-        return dataclasses.replace(aux, q=aux.q / math.sqrt(norm2))
+        norm2 = 2.0 * rho * (rho + mdot(np.asarray(j).T, minkowski.F_REST))
+        return dataclasses.replace(aux, q=aux.q / np.sqrt(norm2)[..., None])
     return mutant
 
 
@@ -107,11 +107,21 @@ def q_off_by_1e9(from_state):
 
 
 def l_q1_off_by_1e9(pieces):
-    """The unmemoized ``lagrangian_pieces`` with L_q1 off by a relative 1e-9."""
-    def mutant(fld, x, m, hbar):
-        pc = pieces(fld, x, m, hbar)
-        return dataclasses.replace(pc, l_q1=pc.l_q1 * (1.0 + 1e-9))
+    """The body of ``lagrangian_pieces`` with L_q1 off by a relative 1e-9 in
+    every row."""
+    def mutant(fld, X, m, hbar):
+        return [dataclasses.replace(pc, l_q1=pc.l_q1 * (1.0 + 1e-9))
+                for pc in pieces(fld, X, m, hbar)]
     return mutant
+
+
+def memo_rows_rolled(fld, X, m, hbar):
+    """``prefill_pieces`` with the rows of its body rolled by one: each
+    point's memo entry holds the pieces of the point before it in the
+    stack."""
+    rows = covariant._lagrangian_pieces(fld, X, m, hbar)
+    for x, pieces in zip(np.asarray(X), rows[-1:] + rows[:-1]):
+        fld.memo[covariant._memo_key(x, m, hbar)] = pieces
 
 
 def d_xi_off_by_1e6(derived_jet):
@@ -332,6 +342,15 @@ MUTATIONS = [
                  {"kinetic-split-convergence": "appendixA",
                   "spin-term-regularization-invariance": "appendixB"},
                  id="covariant-derived-jet-d-xi-off-by-1e-6"),
+    # Every check that sets a point's pieces against a route of its own
+    # fails; the three covariant-equivalence checks compare two pieces of
+    # one (wrong) row, and auxiliary-unit-vectors reads no pieces.
+    pytest.param(covariant, "prefill_pieces", memo_rows_rolled,
+                 {"kinetic-split-residual": "appendixA",
+                  "kinetic-split-convergence": "appendixA",
+                  "lagrangian-decomposition": "appendixA",
+                  "spin-term-regularization-invariance": "appendixB"},
+                 id="covariant-prefill-rows-rolled"),
     # The suite slices each field's points out of the oracle's stack.
     pytest.param(covariant, "f3_without_inner_factor",
                  rows_rolled(covariant.f3_without_inner_factor),
